@@ -11,6 +11,7 @@ All arithmetic is exact (integers and fractions).
 
 from .affine import AffineElement, AffineWeyl
 from .bg import BGClass, BGInvariants
+from .context import Context
 from .datum import (BUILTIN_DATA, RootDatum, builtin_datum,
                     datum_from_config, datum_from_json)
 from .lattice import QuotientPresentation
@@ -21,8 +22,8 @@ from .weyl import WeylGroup
 
 __all__ = [
     'AffineElement', 'AffineWeyl', 'BGClass', 'BGInvariants',
-    'BUILTIN_DATA', 'PCT', 'PositiveCoxeterPair', 'QuantumBruhatGraph',
-    'QuotientPresentation', 'Reduction', 'ReductionTree', 'RootDatum',
+    'BUILTIN_DATA', 'Context', 'PCT', 'PositiveCoxeterPair',
+    'QuantumBruhatGraph', 'QuotientPresentation', 'Reduction', 'ReductionTree', 'RootDatum',
     'WeylGroup', 'builtin_datum', 'datum_from_config', 'datum_from_json',
     'very_special_subsets',
 ]

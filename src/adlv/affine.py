@@ -10,11 +10,12 @@ r_{(alpha,k)} = s_alpha eps^{k alpha^vee}.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import NamedTuple
 
 from .lattice import (integer_kernel, solve_integer_combination, vec_add,
-                      vec_dot, vec_scale, vec_sub)
+                      vec_dot, vec_scale)
 from .weyl import WeylGroup
 
 __all__ = ['AffineElement', 'AffineWeyl']
@@ -87,10 +88,6 @@ class AffineWeyl:
         idx, k = aroot
         return (self.W.act_root(x.w, idx),
                 k - vec_dot(self.datum.roots[idx].covec, x.mu))
-
-    def is_positive_affine(self, aroot):
-        idx, k = aroot
-        return k >= (1 if not self.datum.is_positive_root(idx) else 0)
 
     # -- length -------------------------------------------------------------
 
@@ -200,38 +197,6 @@ class AffineWeyl:
         kind = {0: 'keep', -2: 'down', 2: 'up'}[d]
         return both, kind, left
 
-    # -- alcove elements ------------------------------------------------------
-
-    def is_alcove_element(self, x, subset, u, normalized=False):
-        """(J, u)-alcove test: u^{-1} x sigma(u) has Weyl part in W_J and
-        ell(x, w^{-1} u beta) >= 0 for every positive beta outside Phi_J.
-
-        >>> from adlv.datum import builtin_datum
-        >>> aw = AffineWeyl(builtin_datum('sl2'))
-        >>> aw.is_alcove_element(aw.mult(aw.from_weyl(1), aw.translation((1,))),
-        ...                      frozenset({0}), 0)
-        True
-        """
-        d = self.datum
-        subset = frozenset(subset)
-        if not d.is_sigma_stable(subset):
-            raise ValueError('subset must be sigma stable')
-        if normalized and self.W.min_coset_rep(u, tuple(sorted(subset))) != u:
-            return False
-        conj = self.mult(self.mult(self.inverse(self.from_weyl(u)), x),
-                         self.from_weyl(self.W.sigma(u)))
-        if self.W.support(conj.w) - subset:
-            return False
-        winv_u = self.W.mult(self.W.inv[x.w], u)
-        act = self.W.root_action[winv_u]
-        for i in range(d.num_positive):
-            r = d.roots[i]
-            if all(r.coords[j] == 0 or j in subset for j in range(d.rank)):
-                continue
-            if self.length_functional(x, act[i]) < 0:
-                return False
-        return True
-
     # -- eta ---------------------------------------------------------------
 
     def eta_sigma(self, x):
@@ -274,7 +239,8 @@ class AffineWeyl:
             kernel = integer_kernel(cols) if d.rank else \
                 [tuple(int(i == j) for i in range(d.dim))
                  for j in range(d.dim)]
-            for shift in _int_boxes(len(kernel), -shift_bound, shift_bound):
+            for shift in itertools.product(
+                    range(-shift_bound, shift_bound + 1), repeat=len(kernel)):
                 lam = lam0
                 for c, k in zip(shift, kernel):
                     lam = vec_add(lam, vec_scale(c, k))
@@ -294,6 +260,28 @@ class AffineWeyl:
             raise AssertionError('found %d length-zero classes, pi_1 has %d'
                                  % (len(out), order))
         return out
+
+    def box_elements(self, bound, max_length):
+        """All w eps^mu with every |mu_i| <= bound and length at most
+        max_length, sorted by (length, mu, word).
+
+        >>> from adlv.datum import builtin_datum
+        >>> for x in AffineWeyl(builtin_datum('sl2')).box_elements(1, 1):
+        ...     print(x)
+        AffineElement(w=0, mu=(0,))
+        AffineElement(w=1, mu=(-1,))
+        AffineElement(w=1, mu=(0,))
+        """
+        rows = []
+        for mu in itertools.product(range(-bound, bound + 1),
+                                    repeat=self.datum.dim):
+            for w in range(self.W.size):
+                x = AffineElement(w, mu)
+                length = self.aff_length(x)
+                if length <= max_length:
+                    rows.append(((length, mu, self.W.words[w]), x))
+        rows.sort()
+        return [x for _, x in rows]
 
     # -- parsing and printing ---------------------------------------------------
 
@@ -320,12 +308,3 @@ class AffineWeyl:
 
     def format_element(self, x):
         return json.dumps(self.element_to_dict(x))
-
-
-def _int_boxes(n, lo, hi):
-    if n == 0:
-        yield ()
-        return
-    for rest in _int_boxes(n - 1, lo, hi):
-        for c in range(lo, hi + 1):
-            yield rest + (c,)

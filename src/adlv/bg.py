@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .affine import AffineElement
 from .lattice import (Fraction, solve_rational_combination, vec_add,
                       vec_dot, vec_scale, vec_sub)
 

@@ -16,12 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .affine import AffineWeyl
-from .bg import BGInvariants
-from .datum import BUILTIN_DATA, builtin_datum, datum_from_json
-from .pct import PCT
-from .qbg import QuantumBruhatGraph
-from .reduction import Reduction
+from .context import Context
 
 __all__ = ['main']
 
@@ -37,55 +32,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac_str(x):
     return str(Fraction(x))
-
-
-def _class_dict(b):
-    return b.to_dict()
-
-
-class _Context:
-    """Lazily constructed computation stack for one root datum."""
-
-    def __init__(self, name_or_path):
-        if name_or_path in BUILTIN_DATA:
-            self.datum = builtin_datum(name_or_path)
-        else:
-            self.datum = datum_from_json(name_or_path)
-        self._aw = None
-        self._qbg = None
-        self._red = None
-        self._pct = None
-
-    @property
-    def aw(self):
-        if self._aw is None:
-            self._aw = AffineWeyl(self.datum)
-        return self._aw
-
-    @property
-    def qbg(self):
-        if self._qbg is None:
-            self._qbg = QuantumBruhatGraph(self.aw.W)
-        return self._qbg
-
-    @property
-    def red(self):
-        if self._red is None:
-            self._red = Reduction(self.aw)
-        return self._red
-
-    @property
-    def bg(self):
-        return self.red.bg
-
-    @property
-    def pct(self):
-        if self._pct is None:
-            self._pct = PCT(self.aw, self.red)
-        return self._pct
-
-    def element(self, text):
-        return self.aw.parse_element(text)
 
 
 def _build_parser():
@@ -155,17 +101,17 @@ def _run(args, out):
                                 str(tests)])
         return code
 
-    ctx = _Context(args.datum)
+    ctx = Context(args.datum)
 
     if args.command == 'datum':
         info = ctx.datum.describe()
-        info['weyl_order'] = ctx.aw.W.size
+        info['weyl_order'] = ctx.W.size
         json.dump(info, out, indent=2)
         out.write('\n')
         return 0
 
     if args.command == 'qbg':
-        W = ctx.aw.W
+        W = ctx.W
         if args.qbg_cmd == 'dot':
             out.write(ctx.qbg.to_dot() + '\n')
             return 0
@@ -181,7 +127,7 @@ def _run(args, out):
         return 0
 
     if args.command == 'pct':
-        x = ctx.element(args.x)
+        x = ctx.aw.parse_element(args.x)
         pct = ctx.pct
         if args.pct_cmd == 'classify':
             flag, v = pct.pct_characterize(x)
@@ -217,8 +163,8 @@ def _run(args, out):
     if args.command == 'scan':
         return _scan(ctx, args, out)
 
-    x = ctx.element(args.x)
-    aw, W = ctx.aw, ctx.aw.W
+    x = ctx.aw.parse_element(args.x)
+    aw, W = ctx.aw, ctx.W
 
     if args.command == 'lp':
         json.dump({'lp': [[i + 1 for i in W.words[v]]
@@ -236,12 +182,12 @@ def _run(args, out):
     elif args.command == 'lambda':
         b = ctx.bg.element_class(x)
         res, lam = ctx.bg.lambda_invariant(b)
-        json.dump({'class': _class_dict(b), 'lambda_residue': list(res),
+        json.dump({'class': b.to_dict(), 'lambda_residue': list(res),
                    'lambda_lift': list(lam),
                    'defect': ctx.bg.defect(b)}, out)
     elif args.command == 'bgx':
         data = ctx.red.bgx_from_tree(x)
-        json.dump([{'class': _class_dict(b),
+        json.dump([{'class': b.to_dict(),
                     'paths': [list(pth) for pth in e['paths']],
                     'polynomial': list(e['polynomial'])}
                    for b, e in sorted(data.items())], out, indent=2)
@@ -275,7 +221,7 @@ def _key_dict(ctx, key):
 
 
 def _report_dict(ctx, report):
-    aw, W = ctx.aw, ctx.aw.W
+    aw, W = ctx.aw, ctx.W
     pair = report['pair']
     return {
         'x': aw.element_to_dict(report['x']),
@@ -283,11 +229,11 @@ def _report_dict(ctx, report):
                  'J': sorted(i + 1 for i in pair.J),
                  'c': [i + 1 for i in pair.c_word]},
         'num_pairs': len(report['pairs']),
-        'b_min': _class_dict(report['b_min']),
-        'b_max': _class_dict(report['b_max']),
+        'b_min': report['b_min'].to_dict(),
+        'b_max': report['b_max'].to_dict(),
         'lambda_max': list(report['lambda_max']),
         'classes': [{
-            'class': _class_dict(cd['class']),
+            'class': cd['class'].to_dict(),
             'witness': {str(j + 1): k for j, k in cd['witness'].items()},
             'l_I': cd['l_i'], 'l_II': cd['l_ii'],
             'endpoint_support': sorted(i + 1
@@ -298,32 +244,17 @@ def _report_dict(ctx, report):
     }
 
 
-def _scan_elements(ctx, max_length, mu_bound):
-    """All elements with length <= max_length, mu in a box, in a fixed
-    deterministic order."""
-    from .affine import AffineElement, _int_boxes
-    aw = ctx.aw
-    bound = mu_bound if mu_bound is not None else max_length
-    out = []
-    for mu in _int_boxes(ctx.datum.dim, -bound, bound):
-        for w in range(aw.W.size):
-            x = AffineElement(w, mu)
-            if aw.aff_length(x) <= max_length:
-                out.append(x)
-    out.sort(key=lambda x: (aw.aff_length(x), x.mu, aw.W.words[x.w]))
-    return out
-
-
 def _scan(ctx, args, out):
     aw, pct = ctx.aw, ctx.pct
+    bound = args.mu_bound if args.mu_bound is not None else args.max_length
     rows = []
-    for x in _scan_elements(ctx, args.max_length, args.mu_bound):
+    for x in aw.box_elements(bound, args.max_length):
         b = ctx.bg.element_class(x)
         flag, v = pct.pct_characterize(x)
         row = {
             'x': aw.element_to_dict(x),
             'length': aw.aff_length(x),
-            'class': _class_dict(b),
+            'class': b.to_dict(),
             'positive_coxeter_type': flag,
             'finite_coxeter_part': pct.has_finite_coxeter_part(x),
             'classpoly': [

@@ -25,14 +25,13 @@ standard lattice of GL_n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
-from .lattice import (Fraction, QuotientPresentation, mat_identity,
-                      mat_inverse_unimodular, mat_mul, mat_vec,
-                      rational_rank, solve_rational_combination, vec_add,
-                      vec_dot, vec_scale, vec_sub)
+from .lattice import (QuotientPresentation, mat_identity,
+                      mat_inverse_rational, mat_inverse_unimodular, mat_mul,
+                      mat_vec, rational_rank, solve_rational_combination,
+                      vec_add, vec_dot, vec_scale, vec_sub)
 
 __all__ = [
     'RootDatum',
@@ -40,7 +39,10 @@ __all__ = [
     'datum_from_config',
     'datum_from_json',
     'builtin_datum',
+    'load_datum',
     'BUILTIN_DATA',
+    'diagram_components',
+    'perm_orbit',
 ]
 
 
@@ -123,6 +125,50 @@ def _cartan_block(name):
     return c
 
 
+def perm_orbit(perm, i):
+    """The cycle of a permutation through i: [i, perm[i], ...].
+
+    >>> perm_orbit([1, 2, 0, 3], 1)
+    [1, 2, 0]
+    """
+    out = [i]
+    j = perm[i]
+    while j != i:
+        out.append(j)
+        j = perm[j]
+    return out
+
+
+def diagram_components(cartan, subset=None, perm=None):
+    """Connected components of the Dynkin diagram induced on a subset of
+    the nodes (default all), sorted by their smallest node.
+
+    With a permutation ``perm`` of the nodes, i and perm[i] are also
+    joined, so the components are merged under it.
+
+    >>> diagram_components([[2, 0, 0], [0, 2, -1], [0, -1, 2]])
+    [frozenset({0}), frozenset({1, 2})]
+    >>> diagram_components(cartan_matrix('A1xA1'), perm=[1, 0])
+    [frozenset({0, 1})]
+    """
+    left = set(range(len(cartan)) if subset is None else subset)
+    comps = []
+    while left:
+        start = min(left)
+        left.discard(start)
+        comp, todo = {start}, [start]
+        while todo:
+            i = todo.pop()
+            linked = {j for j in left if cartan[i][j] != 0}
+            if perm is not None:
+                linked |= {perm[i], perm.index(i)} & left
+            left -= linked
+            comp |= linked
+            todo.extend(linked)
+        comps.append(frozenset(comp))
+    return comps
+
+
 @dataclass(frozen=True)
 class _Root:
     """One root: covector on X, its coroot in X, and simple-root coords."""
@@ -202,8 +248,6 @@ class RootDatum:
                     raise ValueError('sigma_perm does not preserve the Cartan matrix')
         # character side: sigma(alpha_i) must be alpha_{p(i)}
         for i in range(n):
-            moved = tuple(vec_dot(self.simple_roots[i], col)
-                          for col in zip(*self.sigma_inv_matrix))
             # row vector times sigma^{-1}
             moved = self._covec_times(self.simple_roots[i], self.sigma_inv_matrix)
             if moved != self.simple_roots[p[i]]:
@@ -258,23 +302,8 @@ class RootDatum:
         self.two_rho = tuple(sum(r.covec[i] for r in self.positive_roots)
                              for i in range(self.dim))
         self.simple_indices = [self.root_index[a] for a in self.simple_roots]
-        # irreducible components of the Dynkin diagram
-        comps = []
-        left = set(range(self.rank))
-        while left:
-            comp = {left.pop()}
-            grow = True
-            while grow:
-                grow = False
-                for i in list(left):
-                    if any(self.cartan[i][j] != 0 for j in comp):
-                        comp.add(i)
-                        left.discard(i)
-                        grow = True
-            comps.append(frozenset(comp))
-        comps.sort(key=min)
-        self.components = comps
-        self.highest_roots = [self._highest_root(c) for c in comps]
+        self.components = diagram_components(self.cartan)
+        self.highest_roots = [self._highest_root(c) for c in self.components]
         self.sigma_order = self._order_of_sigma()
 
     def _highest_root(self, comp):
@@ -361,13 +390,9 @@ class RootDatum:
         for i in sorted(subset):
             if i in seen:
                 continue
-            orb = [i]
-            j = self.sigma_perm[i]
-            while j != i:
-                if j not in subset:
-                    raise ValueError('subset is not sigma stable')
-                orb.append(j)
-                j = self.sigma_perm[j]
+            orb = perm_orbit(self.sigma_perm, i)
+            if not subset.issuperset(orb):
+                raise ValueError('subset is not sigma stable')
             seen.update(orb)
             out.append(tuple(orb))
         return out
@@ -470,8 +495,20 @@ class RootDatum:
 
     # -- quotients ------------------------------------------------------
 
-    def coweight_coordinates_valid(self):
-        return True
+    def twist_relations(self, m=None):
+        """Generators sigma(m e_j) - e_j of (sigma m - 1) X, one per basis
+        vector e_j, zero vectors included; m is an integer matrix acting
+        on X (default the identity).
+
+        >>> builtin_datum('sl3_flip').twist_relations()
+        [(-1, 1), (1, -1)]
+        """
+        out = []
+        for j in range(self.dim):
+            e = tuple(int(i == j) for i in range(self.dim))
+            image = e if m is None else mat_vec(m, e)
+            out.append(vec_sub(self.sigma_vec(image), e))
+        return out
 
     def fundamental_group_presentation(self):
         """pi_1 = X / (coroot lattice), as a quotient presentation."""
@@ -479,19 +516,12 @@ class RootDatum:
 
     def galois_coinvariants(self):
         """X_Gamma = X / (sigma - 1) X."""
-        rels = []
-        for j in range(self.dim):
-            e = tuple(1 if i == j else 0 for i in range(self.dim))
-            rels.append(vec_sub(self.sigma_vec(e), e))
-        return QuotientPresentation(self.dim, rels)
+        return QuotientPresentation(self.dim, self.twist_relations())
 
     def kottwitz_presentation(self):
         """pi_1(G)_Gamma = X / (coroot lattice + (sigma - 1) X)."""
-        rels = list(self.simple_coroots)
-        for j in range(self.dim):
-            e = tuple(1 if i == j else 0 for i in range(self.dim))
-            rels.append(vec_sub(self.sigma_vec(e), e))
-        return QuotientPresentation(self.dim, rels)
+        return QuotientPresentation(
+            self.dim, list(self.simple_coroots) + self.twist_relations())
 
     def describe(self):
         return {
@@ -540,11 +570,11 @@ def datum_from_config(config):
         b = [[cartan[j][i] for j in range(n)] for i in range(n)]
     else:
         b = [list(r) for r in basis]
-    binv = _rational_inverse(b)
+    binv = mat_inverse_rational(b)
     # coroot i in lattice coordinates: B^{-1} (cartan row i)
     coroots = []
     for i in range(n):
-        v = _frac_mat_vec(binv, cartan[i])
+        v = mat_vec(binv, cartan[i])
         if any(x.denominator != 1 for x in v):
             raise ValueError('lattice does not contain the coroot lattice')
         coroots.append(tuple(int(x) for x in v))
@@ -555,7 +585,7 @@ def datum_from_config(config):
     if sig_mat is None and any(p != i for i, p in enumerate(perm)):
         # permutation of the coweight basis, transported to lattice coords
         p_mat = [[1 if perm[j] == i else 0 for j in range(n)] for i in range(n)]
-        m = _frac_mat_mul(_frac_mat_mul(binv, p_mat), b)
+        m = mat_mul(mat_mul(binv, p_mat), b)
         if any(x.denominator != 1 for row in m for x in row):
             raise ValueError('sigma_perm does not preserve the lattice; '
                              'give sigma_matrix explicitly')
@@ -568,33 +598,6 @@ def _perm_from_config(config, n):
     if perm is None:
         return tuple(range(n))
     return tuple(p - 1 for p in perm)
-
-
-def _rational_inverse(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        s = a[col][col]
-        a[col] = [x / s for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [[a[i][n + j] for j in range(n)] for i in range(n)]
-
-
-def _frac_mat_vec(m, v):
-    return tuple(sum(Fraction(m[i][j]) * v[j] for j in range(len(v)))
-                 for i in range(len(m)))
-
-
-def _frac_mat_mul(a, b):
-    n, k, mcols = len(a), len(b), len(b[0])
-    return [[sum(Fraction(a[i][t]) * b[t][j] for t in range(k))
-             for j in range(mcols)] for i in range(n)]
 
 
 def datum_from_json(path):
@@ -632,6 +635,13 @@ def builtin_datum(name):
     cfg = dict(BUILTIN_DATA[name])
     cfg.setdefault('name', name)
     return datum_from_config(cfg)
+
+
+def load_datum(name_or_path):
+    """A built-in datum by name, else the datum of a JSON config file."""
+    if name_or_path in BUILTIN_DATA:
+        return builtin_datum(name_or_path)
+    return datum_from_json(name_or_path)
 
 
 if __name__ == '__main__':

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 __all__ = [
     'Vec',
@@ -22,6 +22,7 @@ __all__ = [
     'vec_sub',
     'vec_scale',
     'vec_dot',
+    'mat_inverse_rational',
     'mat_inverse_unimodular',
     'smith_normal_form',
     'rational_rank',
@@ -73,19 +74,22 @@ def vec_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def mat_inverse_unimodular(m):
-    """Inverse of an integer matrix with determinant +-1.
+def mat_inverse_rational(m):
+    """Inverse of a square matrix over the rationals, by Gauss-Jordan.
 
-    Computed by exact fraction elimination; the result is integral.
+    Entries of the result are Fractions.  Raises ValueError when the
+    matrix is singular.
 
-    >>> mat_inverse_unimodular([[1, 1], [0, 1]])
-    [[1, -1], [0, 1]]
+    >>> mat_inverse_rational([[2, 0], [0, 1]])
+    [[Fraction(1, 2), Fraction(0, 1)], [Fraction(0, 1), Fraction(1, 1)]]
     """
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(m)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError('matrix is singular: %r' % (m,))
         a[col], a[piv] = a[piv], a[col]
         scale = a[col][col]
         a[col] = [x / scale for x in a[col]]
@@ -93,8 +97,21 @@ def mat_inverse_unimodular(m):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    inv = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in inv for x in row)
+    return [[a[i][n + j] for j in range(n)] for i in range(n)]
+
+
+def mat_inverse_unimodular(m):
+    """Inverse of an integer matrix with determinant +-1.
+
+    Raises ValueError when the matrix is singular or its inverse is not
+    integral.
+
+    >>> mat_inverse_unimodular([[1, 1], [0, 1]])
+    [[1, -1], [0, 1]]
+    """
+    inv = mat_inverse_rational(m)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError('matrix is not unimodular: %r' % (m,))
     return [[int(x) for x in row] for row in inv]
 
 
@@ -256,15 +273,6 @@ def solve_rational_combination(generators, target):
         if sum(coeffs[j] * generators[j][i] for j in range(k)) != target[i]:
             return None
     return tuple(coeffs)
-
-
-def _snf_of_columns(columns, dim):
-    matrix = [[col[i] for col in columns] for i in range(dim)]
-    if not columns:
-        matrix = [[] for _ in range(dim)]
-    return smith_normal_form(matrix) if columns else (mat_identity(dim),
-                                                      [[] for _ in range(dim)],
-                                                      [])
 
 
 def integer_kernel(generators):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import AffineElement
+from .datum import diagram_components, perm_orbit
 from .lattice import (QuotientPresentation, solve_in_cone,
                       solve_integer_combination, vec_add, vec_dot, vec_scale,
                       vec_sub)
@@ -53,13 +54,13 @@ class PCT:
     True
     """
 
-    def __init__(self, aw, reduction=None):
+    def __init__(self, aw, reduction=None, qbg=None):
         self.aw = aw
         self.W = aw.W
         self.datum = aw.datum
         self.red = reduction if reduction is not None else Reduction(aw)
         self.bg = self.red.bg
-        self.qbg = QuantumBruhatGraph(self.W)
+        self.qbg = qbg if qbg is not None else QuantumBruhatGraph(self.W)
         self.gamma = self.bg.gamma
 
     # -- pairs ---------------------------------------------------------------
@@ -200,46 +201,11 @@ class PCT:
                                  'of its class')
         return b, lam
 
-    def generic_class_full(self, x):
-        """The dominance-maximal candidate over all of LP(x), for any x.
-
-        For each length positive v the QBG formula gives a candidate
-        lambda; the unique dominance-maximal convex hull point wins.
-        """
-        cands = []
-        for v in self.aw.lp_set(x):
-            target = self.W.sigma(self.W.mult(x.w, v))
-            _, wt = self.qbg.distance_weight(v, target)
-            lam = vec_sub(self.W.act(self.W.inv[v], x.mu),
-                          self.qbg.weight_vector(wt))
-            cands.append((self.datum.convex_hull_point(lam), lam))
-        best = None
-        for nu, lam in cands:
-            if best is None or self.datum.dominance_leq(best[0], nu,
-                                                        integral=False):
-                best = (nu, lam)
-        nu, lam = best
-        for other_nu, _ in cands:
-            if not self.datum.dominance_leq(other_nu, nu, integral=False):
-                raise AssertionError('no dominance-maximal generic candidate')
-        return self._bgclass(x, nu), lam
-
     def min_and_generic_newton(self, pair):
         """(minimal class, (generic class, lambda lift))."""
         return self.minimal_class(pair), self.generic_class(pair)
 
     # -- the interval of classes ---------------------------------------------
-
-    def _twist_lattice(self):
-        """Nonzero generators of (sigma - 1) X."""
-        d = self.datum
-        out = []
-        for j in range(d.dim):
-            e = tuple(int(i == j) for i in range(d.dim))
-            t = vec_sub(d.sigma_vec(e), e)
-            if any(t):
-                out.append(t)
-        return out
 
     def membership_witness(self, pair, b):
         """Nonnegative coefficients k with lambda_max - lambda(b) =
@@ -255,7 +221,7 @@ class PCT:
                     self.gamma.lift(self.gamma.project(lam_b)))
         js = sorted(pair.J)
         gens = [self.datum.simple_coroots[j] for j in js]
-        twists = self._twist_lattice()
+        twists = [r for r in self.datum.twist_relations() if any(r)]
         if not twists:
             sol = solve_in_cone(gens, t,
                                 positive_functional=self.datum.two_rho)
@@ -385,11 +351,8 @@ class PCT:
     def coinvariants(self, elem):
         """Coinvariants of sigma composed with a finite Weyl element."""
         d = self.datum
-        rels = []
-        for j in range(d.dim):
-            e = tuple(int(i == j) for i in range(d.dim))
-            rels.append(vec_sub(d.sigma_vec(self.W.act(elem, e)), e))
-        return QuotientPresentation(d.dim, rels)
+        return QuotientPresentation(d.dim,
+                                    d.twist_relations(self.W.mats[elem]))
 
     def point_space(self, c, j_prime):
         """X(c, J'): coinvariants of sigma c^{(J')} modulo the rotated
@@ -402,10 +365,7 @@ class PCT:
         word = W.words[c]
         kept_positions = [p for p, i in enumerate(word) if i in j_prime]
         trunc = W.from_word([word[p] for p in kept_positions])
-        rels = []
-        for j in range(d.dim):
-            e = tuple(int(i == j) for i in range(d.dim))
-            rels.append(vec_sub(d.sigma_vec(W.act(trunc, e)), e))
+        rels = d.twist_relations(W.mats[trunc])
         last_kept = kept_positions[-1] if kept_positions else -1
         for p, i in enumerate(word):
             if i in j_prime:
@@ -428,9 +388,6 @@ class PCT:
         """sigma(v^{-1} mu), the ambient representative of the J-point."""
         return self.datum.sigma_vec(
             self.W.act(self.W.inv[pair.v], pair.x.mu))
-
-    def j_point(self, pair):
-        return self.j_point_space(pair).project(self.j_point_vector(pair))
 
     def j_point_image(self, pair, j_prime):
         """Residue of the J-point in X(c, J')."""
@@ -494,7 +451,7 @@ class PCT:
         _, lam_b = self.bg.lambda_invariant(b)
         s = self.j_point_vector(pair)
         lattice_one = [d.simple_coroots[j] for j in sorted(jb)] \
-            + self._twist_lattice()
+            + [r for r in d.twist_relations() if any(r)]
         lattice_two = [r for r in self.point_space(pair.c, jb).relations
                        if any(r)]
         gens = lattice_one + lattice_two
@@ -554,40 +511,15 @@ class PCT:
                                  % (finite_side, pct_side))
         return pct_side
 
-    def sigma_components(self, subset):
-        """Connected components of the sub-diagram, merged under sigma."""
-        d = self.datum
-        subset = sorted(subset)
-        parent = {i: i for i in subset}
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            parent[find(i)] = find(j)
-
-        for i in subset:
-            for j in subset:
-                if i != j and d.cartan[i][j] != 0:
-                    union(i, j)
-            if d.sigma_perm[i] in parent:
-                union(i, d.sigma_perm[i])
-        comps = {}
-        for i in subset:
-            comps.setdefault(find(i), set()).add(i)
-        return [frozenset(s) for s in comps.values()]
-
     def large_support_check(self, pair):
         """When J contains no sigma-component of I(nu of the minimal
         class), x must be of minimal length; the minimality is asserted
         and True returned.  Otherwise False (no claim)."""
         b_min = self.minimal_class(pair)
         i_nu, _ = self.bg.strata_sets(b_min)
-        hypothesis = all(not comp <= pair.J
-                         for comp in self.sigma_components(i_nu))
+        d = self.datum
+        hypothesis = all(not comp <= pair.J for comp in diagram_components(
+            d.cartan, i_nu, d.sigma_perm))
         if not hypothesis:
             return False
         if not self.red.is_minimal(pair.x):
@@ -603,7 +535,7 @@ class PCT:
         sub-root-system."""
         d = self.datum
         out = [(d.simple_indices[j], 0) for j in sorted(subset)]
-        for comp in _diagram_components(d.cartan, subset):
+        for comp in diagram_components(d.cartan, subset):
             best = None
             for idx in range(d.num_positive):
                 coords = d.roots[idx].coords
@@ -685,18 +617,9 @@ class PCT:
         aw = self.aw
         u = aw.mult(endpoint, aw.inverse(tau))
         orbits = []
-        seen = set()
         for i in k_nodes:
-            if i in seen:
-                continue
-            orb = []
-            j = i
-            while j not in seen:
-                seen.add(j)
-                if j in k_nodes:
-                    orb.append(j)
-                j = perm[j]
-            orbits.append(orb)
+            if not any(i in orb for orb in orbits):
+                orbits.append(perm_orbit(perm, i))
         for reps in itertools.product(*orbits):
             for order in itertools.permutations(reps):
                 prod = AffineElement(0, (0,) * self.datum.dim)
@@ -716,25 +639,6 @@ def _budget_tuples(weights, budget):
     for k in range(budget // w + 1):
         for rest in _budget_tuples(weights[1:], budget - k * w):
             yield (k,) + rest
-
-
-def _diagram_components(cartan, subset):
-    """Connected components of the induced Dynkin sub-diagram."""
-    subset = sorted(subset)
-    remaining = set(subset)
-    comps = []
-    while remaining:
-        stack = [remaining.pop()]
-        comp = set(stack)
-        while stack:
-            i = stack.pop()
-            for j in list(remaining):
-                if cartan[i][j] != 0:
-                    remaining.remove(j)
-                    comp.add(j)
-                    stack.append(j)
-        comps.append(frozenset(comp))
-    return comps
 
 
 def count_positive_roots(cartan):
@@ -779,7 +683,7 @@ def very_special_subsets(affine_cartan, perm):
     component.  Maximizers are sorted; the first one is canonical.
     """
     n = len(affine_cartan)
-    components = _diagram_components(affine_cartan, range(n))
+    components = diagram_components(affine_cartan)
     best, winners = -1, []
     for bits in itertools.product((0, 1), repeat=n):
         k = frozenset(i for i in range(n) if bits[i])
@@ -790,7 +694,7 @@ def very_special_subsets(affine_cartan, perm):
         total = sum(count_positive_roots(
             [[affine_cartan[i][j] for j in sorted(comp)]
              for i in sorted(comp)])
-            for comp in _diagram_components(affine_cartan, k))
+            for comp in diagram_components(affine_cartan, k))
         if total > best:
             best, winners = total, [k]
         elif total == best:

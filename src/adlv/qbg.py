@@ -12,6 +12,7 @@ a runtime check rather than an assumption.
 
 from __future__ import annotations
 
+from .datum import perm_orbit
 from .lattice import solve_rational_combination, vec_add
 
 __all__ = ['QuantumBruhatGraph']
@@ -144,7 +145,7 @@ class QuantumBruhatGraph:
         d = self.datum
         orbits_seen = set()
         for i in word:
-            orb = frozenset(_orbit(d.sigma_perm, i))
+            orb = frozenset(perm_orbit(d.sigma_perm, i))
             if orb & orbits_seen:
                 raise ValueError('word letters must lie in distinct '
                                  'sigma-orbits')
@@ -183,15 +184,6 @@ class QuantumBruhatGraph:
                              % (w, v, style, label))
         lines.append('}')
         return '\n'.join(lines)
-
-
-def _orbit(perm, i):
-    out = [i]
-    j = perm[i]
-    while j != i:
-        out.append(j)
-        j = perm[j]
-    return out
 
 
 def _word_label(weyl, w):

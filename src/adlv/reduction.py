@@ -11,18 +11,17 @@ q^2 - q is (0, -1, 1).
 
 from __future__ import annotations
 
-import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .affine import AffineElement
-from .bg import BGClass, BGInvariants
+from .bg import BGInvariants
 
 __all__ = ['Reduction', 'ReductionTree', 'TreeNode', 'poly_add', 'poly_mul',
            'POLY_ONE', 'POLY_Q', 'POLY_Q_MINUS_ONE', 'DEFAULT_SLACK']
 
-DEFAULT_SLACK = int(os.environ.get('ADLV_SLACK', '4'))
+DEFAULT_SLACK = 4
 
 POLY_ONE = (1,)
 POLY_Q = (0, 1)
@@ -146,6 +145,7 @@ class Reduction:
         self._down_memo = {}
         self._key_memo = {}
         self._omega = None
+        self._wide = None
 
     # -- the equal-length sigma-conjugation orbit ---------------------------
 
@@ -318,8 +318,9 @@ class Reduction:
         if kx[:3] != ky[:3]:
             return False
         # same invariants and minimal length: retry with more slack
-        wide = Reduction(self.aw, self.bg, slack=self.slack + 4)
-        return wide.class_key(x) == wide.class_key(y)
+        if self._wide is None:
+            self._wide = Reduction(self.aw, self.bg, slack=self.slack + 4)
+        return self._wide.class_key(x) == self._wide.class_key(y)
 
     # -- endpoint data ---------------------------------------------------------------
 

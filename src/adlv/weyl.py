@@ -8,11 +8,8 @@ cocharacter lattice through integer matrices.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
-from .lattice import (mat_identity, mat_mul, mat_vec, rational_rank,
-                      vec_dot, vec_scale, vec_sub)
+from .datum import perm_orbit
+from .lattice import mat_identity, mat_mul, mat_vec, rational_rank, vec_sub
 
 __all__ = ['WeylGroup']
 
@@ -95,6 +92,7 @@ class WeylGroup:
         self.sigma_inv_elem = [0] * self.size
         for e in range(self.size):
             self.sigma_inv_elem[self.sigma_elem[e]] = e
+        self._parabolic_memo = {}
 
     def _elem_of_mat(self, m):
         return self._index[tuple(tuple(r) for r in m)]
@@ -171,10 +169,11 @@ class WeylGroup:
 
     # -- subgroups --------------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def parabolic(self, subset):
         """Sorted tuple of the elements of the parabolic subgroup W_J."""
         subset = tuple(sorted(subset))
+        if subset in self._parabolic_memo:
+            return self._parabolic_memo[subset]
         seen = {0}
         frontier = [0]
         while frontier:
@@ -186,7 +185,9 @@ class WeylGroup:
                         seen.add(f)
                         nxt.append(f)
             frontier = nxt
-        return tuple(sorted(seen, key=lambda e: (self.lengths[e], self.words[e])))
+        out = tuple(sorted(seen, key=lambda e: (self.lengths[e], self.words[e])))
+        self._parabolic_memo[subset] = out
+        return out
 
     def support(self, e):
         """Set of simple indices occurring in a reduced word of e."""
@@ -199,18 +200,6 @@ class WeylGroup:
             changed = False
             for i in subset:
                 f = self.right[e][i]
-                if self.lengths[f] < self.lengths[e]:
-                    e = f
-                    changed = True
-        return e
-
-    def min_coset_rep_left(self, e, subset):
-        """Minimal representative of W_J e."""
-        changed = True
-        while changed:
-            changed = False
-            for i in subset:
-                f = self.left[e][i]
                 if self.lengths[f] < self.lengths[e]:
                     e = f
                     changed = True
@@ -275,13 +264,8 @@ class WeylGroup:
 
     def sigma_support(self, e):
         """Union of the sigma-orbits meeting the support of e."""
-        out = set()
-        for i in self.support(e):
-            j = i
-            while j not in out:
-                out.add(j)
-                j = self.datum.sigma_perm[j]
-        return frozenset(out)
+        return frozenset(j for i in self.support(e)
+                         for j in perm_orbit(self.datum.sigma_perm, i))
 
     def is_sigma_coxeter_in(self, e, subset):
         """True when e is a sigma-Coxeter element of W_J: partial

@@ -20,46 +20,19 @@
 10. The endpoint congruence certificate matches the tree leaf class.
 """
 
-import itertools
-
 import pytest
 
-from adlv.affine import AffineElement, AffineWeyl
-from adlv.datum import builtin_datum
-from adlv.pct import PCT, count_positive_roots, very_special_subsets
-from adlv.qbg import QuantumBruhatGraph
-from adlv.reduction import (POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, Reduction,
-                            poly_mul)
-
-
-class Stack:
-    def __init__(self, name):
-        self.datum = builtin_datum(name)
-        self.aw = AffineWeyl(self.datum)
-        self.W = self.aw.W
-        self.red = Reduction(self.aw)
-        self.bg = self.red.bg
-        self.pct = PCT(self.aw, self.red)
-
-    def elements(self, bound, max_len):
-        out = []
-        for mu in itertools.product(range(-bound, bound + 1),
-                                    repeat=self.datum.dim):
-            for w in range(self.W.size):
-                x = AffineElement(w, mu)
-                if self.aw.aff_length(x) <= max_len:
-                    out.append(x)
-        out.sort(key=lambda x: (self.aw.aff_length(x), x.mu,
-                                self.W.words[x.w]))
-        return out
-
+from adlv.affine import AffineElement
+from adlv.context import Context
+from adlv.pct import count_positive_roots, very_special_subsets
+from adlv.reduction import POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, poly_mul
 
 _STACKS = {}
 
 
 def stack(name):
     if name not in _STACKS:
-        _STACKS[name] = Stack(name)
+        _STACKS[name] = Context(name)
     return _STACKS[name]
 
 
@@ -72,7 +45,7 @@ def scan_stack(request):
     name = request.param
     bound, cap = next((b, c) for n, b, c in SCAN if n == name)
     st = stack(name)
-    return st, st.elements(bound, cap)
+    return st, st.aw.box_elements(bound, cap)
 
 
 # -- 1: weight well-definedness ---------------------------------------------
@@ -81,7 +54,7 @@ def scan_stack(request):
                                   'sl4_flip'])
 def test_1_qbg_weights_well_defined(name):
     st = stack(name)
-    qbg = QuantumBruhatGraph(st.W)
+    qbg = st.qbg
     for w in range(st.W.size):
         for w2 in range(st.W.size):
             _, wt = qbg.distance_weight(w, w2)
@@ -188,7 +161,7 @@ def test_10_endpoint_identity(scan_stack):
 @pytest.mark.parametrize('name,bound', [('sl2', 4), ('sl3', 3)])
 def test_5_tree_independence(name, bound):
     st = stack(name)
-    for x in st.elements(bound, 7):
+    for x in st.aw.box_elements(bound, 7):
         base = st.red.class_polynomials(x)
         for seed in (1, 2, 3):
             assert st.red.class_polynomials(x, seed=seed) == base
@@ -293,7 +266,7 @@ def test_7_reflection_length(name):
 def test_8_minimal_length(name, bound):
     st = stack(name)
     count = 0
-    for x in st.elements(bound, 5):
+    for x in st.aw.box_elements(bound, 5):
         if not st.red.is_minimal(x):
             continue
         st.pct.min_length_pct(x)      # asserts agreement of both sides

@@ -1,9 +1,11 @@
 """Root data: generation, positivity, sigma, projections, quotients."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from adlv.cli import main
 from adlv.datum import builtin_datum, cartan_matrix, datum_from_config
 from adlv.lattice import vec_dot
 
@@ -107,3 +109,18 @@ def test_describe_roundtrip():
     d = builtin_datum('sp4')
     info = d.describe()
     assert info['rank'] == 2 and info['num_roots'] == 8
+
+
+@pytest.mark.parametrize('config,message', [
+    ({'type': 'A1', 'sigma_matrix': [[2]]}, 'not unimodular'),
+    ({'type': 'A1', 'sigma_matrix': [[0]]}, 'singular'),
+    ({'type': 'A1', 'lattice_basis': [[0]]}, 'singular'),
+])
+def test_bad_matrix_raises_clear_value_error(config, message, tmp_path,
+                                            capsys):
+    with pytest.raises(ValueError, match=message):
+        datum_from_config(config)
+    path = tmp_path / 'datum.json'
+    path.write_text(json.dumps(config))
+    assert main(['datum', 'validate', '--datum', str(path)]) == 2
+    assert message in capsys.readouterr().err

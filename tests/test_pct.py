@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from adlv.affine import AffineElement, AffineWeyl
-from adlv.datum import builtin_datum
+from adlv.datum import builtin_datum, diagram_components
 from adlv.pct import PCT, count_positive_roots, very_special_subsets
 
 
@@ -177,13 +177,21 @@ def test_large_support(pct2, pct3):
     assert pct3.large_support_check(tp)
 
 
-def test_sigma_components(pct3):
-    assert pct3.sigma_components(frozenset({0, 1})) == [frozenset({0, 1})]
-    comps = {frozenset(s) for s in pct3.sigma_components(frozenset({0}))}
-    assert comps == {frozenset({0})}
-    flip = PCT(AffineWeyl(builtin_datum('sl3_flip')))
-    comps = flip.sigma_components(frozenset({0, 1}))
-    assert comps == [frozenset({0, 1})]
+def test_sigma_components():
+    d = builtin_datum('sl3')
+    assert diagram_components(d.cartan, {0, 1}, d.sigma_perm) \
+        == [frozenset({0, 1})]
+    assert diagram_components(d.cartan, {0}, d.sigma_perm) \
+        == [frozenset({0})]
+    flip = builtin_datum('sl3_flip')
+    assert diagram_components(flip.cartan, {0, 1}, flip.sigma_perm) \
+        == [frozenset({0, 1})]
+    # sl4_flip on {0, 2}: no Dynkin edge, joined only by sigma
+    flip4 = builtin_datum('sl4_flip')
+    assert diagram_components(flip4.cartan, {0, 2}) \
+        == [frozenset({0}), frozenset({2})]
+    assert diagram_components(flip4.cartan, {0, 2}, flip4.sigma_perm) \
+        == [frozenset({0, 2})]
 
 
 def test_count_positive_roots():

@@ -1,6 +1,8 @@
 """Finite Weyl groups: tabulation, Bruhat order, sigma-twisted lengths."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -92,3 +94,12 @@ def test_coxeter_conjugator():
     u = g.coxeter_conjugator(c1, c2)
     assert u is not None
     assert g.mult(g.mult(g.inv[u], c1), g.sigma_elem[u]) == c2
+
+
+def test_parabolic_memo_does_not_keep_the_group_alive():
+    g = WeylGroup(builtin_datum('sl3'))
+    assert g.parabolic((0,)) == (0, g.simple[0])
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
