@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .context import Context
+from .datum import BUILTIN_DATA
 
 __all__ = ['main']
 
@@ -34,12 +36,20 @@ def _frac_str(x):
     return str(Fraction(x))
 
 
+def _datum_arg(value):
+    if value in BUILTIN_DATA or os.path.isfile(value):
+        return value
+    raise argparse.ArgumentTypeError(
+        'unknown datum %r: not a built-in name (%s) nor a JSON file'
+        % (value, ', '.join(BUILTIN_DATA)))
+
+
 def _build_parser():
     p = _Parser(prog='adlv', description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest='command', required=True)
 
     def with_datum(sp):
-        sp.add_argument('--datum', required=True,
+        sp.add_argument('--datum', required=True, type=_datum_arg,
                         help='built-in datum name or JSON file path')
         return sp
 

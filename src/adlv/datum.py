@@ -25,8 +25,10 @@ standard lattice of GL_n.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .lattice import (QuotientPresentation, mat_identity,
                       mat_inverse_rational, mat_inverse_unimodular, mat_mul,
@@ -169,6 +171,23 @@ def diagram_components(cartan, subset=None, perm=None):
     return comps
 
 
+def _common_denominator(vec):
+    """(den, v): a positive integer and an integer list with vec = v / den.
+
+    >>> _common_denominator((Fraction(1, 2), 3, Fraction(-2, 3)))
+    (6, [3, 18, -4])
+    """
+    den = math.lcm(*(x.denominator for x in vec))
+    return den, [x.numerator * (den // x.denominator) for x in vec]
+
+
+def _integer_form(matrix):
+    """(den, m): a positive integer and an integer matrix with
+    matrix = m / den, for a matrix of Fractions."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return den, [[int(x * den) for x in row] for row in matrix]
+
+
 @dataclass(frozen=True)
 class _Root:
     """One root: covector on X, its coroot in X, and simple-root coords."""
@@ -305,6 +324,7 @@ class RootDatum:
         self.components = diagram_components(self.cartan)
         self.highest_roots = [self._highest_root(c) for c in self.components]
         self.sigma_order = self._order_of_sigma()
+        self._projection_memo = {}
 
     def _highest_root(self, comp):
         best = None
@@ -414,28 +434,41 @@ class RootDatum:
         >>> d.dominance_leq((0, 1, 0), (1, 0, 0))
         True
         """
-        diff = vec_sub(tuple(b), tuple(a))
-        coeffs = solve_rational_combination(self.simple_coroots, diff)
-        if coeffs is None:
+        den, diff = _common_denominator(vec_sub(tuple(b), tuple(a)))
+        scale, matrix = self._coroot_coordinates
+        # the coordinates of b - a, times scale * den
+        coeffs = [vec_dot(row, diff) for row in matrix]
+        if any(c < 0 for c in coeffs):
             return False
         if integral is None:
             integral = all(isinstance(x, int) or
                            (isinstance(x, Fraction) and x.denominator == 1)
                            for x in list(a) + list(b))
-        for c in coeffs:
-            if c < 0:
-                return False
-            if integral and Fraction(c).denominator != 1:
-                return False
-        return True
+        if integral and any(c % (scale * den) for c in coeffs):
+            return False
+        # the coordinates reconstruct b - a exactly when it is in the span
+        return all(sum(c * g[k] for c, g in zip(coeffs, self.simple_coroots))
+                   == scale * diff[k] for k in range(self.dim))
+
+    @cached_property
+    def _coroot_coordinates(self):
+        """(D, K) with K / D = cartan^{-T} (simple roots), the rank-by-dim
+        matrix taking a vector in the span of the simple coroots to its
+        coordinates; K is an integer matrix."""
+        cartan_t = [[self.cartan[i][j] for i in range(self.rank)]
+                    for j in range(self.rank)]
+        return _integer_form(mat_mul(mat_inverse_rational(cartan_t),
+                                     self.simple_roots))
 
     def pi_projection(self, subset, mu):
         """Averaged projection onto the J-fixed subspace, then sigma-averaged.
 
         Equals the sigma-average of the image of mu under averaging over
-        the parabolic subgroup W_J; computed as the unique vector in
-        mu + span(coroots of J) pairing to zero with every root of J.
-        J must be sigma stable.
+        the parabolic subgroup W_J: the unique vector in mu + span(coroots
+        of J) pairing to zero with every root of J, then averaged over the
+        sigma orbit.  Both steps are linear, so the composite is one
+        matrix per subset, built on first use and kept as an integer
+        matrix over a common denominator.  J must be sigma stable.
 
         >>> d = builtin_datum('sl2')
         >>> d.pi_projection(frozenset(), (1,))
@@ -444,10 +477,18 @@ class RootDatum:
         (Fraction(0, 1),)
         """
         subset = frozenset(subset)
-        if not self.is_sigma_stable(subset):
-            raise ValueError('subset must be sigma stable')
-        proj = self._levi_average(subset, mu)
-        return self.sigma_avg(proj)
+        if subset not in self._projection_memo:
+            if not self.is_sigma_stable(subset):
+                raise ValueError('subset must be sigma stable')
+            columns = [self.sigma_avg(self._levi_average(
+                subset, tuple(int(i == j) for i in range(self.dim))))
+                for j in range(self.dim)]
+            self._projection_memo[subset] = _integer_form(
+                [[col[i] for col in columns] for i in range(self.dim)])
+        scale, matrix = self._projection_memo[subset]
+        den, vec = _common_denominator(mu)
+        return tuple(Fraction(vec_dot(row, vec), scale * den)
+                     for row in matrix)
 
     def _levi_average(self, subset, mu):
         js = sorted(subset)
@@ -460,7 +501,10 @@ class RootDatum:
         coeffs = solve_rational_combination(
             [tuple(rows[i][j] for i in range(len(js))) for j in range(len(js))],
             tuple(rhs))
-        assert coeffs is not None
+        if coeffs is None:
+            raise AssertionError(
+                'datum %r: the Cartan block of J = %s is singular'
+                % (self.name, sorted(j + 1 for j in js)))
         out = tuple(Fraction(x) for x in mu)
         for c, g in zip(coeffs, gens):
             out = vec_sub(out, vec_scale(c, g))

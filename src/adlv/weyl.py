@@ -8,8 +8,11 @@ cocharacter lattice through integer matrices.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .datum import perm_orbit
-from .lattice import mat_identity, mat_mul, mat_vec, rational_rank, vec_sub
+from .lattice import (mat_identity, mat_mul, mat_vec, rational_rank,
+                      vec_dot, vec_scale, vec_sub)
 
 __all__ = ['WeylGroup']
 
@@ -34,8 +37,16 @@ class WeylGroup:
                 for i in range(n)]
         key = lambda m: tuple(tuple(r) for r in m)
         ident = mat_identity(datum.dim)
+        # perms[i][r]: index of the root s_i(alpha_r)
+        perms = [[datum.root_index[datum._covec_times(r.covec, g)]
+                  for r in datum.roots] for g in gens]
         mats = [ident]
         words = [()]
+        # right[e][i]: index of e s_i
+        right = [[0] * n]
+        # root_action[e][r]: index of the root e(alpha_r), and
+        # (e s_i)(alpha_r) = e(s_i(alpha_r))
+        root_action = [list(range(len(datum.roots)))]
         index = {key(ident): 0}
         frontier = [0]
         while frontier:
@@ -48,7 +59,11 @@ class WeylGroup:
                         index[k] = len(mats)
                         mats.append(m)
                         words.append(words[e] + (i,))
+                        right.append([0] * n)
+                        row = root_action[e]
+                        root_action.append([row[r] for r in perms[i]])
                         nxt.append(index[k])
+                    right[e][i] = index[k]
             frontier = nxt
         self.size = len(mats)
         self.mats = mats
@@ -56,39 +71,28 @@ class WeylGroup:
         self._index = index
         self.lengths = [len(w) for w in words]
         self.longest = max(range(self.size), key=lambda e: self.lengths[e])
-        # right and left multiplication by generators
-        self.right = [[index[key(mat_mul(mats[e], gens[i]))] for i in range(n)]
-                      for e in range(self.size)]
-        self.left = [[index[key(mat_mul(gens[i], mats[e]))] for i in range(n)]
-                     for e in range(self.size)]
+        self.right = right
         self.inv = [0] * self.size
         for e in range(self.size):
             x = 0
             for i in reversed(words[e]):
-                x = self.right[x][i]
+                x = right[x][i]
             self.inv[e] = x
+        # s_i e = (e^{-1} s_i)^{-1}
+        self.left = [[self.inv[right[self.inv[e]][i]] for i in range(n)]
+                     for e in range(self.size)]
         # the simple reflections themselves
         self.simple = [self.right[0][i] for i in range(n)]
         # action of each element on the root list (by root index)
-        nroots = len(datum.roots)
-        self.root_action = []
-        for e in range(self.size):
-            inv_m = self.mats[self.inv[e]]
-            row = []
-            for r in datum.roots:
-                moved = tuple(sum(r.covec[i] * inv_m[i][j]
-                                  for i in range(datum.dim))
-                              for j in range(datum.dim))
-                row.append(datum.root_index[moved])
-            self.root_action.append(row)
+        self.root_action = root_action
         # reflection through each root, as a group element
         self.root_reflection = [
             self._elem_of_mat(datum.reflection_matrix(i))
-            for i in range(nroots)]
-        # sigma as a permutation of W: w -> sigma w sigma^{-1}
-        s, sinv = datum.sigma_matrix, datum.sigma_inv_matrix
-        self.sigma_elem = [self._elem_of_mat(mat_mul(mat_mul(s, mats[e]), sinv))
-                           for e in range(self.size)]
+            for i in range(len(datum.roots))]
+        # sigma as a permutation of W: w -> sigma w sigma^{-1}, where
+        # sigma s_i sigma^{-1} = s_sigma(i)
+        self.sigma_elem = [self.from_word(datum.sigma_perm[i] for i in word)
+                           for word in words]
         self.sigma_inv_elem = [0] * self.size
         for e in range(self.size):
             self.sigma_inv_elem[self.sigma_elem[e]] = e
@@ -208,21 +212,43 @@ class WeylGroup:
     def dominant_representative(self, mu):
         """(v, lam): minimal v in W with v^{-1} mu = lam dominant.
 
-        Works for integer or Fraction vectors.
+        A simple-root descent: while some simple root has
+        <alpha_i, lam> < 0, replace lam by s_i(lam) and v by v s_i.  Each
+        step lowers by one the number N(lam) of positive roots pairing
+        negatively with lam (s_i permutes the positive roots other than
+        alpha_i), so it stops after N(mu) steps with l(v) <= N(mu).  Any
+        v with v^{-1} mu dominant sends every positive root alpha with
+        <alpha, mu> < 0 to a negative root, so l(v) >= N(mu).  Hence v
+        is the unique element of minimal length with v^{-1} mu dominant.
 
+        Works for integer or Fraction vectors; lam is all Fractions when
+        mu has a Fraction entry, else all integers.
+
+        >>> from fractions import Fraction
         >>> from adlv.datum import builtin_datum
         >>> g = WeylGroup(builtin_datum('sl2'))
         >>> g.dominant_representative((-1,))
         (1, (1,))
+        >>> g = WeylGroup(builtin_datum('gl3'))
+        >>> v, lam = g.dominant_representative((0, Fraction(1, 2), 1))
+        >>> g.word(v), lam
+        ((0, 1, 0), (Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)))
         """
         d = self.datum
-        best = None
-        for v in range(self.size):
-            lam = self.act(self.inv[v], mu)
-            if d.is_dominant(lam):
-                if best is None or self.lengths[v] < self.lengths[best[0]]:
-                    best = (v, lam)
-        return best
+        v = 0
+        lam = tuple(mu)
+        if any(isinstance(x, Fraction) for x in lam):
+            lam = tuple(Fraction(x) for x in lam)
+        while True:
+            for i, (alpha, coroot) in enumerate(zip(d.simple_roots,
+                                                    d.simple_coroots)):
+                c = vec_dot(alpha, lam)
+                if c < 0:
+                    lam = vec_sub(lam, vec_scale(c, coroot))
+                    v = self.right[v][i]
+                    break
+            else:
+                return v, lam
 
     # -- twisted conjugation in W ------------------------------------------
 

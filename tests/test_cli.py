@@ -111,7 +111,8 @@ def test_exit_codes(capsys):
     assert code == 2 and 'error' in err
     code, _, err = run(capsys, 'lp', '--datum', 'no_such_datum', '--x',
                        '{"w": [], "mu": [0]}')
-    assert code == 2
+    assert code == 1
+    assert "unknown datum 'no_such_datum'" in err and 'gl6' in err
 
 
 def test_scan_deterministic(capsys):

@@ -1,13 +1,15 @@
 """Root data: generation, positivity, sigma, projections, quotients."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from adlv.cli import main
-from adlv.datum import builtin_datum, cartan_matrix, datum_from_config
-from adlv.lattice import vec_dot
+from adlv.datum import (BUILTIN_DATA, builtin_datum, cartan_matrix,
+                        datum_from_config)
+from adlv.lattice import solve_rational_combination, vec_dot
 
 # numbers of positive roots, frozen from the classical count formulas
 POSITIVE_COUNTS = {'sl2': 1, 'sl3': 3, 'sl4': 6, 'gl6': 15, 'sp4': 4,
@@ -84,6 +86,80 @@ def test_convex_hull_point():
     assert d.convex_hull_point((0, 0, 1)) == (Fraction(1, 3),) * 3
 
 
+def pi_projection_oracle(d, subset, mu):
+    """Solve for the Levi average of mu per call, then sigma-average."""
+    js = sorted(subset)
+    out = tuple(Fraction(x) for x in mu)
+    if js:
+        gens = [d.simple_coroots[j] for j in js]
+        columns = [tuple(vec_dot(d.simple_roots[i], g) for i in js)
+                   for g in gens]
+        rhs = tuple(vec_dot(d.simple_roots[i], mu) for i in js)
+        for c, g in zip(solve_rational_combination(columns, rhs), gens):
+            out = tuple(x - c * y for x, y in zip(out, g))
+    return d.sigma_avg(out)
+
+
+def dominance_leq_oracle(d, a, b, integral=None):
+    """Solve for the simple-coroot coefficients of b - a per call."""
+    diff = tuple(y - x for x, y in zip(a, b))
+    coeffs = solve_rational_combination(d.simple_coroots, diff)
+    if coeffs is None:
+        return False
+    if integral is None:
+        integral = all(Fraction(x).denominator == 1 for x in list(a) + list(b))
+    return all(c >= 0 and (not integral or c.denominator == 1)
+               for c in coeffs)
+
+
+def convex_hull_oracle(d, mu):
+    """The projection over sigma-stable subsets that dominates the rest,
+    found by one pass and then checked against every candidate."""
+    subsets = [frozenset(i for i in range(d.rank) if bits >> i & 1)
+               for bits in range(1 << d.rank)]
+    candidates = [pi_projection_oracle(d, subset, mu) for subset in subsets
+                  if d.is_sigma_stable(subset)]
+    top = candidates[0]
+    for v in candidates:
+        if dominance_leq_oracle(d, top, v, integral=False):
+            top = v
+    assert all(dominance_leq_oracle(d, v, top, integral=False)
+               for v in candidates)
+    return top
+
+
+def typed(vec):
+    return [(type(x), x) for x in vec]
+
+
+@pytest.mark.parametrize('name', sorted(BUILTIN_DATA))
+def test_projection_and_dominance_match_oracles(name):
+    d = builtin_datum(name)
+    rng = random.Random(name)
+    count = 2 if d.rank > 5 else 6   # the oracle is slow on E6
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(d.dim))
+               for _ in range(count)]
+    vectors += [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                      for _ in range(d.dim)) for _ in range(count)]
+    # pairs an integral step apart, so the True answers are exercised too
+    vectors += [tuple(x + c for x, c in zip(v, d.simple_coroots[0]))
+                for v in vectors[:3]]
+    for mu in vectors:
+        assert typed(d.convex_hull_point(mu)) == \
+            typed(convex_hull_oracle(d, mu))
+        for other in vectors:
+            for integral in (None, False, True):
+                assert d.dominance_leq(mu, other, integral) == \
+                    dominance_leq_oracle(d, mu, other, integral)
+
+
+def test_pi_projection_rejects_unstable_subset():
+    d = builtin_datum('sl3_flip')
+    with pytest.raises(ValueError, match='sigma stable'):
+        d.pi_projection(frozenset({0}), (1, 0))
+    assert d._projection_memo == {}
+
+
 def test_quotient_presentations():
     assert builtin_datum('sl3').kottwitz_presentation().order() == 1
     assert builtin_datum('pgl3').kottwitz_presentation().order() == 3
@@ -124,3 +200,11 @@ def test_bad_matrix_raises_clear_value_error(config, message, tmp_path,
     path.write_text(json.dumps(config))
     assert main(['datum', 'validate', '--datum', str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_singular_levi_block_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr('adlv.datum.solve_rational_combination',
+                        lambda gens, target: None)
+    d = builtin_datum('gl3')
+    with pytest.raises(AssertionError, match=r"'gl3'.*J = \[1, 2\]"):
+        d.pi_projection(frozenset({0, 1}), (1, 0, 0))

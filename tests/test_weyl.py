@@ -2,11 +2,14 @@
 
 import gc
 import itertools
+import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from adlv.datum import builtin_datum
+from adlv.datum import BUILTIN_DATA, builtin_datum
+from adlv.lattice import mat_mul
 from adlv.weyl import WeylGroup
 
 ORDERS = {'sl2': 2, 'sl3': 6, 'sl4': 24, 'sp4': 8, 'g2': 12}
@@ -47,6 +50,43 @@ def test_dominant_representative():
         assert d.is_dominant(lam)
         assert g.act(v, lam) == tuple(mu) or g.act(g.inv[v], tuple(mu)) \
             == tuple(lam)
+
+
+def scan_dominant_representative(g, mu):
+    """Oracle: scan all of W for the shortest v with v^{-1} mu dominant."""
+    best = None
+    for v in range(g.size):
+        lam = g.act(g.inv[v], mu)
+        if g.datum.is_dominant(lam):
+            if best is None or g.lengths[v] < g.lengths[best[0]]:
+                best = (v, lam)
+    return best
+
+
+def typed(vec):
+    return [(type(x), x) for x in vec]
+
+
+@pytest.mark.parametrize('name', sorted(set(BUILTIN_DATA) - {'e6_adjoint'}))
+def test_dominant_representative_matches_scan(name):
+    g = WeylGroup(builtin_datum(name))
+    rng = random.Random(name)
+    count = 4 if g.size > 100 else 20
+    dim = g.datum.dim
+    # zero, and two mixed int/Fraction vectors, one already dominant on gl
+    vectors = [(0,) * dim, (Fraction(1, 2),) + (0,) * (dim - 1),
+               (0,) * (dim - 1) + (Fraction(1, 2),)]
+    for k in range(count):
+        if k % 2:
+            vectors.append(tuple(rng.randint(-4, 4) for _ in range(dim)))
+        else:
+            vectors.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in range(dim)))
+    for mu in vectors:
+        v, lam = g.dominant_representative(mu)
+        want_v, want_lam = scan_dominant_representative(g, mu)
+        assert v == want_v
+        assert typed(lam) == typed(want_lam)
 
 
 def test_min_coset_rep():
@@ -103,3 +143,26 @@ def test_parabolic_memo_does_not_keep_the_group_alive():
     del g
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize('name', ['gl4', 'sp4', 'g2', 'sl3_flip'])
+def test_root_action_matches_covector_product(name):
+    g = WeylGroup(builtin_datum(name))
+    d = g.datum
+    for e in range(g.size):
+        inv_m = g.mats[g.inv[e]]
+        assert g.root_action[e] == [
+            d.root_index[d._covec_times(r.covec, inv_m)] for r in d.roots]
+
+
+@pytest.mark.parametrize('name', ['gl4', 'sp4', 'g2', 'sl3_flip', 'sl4_flip'])
+def test_tables_match_matrix_products(name):
+    g = WeylGroup(builtin_datum(name))
+    d = g.datum
+    gens = [g.mats[s] for s in g.simple]
+    for e in range(g.size):
+        for i, m in enumerate(gens):
+            assert g.right[e][i] == g._elem_of_mat(mat_mul(g.mats[e], m))
+            assert g.left[e][i] == g._elem_of_mat(mat_mul(m, g.mats[e]))
+        assert g.sigma_elem[e] == g._elem_of_mat(mat_mul(
+            mat_mul(d.sigma_matrix, g.mats[e]), d.sigma_inv_matrix))
