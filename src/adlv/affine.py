@@ -109,7 +109,7 @@ class AffineWeyl:
             if subset is not None and any(
                     r.coords[i] != 0 and i not in subset for i in range(d.rank)):
                 continue
-            lo = 0 if r.positive else 1
+            lo = 0 if d.is_positive_root(idx) else 1
             wpos = d.is_positive_root(act[idx])
             # inverted levels: lo <= k <= <mu, alpha> - 1 + (1 if w alpha < 0)
             hi = vec_dot(r.covec, x.mu) - 1 + (0 if wpos else 1)
@@ -136,11 +136,12 @@ class AffineWeyl:
         [0, 1]
         """
         d = self.datum
+        # ell(x, .) on every root, looked up at v(alpha) for each v
+        ell = [self.length_functional(x, i) for i in range(len(d.roots))]
         out = []
         for v in range(self.W.size):
             act = self.W.root_action[v]
-            if all(self.length_functional(x, act[i]) >= 0
-                   for i in range(d.num_positive)):
+            if all(ell[act[i]] >= 0 for i in range(d.num_positive)):
                 out.append(v)
         out.sort(key=lambda v: (self.W.lengths[v], self.W.words[v]))
         if not out:
@@ -188,13 +189,40 @@ class AffineWeyl:
     # -- sigma-conjugation moves ---------------------------------------------
 
     def simple_sigma_conjugate(self, x, aroot):
-        """r_a x r_{sigma a} with its move type 'keep', 'down' or 'up'."""
-        ra = self.reflection(aroot)
-        rsa = self.reflection(self.sigma_affine_root(aroot))
-        left = self.mult(ra, x)
-        both = self.mult(left, rsa)
-        d = self.aff_length(both) - self.aff_length(x)
-        kind = {0: 'keep', -2: 'down', 2: 'up'}[d]
+        """(r_a x r_{sigma a}, kind, r_a x) with kind 'keep', 'down' or 'up'.
+
+        Each side changes the length by +-1, read off from a sign instead
+        of a recount: ell(r_a x) - ell(x) = +1 iff x^{-1}(a) > 0, and
+        ell(y r_b) - ell(y) = +1 iff y(b) > 0, for y = r_a x and
+        b = sigma a.  Here x^{-1}(alpha, k) = (w^{-1} alpha,
+        k + <mu, w^{-1} alpha>) for x = w eps^mu, and (beta, k) > 0 iff
+        k > 0, or k = 0 and beta > 0.
+
+        >>> from adlv.datum import builtin_datum
+        >>> aw = AffineWeyl(builtin_datum('sl2'))
+        >>> a1, a0 = aw.simple_affine
+        >>> aw.simple_sigma_conjugate(aw.from_weyl(1), a1)[1]
+        'keep'
+        >>> aw.simple_sigma_conjugate(AffineElement(1, (1,)), a1)[1]
+        'down'
+        >>> aw.simple_sigma_conjugate(aw.from_weyl(1), a0)[1]
+        'up'
+        """
+        d, W = self.datum, self.W
+        idx, k = aroot
+        sidx = d.sigma_root(idx)
+        left = self.mult(self.reflection(aroot), x)
+        both = self.mult(left, self.reflection((sidx, k)))
+        # x^{-1}(a) = (back, k_back) and (r_a x)(sigma a) = (fwd, k_fwd)
+        back = W.act_root(W.inv[x.w], idx)
+        k_back = k + vec_dot(d.roots[back].covec, x.mu)
+        fwd = W.act_root(left.w, sidx)
+        k_fwd = k - vec_dot(d.roots[sidx].covec, left.mu)
+        delta = 0
+        for beta, level in ((back, k_back), (fwd, k_fwd)):
+            up = level > 0 or (level == 0 and d.is_positive_root(beta))
+            delta += 1 if up else -1
+        kind = {0: 'keep', -2: 'down', 2: 'up'}[delta]
         return both, kind, left
 
     # -- eta ---------------------------------------------------------------

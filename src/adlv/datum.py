@@ -363,8 +363,18 @@ class RootDatum:
         return self._covec_times(alpha, self.sigma_inv_matrix)
 
     def sigma_root(self, root_idx):
-        """Index of sigma(alpha) for a root index."""
-        return self.root_index[self.sigma_covec(self.roots[root_idx].covec)]
+        """Index of sigma(alpha) for a root index.
+
+        >>> builtin_datum('sl3_flip').sigma_root(0)
+        1
+        """
+        return self._sigma_root_perm[root_idx]
+
+    @cached_property
+    def _sigma_root_perm(self):
+        """sigma as a permutation of the root indices, built on first use."""
+        return tuple(self.root_index[self.sigma_covec(r.covec)]
+                     for r in self.roots)
 
     def sigma_avg(self, mu):
         """Average of mu over the sigma orbit, a Fraction vector.

@@ -38,7 +38,10 @@ class QuantumBruhatGraph:
         self.coroot_coords = []
         for r in d.positive_roots:
             coeffs = solve_rational_combination(d.simple_coroots, r.coroot)
-            assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
+            if coeffs is None or any(c.denominator != 1 for c in coeffs):
+                raise AssertionError(
+                    'datum %r: coroot %s has no integer coordinates over '
+                    'the simple coroots' % (d.name, r.coroot))
             self.coroot_coords.append(tuple(int(c) for c in coeffs))
         self.pair_2rho = [self._pair(r.coroot) for r in d.positive_roots]
         zero = (0,) * d.rank

@@ -151,22 +151,29 @@ class Reduction:
 
     def equal_length_orbit(self, x):
         """All elements reachable from x by length-preserving conjugations
-        r_a y r_{sigma a}, with BFS parent data: {elem: (parent, aroot)}."""
+        r_a y r_{sigma a}, with BFS parent data: {elem: (parent, aroot)}.
+
+        The same walk records every down move (y, a) of the orbit, in BFS
+        and root order, for find_down_move."""
         if x in self._orbit_memo:
             return self._orbit_memo[x]
         aw = self.aw
         parents = {x: None}
+        downs = []
         frontier = [x]
         while frontier:
             nxt = []
             for y in frontier:
                 for a in aw.simple_affine:
                     z, kind, _ = aw.simple_sigma_conjugate(y, a)
-                    if kind == 'keep' and z not in parents:
+                    if kind == 'down':
+                        downs.append((y, a))
+                    elif kind == 'keep' and z not in parents:
                         parents[z] = (y, a)
                         nxt.append(z)
             frontier = nxt
         self._orbit_memo[x] = parents
+        self._down_memo[x] = downs
         return parents
 
     def _witness_path(self, parents, y):
@@ -182,25 +189,11 @@ class Reduction:
     def find_down_move(self, x, rng=None):
         """(x_prime, witness_path, aroot) for the first (or seeded) length
         drop reachable through the equal-length orbit, or None."""
-        if rng is None and x in self._down_memo:
-            return self._down_memo[x]
-        aw = self.aw
         parents = self.equal_length_orbit(x)
-        candidates = []
-        for y in parents:          # insertion order = BFS order
-            for a in aw.simple_affine:
-                z, kind, _ = aw.simple_sigma_conjugate(y, a)
-                if kind == 'down':
-                    candidates.append((y, a))
-                    if rng is None:
-                        result = (y, self._witness_path(parents, y), a)
-                        self._down_memo[x] = result
-                        return result
-        if not candidates:
-            if rng is None:
-                self._down_memo[x] = None
+        downs = self._down_memo[x]
+        if not downs:
             return None
-        y, a = rng.choice(candidates)
+        y, a = downs[0] if rng is None else rng.choice(downs)
         return (y, self._witness_path(parents, y), a)
 
     # -- minimal length descent ------------------------------------------------
@@ -216,7 +209,10 @@ class Reduction:
                 return x, moves
             y, path, a = found
             z, kind, _ = self.aw.simple_sigma_conjugate(y, a)
-            assert kind == 'down'
+            if kind != 'down':
+                raise AssertionError(
+                    'datum %r: the move by %s at %s is %r, not down'
+                    % (self.datum.name, a, self.aw.format_element(y), kind))
             moves.append((path, a, z))
             x = z
 
@@ -338,7 +334,11 @@ class Reduction:
             b = self.bg.element_class(leaf.x)
             end_len = self.aw.aff_length(leaf.x)
             two_rho_nu = self.bg.pair_two_rho(b.nu)
-            assert two_rho_nu.denominator == 1
+            if two_rho_nu.denominator != 1:
+                raise AssertionError(
+                    'datum %r: <nu, 2 rho> = %s is not integral at leaf %s'
+                    % (self.datum.name, two_rho_nu,
+                       self.aw.format_element(leaf.x)))
             dim = ni + nii + end_len - int(two_rho_nu)
             entry = out.setdefault(b, {'paths': [], 'leaf_keys': set()})
             entry['paths'].append((ni, nii, end_len, dim))

@@ -9,6 +9,7 @@ cocharacter lattice through integer matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .datum import perm_orbit
 from .lattice import (mat_identity, mat_mul, mat_vec, rational_rank,
@@ -265,14 +266,13 @@ class WeylGroup:
         >>> g.reflection_length_sigma(g.from_word([1, 0, 1, 0]))
         2
         """
-        d = self.datum
-        sm = mat_mul(d.sigma_matrix, self.mats[e])
-        rows_sw = [vec_sub(tuple(sm[i]), tuple(int(i == j) for j in range(d.dim)))
-                   for i in range(d.dim)]
-        rows_s = [vec_sub(tuple(d.sigma_matrix[i]),
-                          tuple(int(i == j) for j in range(d.dim)))
-                  for i in range(d.dim)]
-        return rational_rank(rows_sw) - rational_rank(rows_s)
+        sm = mat_mul(self.datum.sigma_matrix, self.mats[e])
+        return _rank_minus_identity(sm) - self._sigma_rank
+
+    @cached_property
+    def _sigma_rank(self):
+        """rank(sigma - 1) on X, constant per datum, built on first use."""
+        return _rank_minus_identity(self.datum.sigma_matrix)
 
     def is_partial_sigma_coxeter(self, e):
         """True when e is a product of one reflection per sigma-orbit of a
@@ -338,3 +338,10 @@ class WeylGroup:
             if self.mult(self.mult(self.inv[u], c1), self.sigma_elem[u]) == c2:
                 return u
         return None
+
+
+def _rank_minus_identity(m):
+    """rank(m - 1) for a square integer matrix m."""
+    n = len(m)
+    return rational_rank([[m[i][j] - (i == j) for j in range(n)]
+                          for i in range(n)])

@@ -2,13 +2,18 @@
 elements."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlv.affine import AffineElement, AffineWeyl
-from adlv.datum import builtin_datum
+from adlv.datum import BUILTIN_DATA, builtin_datum
+
+# every built-in but e6_adjoint, whose Weyl group of order 51 840 is too
+# slow to build in a test
+SMALL_DATA = sorted(set(BUILTIN_DATA) - {'e6_adjoint'})
 
 
 @pytest.fixture(scope='module')
@@ -121,10 +126,34 @@ def test_lp_transport_cases(name):
                 assert len(lp_x) == len(lp_xr)
 
 
-@pytest.mark.parametrize('name', ['sl3', 'sp4', 'sl3_flip'])
+def lp_set_per_v(aw, x):
+    """Oracle: LP(x) with ell(x, v alpha) recomputed for every v."""
+    out = [v for v in range(aw.W.size)
+           if all(aw.length_functional(x, aw.W.root_action[v][i]) >= 0
+                  for i in range(aw.datum.num_positive))]
+    return sorted(out, key=lambda v: (aw.W.lengths[v], aw.W.words[v]))
+
+
+@pytest.mark.parametrize('name', ['gl4', 'sp4', 'g2', 'sl3_flip'])
+def test_lp_set_matches_per_v_oracle(name):
+    aw = AffineWeyl(builtin_datum(name))
+    for x in aw.box_elements(1, 6)[::3]:
+        assert aw.lp_set(x) == lp_set_per_v(aw, x)
+
+
+@pytest.mark.parametrize('name', SMALL_DATA)
 def test_simple_sigma_conjugate_kinds(name):
-    aw, elements = random_elements(name, -2, 2)
-    for x in elements[::7]:
+    """The sign rule against the recount ell(r_a x r_{sigma a}) - ell(x)."""
+    if name == 'gl6':
+        aw = AffineWeyl(builtin_datum(name))
+        rng = random.Random(6)
+        elements = [AffineElement(rng.randrange(aw.W.size),
+                                  tuple(rng.randint(-2, 2) for _ in range(6)))
+                    for _ in range(200)]
+    else:
+        aw, elements = random_elements(name, -2, 2)
+        elements = elements[::7]
+    for x in elements:
         for a in aw.simple_affine:
             both, kind, left = aw.simple_sigma_conjugate(x, a)
             delta = aw.aff_length(both) - aw.aff_length(x)

@@ -153,6 +153,13 @@ def test_projection_and_dominance_match_oracles(name):
                     dominance_leq_oracle(d, mu, other, integral)
 
 
+@pytest.mark.parametrize('name', sorted(BUILTIN_DATA))
+def test_sigma_root_matches_covector_lookup(name):
+    d = builtin_datum(name)
+    for i, r in enumerate(d.roots):
+        assert d.sigma_root(i) == d.root_index[d.sigma_covec(r.covec)]
+
+
 def test_pi_projection_rejects_unstable_subset():
     d = builtin_datum('sl3_flip')
     with pytest.raises(ValueError, match='sigma stable'):

@@ -1,13 +1,22 @@
 """Reduction trees, minimal descent, class keys, class polynomials."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.datum import builtin_datum
+from adlv.qbg import QuantumBruhatGraph
 from adlv.reduction import (POLY_ONE, Reduction, poly_add, poly_mul,
                             poly_str)
+from adlv.weyl import WeylGroup
 
 
 @pytest.fixture(scope='module')
@@ -136,3 +145,72 @@ def test_bgx_from_tree_minimal(red3):
                                - int(red3.bg.pair_two_rho(b.nu)))]
     # straight element: dim statistic 0
     assert entry['paths'][0][3] == 0
+
+
+def scan_find_down_move(red, x, rng=None):
+    """Oracle: find_down_move by rescanning the whole orbit, with move
+    types from recounted lengths."""
+    aw = red.aw
+    parents = red.equal_length_orbit(x)
+    candidates = []
+    for y in parents:          # insertion order = BFS order
+        for a in aw.simple_affine:
+            z, _, _ = aw.simple_sigma_conjugate(y, a)
+            if aw.aff_length(z) - aw.aff_length(y) == -2:
+                candidates.append((y, a))
+    if not candidates:
+        return None
+    y, a = candidates[0] if rng is None else rng.choice(candidates)
+    return (y, red._witness_path(parents, y), a)
+
+
+@pytest.mark.parametrize('name', ['sl3', 'sp4', 'g2', 'sl3_flip', 'pgl3'])
+def test_find_down_move_matches_orbit_scan(name):
+    red = Reduction(AffineWeyl(builtin_datum(name)))
+    xs = red.aw.box_elements(1, 6)
+    for x in xs:
+        assert red.find_down_move(x) == scan_find_down_move(red, x)
+    for seed in (1, 2, 3):
+        rng, rng_scan = random.Random(seed), random.Random(seed)
+        for x in xs:
+            assert (red.find_down_move(x, rng)
+                    == scan_find_down_move(red, x, rng_scan))
+
+
+def test_qbg_coroot_check_names_datum(monkeypatch):
+    monkeypatch.setattr('adlv.qbg.solve_rational_combination',
+                        lambda gens, target: (Fraction(1, 2),))
+    with pytest.raises(AssertionError, match="'sl2'.*coroot"):
+        QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
+
+
+def test_bgx_integrality_check_names_leaf(monkeypatch):
+    red = Reduction(AffineWeyl(builtin_datum('sl2')))
+    monkeypatch.setattr(red.bg, 'pair_two_rho', lambda nu: Fraction(1, 2))
+    with pytest.raises(AssertionError, match="'sl2'.*not integral at leaf"):
+        red.bgx_from_tree(AffineElement(1, (1,)))
+
+
+def test_invariant_check_survives_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from adlv.affine import AffineElement, AffineWeyl
+        from adlv.datum import builtin_datum
+        from adlv.reduction import Reduction
+        if __debug__:
+            sys.exit('assert statements are still enabled')
+        red = Reduction(AffineWeyl(builtin_datum('sl2')))
+        x = AffineElement(1, (1,))
+        red.find_down_move(x)
+        # the recorded down move now reads as a length preserving move to
+        # the identity, which has no down move
+        e = red.aw.identity
+        red.aw.simple_sigma_conjugate = lambda y, a: (e, 'keep', e)
+        red.descend_to_minimal(x)
+        """)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / 'src'))
+    done = subprocess.run([sys.executable, '-O', '-c', script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "AssertionError: datum 'sl2'" in done.stderr
