@@ -316,18 +316,44 @@ class AffineWeyl:
     def parse_element(self, text):
         """Parse {"w": [1, 2], "mu": [...]} (1-based word letters).
 
+        Both fields are optional lists of integers (not booleans); any
+        other input raises ValueError naming the field.
+
         >>> from adlv.datum import builtin_datum
         >>> aw = AffineWeyl(builtin_datum('sl2'))
         >>> aw.parse_element('{"w": [1], "mu": [1]}')
         AffineElement(w=1, mu=(1,))
+        >>> aw.parse_element('{"w": [1], "mu": [1.5]}')
+        Traceback (most recent call last):
+        ...
+        ValueError: "mu" must be a list of integers, got [1.5]
         """
-        data = json.loads(text) if isinstance(text, str) else text
+        if isinstance(text, str):
+            try:
+                data = json.loads(text)
+            except ValueError as e:
+                raise ValueError('element is not JSON: %s' % e) from None
+        else:
+            data = text
+        if not isinstance(data, dict):
+            raise ValueError('element must be a JSON object '
+                             '{"w": [...], "mu": [...]}, got %s'
+                             % json.dumps(data))
+        for field in data:
+            value = data[field]
+            if field not in ('w', 'mu'):
+                raise ValueError('unknown element field %r' % field)
+            if not (isinstance(value, list) and all(
+                    type(i) is int for i in value)):
+                raise ValueError('"%s" must be a list of integers, got %s'
+                                 % (field, json.dumps(value)))
         word = [i - 1 for i in data.get('w', [])]
         if any(i < 0 or i >= self.datum.rank for i in word):
-            raise ValueError('word letter out of range')
+            raise ValueError('"w": word letter out of range 1..%d'
+                             % self.datum.rank)
         mu = tuple(data.get('mu', (0,) * self.datum.dim))
         if len(mu) != self.datum.dim:
-            raise ValueError('mu has wrong dimension %d, expected %d'
+            raise ValueError('"mu" has dimension %d, expected %d'
                              % (len(mu), self.datum.dim))
         return AffineElement(self.W.from_word(word), mu)
 

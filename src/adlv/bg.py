@@ -49,6 +49,7 @@ class BGInvariants:
         self.kottwitz = self.datum.kottwitz_presentation()
         self.gamma = self.datum.galois_coinvariants()
         self._lambda_memo = {}
+        self._strata_memo = {}
 
     # -- Newton and Kottwitz ------------------------------------------------
 
@@ -173,6 +174,9 @@ class BGInvariants:
     def strata_sets(self, b):
         """(I(nu), I_1(b)): simple roots vanishing on nu, and those with a
         nonzero coefficient in nu - avg_sigma(lambda(b))."""
+        key = (b.kappa, b.nu)
+        if key in self._strata_memo:
+            return self._strata_memo[key]
         d = self.datum
         i_nu = frozenset(i for i in range(d.rank)
                          if vec_dot(d.simple_roots[i], b.nu) == 0)
@@ -182,6 +186,7 @@ class BGInvariants:
         if coeffs is None:
             raise AssertionError('nu - avg(lambda) not in the coroot span')
         i_one = frozenset(i for i, c in enumerate(coeffs) if c != 0)
+        self._strata_memo[key] = (i_nu, i_one)
         return i_nu, i_one
 
     # -- virtual dimension ------------------------------------------------------

@@ -101,6 +101,14 @@ def _weyl_word(text):
     return [i - 1 for i in json.loads(text)]
 
 
+def _element(ctx, text):
+    """The --x element; malformed input is a usage error."""
+    try:
+        return ctx.aw.parse_element(text)
+    except ValueError as e:
+        raise _Usage('--x: %s' % e) from None
+
+
 def _run(args, out):
     if args.command == 'selftest':
         import subprocess
@@ -137,7 +145,7 @@ def _run(args, out):
         return 0
 
     if args.command == 'pct':
-        x = ctx.aw.parse_element(args.x)
+        x = _element(ctx, args.x)
         pct = ctx.pct
         if args.pct_cmd == 'classify':
             flag, v = pct.pct_characterize(x)
@@ -173,7 +181,7 @@ def _run(args, out):
     if args.command == 'scan':
         return _scan(ctx, args, out)
 
-    x = ctx.aw.parse_element(args.x)
+    x = _element(ctx, args.x)
     aw, W = ctx.aw, ctx.W
 
     if args.command == 'lp':

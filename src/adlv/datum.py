@@ -325,6 +325,7 @@ class RootDatum:
         self.highest_roots = [self._highest_root(c) for c in self.components]
         self.sigma_order = self._order_of_sigma()
         self._projection_memo = {}
+        self._hull_memo = {}
 
     def _highest_root(self, comp):
         best = None
@@ -523,12 +524,17 @@ class RootDatum:
     def convex_hull_point(self, mu):
         """The maximal averaged projection of mu over sigma-stable subsets.
 
-        Runtime-checks that the maximum is unique.
+        Runtime-checks that the maximum is unique.  The result is a
+        tuple of Fractions kept per tuple(mu), so equal int and Fraction
+        vectors share one entry.
 
         >>> d = builtin_datum('sl2')
         >>> d.convex_hull_point((1,))
         (Fraction(1, 1),)
         """
+        mu = tuple(mu)
+        if mu in self._hull_memo:
+            return self._hull_memo[mu]
         candidates = {}
         for bits in range(1 << self.rank):
             subset = frozenset(i for i in range(self.rank) if bits >> i & 1)
@@ -545,6 +551,7 @@ class RootDatum:
             if not self.dominance_leq(val, top, integral=False):
                 raise RuntimeError('convex hull point is not unique: %r vs %r'
                                    % (top, val))
+        self._hull_memo[mu] = top
         return top
 
     # -- quotients ------------------------------------------------------

@@ -21,6 +21,15 @@ __all__ = ['WeylGroup']
 class WeylGroup:
     """All elements of W with words, lengths, products and the action on X.
 
+    W is built by a breadth-first search over right multiplication by the
+    simple reflections.  W acts faithfully on the roots, so an element is
+    identified by the root indices of the images of the simple roots,
+    and each new element's root permutation comes from its parent's.
+    No matrix product is formed: the matrix of e s_i is the rank-one
+    update e - e(alpha_i^vee) alpha_i of the matrix of e, once per
+    element (Casselman, "Machine calculations in Weyl groups", Invent.
+    Math. 1994).
+
     >>> from adlv.datum import builtin_datum
     >>> w = WeylGroup(builtin_datum('sl3'))
     >>> w.size
@@ -34,42 +43,51 @@ class WeylGroup:
     def __init__(self, datum):
         self.datum = datum
         n = datum.rank
-        gens = [datum.reflection_matrix(datum.simple_indices[i])
-                for i in range(n)]
-        key = lambda m: tuple(tuple(r) for r in m)
-        ident = mat_identity(datum.dim)
+        simple = datum.simple_indices
+        roots = range(len(datum.roots))
+
+        def reflected(j, idxs):
+            """Indices of the roots s_j(alpha_r), r in idxs.  s_j is its
+            own inverse, so the covector times its matrix is the image."""
+            m = datum.reflection_matrix(j)
+            return [datum.root_index[datum._covec_times(
+                datum.roots[r].covec, m)] for r in idxs]
         # perms[i][r]: index of the root s_i(alpha_r)
-        perms = [[datum.root_index[datum._covec_times(r.covec, g)]
-                  for r in datum.roots] for g in gens]
-        mats = [ident]
+        perms = [reflected(s, roots) for s in simple]
+        mats = [mat_identity(datum.dim)]
         words = [()]
         # right[e][i]: index of e s_i
         right = [[0] * n]
         # root_action[e][r]: index of the root e(alpha_r), and
         # (e s_i)(alpha_r) = e(s_i(alpha_r))
-        root_action = [list(range(len(datum.roots)))]
-        index = {key(ident): 0}
+        root_action = [list(roots)]
+        # index: root indices of the images of the simple roots -> element
+        index = {tuple(simple): 0}
         frontier = [0]
         while frontier:
             nxt = []
             for e in frontier:
+                row = root_action[e]
                 for i in range(n):
-                    m = mat_mul(mats[e], gens[i])
-                    k = key(m)
-                    if k not in index:
-                        index[k] = len(mats)
-                        mats.append(m)
+                    k = tuple(row[perms[i][s]] for s in simple)
+                    f = index.get(k)
+                    if f is None:
+                        f = index[k] = len(mats)
+                        # e s_i = e - e(alpha_i^vee) alpha_i, where
+                        # e(alpha_i^vee) is the coroot of the root e(alpha_i)
+                        cor = datum.roots[row[simple[i]]].coroot
+                        alpha = datum.simple_roots[i]
+                        mats.append([[x - c * a for x, a in zip(r, alpha)]
+                                     for r, c in zip(mats[e], cor)])
                         words.append(words[e] + (i,))
                         right.append([0] * n)
-                        row = root_action[e]
                         root_action.append([row[r] for r in perms[i]])
-                        nxt.append(index[k])
-                    right[e][i] = index[k]
+                        nxt.append(f)
+                    right[e][i] = f
             frontier = nxt
         self.size = len(mats)
         self.mats = mats
         self.words = words
-        self._index = index
         self.lengths = [len(w) for w in words]
         self.longest = max(range(self.size), key=lambda e: self.lengths[e])
         self.right = right
@@ -86,10 +104,10 @@ class WeylGroup:
         self.simple = [self.right[0][i] for i in range(n)]
         # action of each element on the root list (by root index)
         self.root_action = root_action
-        # reflection through each root, as a group element
-        self.root_reflection = [
-            self._elem_of_mat(datum.reflection_matrix(i))
-            for i in range(len(datum.roots))]
+        # reflection through each root, as a group element, found by the
+        # images of the simple roots
+        self.root_reflection = [index[tuple(reflected(j, simple))]
+                                for j in roots]
         # sigma as a permutation of W: w -> sigma w sigma^{-1}, where
         # sigma s_i sigma^{-1} = s_sigma(i)
         self.sigma_elem = [self.from_word(datum.sigma_perm[i] for i in word)
@@ -98,9 +116,7 @@ class WeylGroup:
         for e in range(self.size):
             self.sigma_inv_elem[self.sigma_elem[e]] = e
         self._parabolic_memo = {}
-
-    def _elem_of_mat(self, m):
-        return self._index[tuple(tuple(r) for r in m)]
+        self._reflection_length_memo = {}
 
     # -- basics ----------------------------------------------------------
 
@@ -266,8 +282,11 @@ class WeylGroup:
         >>> g.reflection_length_sigma(g.from_word([1, 0, 1, 0]))
         2
         """
-        sm = mat_mul(self.datum.sigma_matrix, self.mats[e])
-        return _rank_minus_identity(sm) - self._sigma_rank
+        memo = self._reflection_length_memo
+        if e not in memo:
+            sm = mat_mul(self.datum.sigma_matrix, self.mats[e])
+            memo[e] = _rank_minus_identity(sm) - self._sigma_rank
+        return memo[e]
 
     @cached_property
     def _sigma_rank(self):

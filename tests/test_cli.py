@@ -107,8 +107,19 @@ def test_pct_endpoint(capsys):
 def test_exit_codes(capsys):
     code, _, err = run(capsys, 'nonsense')
     assert code == 1 and 'usage error' in err
-    code, _, err = run(capsys, 'lp', '--datum', 'sl2', '--x', 'not json')
-    assert code == 2 and 'error' in err
+    # a malformed element is bad input: exit 1, naming the field
+    for text, field in [('not json', 'JSON'), ('[1]', 'JSON object'),
+                        ('{"w": [1], "mu": [1.5]}', '"mu"'),
+                        ('{"w": [1], "mu": [true]}', '"mu"'),
+                        ('{"w": [1], "mu": ["a"]}', '"mu"'),
+                        ('{"w": [1.5], "mu": [1]}', '"w"'),
+                        ('{"w": ["1"], "mu": [1]}', '"w"'),
+                        ('{"w": [2], "mu": [1]}', '"w"'),
+                        ('{"w": [1], "mu": [1, 0]}', '"mu"'),
+                        ('{"x": [1]}', "'x'")]:
+        code, out, err = run(capsys, 'lp', '--datum', 'sl2', '--x', text)
+        assert code == 1 and out == '', text
+        assert err.startswith('usage error: --x: ') and field in err, err
     code, _, err = run(capsys, 'lp', '--datum', 'no_such_datum', '--x',
                        '{"w": [], "mu": [0]}')
     assert code == 1

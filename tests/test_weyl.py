@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from adlv.datum import BUILTIN_DATA, builtin_datum
-from adlv.lattice import mat_mul
+from adlv.lattice import mat_identity, mat_inverse_unimodular, mat_mul
 from adlv.weyl import WeylGroup
 
 ORDERS = {'sl2': 2, 'sl3': 6, 'sl4': 24, 'sp4': 8, 'g2': 12}
@@ -155,14 +155,76 @@ def test_root_action_matches_covector_product(name):
             d.root_index[d._covec_times(r.covec, inv_m)] for r in d.roots]
 
 
+def mat_key(m):
+    return tuple(tuple(r) for r in m)
+
+
 @pytest.mark.parametrize('name', ['gl4', 'sp4', 'g2', 'sl3_flip', 'sl4_flip'])
 def test_tables_match_matrix_products(name):
     g = WeylGroup(builtin_datum(name))
     d = g.datum
+    elem_of_mat = {mat_key(m): e for e, m in enumerate(g.mats)}
+    assert len(elem_of_mat) == g.size
     gens = [g.mats[s] for s in g.simple]
     for e in range(g.size):
         for i, m in enumerate(gens):
-            assert g.right[e][i] == g._elem_of_mat(mat_mul(g.mats[e], m))
-            assert g.left[e][i] == g._elem_of_mat(mat_mul(m, g.mats[e]))
-        assert g.sigma_elem[e] == g._elem_of_mat(mat_mul(
-            mat_mul(d.sigma_matrix, g.mats[e]), d.sigma_inv_matrix))
+            assert g.right[e][i] == elem_of_mat[mat_key(mat_mul(g.mats[e], m))]
+            assert g.left[e][i] == elem_of_mat[mat_key(mat_mul(m, g.mats[e]))]
+        assert g.sigma_elem[e] == elem_of_mat[mat_key(mat_mul(
+            mat_mul(d.sigma_matrix, g.mats[e]), d.sigma_inv_matrix))]
+
+
+def matrix_bfs_tables(d):
+    """Oracle: W tabulated by a breadth-first search keyed on matrices,
+    one matrix product per edge, every table read off the matrices."""
+    n = d.rank
+    gens = [d.reflection_matrix(d.simple_indices[i]) for i in range(n)]
+    mats = [mat_identity(d.dim)]
+    words = [()]
+    index = {mat_key(mats[0]): 0}
+    right = [[0] * n]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for i in range(n):
+                m = mat_mul(mats[e], gens[i])
+                k = mat_key(m)
+                if k not in index:
+                    index[k] = len(mats)
+                    mats.append(m)
+                    words.append(words[e] + (i,))
+                    right.append([0] * n)
+                    nxt.append(index[k])
+                right[e][i] = index[k]
+        frontier = nxt
+    lengths = [len(w) for w in words]
+
+    def elem(m):
+        return index[mat_key(m)]
+    inv = [elem(mat_inverse_unimodular(m)) for m in mats]
+    return {
+        'mats': mats, 'words': words, 'right': right,
+        'left': [[elem(mat_mul(gen, m)) for gen in gens] for m in mats],
+        'inv': inv, 'lengths': lengths,
+        'longest': max(range(len(mats)), key=lambda e: lengths[e]),
+        'root_action': [[d.root_index[d._covec_times(r.covec, mats[inv[e]])]
+                         for r in d.roots] for e in range(len(mats))],
+        'root_reflection': [elem(d.reflection_matrix(j))
+                            for j in range(len(d.roots))],
+        'sigma_elem': [elem(mat_mul(mat_mul(d.sigma_matrix, m),
+                                    d.sigma_inv_matrix)) for m in mats],
+    }
+
+
+@pytest.mark.parametrize('name', sorted(set(BUILTIN_DATA) - {'e6_adjoint'}))
+def test_tables_match_matrix_bfs(name):
+    g = WeylGroup(builtin_datum(name))
+    for table, want in matrix_bfs_tables(g.datum).items():
+        assert getattr(g, table) == want, table
+
+
+def test_e6_adjoint_order_and_longest():
+    g = WeylGroup(builtin_datum('e6_adjoint'))
+    assert g.size == 51840
+    assert g.lengths[g.longest] == 36
