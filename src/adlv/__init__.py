@@ -28,4 +28,4 @@ __all__ = [
     'very_special_subsets',
 ]
 
-__version__ = '1.0.0'
+__version__ = '0.1.0'

@@ -68,10 +68,6 @@ class AffineWeyl:
     def sigma(self, x):
         return AffineElement(self.W.sigma(x.w), self.datum.sigma_vec(x.mu))
 
-    def sigma_inv(self, x):
-        return AffineElement(self.W.sigma_inv(x.w),
-                             self.datum.sigma_inv_vec(x.mu))
-
     # -- affine roots -------------------------------------------------------
 
     def reflection(self, aroot):
@@ -340,22 +336,17 @@ class AffineWeyl:
                              '{"w": [...], "mu": [...]}, got %s'
                              % json.dumps(data))
         for field in data:
-            value = data[field]
             if field not in ('w', 'mu'):
                 raise ValueError('unknown element field %r' % field)
-            if not (isinstance(value, list) and all(
-                    type(i) is int for i in value)):
-                raise ValueError('"%s" must be a list of integers, got %s'
-                                 % (field, json.dumps(value)))
-        word = [i - 1 for i in data.get('w', [])]
-        if any(i < 0 or i >= self.datum.rank for i in word):
-            raise ValueError('"w": word letter out of range 1..%d'
-                             % self.datum.rank)
-        mu = tuple(data.get('mu', (0,) * self.datum.dim))
+        mu = data.get('mu', [0] * self.datum.dim)
+        if not (isinstance(mu, list) and all(type(i) is int for i in mu)):
+            raise ValueError('"mu" must be a list of integers, got %s'
+                             % json.dumps(mu))
         if len(mu) != self.datum.dim:
             raise ValueError('"mu" has dimension %d, expected %d'
                              % (len(mu), self.datum.dim))
-        return AffineElement(self.W.from_word(word), mu)
+        return AffineElement(self.W.parse_word(data.get('w', []), '"w"'),
+                             tuple(mu))
 
     def element_to_dict(self, x):
         return {'w': [i + 1 for i in self.W.words[x.w]], 'mu': list(x.mu)}

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (Fraction, solve_rational_combination, vec_add,
-                      vec_dot, vec_scale, vec_sub)
+from .lattice import (solve_rational_combination, vec_add, vec_dot,
+                      vec_scale, vec_sub)
 
 __all__ = ['BGClass', 'BGInvariants']
 

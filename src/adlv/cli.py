@@ -97,16 +97,42 @@ def _build_parser():
     return p
 
 
-def _weyl_word(text):
-    return [i - 1 for i in json.loads(text)]
-
-
 def _element(ctx, text):
     """The --x element; malformed input is a usage error."""
     try:
         return ctx.aw.parse_element(text)
     except ValueError as e:
         raise _Usage('--x: %s' % e) from None
+
+
+def _json(text, option):
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        raise _Usage('%s is not JSON: %s' % (option, e)) from None
+
+
+def _word(ctx, text, option):
+    """The Weyl group element of a --source or --target word."""
+    try:
+        return ctx.W.parse_word(_json(text, option), option)
+    except ValueError as e:
+        raise _Usage(str(e)) from None
+
+
+def _vector(text, option, dim, rational=False):
+    """A JSON list of dim integers, or of dim rationals (integers or
+    "p/q" strings) when ``rational``."""
+    value = _json(text, option)
+    kinds = (int, str) if rational else (int,)
+    if isinstance(value, list) and len(value) == dim and all(
+            type(c) in kinds for c in value):
+        try:
+            return tuple(Fraction(c) if rational else c for c in value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise _Usage('%s must be a list of %d %s, got %s'
+                 % (option, dim, 'rationals' if rational else 'integers', text))
 
 
 def _run(args, out):
@@ -129,12 +155,11 @@ def _run(args, out):
         return 0
 
     if args.command == 'qbg':
-        W = ctx.W
         if args.qbg_cmd == 'dot':
             out.write(ctx.qbg.to_dot() + '\n')
             return 0
-        src = W.from_word(_weyl_word(args.source))
-        dst = W.from_word(_weyl_word(args.target))
+        src = _word(ctx, args.source, '--source')
+        dst = _word(ctx, args.target, '--target')
         dist, wt = ctx.qbg.distance_weight(src, dst)
         if args.qbg_cmd == 'dist':
             json.dump({'distance': dist}, out)
@@ -158,15 +183,21 @@ def _run(args, out):
             }, out, indent=2)
             out.write('\n')
             return 0
+        # report and endpoint are defined on positive Coxeter type only
+        if not pct.is_positive_coxeter(x):
+            raise _Usage('--x: x is not of positive Coxeter type')
         if args.pct_cmd == 'report':
             json.dump(_report_dict(ctx, pct.thmA_report(x)), out, indent=2)
             out.write('\n')
             return 0
         # endpoint
         from .bg import BGClass
-        kappa = tuple(json.loads(args.kappa))
-        nu = tuple(Fraction(s) for s in json.loads(args.nu))
-        b = BGClass(kappa, nu)
+        dim, kottwitz = ctx.datum.dim, ctx.bg.kottwitz
+        kappa = _vector(args.kappa, '--kappa', dim)
+        if kottwitz.project(kottwitz.lift(kappa)) != kappa:
+            raise _Usage('--kappa must be a reduced Kottwitz residue, '
+                         'got %s' % args.kappa)
+        b = BGClass(kappa, _vector(args.nu, '--nu', dim, rational=True))
         pair = pct.positive_coxeter_pairs(x)[0]
         ep = pct.endpoint_class(pair, b)
         json.dump({

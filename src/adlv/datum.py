@@ -357,9 +357,6 @@ class RootDatum:
     def sigma_vec(self, mu):
         return mat_vec(self.sigma_matrix, mu)
 
-    def sigma_inv_vec(self, mu):
-        return mat_vec(self.sigma_inv_matrix, mu)
-
     def sigma_covec(self, alpha):
         return self._covec_times(alpha, self.sigma_inv_matrix)
 
@@ -507,11 +504,10 @@ class RootDatum:
             return tuple(Fraction(x) for x in mu)
         gens = [self.simple_coroots[j] for j in js]
         # find coefficients c with <mu - sum c_j coroot_j, alpha_i> = 0, i in J
-        rows = [[vec_dot(self.simple_roots[i], g) for g in gens] for i in js]
-        rhs = [vec_dot(self.simple_roots[i], mu) for i in js]
-        coeffs = solve_rational_combination(
-            [tuple(rows[i][j] for i in range(len(js))) for j in range(len(js))],
-            tuple(rhs))
+        columns = [tuple(vec_dot(self.simple_roots[i], g) for i in js)
+                   for g in gens]
+        rhs = tuple(vec_dot(self.simple_roots[i], mu) for i in js)
+        coeffs = solve_rational_combination(columns, rhs)
         if coeffs is None:
             raise AssertionError(
                 'datum %r: the Cartan block of J = %s is singular'

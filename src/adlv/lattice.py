@@ -1,16 +1,20 @@
 """Exact integer and rational linear algebra for lattice computations.
 
 Everything here works over arbitrary-precision integers and
-`fractions.Fraction`; no floating point is used anywhere.  The main
-tools are the Smith normal form, finitely presented quotients of free
-abelian groups with canonical residue forms, and small integer conic
-feasibility solvers.
+`fractions.Fraction`; no floating point is used anywhere.  Each ring
+has one elimination kernel, and every rank, inverse, solve, kernel and
+quotient reads it: ``_gauss_jordan`` (reduced row echelon form over Q)
+and ``_column_snf`` (Smith normal form over Z of a matrix given by its
+columns).  On top sit quotients of free abelian groups with canonical
+residue forms and a small integer conic feasibility solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 from typing import Sequence
 
 __all__ = [
@@ -74,6 +78,32 @@ def vec_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form over Q, pivoting on the first ncols columns.
+
+    Any further (augmented) columns are carried along.  Returns the
+    reduced rows, as lists of Fractions, and the pivot columns: row r
+    has a leading 1 in column pivots[r], and the rows from len(pivots)
+    on are zero in the first ncols columns.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        scale = a[top][col]
+        a[top] = [x / scale for x in a[top]]
+        for r in range(len(a)):
+            if r != top and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+        pivots.append(col)
+    return a, pivots
+
+
 def mat_inverse_rational(m):
     """Inverse of a square matrix over the rationals, by Gauss-Jordan.
 
@@ -84,20 +114,12 @@ def mat_inverse_rational(m):
     [[Fraction(1, 2), Fraction(0, 1)], [Fraction(0, 1), Fraction(1, 1)]]
     """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError('matrix is singular: %r' % (m,))
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [[a[i][n + j] for j in range(n)] for i in range(n)]
+    a, pivots = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)],
+        n)
+    if len(pivots) < n:
+        raise ValueError('matrix is singular: %r' % (m,))
+    return [row[n:] for row in a]
 
 
 def mat_inverse_unimodular(m):
@@ -210,31 +232,14 @@ def rational_rank(vectors):
     >>> rational_rank([(1, 2), (2, 4), (0, 1)])
     2
     """
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        scale = rows[rank][col]
-        rows[rank] = [x / scale for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_gauss_jordan(vectors, len(vectors[0]) if vectors else 0)[1])
 
 
 def solve_rational_combination(generators, target):
     """Fraction coefficients c with sum c_i * g_i = target, or None.
 
-    When the generators are linearly independent the solution is unique.
+    When the generators are linearly independent the solution is unique;
+    otherwise each generator in the span of the earlier ones gets zero.
 
     >>> solve_rational_combination([(2, 0), (0, 3)], (1, 1))
     (Fraction(1, 2), Fraction(1, 3))
@@ -242,37 +247,29 @@ def solve_rational_combination(generators, target):
     True
     """
     k = len(generators)
-    if k == 0:
-        return () if all(x == 0 for x in target) else None
-    n = len(target)
-    a = [[Fraction(generators[j][i]) for j in range(k)] + [Fraction(target[i])]
-         for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        scale = a[row][col]
-        a[row] = [x / scale for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if a[r][k] != 0:
-            return None
+    a, pivots = _gauss_jordan(
+        [[g[i] for g in generators] + [t] for i, t in enumerate(target)], k)
+    if any(row[k] != 0 for row in a[len(pivots):]):
+        return None
     coeffs = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        coeffs[col] = a[r][k]
-    # free columns get coefficient zero; verify
-    for i in range(n):
-        if sum(coeffs[j] * generators[j][i] for j in range(k)) != target[i]:
+    for row, col in zip(a, pivots):
+        coeffs[col] = row[k]
+    for i, t in enumerate(target):
+        if sum(c * g[i] for c, g in zip(coeffs, generators)) != t:
             return None
     return tuple(coeffs)
+
+
+def _column_snf(columns, dim):
+    """Smith normal form of the dim-by-k matrix with the given columns.
+
+    Returns (u, divisors, v) with u and v unimodular and u*M*v diagonal;
+    ``divisors`` are its nonzero diagonal entries, which come first, so
+    len(divisors) is the rank of M.
+    """
+    u, d, v = smith_normal_form([[c[i] for c in columns] for i in range(dim)])
+    divisors = [d[i][i] for i in range(min(dim, len(columns))) if d[i][i] != 0]
+    return u, divisors, v
 
 
 def integer_kernel(generators):
@@ -285,16 +282,9 @@ def integer_kernel(generators):
     """
     if not generators:
         return []
-    dim = len(generators[0])
-    matrix = [[g[i] for g in generators] for i in range(dim)]
-    u, d, v = smith_normal_form(matrix)
-    rank = sum(1 for i in range(min(len(d), len(d[0]) if d else 0))
-               if d[i][i] != 0)
     k = len(generators)
-    basis = []
-    for j in range(rank, k):
-        basis.append(tuple(v[i][j] for i in range(k)))
-    return basis
+    _, divisors, v = _column_snf(generators, len(generators[0]))
+    return [tuple(row[j] for row in v) for j in range(len(divisors), k)]
 
 
 def solve_integer_combination(generators, target):
@@ -305,24 +295,13 @@ def solve_integer_combination(generators, target):
     >>> solve_integer_combination([(2, 0)], (1, 0)) is None
     True
     """
-    if not generators:
-        return () if all(x == 0 for x in target) else None
-    dim = len(target)
-    k = len(generators)
-    matrix = [[g[i] for g in generators] for i in range(dim)]
-    u, d, v = smith_normal_form(matrix)
+    u, divisors, v = _column_snf(generators, len(target))
     y = mat_vec(u, target)
-    rank = sum(1 for i in range(min(dim, k)) if d[i][i] != 0)
-    z = [0] * k
-    for i in range(dim):
-        if i < rank:
-            if y[i] % d[i][i] != 0:
-                return None
-            z[i] = y[i] // d[i][i]
-        elif y[i] != 0:
-            return None
-    coeffs = mat_vec(v, tuple(z))
-    return coeffs
+    r = len(divisors)
+    if any(x % dv for x, dv in zip(y, divisors)) or any(y[r:]):
+        return None
+    z = [x // dv for x, dv in zip(y, divisors)] + [0] * (len(generators) - r)
+    return mat_vec(v, z)
 
 
 def solve_in_cone(generators, target, positive_functional=None, bound=None):
@@ -411,21 +390,13 @@ class QuotientPresentation:
         for r in self.relations:
             if len(r) != self.ambient_dim:
                 raise ValueError('relation has wrong dimension')
-        n = self.ambient_dim
-        if self.relations:
-            matrix = [[r[i] for r in self.relations] for i in range(n)]
-            u, d, v = smith_normal_form(matrix)
-            k = len(self.relations)
-            diag = [d[i][i] for i in range(min(n, k))]
-        else:
-            u = mat_identity(n)
-            diag = []
-        self._u = u
-        self._uinv = mat_inverse_unimodular(u)
-        rank = sum(1 for x in diag if x != 0)
-        self._diag = [x for x in diag if x != 0]
+        self._u, self._diag, _ = _column_snf(self.relations, self.ambient_dim)
         self.invariants = tuple(x for x in self._diag if x != 1)
-        self.free_rank = n - rank
+        self.free_rank = self.ambient_dim - len(self._diag)
+
+    @cached_property
+    def _uinv(self):
+        return mat_inverse_unimodular(self._u)
 
     def project(self, v):
         """Canonical residue tuple of an ambient vector.
@@ -434,14 +405,8 @@ class QuotientPresentation:
         the rest (free part) are exact integers.
         """
         y = mat_vec(self._u, tuple(v))
-        r = len(self._diag)
-        out = []
-        for i, x in enumerate(y):
-            if i < r:
-                out.append(x % self._diag[i])
-            else:
-                out.append(x)
-        return tuple(out)
+        return (tuple(x % dv for x, dv in zip(y, self._diag))
+                + y[len(self._diag):])
 
     def is_zero(self, v):
         return all(x == 0 for x in self.project(v))
@@ -454,14 +419,6 @@ class QuotientPresentation:
         """Sum of two residues, renormalized."""
         return self.project(vec_add(self.lift(res_a), self.lift(res_b)))
 
-    def neg(self, res):
-        return self.project(vec_scale(-1, self.lift(res)))
-
     def order(self):
         """Number of elements of the quotient, or None if infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for x in self._diag:
-            n *= x
-        return n
+        return None if self.free_rank else prod(self._diag)

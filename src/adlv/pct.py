@@ -70,6 +70,11 @@ class PCT:
         qualify (not length positive, or c not sigma-Coxeter)."""
         if v not in self.aw.lp_set(x):
             return None
+        return self._pair(x, v)
+
+    def _pair(self, x, v):
+        """The pair (x, v) for a v already known to be length positive,
+        or None when c is not sigma-Coxeter."""
         c = self._coxeter_candidate(x.w, v)
         if not self.W.is_partial_sigma_coxeter(c):
             return None
@@ -88,11 +93,9 @@ class PCT:
         """
         out = []
         for v in self.aw.lp_set(x):
-            c = self._coxeter_candidate(x.w, v)
-            if not self.W.is_partial_sigma_coxeter(c):
+            pair = self._pair(x, v)
+            if pair is None:
                 continue
-            pair = PositiveCoxeterPair(x, v, self.W.sigma_support(c), c,
-                                       self.W.words[c])
             b_min = self.minimal_class(pair)
             i_nu, i_one = self.bg.strata_sets(b_min)
             if not (i_one <= pair.J <= i_nu):
@@ -101,7 +104,7 @@ class PCT:
         return out
 
     def is_positive_coxeter(self, x):
-        return any(self.make_pair(x, v) is not None
+        return any(self._pair(x, v) is not None
                    for v in self.aw.lp_set(x))
 
     def has_finite_coxeter_part(self, x):
@@ -135,7 +138,7 @@ class PCT:
                 if p2 is not None and p2.J == pair.J:
                     return ('keep', p2)
             for v2 in aw.lp_set(both):
-                p2 = self.make_pair(both, v2)
+                p2 = self._pair(both, v2)
                 if p2 is not None and p2.J == pair.J:
                     return ('keep', p2)
             raise AssertionError('length-preserving move lost the support')
@@ -150,7 +153,7 @@ class PCT:
         pair_ii = self.make_pair(both, W.mult(s_sigma_alpha, pair.v))
         if pair_ii is None or pair_ii.J != pair.J:
             for v2 in aw.lp_set(both):
-                p2 = self.make_pair(both, v2)
+                p2 = self._pair(both, v2)
                 if p2 is not None and p2.J == pair.J:
                     pair_ii = p2
                     break
@@ -342,12 +345,6 @@ class PCT:
 
     # -- J-points and point spaces --------------------------------------------
 
-    def _act_word_coroot(self, word, coroot):
-        out = coroot
-        for i in reversed(word):
-            out = self.W.act(self.W.simple[i], out)
-        return out
-
     def coinvariants(self, elem):
         """Coinvariants of sigma composed with a finite Weyl element."""
         d = self.datum
@@ -375,8 +372,7 @@ class PCT:
                 rels.append(d.sigma_vec(W.act(c, coroot)))
             else:
                 prefix = [word[q] for q in kept_positions if q < p]
-                rels.append(d.sigma_vec(
-                    self._act_word_coroot(prefix, coroot)))
+                rels.append(d.sigma_vec(W.act(W.from_word(prefix), coroot)))
         return QuotientPresentation(d.dim, rels)
 
     def j_point_space(self, pair):
@@ -536,15 +532,7 @@ class PCT:
         d = self.datum
         out = [(d.simple_indices[j], 0) for j in sorted(subset)]
         for comp in diagram_components(d.cartan, subset):
-            best = None
-            for idx in range(d.num_positive):
-                coords = d.roots[idx].coords
-                if all(c == 0 or j in comp
-                       for j, c in enumerate(coords)) and any(coords):
-                    h = sum(coords)
-                    if best is None or h > best[0]:
-                        best = (h, idx)
-            out.append((d.negative(best[1]), 1))
+            out.append((d.negative(d._highest_root(comp)), 1))
         return out
 
     def very_special_data(self, pair, b):

@@ -8,6 +8,7 @@ cocharacter lattice through integer matrices.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import cached_property
 
@@ -145,6 +146,32 @@ class WeylGroup:
         for i in word:
             e = self.right[e][i]
         return e
+
+    def parse_word(self, letters, name):
+        """Element spelled by a decoded JSON word of 1-based simple indices.
+
+        Raises ValueError, naming the input as ``name``, unless
+        ``letters`` is a list of integers (not booleans) in 1..rank.
+
+        >>> from adlv.datum import builtin_datum
+        >>> w = WeylGroup(builtin_datum('sl3'))
+        >>> w.word(w.parse_word([2, 1], 'w'))
+        (1, 0)
+        >>> w.parse_word([0], '--source')
+        Traceback (most recent call last):
+        ...
+        ValueError: --source has letter 0, out of range 1..2
+        """
+        if not (isinstance(letters, list)
+                and all(type(i) is int for i in letters)):
+            raise ValueError('%s must be a list of integers, got %s'
+                             % (name, json.dumps(letters)))
+        rank = self.datum.rank
+        for i in letters:
+            if not 1 <= i <= rank:
+                raise ValueError('%s has letter %d, out of range 1..%d'
+                                 % (name, i, rank))
+        return self.from_word([i - 1 for i in letters])
 
     def act(self, e, mu):
         """Action on a cocharacter vector."""

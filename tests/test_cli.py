@@ -124,6 +124,36 @@ def test_exit_codes(capsys):
                        '{"w": [], "mu": [0]}')
     assert code == 1
     assert "unknown datum 'no_such_datum'" in err and 'gl6' in err
+    # a malformed Weyl word is bad input: exit 1, naming the option
+    for source, target, option in [('[0]', '[]', '--source'),
+                                   ('[9]', '[]', '--source'),
+                                   ('{"a":1}', '[]', '--source'),
+                                   ('[1]', '[true]', '--target'),
+                                   ('[1]', 'x', '--target')]:
+        code, out, err = run(capsys, 'qbg', 'dist', '--datum', 'sl3',
+                             '--source', source, '--target', target)
+        assert code == 1 and out == '', source
+        assert err.startswith('usage error: ' + option), err
+    # so is a bad class or an x of non positive Coxeter type for endpoint
+    x_sl2 = '{"w": [1], "mu": [1]}'
+    for datum, x, kappa, nu, option in [
+            ('sl2', x_sl2, '[0,5]', '[0]', '--kappa'),
+            ('sl2', x_sl2, '[true]', '[0]', '--kappa'),
+            ('sl2', x_sl2, '[5]', '[0]', '--kappa'),
+            ('sl2', x_sl2, '[0]', '["x"]', '--nu'),
+            ('sl2', x_sl2, '[0]', '["1/0"]', '--nu'),
+            ('sl2', x_sl2, '[0]', '[0.5]', '--nu'),
+            ('sl2', x_sl2, '[0]', '[0, 0]', '--nu'),
+            ('sl3', '{"w": [1, 2, 1], "mu": [0, 0]}', '[0, 0]', '[0, 0]',
+             '--x')]:
+        code, out, err = run(capsys, 'pct', 'endpoint', '--datum', datum,
+                             '--x', x, '--kappa', kappa, '--nu', nu)
+        assert code == 1 and out == '', (kappa, nu)
+        assert err.startswith('usage error: ' + option), err
+    code, out, err = run(capsys, 'pct', 'report', '--datum', 'sl3', '--x',
+                         '{"w": [1, 2, 1], "mu": [0, 0]}')
+    assert code == 1 and out == ''
+    assert err == 'usage error: --x: x is not of positive Coxeter type\n'
 
 
 def test_scan_deterministic(capsys):

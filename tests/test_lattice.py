@@ -1,12 +1,15 @@
 """Exact integer linear algebra primitives."""
 
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlv.lattice import (QuotientPresentation, integer_kernel, mat_identity,
-                          mat_inverse_unimodular, mat_mul, mat_vec,
+                          mat_inverse_rational, mat_inverse_unimodular,
+                          mat_mul, mat_vec,
                           rational_rank, smith_normal_form,
                           solve_in_cone, solve_integer_combination,
                           solve_rational_combination, vec_add, vec_scale)
@@ -60,7 +63,6 @@ def test_integer_combination_infeasible():
 
 
 def test_rational_combination():
-    from fractions import Fraction
     sol = solve_rational_combination([(2, 0), (0, 3)], (1, 1))
     assert sol == (Fraction(1, 2), Fraction(1, 3))
     assert solve_rational_combination([(1, 1)], (1, 0)) is None
@@ -109,3 +111,79 @@ def test_quotient_presentation_free_part():
     assert q.free_rank == 1
     assert q.is_zero((5, 5))
     assert not q.is_zero((1, 0))
+
+
+def vectors(n, min_size, max_size):
+    return st.lists(st.lists(small_int, min_size=n, max_size=n).map(tuple),
+                    min_size=min_size, max_size=max_size)
+
+
+def combination(coeffs, gens, n):
+    total = (0,) * n
+    for c, g in zip(coeffs, gens):
+        total = vec_add(total, vec_scale(c, g))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(square(1), square(2), square(3), square(4)))
+def test_inverse_exists_exactly_at_full_rank(m):
+    n = len(m)
+    if rational_rank(m) == n:
+        assert mat_mul(mat_inverse_rational(m), m) == mat_identity(n)
+    else:
+        with pytest.raises(ValueError, match='matrix is singular'):
+            mat_inverse_rational(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(vectors(n, 0, 3), vectors(n, 1, 1), st.lists(
+        st.fractions(max_denominator=5, min_value=-4, max_value=4),
+        min_size=4, max_size=4))))
+def test_rational_combination_solves_exactly_in_span(data):
+    gens, (other,), coeffs = data
+    n = len(other)
+    # a dependent generator: the sum of the first two (or a zero vector)
+    gens = gens + [combination((1, 1), gens, n)]
+    inside = combination(coeffs, gens, n)
+    sol = solve_rational_combination(gens, inside)
+    assert sol is not None and len(sol) == len(gens)
+    assert combination(sol, gens, n) == inside
+    sol = solve_rational_combination(gens, other)
+    if rational_rank(gens + [other]) > rational_rank(gens):
+        assert sol is None
+    else:
+        assert combination(sol, gens, n) == other
+
+
+def test_zero_generators():
+    assert solve_rational_combination([], (0, 0)) == ()
+    assert solve_rational_combination([], (0, 1)) is None
+    assert solve_integer_combination([], (0, 0)) == ()
+    assert solve_integer_combination([], (1, 0)) is None
+    assert integer_kernel([]) == []
+    q = QuotientPresentation(3, [])
+    assert q.free_rank == 3 and q.invariants == () and q.order() is None
+    rng = random.Random(3)
+    for _ in range(20):
+        a = tuple(rng.randint(-9, 9) for _ in range(3))
+        assert q.project(a) == a and q.lift(a) == a
+    assert QuotientPresentation(0, []).order() == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(vectors(n, 0, 4), vectors(n, 1, 6))))
+def test_lift_inverts_project_after_lazy_build(data):
+    rels, points = data
+    n = len(points[0])
+    q = QuotientPresentation(n, rels)
+    residues = [q.project(a) for a in points]
+    # projecting never builds the inverse transform; the first lift does
+    assert '_uinv' not in vars(q)
+    for a, res in zip(points, residues):
+        back = q.lift(res)
+        assert q.project(back) == res
+        assert q.is_zero(vec_add(a, vec_scale(-1, back)))
+    assert '_uinv' in vars(q)
