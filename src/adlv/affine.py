@@ -14,8 +14,7 @@ import itertools
 import json
 from typing import NamedTuple
 
-from .lattice import (integer_kernel, solve_integer_combination, vec_add,
-                      vec_dot, vec_scale)
+from .lattice import vec_add, vec_dot, vec_scale
 from .weyl import WeylGroup
 
 __all__ = ['AffineElement', 'AffineWeyl']
@@ -87,11 +86,8 @@ class AffineWeyl:
 
     # -- length -------------------------------------------------------------
 
-    def aff_length(self, x, subset=None):
+    def aff_length(self, x):
         """Affine length, by counting inverted positive affine roots.
-
-        With a subset J of simple indices, only affine roots over the
-        sub-root-system Phi_J are counted (the length in W_J x X).
 
         >>> from adlv.datum import builtin_datum
         >>> aw = AffineWeyl(builtin_datum('sl3'))
@@ -102,9 +98,6 @@ class AffineWeyl:
         total = 0
         act = self.W.root_action[x.w]
         for idx, r in enumerate(d.roots):
-            if subset is not None and any(
-                    r.coords[i] != 0 and i not in subset for i in range(d.rank)):
-                continue
             lo = 0 if d.is_positive_root(idx) else 1
             wpos = d.is_positive_root(act[idx])
             # inverted levels: lo <= k <= <mu, alpha> - 1 + (1 if w alpha < 0)
@@ -230,16 +223,46 @@ class AffineWeyl:
 
     # -- length-zero elements --------------------------------------------------
 
-    def omega_elements(self, shift_bound=2, coord_box=(0, 1)):
-        """Length-zero elements with mu in a small box, one per visible
-        residue of pi_1 = X / (coroot lattice).
+    def length_zero_part(self, x, aroots=None):
+        """The element of length zero in the coset x W_a, by right descents.
 
-        Writing x = eps^lam w, the constraints <lam, beta> = Phi+(beta) - 1
-        for beta = w(alpha_i) pin lam up to the central sublattice, which
-        is then scanned over a box; the box bounds the coordinates of lam
-        (a minuscule-like coweight).  The list is sorted, deduplicated
-        per pi_1 residue by (sum of coordinates, lexicographic), and
-        covers all of pi_1 when pi_1 is finite.
+        The extended affine Weyl group is W_a x| Omega with Omega = pi_1
+        (Iwahori-Matsumoto), so each coset x W_a holds exactly one
+        element of length zero.  While x(a) < 0 for a simple affine root
+        a, x is replaced by x r_a, which is one shorter; so the descent
+        ends after exactly ell(x) steps, whichever descents it takes.
+        With ``aroots`` the affine simple roots of a Levi subgroup (as
+        built by ``PCT._component_affine_roots``), the same holds for
+        the Levi: the result is the element of x W_{a,J} of Levi length
+        zero.
+
+        >>> from adlv.datum import builtin_datum
+        >>> aw = AffineWeyl(builtin_datum('pgl2'))
+        >>> aw.length_zero_part(aw.translation((1,)))    # eps^{omega^vee}
+        AffineElement(w=1, mu=(-1,))
+        >>> aw.length_zero_part(aw.translation((2,)))    # eps^{alpha^vee}
+        AffineElement(w=0, mu=(0,))
+        """
+        d = self.datum
+        aroots = self.simple_affine if aroots is None else aroots
+        while True:
+            for a in aroots:
+                beta, level = self.act_affine_root(x, a)
+                if level < 0 or (level == 0 and not d.is_positive_root(beta)):
+                    x = self.mult(x, self.reflection(a))
+                    break
+            else:
+                return x
+
+    def omega_elements(self):
+        """Length-zero elements, one per residue r of pi_1 = X / Q^vee.
+
+        r runs over every residue when pi_1 is finite, so the list is all
+        of Omega (|pi_1| elements); otherwise the free coordinates of r
+        are 0 or 1.  The element for r is the length-zero part of the
+        translation by lift(r), which lies in the coset of W_a over r;
+        each takes ell(eps^lift(r)) descent steps.  Every element is
+        checked to have length zero and residue r.
 
         >>> from adlv.datum import builtin_datum
         >>> len(AffineWeyl(builtin_datum('pgl3')).omega_elements())
@@ -247,42 +270,17 @@ class AffineWeyl:
         >>> len(AffineWeyl(builtin_datum('sl3')).omega_elements())
         1
         """
-        d = self.datum
-        pi1 = d.fundamental_group_presentation()
-        found = {}
-        for w in range(self.W.size):
-            moved = [self.W.act_root(w, d.simple_indices[i])
-                     for i in range(d.rank)]
-            covecs = [d.roots[m].covec for m in moved]
-            cols = [tuple(cv[j] for cv in covecs) for j in range(d.dim)]
-            target = tuple((1 if d.is_positive_root(m) else 0) - 1
-                           for m in moved)
-            lam0 = solve_integer_combination(cols, target)
-            if lam0 is None:
-                continue
-            kernel = integer_kernel(cols) if d.rank else \
-                [tuple(int(i == j) for i in range(d.dim))
-                 for j in range(d.dim)]
-            for shift in itertools.product(
-                    range(-shift_bound, shift_bound + 1), repeat=len(kernel)):
-                lam = lam0
-                for c, k in zip(shift, kernel):
-                    lam = vec_add(lam, vec_scale(c, k))
-                if not all(coord_box[0] <= c <= coord_box[1] for c in lam):
-                    continue
-                x = AffineElement(w, self.W.act(self.W.inv[w], lam))
-                if self.aff_length(x) != 0:
-                    continue
-                res = pi1.project(lam)
-                cur = found.get(res)
-                if cur is None or (sum(lam), lam) < cur[0]:
-                    found[res] = ((sum(lam), lam), x)
-        out = sorted((v for _, v in found.values()),
-                     key=lambda x: (sum(x.mu), x.mu, x.w))
-        order = pi1.order()
-        if order is not None and len(out) != order:
-            raise AssertionError('found %d length-zero classes, pi_1 has %d'
-                                 % (len(out), order))
+        pi1 = self.datum.fundamental_group_presentation()
+        out = []
+        for r in itertools.product(*[range(n) for n in pi1.divisors],
+                                   *[range(2)] * pi1.free_rank):
+            tau = self.length_zero_part(self.translation(pi1.lift(r)))
+            if self.aff_length(tau) != 0 or pi1.project(tau.mu) != r:
+                raise AssertionError(
+                    'datum %r: %s is not the length-zero element over the '
+                    'pi_1 residue %s' % (self.datum.name,
+                                         self.format_element(tau), r))
+            out.append(tau)
         return out
 
     def box_elements(self, bound, max_length):

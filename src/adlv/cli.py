@@ -199,6 +199,11 @@ def _run(args, out):
                          'got %s' % args.kappa)
         b = BGClass(kappa, _vector(args.nu, '--nu', dim, rational=True))
         pair = pct.positive_coxeter_pairs(x)[0]
+        interval = sorted(pct.bgx_interval(pair))
+        if b not in interval:
+            raise _Usage('--kappa/--nu: the class is not in the interval of '
+                         'x, whose classes are %s'
+                         % json.dumps([c.to_dict() for c in interval]))
         ep = pct.endpoint_class(pair, b)
         json.dump({
             'c_prime': [i + 1 for i in pct.W.words[ep['c_prime']]],

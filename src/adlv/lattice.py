@@ -6,7 +6,9 @@ has one elimination kernel, and every rank, inverse, solve, kernel and
 quotient reads it: ``_gauss_jordan`` (reduced row echelon form over Q)
 and ``_column_snf`` (Smith normal form over Z of a matrix given by its
 columns).  On top sit quotients of free abelian groups with canonical
-residue forms and a small integer conic feasibility solver.
+residue forms and an integer cone solver, ``solve_in_cone``, whose
+search is bounded exactly by a functional positive on the cone (its
+value on the target), optionally modulo such a quotient.
 """
 
 from __future__ import annotations
@@ -304,56 +306,48 @@ def solve_integer_combination(generators, target):
     return mat_vec(v, z)
 
 
-def solve_in_cone(generators, target, positive_functional=None, bound=None):
+def solve_in_cone(generators, target, positive_functional, modulo=None):
     """Nonnegative integer coefficients c with sum c_i*g_i = target, or None.
 
-    ``positive_functional`` is a covector taking a strictly positive
-    value on every generator; it turns its value on the target into a
-    finite search budget.  Without one, a crude per-coefficient bound is
-    used (default: max(10, sum of |target| coordinates)), which is only
-    appropriate for small inputs.
+    ``positive_functional`` is a covector f with <f, g_i> > 0 for every
+    generator.  It makes the search finite and exact: every solution has
+    sum c_i <f, g_i> = <f, target>, so c_i <= <f, target> / <f, g_i>.
+    With ``modulo`` (a QuotientPresentation on whose relations f
+    vanishes), the remainder target - sum c_i g_i need only be zero in
+    that quotient; the weighted sum is still <f, target>.
 
-    >>> solve_in_cone([(1, 0), (1, 1)], (3, 1), positive_functional=(1, 1))
+    >>> solve_in_cone([(1, 0), (1, 1)], (3, 1), (1, 1))
     (2, 1)
-    >>> solve_in_cone([(2,)], (-2,), positive_functional=(1,)) is None
+    >>> solve_in_cone([(2,)], (-2,), (1,)) is None
     True
+    >>> flip = QuotientPresentation(2, [(1, -1)])
+    >>> solve_in_cone([(1, 0)], (0, 2), (1, 1), modulo=flip)
+    (2,)
     """
+    f = positive_functional
+    weights = [vec_dot(f, g) for g in generators]
+    if any(w <= 0 for w in weights):
+        raise ValueError('functional must be positive on every generator')
+    if modulo is not None and any(vec_dot(f, r) for r in modulo.relations):
+        raise ValueError('functional must vanish on the relations')
     k = len(generators)
-    if k == 0:
-        return () if all(x == 0 for x in target) else None
-    if positive_functional is not None:
-        weights = [vec_dot(positive_functional, g) for g in generators]
-        if any(w <= 0 for w in weights):
-            raise ValueError('functional must be positive on every generator')
-        budget = vec_dot(positive_functional, target)
-        if budget < 0:
-            return None
-    else:
-        weights = None
-        if bound is None:
-            bound = max(10, sum(abs(x) for x in target))
-
     coeffs = [0] * k
 
-    def rec(i, rem, rem_budget):
+    def rec(i, rem, budget):
         if i == k:
-            return all(x == 0 for x in rem)
+            return budget == 0 and (not any(rem) if modulo is None
+                                    else modulo.is_zero(rem))
         g = generators[i]
-        cap = rem_budget // weights[i] if weights is not None else bound
-        for c in range(cap + 1):
+        for c in range(budget // weights[i] + 1):
             coeffs[i] = c
-            nxt = tuple(rem[j] - c * g[j] for j in range(len(rem)))
-            nb = rem_budget - c * weights[i] if weights is not None else rem_budget
-            if weights is not None and i == k - 1:
-                if nb != 0:
-                    continue
-            if rec(i + 1, nxt, nb):
+            if rec(i + 1, tuple(x - c * y for x, y in zip(rem, g)),
+                   budget - c * weights[i]):
                 return True
         coeffs[i] = 0
         return False
 
-    start_budget = vec_dot(positive_functional, target) if positive_functional else 0
-    if rec(0, tuple(target), start_budget):
+    # a negative budget leaves every range empty: no solution
+    if rec(0, tuple(target), vec_dot(f, target)):
         return tuple(coeffs)
     return None
 
@@ -382,6 +376,7 @@ class QuotientPresentation:
 
     ambient_dim: int
     relations: Sequence[Vec]
+    divisors: tuple = field(init=False)
     invariants: tuple = field(init=False)
     free_rank: int = field(init=False)
 
@@ -390,9 +385,12 @@ class QuotientPresentation:
         for r in self.relations:
             if len(r) != self.ambient_dim:
                 raise ValueError('relation has wrong dimension')
-        self._u, self._diag, _ = _column_snf(self.relations, self.ambient_dim)
-        self.invariants = tuple(x for x in self._diag if x != 1)
-        self.free_rank = self.ambient_dim - len(self._diag)
+        # a residue has one coordinate mod each divisor (1s included),
+        # then free_rank free coordinates
+        self._u, divisors, _ = _column_snf(self.relations, self.ambient_dim)
+        self.divisors = tuple(divisors)
+        self.invariants = tuple(x for x in self.divisors if x != 1)
+        self.free_rank = self.ambient_dim - len(self.divisors)
 
     @cached_property
     def _uinv(self):
@@ -405,8 +403,8 @@ class QuotientPresentation:
         the rest (free part) are exact integers.
         """
         y = mat_vec(self._u, tuple(v))
-        return (tuple(x % dv for x, dv in zip(y, self._diag))
-                + y[len(self._diag):])
+        return (tuple(x % dv for x, dv in zip(y, self.divisors))
+                + y[len(self.divisors):])
 
     def is_zero(self, v):
         return all(x == 0 for x in self.project(v))
@@ -421,4 +419,4 @@ class QuotientPresentation:
 
     def order(self):
         """Number of elements of the quotient, or None if infinite."""
-        return None if self.free_rank else prod(self._diag)
+        return None if self.free_rank else prod(self.divisors)

@@ -214,26 +214,18 @@ class PCT:
         """Nonnegative coefficients k with lambda_max - lambda(b) =
         sum k_j alpha_j^vee (j in J) in the Galois coinvariants, or None.
 
-        Residues are lifted to canonical representatives and the cone
-        equation is solved in the ambient lattice, absorbing the
-        coinvariant relations by signed twist generators.
+        <2 rho, .> is positive on every alpha_j^vee and vanishes on
+        (sigma - 1) X, so every witness has sum k_j <2 rho, alpha_j^vee>
+        = <2 rho, lambda_max - lambda(b)> exactly: that value bounds the
+        search, and each k_j is at most a half of it.
         """
         lam_max = self.generic_lambda(pair)
         _, lam_b = self.bg.lambda_invariant(b)
-        t = vec_sub(self.gamma.lift(self.gamma.project(lam_max)),
-                    self.gamma.lift(self.gamma.project(lam_b)))
         js = sorted(pair.J)
-        gens = [self.datum.simple_coroots[j] for j in js]
-        twists = [r for r in self.datum.twist_relations() if any(r)]
-        if not twists:
-            sol = solve_in_cone(gens, t,
-                                positive_functional=self.datum.two_rho)
-            return None if sol is None else dict(zip(js, sol))
-        all_gens = gens + twists + [vec_scale(-1, v) for v in twists]
-        budget = max(10, sum(abs(c) for c in t),
-                     self.aw.aff_length(pair.x))
-        sol = solve_in_cone(all_gens, t, bound=budget)
-        return None if sol is None else dict(zip(js, sol[:len(js)]))
+        sol = solve_in_cone([self.datum.simple_coroots[j] for j in js],
+                            vec_sub(lam_max, lam_b), self.datum.two_rho,
+                            self.gamma)
+        return None if sol is None else dict(zip(js, sol))
 
     def bgx_interval(self, pair):
         """All classes of the pair's interval, generated downward from the
@@ -562,28 +554,26 @@ class PCT:
                 'c_K': c_k, 'endpoint': ep}
 
     def _find_levi_tau(self, jb, b, lam):
-        """Length-zero element of the Levi group over jb with the Kottwitz
-        point of b whose Newton point is nu(b)."""
-        aw, d, W = self.aw, self.datum, self.W
-        js = sorted(jb)
-        shifts = itertools.product(range(-2, 3), repeat=len(js))
-        for ks in shifts:
-            mu = lam
-            for k, j in zip(ks, js):
-                mu = vec_add(mu, vec_scale(k, d.simple_coroots[j]))
-            if self.bg.kottwitz.project(mu) != b.kappa:
-                continue
-            for w in W.parabolic(tuple(js)):
-                t = AffineElement(w, mu)
-                if aw.aff_length(t, subset=jb) != 0:
-                    continue
-                nu_raw, nu_dom = self.bg.newton_of_element(t)
-                if tuple(nu_dom) != tuple(Fraction(c) for c in b.nu):
-                    continue
-                if any(vec_dot(d.simple_roots[j], nu_raw) != 0 for j in js):
-                    continue
-                return t
-        raise ValueError('no length-zero Levi element matches the class')
+        """The length-zero element of the Levi group over jb in the coset
+        eps^lam W_{a,J}, checked to have the Kottwitz point of b and a
+        Newton point that is nu(b) and central in the Levi."""
+        aw, d = self.aw, self.datum
+        tau = aw.length_zero_part(aw.translation(lam),
+                                  self._component_affine_roots(jb))
+        nu_raw, nu_dom = self.bg.newton_of_element(tau)
+        if self.bg.kottwitz_point(tau) != b.kappa:
+            problem = 'Kottwitz point'
+        elif tuple(nu_dom) != tuple(Fraction(c) for c in b.nu):
+            problem = 'Newton point'
+        elif any(vec_dot(d.simple_roots[j], nu_raw) != 0 for j in jb):
+            problem = 'non-central Newton point'
+        else:
+            return tau
+        raise AssertionError('datum %r: Levi length-zero element %s over J = '
+                             '%s has the wrong %s for the class %s'
+                             % (d.name, aw.format_element(tau),
+                                sorted(j + 1 for j in jb), problem,
+                                b.to_dict()))
 
     def _tau_sigma_perm(self, tau, aroots):
         """Permutation of the Levi affine simple roots by conjugation with

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .affine import AffineElement
@@ -144,7 +145,6 @@ class Reduction:
         self._orbit_memo = {}
         self._down_memo = {}
         self._key_memo = {}
-        self._omega = None
         self._wide = None
 
     # -- the equal-length sigma-conjugation orbit ---------------------------
@@ -260,10 +260,12 @@ class Reduction:
 
     # -- class keys -------------------------------------------------------------
 
-    def _omega_list(self):
-        if self._omega is None:
-            self._omega = self.aw.omega_elements()
-        return self._omega
+    @cached_property
+    def _omega_pairs(self):
+        """(tau^{-1}, sigma(tau)) for each length-zero tau of omega_elements;
+        x -> tau^{-1} x sigma(tau) is sigma-conjugation by tau."""
+        aw = self.aw
+        return [(aw.inverse(t), aw.sigma(t)) for t in aw.omega_elements()]
 
     def class_key(self, x):
         """Canonical key of the sigma-conjugacy class of x in the extended
@@ -281,7 +283,6 @@ class Reduction:
         cap = lmin + self.slack
         seen = {x_min}
         frontier = [x_min]
-        omegas = [(aw.inverse(t), aw.sigma(t)) for t in self._omega_list()]
         while frontier:
             nxt = []
             for y in frontier:
@@ -289,7 +290,7 @@ class Reduction:
                 for a in aw.simple_affine:
                     z, _, _ = aw.simple_sigma_conjugate(y, a)
                     neighbors.append(z)
-                for tinv, st in omegas:
+                for tinv, st in self._omega_pairs:
                     neighbors.append(aw.mult(aw.mult(tinv, y), st))
                 for z in neighbors:
                     if z not in seen and aw.aff_length(z) <= cap:

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.datum import BUILTIN_DATA, builtin_datum
+from adlv.lattice import (integer_kernel, solve_integer_combination, vec_add,
+                          vec_scale)
+from adlv.reduction import Reduction
 
 # every built-in but e6_adjoint, whose Weyl group of order 51 840 is too
 # slow to build in a test
@@ -175,6 +178,75 @@ def test_omega_elements_have_length_zero():
         aw = AffineWeyl(builtin_datum(name))
         for tau in aw.omega_elements():
             assert aw.aff_length(tau) == 0
+
+
+def box_omega_elements(aw):
+    """Oracle: for each w in W, solve <lam, w(alpha_i)> = Phi+(w alpha_i) - 1
+    for x = eps^lam w, scan lam over shifts by -2..2 times a basis of the
+    kernel lattice with coordinates 0 or 1, and keep one length-zero x per
+    pi_1 residue (the least by (sum of lam, lam))."""
+    d, W = aw.datum, aw.W
+    pi1 = d.fundamental_group_presentation()
+    found = {}
+    for w in range(W.size):
+        moved = [W.act_root(w, i) for i in d.simple_indices]
+        cols = [tuple(d.roots[m].covec[j] for m in moved)
+                for j in range(d.dim)]
+        target = tuple(int(d.is_positive_root(m)) - 1 for m in moved)
+        lam0 = solve_integer_combination(cols, target)
+        if lam0 is None:
+            continue
+        kernel = integer_kernel(cols)
+        for shift in itertools.product(range(-2, 3), repeat=len(kernel)):
+            lam = lam0
+            for c, k in zip(shift, kernel):
+                lam = vec_add(lam, vec_scale(c, k))
+            if not all(0 <= c <= 1 for c in lam):
+                continue
+            x = AffineElement(w, W.act(W.inv[w], lam))
+            if aw.aff_length(x) != 0:
+                continue
+            res = pi1.project(lam)
+            if res not in found or (sum(lam), lam) < found[res][0]:
+                found[res] = ((sum(lam), lam), x)
+    return [x for _, x in found.values()]
+
+
+@pytest.mark.parametrize('name', [
+    n for n in SMALL_DATA
+    if builtin_datum(n).fundamental_group_presentation().order()])
+def test_omega_elements_match_box_scan(name):
+    aw = AffineWeyl(builtin_datum(name))
+    new = aw.omega_elements()
+    assert len(new) == aw.datum.fundamental_group_presentation().order()
+    assert set(new) == set(box_omega_elements(aw))
+
+
+def seeded_sample(aw, count, seed, bound=2, max_length=8):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        x = AffineElement(rng.randrange(aw.W.size),
+                          tuple(rng.randint(-bound, bound)
+                                for _ in range(aw.datum.dim)))
+        if aw.aff_length(x) <= max_length:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize('name', ['gl3', 'gl4'])
+def test_class_key_under_box_scan_omega(name):
+    """pi_1 = Z: omega_elements gives 1 and tau, the box scan also tau^2,
+    tau^3, ...; the class keys must not depend on which list is used."""
+    aw = AffineWeyl(builtin_datum(name))
+    new, old = Reduction(aw), Reduction(aw)
+    old._omega_pairs = [(aw.inverse(t), aw.sigma(t))
+                        for t in box_omega_elements(aw)]
+    assert len(old._omega_pairs) > len(new._omega_pairs) == 2
+    elements = (aw.box_elements(2, 6) if name == 'gl3'
+                else seeded_sample(aw, 60, seed=4))
+    for x in elements:
+        assert new.class_key(x) == old.class_key(x)
 
 
 def test_parse_and_format_roundtrip(sl3):

@@ -102,6 +102,10 @@ def test_pct_endpoint(capsys):
                     '--kappa', '[0]', '--nu', '["0"]')
     assert data['c_prime'] == [1]
     assert data['class_key']['nu'] == ['0']
+    data = run_json(capsys, 'pct', 'endpoint', '--datum', 'gl2',
+                    '--x', '{"w": [1], "mu": [1, 0]}',
+                    '--kappa', '[0, 1]', '--nu', '["1/2", "1/2"]')
+    assert data['class_key']['nu'] == ['1/2', '1/2']
 
 
 def test_exit_codes(capsys):
@@ -145,7 +149,12 @@ def test_exit_codes(capsys):
             ('sl2', x_sl2, '[0]', '[0.5]', '--nu'),
             ('sl2', x_sl2, '[0]', '[0, 0]', '--nu'),
             ('sl3', '{"w": [1, 2, 1], "mu": [0, 0]}', '[0, 0]', '[0, 0]',
-             '--x')]:
+             '--x'),
+            # well formed, but not a class of the interval of x
+            ('gl2', '{"w": [1], "mu": [1, 0]}', '[0, 1]', '["0", "1"]',
+             '--kappa/--nu: '),
+            ('gl2', '{"w": [1], "mu": [1, 0]}', '[0, 0]', '["0", "0"]',
+             '--kappa/--nu: ')]:
         code, out, err = run(capsys, 'pct', 'endpoint', '--datum', datum,
                              '--x', x, '--kappa', kappa, '--nu', nu)
         assert code == 1 and out == '', (kappa, nu)

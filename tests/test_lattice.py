@@ -87,9 +87,17 @@ def test_solve_in_cone():
     assert solve_in_cone([(1, 0), (1, 1)], (3, 1),
                          positive_functional=(1, 1)) == (2, 1)
     assert solve_in_cone([(2,)], (-2,), positive_functional=(1,)) is None
-    assert solve_in_cone([(1, 0), (0, 1)], (2, 3), bound=5) == (2, 3)
-    assert solve_in_cone([], (0, 0)) == ()
-    assert solve_in_cone([], (1, 0)) is None
+    assert solve_in_cone([], (0, 0), (1, 1)) == ()
+    assert solve_in_cone([], (1, 0), (1, 1)) is None
+    # modulo the flip relation (1, -1): (0, 3) = 3 (1, 0) in the quotient,
+    # and (1, 0) is not a multiple of (2, 0) there
+    flip = QuotientPresentation(2, [(1, -1)])
+    assert solve_in_cone([(1, 0)], (0, 3), (1, 1), modulo=flip) == (3,)
+    assert solve_in_cone([(1, 0)], (0, 3), (1, 1)) is None
+    assert solve_in_cone([(2, 0)], (0, 1), (1, 1), modulo=flip) is None
+    assert solve_in_cone([], (1, -1), (1, 1), modulo=flip) == ()
+    with pytest.raises(ValueError):
+        solve_in_cone([(1, 0)], (1, 0), (1, 0), modulo=flip)
 
 
 def test_quotient_presentation_homomorphism():

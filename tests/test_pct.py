@@ -1,11 +1,14 @@
 """Positive Coxeter pairs, intervals, J-points, endpoints, converses."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from adlv.affine import AffineElement, AffineWeyl
+from adlv.context import Context
 from adlv.datum import builtin_datum, diagram_components
+from adlv.lattice import vec_add, vec_dot, vec_scale, vec_sub
 from adlv.pct import PCT, count_positive_roots, very_special_subsets
 
 
@@ -217,3 +220,124 @@ def test_very_special_data_smoke(pct2):
         data = pct2.very_special_data(pair, b)
         assert set(data) == {'tau', 'K', 'K_nodes', 'c_K', 'endpoint'}
         assert pct2.bg.element_class(data['tau']) == b
+
+
+# -- very special data and membership witnesses on interval boxes -------------
+
+def interval_classes(ctx, bound, cap):
+    """(pair, b) for every class of the interval of the first pair of each
+    element of positive Coxeter type in the box (mu bound, length cap)."""
+    for x in ctx.aw.box_elements(bound, cap):
+        pairs = ctx.pct.positive_coxeter_pairs(x)
+        if pairs:
+            for b in ctx.pct.bgx_interval(pairs[0]):
+                yield pairs[0], b
+
+
+def levi_length(aw, x, subset):
+    """Length in W_J x X: inverted positive affine roots over Phi_J."""
+    d = aw.datum
+    act = aw.W.root_action[x.w]
+    total = 0
+    for idx, r in enumerate(d.roots):
+        if any(r.coords[i] != 0 and i not in subset for i in range(d.rank)):
+            continue
+        lo = 0 if d.is_positive_root(idx) else 1
+        wpos = d.is_positive_root(act[idx])
+        hi = vec_dot(r.covec, x.mu) - 1 + (0 if wpos else 1)
+        total += max(0, hi - lo + 1)
+    return total
+
+
+def box_levi_tau(pct, jb, b, lam):
+    """Oracle: scan lam + sum k_j alpha_j^vee (k_j in -2..2) times W_J for a
+    Levi length-zero element with the Kottwitz and central Newton point of
+    b; None when the box holds none."""
+    d = pct.datum
+    js = sorted(jb)
+    for ks in itertools.product(range(-2, 3), repeat=len(js)):
+        mu = lam
+        for k, j in zip(ks, js):
+            mu = vec_add(mu, vec_scale(k, d.simple_coroots[j]))
+        if pct.bg.kottwitz.project(mu) != b.kappa:
+            continue
+        for w in pct.W.parabolic(tuple(js)):
+            t = AffineElement(w, mu)
+            if levi_length(pct.aw, t, jb) != 0:
+                continue
+            nu_raw, nu_dom = pct.bg.newton_of_element(t)
+            if tuple(nu_dom) != tuple(Fraction(c) for c in b.nu):
+                continue
+            if any(vec_dot(d.simple_roots[j], nu_raw) != 0 for j in js):
+                continue
+            return t
+    return None
+
+
+# (datum, mu bound, length cap, classes, classes the -2..2 box misses)
+VERY_SPECIAL_BOXES = [('sl2', 4, 6, 19, 1), ('gl2', 3, 6, 141, 5),
+                      ('psp4', 2, 6, 114, 2), ('sl3_flip', 2, 7, 119, 0),
+                      ('gl3', 2, 6, 902, 10)]
+
+
+@pytest.mark.parametrize('name,bound,cap,count,misses', VERY_SPECIAL_BOXES)
+def test_very_special_data_matches_box_search(name, bound, cap, count,
+                                              misses):
+    ctx = Context(name)
+    seen = missed = 0
+    for pair, b in interval_classes(ctx, bound, cap):
+        data = ctx.pct.very_special_data(pair, b)
+        tau = data['tau']
+        assert ctx.bg.element_class(tau) == b
+        ep = data['endpoint']
+        old = box_levi_tau(ctx.pct, ep['support'], b, ep['lambda'])
+        if old is None:
+            missed += 1
+        else:
+            assert old == tau
+        seen += 1
+    assert (seen, missed) == (count, misses)
+
+
+def twist_search_witness(pct, pair, b):
+    """Oracle: the cone search over the J-coroots and the signed twist
+    generators, every coefficient at most max(10, |t|, ell(x))."""
+    d, gamma = pct.datum, pct.gamma
+    _, lam_b = pct.bg.lambda_invariant(b)
+    t = vec_sub(gamma.lift(gamma.project(pct.generic_lambda(pair))),
+                gamma.lift(gamma.project(lam_b)))
+    js = sorted(pair.J)
+    twists = [r for r in d.twist_relations() if any(r)]
+    gens = ([d.simple_coroots[j] for j in js] + twists
+            + [vec_scale(-1, r) for r in twists])
+    bound = max(10, sum(abs(c) for c in t), pct.aw.aff_length(pair.x))
+    coeffs = [0] * len(gens)
+
+    def rec(i, rem):
+        if i == len(gens):
+            return not any(rem)
+        for c in range(bound + 1):
+            coeffs[i] = c
+            if rec(i + 1, vec_sub(rem, vec_scale(c, gens[i]))):
+                return True
+        coeffs[i] = 0
+        return False
+
+    return dict(zip(js, coeffs)) if rec(0, t) else None
+
+
+def test_twisted_membership_witnesses():
+    ctx = Context('sl3_flip')
+    pct = ctx.pct
+    classes = list(interval_classes(ctx, 2, 7))
+    assert len(classes) == 119
+    for n, (pair, b) in enumerate(classes):
+        witness = pct.membership_witness(pair, b)
+        assert witness is not None
+        rem = vec_sub(pct.generic_lambda(pair), pct.bg.lambda_invariant(b)[1])
+        for j, k in witness.items():
+            assert k >= 0
+            rem = vec_sub(rem, vec_scale(k, ctx.datum.simple_coroots[j]))
+        assert pct.gamma.is_zero(rem)
+        if n % 12 == 0:       # the oracle takes about 4 s on the whole box
+            assert twist_search_witness(pct, pair, b) == witness

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from adlv.affine import AffineWeyl
 from adlv.datum import BUILTIN_DATA, builtin_datum
 from adlv.lattice import mat_identity, mat_inverse_unimodular, mat_mul
 from adlv.weyl import WeylGroup
@@ -224,7 +225,21 @@ def test_tables_match_matrix_bfs(name):
         assert getattr(g, table) == want, table
 
 
-def test_e6_adjoint_order_and_longest():
-    g = WeylGroup(builtin_datum('e6_adjoint'))
+@pytest.fixture(scope='module')
+def e6_weyl():
+    return WeylGroup(builtin_datum('e6_adjoint'))
+
+
+def test_e6_adjoint_order_and_longest(e6_weyl):
+    g = e6_weyl
     assert g.size == 51840
     assert g.lengths[g.longest] == 36
+
+
+def test_e6_adjoint_omega_elements(e6_weyl):
+    aw = AffineWeyl(e6_weyl.datum, e6_weyl)
+    pi1 = aw.datum.fundamental_group_presentation()
+    taus = aw.omega_elements()
+    assert len(taus) == 3
+    assert all(aw.aff_length(t) == 0 for t in taus)
+    assert len({pi1.project(t.mu) for t in taus}) == 3
