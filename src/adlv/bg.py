@@ -60,18 +60,23 @@ class BGInvariants:
         The twisted powers x sigma(x) sigma^2(x) ... are multiplied out
         until the Weyl part is trivial and sigma has made a full cycle;
         nu_raw is the accumulated translation part divided by the number
-        of factors.
+        of factors.  That number is the order of (w, sigma) in W x| <sigma>,
+        so at most |W| * ord(sigma).
         """
-        aw = self.aw
+        aw, d = self.aw, self.datum
+        bound = self.W.size * d.sigma_order
         p = x
         k = 1
         sx = x
-        while not (p.w == 0 and k % self.datum.sigma_order == 0):
+        while not (p.w == 0 and k % d.sigma_order == 0):
             sx = aw.sigma(sx)
             p = aw.mult(p, sx)
             k += 1
-            if k > 10000:
-                raise RuntimeError('twisted power did not close up')
+            if k > bound:
+                raise AssertionError(
+                    'datum %r: the twisted powers of %s did not close up '
+                    'within |W| * ord(sigma) = %d factors'
+                    % (d.name, aw.format_element(x), bound))
         nu_raw = tuple(Fraction(c, k) for c in p.mu)
         _, nu_dom = self.W.dominant_representative(nu_raw)
         return nu_raw, nu_dom
@@ -131,7 +136,7 @@ class BGInvariants:
             m = c.numerator // c.denominator  # floor
             lam = vec_add(lam, vec_scale(m, rep))
         # runtime checks from the defining properties
-        if not d.dominance_leq(d.sigma_avg(lam), b.nu, integral=False):
+        if not d.dominance_leq(d.sigma_avg(lam), b.nu):
             raise AssertionError('lambda candidate fails avg <= nu')
         if self.kottwitz.project(lam) != b.kappa:
             raise AssertionError('lambda candidate fails kappa match')
@@ -169,7 +174,7 @@ class BGInvariants:
         True
         """
         return (b1.kappa == b2.kappa
-                and self.datum.dominance_leq(b1.nu, b2.nu, integral=False))
+                and self.datum.dominance_leq(b1.nu, b2.nu))
 
     def strata_sets(self, b):
         """(I(nu), I_1(b)): simple roots vanishing on nu, and those with a

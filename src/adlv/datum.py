@@ -324,6 +324,9 @@ class RootDatum:
         self.components = diagram_components(self.cartan)
         self.highest_roots = [self._highest_root(c) for c in self.components]
         self.sigma_order = self._order_of_sigma()
+        # simple_orbit[i]: the sigma-orbit of the simple index i
+        self.simple_orbit = tuple(frozenset(perm_orbit(self.sigma_perm, i))
+                                  for i in range(self.rank))
         self._projection_memo = {}
         self._hull_memo = {}
 
@@ -430,14 +433,12 @@ class RootDatum:
 
     # -- dominance order and averaged projections -----------------------
 
-    def dominance_leq(self, a, b, integral=None):
-        """Dominance order: b - a a nonnegative combination of simple coroots.
-
-        Coefficients must be integers when both vectors are integral
-        (override with ``integral=False`` for the rational order).
+    def dominance_leq(self, a, b):
+        """Dominance order: b - a a nonnegative rational combination of
+        simple coroots.
 
         >>> d = builtin_datum('gl3')
-        >>> d.dominance_leq((1, 0, 0), (Fraction(1, 3),) * 3, integral=False)
+        >>> d.dominance_leq((1, 0, 0), (Fraction(1, 3),) * 3)
         False
         >>> d.dominance_leq((0, 1, 0), (1, 0, 0))
         True
@@ -447,12 +448,6 @@ class RootDatum:
         # the coordinates of b - a, times scale * den
         coeffs = [vec_dot(row, diff) for row in matrix]
         if any(c < 0 for c in coeffs):
-            return False
-        if integral is None:
-            integral = all(isinstance(x, int) or
-                           (isinstance(x, Fraction) and x.denominator == 1)
-                           for x in list(a) + list(b))
-        if integral and any(c % (scale * den) for c in coeffs):
             return False
         # the coordinates reconstruct b - a exactly when it is in the span
         return all(sum(c * g[k] for c, g in zip(coeffs, self.simple_coroots))
@@ -539,12 +534,11 @@ class RootDatum:
             candidates[subset] = self.pi_projection(subset, mu)
         best = None
         for subset, val in candidates.items():
-            if best is None or self.dominance_leq(candidates[best], val,
-                                                  integral=False):
+            if best is None or self.dominance_leq(candidates[best], val):
                 best = subset
         top = candidates[best]
         for subset, val in candidates.items():
-            if not self.dominance_leq(val, top, integral=False):
+            if not self.dominance_leq(val, top):
                 raise RuntimeError('convex hull point is not unique: %r vs %r'
                                    % (top, val))
         self._hull_memo[mu] = top

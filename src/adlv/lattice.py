@@ -8,7 +8,9 @@ and ``_column_snf`` (Smith normal form over Z of a matrix given by its
 columns).  On top sit quotients of free abelian groups with canonical
 residue forms and an integer cone solver, ``solve_in_cone``, whose
 search is bounded exactly by a functional positive on the cone (its
-value on the target), optionally modulo such a quotient.
+value on the target), optionally modulo such a quotient.  The library
+reads interval witnesses off ``PCT.bgx_interval``; ``solve_in_cone`` is
+the independent cone search that the tests compare them with.
 """
 
 from __future__ import annotations

@@ -19,9 +19,8 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .datum import diagram_components, perm_orbit
-from .lattice import (QuotientPresentation, solve_in_cone,
-                      solve_integer_combination, vec_add, vec_dot, vec_scale,
-                      vec_sub)
+from .lattice import (QuotientPresentation, solve_integer_combination,
+                      vec_add, vec_dot, vec_scale, vec_sub)
 from .qbg import QuantumBruhatGraph
 from .reduction import Reduction
 
@@ -212,26 +211,21 @@ class PCT:
 
     def membership_witness(self, pair, b):
         """Nonnegative coefficients k with lambda_max - lambda(b) =
-        sum k_j alpha_j^vee (j in J) in the Galois coinvariants, or None.
-
-        <2 rho, .> is positive on every alpha_j^vee and vanishes on
-        (sigma - 1) X, so every witness has sum k_j <2 rho, alpha_j^vee>
-        = <2 rho, lambda_max - lambda(b)> exactly: that value bounds the
-        search, and each k_j is at most a half of it.
-        """
-        lam_max = self.generic_lambda(pair)
-        _, lam_b = self.bg.lambda_invariant(b)
-        js = sorted(pair.J)
-        sol = solve_in_cone([self.datum.simple_coroots[j] for j in js],
-                            vec_sub(lam_max, lam_b), self.datum.two_rho,
-                            self.gamma)
-        return None if sol is None else dict(zip(js, sol))
+        sum k_j alpha_j^vee (j in J) in the Galois coinvariants, read off
+        :meth:`bgx_interval`; None means b is not in the interval."""
+        return self.bgx_interval(pair).get(b)
 
     def bgx_interval(self, pair):
         """All classes of the pair's interval, generated downward from the
         generic lambda by subtracting J-coroots within the length budget,
         each candidate validated as a genuine lambda-invariant above the
-        minimal class.  Sorted by (nu via dominance-compatible key)."""
+        minimal class.
+
+        Maps each class b to its membership witness: the lexicographically
+        first k >= 0 with lambda_max - sum k_j alpha_j^vee = lambda(b)
+        modulo (sigma - 1) X.  <2 rho, .> vanishes on (sigma - 1) X, so
+        every such k has sum k_j <2 rho, alpha_j^vee> = <2 rho,
+        lambda_max - lambda(b)>."""
         d = self.datum
         b_min = self.minimal_class(pair)
         b_max, lam_max = self.generic_class(pair)
@@ -248,10 +242,7 @@ class PCT:
             b = self._bgclass(pair.x, nu)
             if b in found:
                 continue
-            try:
-                res, _ = self.bg.lambda_invariant(b)
-            except (ValueError, AssertionError):
-                continue
+            res, _ = self.bg.lambda_invariant(b)
             if res != self.gamma.project(lam):
                 continue
             if not self.bg.bg_leq(b_min, b):

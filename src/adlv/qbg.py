@@ -12,7 +12,6 @@ a runtime check rather than an assumption.
 
 from __future__ import annotations
 
-from .datum import perm_orbit
 from .lattice import solve_rational_combination, vec_add
 
 __all__ = ['QuantumBruhatGraph']
@@ -146,13 +145,9 @@ class QuantumBruhatGraph:
         ([0, 1], (0,))
         """
         d = self.datum
-        orbits_seen = set()
-        for i in word:
-            orb = frozenset(perm_orbit(d.sigma_perm, i))
-            if orb & orbits_seen:
-                raise ValueError('word letters must lie in distinct '
-                                 'sigma-orbits')
-            orbits_seen |= orb
+        if len({d.simple_orbit[i] for i in word}) != len(word):
+            raise ValueError('word letters must lie in distinct '
+                             'sigma-orbits')
         verts = [v]
         weight = [0] * d.rank
         cur = v

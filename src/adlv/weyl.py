@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property
 
-from .datum import perm_orbit
 from .lattice import (mat_identity, mat_mul, mat_vec, rational_rank,
                       vec_dot, vec_scale, vec_sub)
 
@@ -117,7 +115,6 @@ class WeylGroup:
         for e in range(self.size):
             self.sigma_inv_elem[self.sigma_elem[e]] = e
         self._parabolic_memo = {}
-        self._reflection_length_memo = {}
 
     # -- basics ----------------------------------------------------------
 
@@ -300,7 +297,12 @@ class WeylGroup:
         """Fixed-space codimension of sigma w relative to sigma.
 
         This is dim X^sigma - dim X^{sigma w}, the sigma-twisted
-        reflection length.
+        reflection length, computed as a rank (Carter, "Conjugacy classes
+        in the Weyl group", Compositio Math. 25, 1972).  It is the other
+        side of the lemma that it equals l(w) exactly when w is partial
+        sigma-Coxeter, which acceptance test 7 checks against
+        :meth:`is_partial_sigma_coxeter` and a search over all reduced
+        words.
 
         >>> from adlv.datum import builtin_datum
         >>> g = WeylGroup(builtin_datum('sp4'))
@@ -309,21 +311,19 @@ class WeylGroup:
         >>> g.reflection_length_sigma(g.from_word([1, 0, 1, 0]))
         2
         """
-        memo = self._reflection_length_memo
-        if e not in memo:
-            sm = mat_mul(self.datum.sigma_matrix, self.mats[e])
-            memo[e] = _rank_minus_identity(sm) - self._sigma_rank
-        return memo[e]
-
-    @cached_property
-    def _sigma_rank(self):
-        """rank(sigma - 1) on X, constant per datum, built on first use."""
-        return _rank_minus_identity(self.datum.sigma_matrix)
+        sigma = self.datum.sigma_matrix
+        return (_rank_minus_identity(mat_mul(sigma, self.mats[e]))
+                - _rank_minus_identity(sigma))
 
     def is_partial_sigma_coxeter(self, e):
-        """True when e is a product of one reflection per sigma-orbit of a
-        subset of the simple reflections, i.e. its length equals its
-        sigma-twisted reflection length.
+        """True when e is partial sigma-Coxeter: a product of one simple
+        reflection from each sigma-orbit of some set of orbits.
+
+        Such a product has distinct letters, and a braid move of length
+        at least 3 needs a repeated letter, so its reduced words differ
+        only by commutations (Matsumoto-Tits) and all share one set of
+        letters.  Hence the test reads the stored reduced word alone: its
+        letters lie in pairwise distinct sigma-orbits.
 
         >>> from adlv.datum import builtin_datum
         >>> g = WeylGroup(builtin_datum('sl3'))
@@ -332,12 +332,14 @@ class WeylGroup:
         >>> g.is_partial_sigma_coxeter(g.longest)
         False
         """
-        return self.lengths[e] == self.reflection_length_sigma(e)
+        word = self.words[e]
+        orbit = self.datum.simple_orbit
+        return len({orbit[i] for i in word}) == len(word)
 
     def sigma_support(self, e):
         """Union of the sigma-orbits meeting the support of e."""
-        return frozenset(j for i in self.support(e)
-                         for j in perm_orbit(self.datum.sigma_perm, i))
+        orbit = self.datum.simple_orbit
+        return frozenset().union(*(orbit[i] for i in self.words[e]))
 
     def is_sigma_coxeter_in(self, e, subset):
         """True when e is a sigma-Coxeter element of W_J: partial

@@ -129,3 +129,14 @@ def test_straight_translation_class(gl3):
     res, lam = gl3.lambda_invariant(b)
     assert gl3.gamma.project((2, 1, 0)) == res
     assert gl3.defect(b) == 0
+
+
+def test_newton_bound_names_datum_and_element(monkeypatch):
+    bg = BGInvariants(AffineWeyl(builtin_datum('sl2')))
+    mult = bg.aw.mult
+    # a product whose finite part is never the identity never closes up
+    monkeypatch.setattr(bg.aw, 'mult',
+                        lambda a, b: AffineElement(1, mult(a, b).mu))
+    with pytest.raises(AssertionError,
+                       match=r"'sl2': the twisted powers of .* = 2 factors"):
+        bg.newton_of_element(AffineElement(1, (1,)))

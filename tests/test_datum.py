@@ -100,16 +100,11 @@ def pi_projection_oracle(d, subset, mu):
     return d.sigma_avg(out)
 
 
-def dominance_leq_oracle(d, a, b, integral=None):
+def dominance_leq_oracle(d, a, b):
     """Solve for the simple-coroot coefficients of b - a per call."""
     diff = tuple(y - x for x, y in zip(a, b))
     coeffs = solve_rational_combination(d.simple_coroots, diff)
-    if coeffs is None:
-        return False
-    if integral is None:
-        integral = all(Fraction(x).denominator == 1 for x in list(a) + list(b))
-    return all(c >= 0 and (not integral or c.denominator == 1)
-               for c in coeffs)
+    return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
 def convex_hull_oracle(d, mu):
@@ -121,9 +116,9 @@ def convex_hull_oracle(d, mu):
                   if d.is_sigma_stable(subset)]
     top = candidates[0]
     for v in candidates:
-        if dominance_leq_oracle(d, top, v, integral=False):
+        if dominance_leq_oracle(d, top, v):
             top = v
-    assert all(dominance_leq_oracle(d, v, top, integral=False)
+    assert all(dominance_leq_oracle(d, v, top)
                for v in candidates)
     return top
 
@@ -148,9 +143,8 @@ def test_projection_and_dominance_match_oracles(name):
         assert typed(d.convex_hull_point(mu)) == \
             typed(convex_hull_oracle(d, mu))
         for other in vectors:
-            for integral in (None, False, True):
-                assert d.dominance_leq(mu, other, integral) == \
-                    dominance_leq_oracle(d, mu, other, integral)
+            assert d.dominance_leq(mu, other) == \
+                dominance_leq_oracle(d, mu, other)
 
 
 @pytest.mark.parametrize('name', sorted(BUILTIN_DATA))

@@ -8,7 +8,7 @@ import pytest
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.context import Context
 from adlv.datum import builtin_datum, diagram_components
-from adlv.lattice import vec_add, vec_dot, vec_scale, vec_sub
+from adlv.lattice import solve_in_cone, vec_add, vec_dot, vec_scale, vec_sub
 from adlv.pct import PCT, count_positive_roots, very_special_subsets
 
 
@@ -324,6 +324,51 @@ def twist_search_witness(pct, pair, b):
         return False
 
     return dict(zip(js, coeffs)) if rec(0, t) else None
+
+
+@pytest.mark.parametrize('name,bound,cap', [('gl3', 2, 6),
+                                             ('sl3_flip', 2, 7)])
+def test_interval_witnesses_match_cone_search(name, bound, cap):
+    ctx = Context(name)
+    d, pct = ctx.datum, ctx.pct
+    count = 0
+    for x in ctx.aw.box_elements(bound, cap):
+        pairs = pct.positive_coxeter_pairs(x)
+        if not pairs:
+            continue
+        pair = pairs[0]
+        js = sorted(pair.J)
+        coroots = [d.simple_coroots[j] for j in js]
+        lam_max = pct.generic_lambda(pair)
+        for b, witness in pct.bgx_interval(pair).items():
+            lam_b = pct.bg.lambda_invariant(b)[1]
+            sol = solve_in_cone(coroots, vec_sub(lam_max, lam_b),
+                                d.two_rho, pct.gamma)
+            assert witness == dict(zip(js, sol))
+            count += 1
+    assert count > 100
+
+
+def test_bgx_interval_propagates_lambda_failures(monkeypatch):
+    ctx = Context('gl3')
+    pct = ctx.pct
+    for x in ctx.aw.box_elements(2, 6):
+        pairs = pct.positive_coxeter_pairs(x)
+        if pairs and len(pct.bgx_interval(pairs[0])) >= 3:
+            pair = pairs[0]
+            break
+    extremes = {pct.minimal_class(pair), pct.generic_class(pair)[0]}
+    broken = next(b for b in pct.bgx_interval(pair) if b not in extremes)
+    lambda_invariant = pct.bg.lambda_invariant
+
+    def failing(b):
+        if b == broken:
+            raise AssertionError('broken lambda-invariant')
+        return lambda_invariant(b)
+
+    monkeypatch.setattr(pct.bg, 'lambda_invariant', failing)
+    with pytest.raises(AssertionError, match='broken lambda-invariant'):
+        pct.bgx_interval(pair)
 
 
 def test_twisted_membership_witnesses():

@@ -243,3 +243,14 @@ def test_e6_adjoint_omega_elements(e6_weyl):
     assert len(taus) == 3
     assert all(aw.aff_length(t) == 0 for t in taus)
     assert len({pi1.project(t.mu) for t in taus}) == 3
+
+
+def test_e6_partial_sigma_coxeter_matches_reflection_length(e6_weyl):
+    # every partial sigma-Coxeter element of E6 has length at most the
+    # rank, so lengths up to rank + 1 hold both answers
+    g = e6_weyl
+    short = [e for e in range(g.size) if g.lengths[e] <= 7]
+    assert len(short) == 1220
+    for e in short:
+        assert g.is_partial_sigma_coxeter(e) == \
+            (g.reflection_length_sigma(e) == g.lengths[e])
