@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import mul
 from typing import NamedTuple
 
 from .lattice import vec_add, vec_dot, vec_scale
@@ -46,6 +47,10 @@ class AffineWeyl:
         self.simple_affine = [(idx, 0) for idx in d.simple_indices]
         self.simple_affine += [(d.negative(h), 1) for h in d.highest_roots]
         self.identity = AffineElement(0, (0,) * d.dim)
+        # r_a for each simple affine root a
+        self._simple_reflection = {a: self.reflection(a)
+                                   for a in self.simple_affine}
+        self._positive_covecs = tuple(r.covec for r in d.positive_roots)
 
     # -- group law --------------------------------------------------------
 
@@ -87,23 +92,30 @@ class AffineWeyl:
     # -- length -------------------------------------------------------------
 
     def aff_length(self, x):
-        """Affine length, by counting inverted positive affine roots.
+        """Affine length, by the Iwahori-Matsumoto formula
+
+            ell(w eps^mu) = sum over alpha > 0 of |<mu, alpha> + [w alpha < 0]|.
+
+        The affine roots (alpha, k) and (-alpha, k) with alpha > 0 are
+        inverted by x for the levels 0 <= k < <mu, alpha> + [w alpha < 0]
+        and 1 <= k <= -<mu, alpha> - [w alpha < 0] respectively, so at
+        most one of the pair contributes, and it contributes the
+        absolute value (Iwahori-Matsumoto, Publ. IHES 25, 1965).  The
+        positive roots come first in the root list, so the first entries
+        of the root action row of w are their images.
 
         >>> from adlv.datum import builtin_datum
         >>> aw = AffineWeyl(builtin_datum('sl3'))
         >>> aw.aff_length(aw.translation((1, 1)))
         4
+        >>> aw.aff_length(AffineElement(aw.W.from_word([0, 1]), (1, -1)))
+        6
         """
-        d = self.datum
-        total = 0
-        act = self.W.root_action[x.w]
-        for idx, r in enumerate(d.roots):
-            lo = 0 if d.is_positive_root(idx) else 1
-            wpos = d.is_positive_root(act[idx])
-            # inverted levels: lo <= k <= <mu, alpha> - 1 + (1 if w alpha < 0)
-            hi = vec_dot(r.covec, x.mu) - 1 + (0 if wpos else 1)
-            total += max(0, hi - lo + 1)
-        return total
+        npos = self.datum.num_positive
+        mu = x.mu
+        return sum([abs(sum(map(mul, covec, mu)) + (image >= npos))
+                    for covec, image in zip(self._positive_covecs,
+                                            self.W.root_action[x.w])])
 
     def length_functional(self, x, root_idx):
         """ell(x, alpha) = -Phi+(w alpha) + <mu, alpha> + Phi+(alpha)."""
@@ -178,14 +190,16 @@ class AffineWeyl:
     # -- sigma-conjugation moves ---------------------------------------------
 
     def simple_sigma_conjugate(self, x, aroot):
-        """(r_a x r_{sigma a}, kind, r_a x) with kind 'keep', 'down' or 'up'.
+        """(r_a x r_{sigma a}, kind, r_a x) with kind 'keep', 'down' or 'up',
+        for a simple affine root a.
 
-        Each side changes the length by +-1, read off from a sign instead
-        of a recount: ell(r_a x) - ell(x) = +1 iff x^{-1}(a) > 0, and
-        ell(y r_b) - ell(y) = +1 iff y(b) > 0, for y = r_a x and
-        b = sigma a.  Here x^{-1}(alpha, k) = (w^{-1} alpha,
-        k + <mu, w^{-1} alpha>) for x = w eps^mu, and (beta, k) > 0 iff
-        k > 0, or k = 0 and beta > 0.
+        sigma permutes the simple affine roots, so both reflections come
+        from the per-group table of r_a.  Each side changes the length by
+        +-1, read off from a sign instead of a recount: ell(r_a x) -
+        ell(x) = +1 iff x^{-1}(a) > 0, and ell(y r_b) - ell(y) = +1 iff
+        y(b) > 0, for y = r_a x and b = sigma a.  Here x^{-1}(alpha, k) =
+        (w^{-1} alpha, k + <mu, w^{-1} alpha>) for x = w eps^mu, and
+        (beta, k) > 0 iff k > 0, or k = 0 and beta > 0.
 
         >>> from adlv.datum import builtin_datum
         >>> aw = AffineWeyl(builtin_datum('sl2'))
@@ -200,8 +214,8 @@ class AffineWeyl:
         d, W = self.datum, self.W
         idx, k = aroot
         sidx = d.sigma_root(idx)
-        left = self.mult(self.reflection(aroot), x)
-        both = self.mult(left, self.reflection((sidx, k)))
+        left = self.mult(self._simple_reflection[aroot], x)
+        both = self.mult(left, self._simple_reflection[sidx, k])
         # x^{-1}(a) = (back, k_back) and (r_a x)(sigma a) = (fwd, k_fwd)
         back = W.act_root(W.inv[x.w], idx)
         k_back = k + vec_dot(d.roots[back].covec, x.mu)

@@ -60,8 +60,11 @@ class BGInvariants:
         The twisted powers x sigma(x) sigma^2(x) ... are multiplied out
         until the Weyl part is trivial and sigma has made a full cycle;
         nu_raw is the accumulated translation part divided by the number
-        of factors.  That number is the order of (w, sigma) in W x| <sigma>,
-        so at most |W| * ord(sigma).
+        k of factors.  That number is the order of (w, sigma) in
+        W x| <sigma>, so at most |W| * ord(sigma).  The dominant
+        representative is found on the integer sum and then divided by
+        k: the descent only reads signs of pairings, which dividing by
+        k > 0 keeps.
         """
         aw, d = self.aw, self.datum
         bound = self.W.size * d.sigma_order
@@ -77,9 +80,9 @@ class BGInvariants:
                     'datum %r: the twisted powers of %s did not close up '
                     'within |W| * ord(sigma) = %d factors'
                     % (d.name, aw.format_element(x), bound))
-        nu_raw = tuple(Fraction(c, k) for c in p.mu)
-        _, nu_dom = self.W.dominant_representative(nu_raw)
-        return nu_raw, nu_dom
+        _, lam = self.W.dominant_representative(p.mu)
+        return (tuple([Fraction(c, k) for c in p.mu]),
+                tuple([Fraction(c, k) for c in lam]))
 
     def kottwitz_point(self, x):
         """Image of mu in pi_1(G)_Gamma.

@@ -146,6 +146,11 @@ def _run(args, out):
         return code
 
     ctx = Context(args.datum)
+    try:
+        ctx.datum
+    except ValueError as e:
+        # a JSON datum with a singular or non-unimodular matrix, say
+        raise _Usage('--datum: %s' % e) from None
 
     if args.command == 'datum':
         info = ctx.datum.describe()

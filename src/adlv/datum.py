@@ -181,6 +181,11 @@ def _common_denominator(vec):
     return den, [x.numerator * (den // x.denominator) for x in vec]
 
 
+def _vec_text(vec):
+    """A vector of ints or Fractions as text, e.g. '(3/2, 1/2, 0)'."""
+    return '(%s)' % ', '.join(map(str, vec))
+
+
 def _integer_form(matrix):
     """(den, m): a positive integer and an integer matrix with
     matrix = m / den, for a matrix of Fractions."""
@@ -515,9 +520,10 @@ class RootDatum:
     def convex_hull_point(self, mu):
         """The maximal averaged projection of mu over sigma-stable subsets.
 
-        Runtime-checks that the maximum is unique.  The result is a
-        tuple of Fractions kept per tuple(mu), so equal int and Fraction
-        vectors share one entry.
+        Checks that the maximum is unique, and raises AssertionError
+        naming the datum, mu and two incomparable projections when it is
+        not.  The result is a tuple of Fractions kept per tuple(mu), so
+        equal int and Fraction vectors share one entry.
 
         >>> d = builtin_datum('sl2')
         >>> d.convex_hull_point((1,))
@@ -539,8 +545,13 @@ class RootDatum:
         top = candidates[best]
         for subset, val in candidates.items():
             if not self.dominance_leq(val, top):
-                raise RuntimeError('convex hull point is not unique: %r vs %r'
-                                   % (top, val))
+                raise AssertionError(
+                    'datum %r: the convex hull point of mu = %s is not '
+                    'unique: the projections %s (J = %s) and %s (J = %s) '
+                    'are incomparable'
+                    % (self.name, _vec_text(mu), _vec_text(top),
+                       sorted(j + 1 for j in best), _vec_text(val),
+                       sorted(j + 1 for j in subset)))
         self._hull_memo[mu] = top
         return top
 

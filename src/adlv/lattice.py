@@ -1,7 +1,11 @@
 """Exact integer and rational linear algebra for lattice computations.
 
 Everything here works over arbitrary-precision integers and
-`fractions.Fraction`; no floating point is used anywhere.  Each ring
+`fractions.Fraction`; no floating point is used anywhere.  The vector
+kernels (``mat_vec``, ``vec_dot``, ``vec_add``, ``vec_sub``,
+``vec_scale``) are ``operator`` maps: they form the same products and
+sums in the same order as a coordinate loop, so an int input gives an
+int result and a ``Fraction`` anywhere gives a ``Fraction``.  Each ring
 has one elimination kernel, and every rank, inverse, solve, kernel and
 quotient reads it: ``_gauss_jordan`` (reduced row echelon form over Q)
 and ``_column_snf`` (Smith normal form over Z of a matrix given by its
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from operator import add, mul, sub
 from typing import Sequence
 
 __all__ = [
@@ -62,24 +67,24 @@ def mat_vec(m, v):
     >>> mat_vec([[0, 1], [1, 0]], (3, 4))
     (4, 3)
     """
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_scale(c, a):
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def vec_dot(a, b):
     """Plain coordinate pairing of a covector with a vector."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _gauss_jordan(rows, ncols):

@@ -24,6 +24,9 @@ __all__ = ['Reduction', 'ReductionTree', 'TreeNode', 'poly_add', 'poly_mul',
 
 DEFAULT_SLACK = 4
 
+# length change of a move r_a y r_{sigma a}, by its kind
+_STEP = {'keep': 0, 'down': -2, 'up': 2}
+
 POLY_ONE = (1,)
 POLY_Q = (0, 1)
 POLY_Q_MINUS_ONE = (-1, 1)
@@ -274,34 +277,38 @@ class Reduction:
 
         The closure conjugates by simple affine reflections and by the
         length-zero elements, never exceeding the minimal length plus
-        the slack."""
+        the slack.  Lengths are carried through the search, not
+        recounted: a move r_a y r_{sigma a} changes the length by the
+        step of its kind (keep 0, down -2, up +2), and conjugation by a
+        length-zero element keeps it."""
         if x in self._key_memo:
             return self._key_memo[x]
         aw = self.aw
         x_min, _ = self.descend_to_minimal(x)
         lmin = aw.aff_length(x_min)
         cap = lmin + self.slack
-        seen = {x_min}
+        lengths = {x_min: lmin}
         frontier = [x_min]
         while frontier:
             nxt = []
             for y in frontier:
+                ly = lengths[y]
                 neighbors = []
                 for a in aw.simple_affine:
-                    z, _, _ = aw.simple_sigma_conjugate(y, a)
-                    neighbors.append(z)
+                    z, kind, _ = aw.simple_sigma_conjugate(y, a)
+                    neighbors.append((z, ly + _STEP[kind]))
                 for tinv, st in self._omega_pairs:
-                    neighbors.append(aw.mult(aw.mult(tinv, y), st))
-                for z in neighbors:
-                    if z not in seen and aw.aff_length(z) <= cap:
-                        seen.add(z)
+                    neighbors.append((aw.mult(aw.mult(tinv, y), st), ly))
+                for z, lz in neighbors:
+                    if z not in lengths and lz <= cap:
+                        lengths[z] = lz
                         nxt.append(z)
             frontier = nxt
-        minimal = [y for y in seen if aw.aff_length(y) == lmin]
-        canon = min(minimal, key=lambda y: (self.W.words[y.w], y.mu))
+        canon = min((y for y, ly in lengths.items() if ly == lmin),
+                    key=lambda y: (self.W.words[y.w], y.mu))
         b = self.bg.element_class(x_min)
         key = (b.kappa, b.nu, lmin, canon)
-        for y in seen:
+        for y in lengths:
             self._key_memo[y] = key
         self._key_memo[x] = key
         return key

@@ -55,6 +55,48 @@ def test_length_against_word_bfs(name, depth):
         assert aw.aff_length(x) == d
 
 
+def aff_length_all_roots(aw, x):
+    """Oracle: count the inverted positive affine roots (alpha, k), alpha
+    running over all roots, as aff_length did before the
+    Iwahori-Matsumoto form merged alpha and -alpha."""
+    d = aw.datum
+    total = 0
+    act = aw.W.root_action[x.w]
+    for idx, r in enumerate(d.roots):
+        lo = 0 if d.is_positive_root(idx) else 1
+        wpos = d.is_positive_root(act[idx])
+        # inverted levels: lo <= k <= <mu, alpha> - 1 + (1 if w alpha < 0)
+        hi = sum(c * m for c, m in zip(r.covec, x.mu)) - 1 + (0 if wpos else 1)
+        total += max(0, hi - lo + 1)
+    return total
+
+
+def gl6_sample(aw, count=200, seed=6):
+    rng = random.Random(seed)
+    return [AffineElement(rng.randrange(aw.W.size),
+                          tuple(rng.randint(-2, 2) for _ in range(6)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize('name', SMALL_DATA)
+def test_aff_length_matches_all_roots_count(name):
+    """Iwahori-Matsumoto against the all-roots count: on the box(2, 6)
+    elements, or on 200 seeded elements for gl6."""
+    aw = AffineWeyl(builtin_datum(name))
+    if name == 'gl6':
+        elements = gl6_sample(aw)
+    else:
+        elements = [x for x in (AffineElement(w, mu) for w in range(aw.W.size)
+                                for mu in itertools.product(
+                                    range(-2, 3), repeat=aw.datum.dim))
+                    if aff_length_all_roots(aw, x) <= 6]
+    assert elements
+    for x in elements:
+        length = aw.aff_length(x)
+        assert type(length) is int
+        assert length == aff_length_all_roots(aw, x), x
+
+
 def random_elements(name, mu_lo, mu_hi):
     aw = AffineWeyl(builtin_datum(name))
     dim = aw.datum.dim
@@ -149,10 +191,7 @@ def test_simple_sigma_conjugate_kinds(name):
     """The sign rule against the recount ell(r_a x r_{sigma a}) - ell(x)."""
     if name == 'gl6':
         aw = AffineWeyl(builtin_datum(name))
-        rng = random.Random(6)
-        elements = [AffineElement(rng.randrange(aw.W.size),
-                                  tuple(rng.randint(-2, 2) for _ in range(6)))
-                    for _ in range(200)]
+        elements = gl6_sample(aw)
     else:
         aw, elements = random_elements(name, -2, 2)
         elements = elements[::7]

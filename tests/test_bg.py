@@ -10,6 +10,8 @@ from adlv.affine import AffineElement, AffineWeyl
 from adlv.bg import BGClass, BGInvariants
 from adlv.datum import builtin_datum
 
+from test_affine import SMALL_DATA, gl6_sample
+
 
 @pytest.fixture(scope='module')
 def sl2():
@@ -140,3 +142,33 @@ def test_newton_bound_names_datum_and_element(monkeypatch):
     with pytest.raises(AssertionError,
                        match=r"'sl2': the twisted powers of .* = 2 factors"):
         bg.newton_of_element(AffineElement(1, (1,)))
+
+
+def newton_on_fractions(bg, x):
+    """Oracle: the twisted powers divided by their number k first, then
+    the dominant representative found by a descent on Fractions."""
+    aw, d = bg.aw, bg.datum
+    p, k, sx = x, 1, x
+    while not (p.w == 0 and k % d.sigma_order == 0):
+        sx = aw.sigma(sx)
+        p = aw.mult(p, sx)
+        k += 1
+    nu_raw = tuple(Fraction(c, k) for c in p.mu)
+    _, nu_dom = bg.W.dominant_representative(nu_raw)
+    return nu_raw, nu_dom
+
+
+def typed(vec):
+    return [(type(c), c) for c in vec]
+
+
+@pytest.mark.parametrize('name', SMALL_DATA)
+def test_integer_newton_descent_matches_fraction_descent(name):
+    """(nu_raw, nu_dom), element types included, on the box(2, 6)
+    elements, or on 200 seeded elements for gl6."""
+    aw = AffineWeyl(builtin_datum(name))
+    bg = BGInvariants(aw)
+    elements = gl6_sample(aw) if name == 'gl6' else aw.box_elements(2, 6)
+    for x in elements:
+        got, want = bg.newton_of_element(x), newton_on_fractions(bg, x)
+        assert [typed(v) for v in got] == [typed(v) for v in want], x

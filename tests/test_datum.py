@@ -1,14 +1,19 @@
 """Root data: generation, positivity, sigma, projections, quotients."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from adlv.cli import main
-from adlv.datum import (BUILTIN_DATA, builtin_datum, cartan_matrix,
-                        datum_from_config)
+from adlv.datum import (BUILTIN_DATA, RootDatum, builtin_datum,
+                        cartan_matrix, datum_from_config)
 from adlv.lattice import solve_rational_combination, vec_dot
 
 # numbers of positive roots, frozen from the classical count formulas
@@ -199,8 +204,9 @@ def test_bad_matrix_raises_clear_value_error(config, message, tmp_path,
         datum_from_config(config)
     path = tmp_path / 'datum.json'
     path.write_text(json.dumps(config))
-    assert main(['datum', 'validate', '--datum', str(path)]) == 2
-    assert message in capsys.readouterr().err
+    assert main(['datum', 'validate', '--datum', str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('usage error: --datum: ') and message in err
 
 
 def test_singular_levi_block_is_an_invariant_error(monkeypatch):
@@ -209,3 +215,48 @@ def test_singular_levi_block_is_an_invariant_error(monkeypatch):
     d = builtin_datum('gl3')
     with pytest.raises(AssertionError, match=r"'gl3'.*J = \[1, 2\]"):
         d.pi_projection(frozenset({0, 1}), (1, 0, 0))
+
+
+PI_PROJECTION = RootDatum.pi_projection
+
+
+def shifted_projection(self, subset, mu):
+    """pi_projection with the one-element subsets shifted off the coroot
+    span, so that they are incomparable with the other projections."""
+    val = PI_PROJECTION(self, subset, mu)
+    if len(subset) == 1:
+        val = (val[0] + 1,) + val[1:]
+    return val
+
+
+HULL_ARGV = ['lambda', '--datum', 'gl3', '--x', '{"w":[1],"mu":[1,0,0]}']
+
+
+def test_non_unique_hull_point_is_an_invariant_error(monkeypatch, capsys):
+    monkeypatch.setattr(RootDatum, 'pi_projection', shifted_projection)
+    with pytest.raises(AssertionError,
+                       match=r"'gl3'.*mu = \(1, 0, 0\).*incomparable"):
+        builtin_datum('gl3').convex_hull_point((1, 0, 0))
+    assert main(HULL_ARGV) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: datum 'gl3'"), err
+
+
+def test_non_unique_hull_point_exits_3_under_optimize():
+    tests = Path(__file__).resolve().parent
+    script = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, %r)
+        from adlv.cli import main
+        from adlv.datum import RootDatum
+        from test_datum import shifted_projection
+        if __debug__:
+            sys.exit('assert statements are still enabled')
+        RootDatum.pi_projection = shifted_projection
+        sys.exit(main(%r))
+        """ % (str(tests), HULL_ARGV))
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / 'src'))
+    done = subprocess.run([sys.executable, '-O', '-c', script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert "invariant violation: datum 'gl3'" in done.stderr

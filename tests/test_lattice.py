@@ -12,7 +12,8 @@ from adlv.lattice import (QuotientPresentation, integer_kernel, mat_identity,
                           mat_mul, mat_vec,
                           rational_rank, smith_normal_form,
                           solve_in_cone, solve_integer_combination,
-                          solve_rational_combination, vec_add, vec_scale)
+                          solve_rational_combination, vec_add, vec_dot,
+                          vec_scale, vec_sub)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -195,3 +196,58 @@ def test_lift_inverts_project_after_lazy_build(data):
         assert q.project(back) == res
         assert q.is_zero(vec_add(a, vec_scale(-1, back)))
     assert '_uinv' in vars(q)
+
+
+# the generator forms the vector kernels had before they became
+# operator maps, kept as oracles
+def mat_vec_oracle(m, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+
+
+def vec_add_oracle(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_sub_oracle(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_scale_oracle(c, a):
+    return tuple(c * x for x in a)
+
+
+def vec_dot_oracle(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+ENTRIES = {'int': small_int, 'fraction': small_fraction,
+           'mixed': st.one_of(small_int, small_fraction)}
+
+
+def typed(value):
+    """A value with the type of every entry, so that 2 and Fraction(2)
+    differ."""
+    if isinstance(value, tuple):
+        return ('tuple', [(type(x), x) for x in value])
+    return (type(value), value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ENTRIES)), st.integers(0, 6), st.integers(0, 6),
+       st.data())
+def test_vector_kernels_match_generator_oracles(kind, dim, rows, data):
+    """Values and entry types on int, Fraction and mixed input of
+    dimension 0-6; the matrix has ``rows`` rows, so it is often not
+    square."""
+    entry = ENTRIES[kind]
+    vec = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+    a, b = data.draw(vec), data.draw(vec)
+    c = data.draw(entry)
+    m = data.draw(st.lists(vec.map(list), min_size=rows, max_size=rows))
+    for got, want in [(mat_vec(m, a), mat_vec_oracle(m, a)),
+                      (vec_add(a, b), vec_add_oracle(a, b)),
+                      (vec_sub(a, b), vec_sub_oracle(a, b)),
+                      (vec_scale(c, a), vec_scale_oracle(c, a)),
+                      (vec_dot(a, b), vec_dot_oracle(a, b))]:
+        assert typed(got) == typed(want)

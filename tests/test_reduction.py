@@ -18,6 +18,8 @@ from adlv.reduction import (POLY_ONE, Reduction, poly_add, poly_mul,
                             poly_str)
 from adlv.weyl import WeylGroup
 
+from test_affine import seeded_sample
+
 
 @pytest.fixture(scope='module')
 def red2():
@@ -214,3 +216,42 @@ def test_invariant_check_survives_python_O():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1, done.stderr
     assert "AssertionError: datum 'sl2'" in done.stderr
+
+
+def class_key_recount(red, x):
+    """Oracle: the class_key closure with every neighbour's length
+    recounted by aff_length instead of carried through the search."""
+    aw = red.aw
+    x_min, _ = red.descend_to_minimal(x)
+    lmin = aw.aff_length(x_min)
+    cap = lmin + red.slack
+    seen = {x_min}
+    frontier = [x_min]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            neighbors = [aw.simple_sigma_conjugate(y, a)[0]
+                         for a in aw.simple_affine]
+            neighbors += [aw.mult(aw.mult(tinv, y), st)
+                          for tinv, st in red._omega_pairs]
+            for z in neighbors:
+                if z not in seen and aw.aff_length(z) <= cap:
+                    seen.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    canon = min((y for y in seen if aw.aff_length(y) == lmin),
+                key=lambda y: (red.W.words[y.w], y.mu))
+    b = red.bg.element_class(x_min)
+    return (b.kappa, b.nu, lmin, canon)
+
+
+@pytest.mark.parametrize('name', ['gl3', 'sl3_flip', 'gl4'])
+def test_class_key_matches_recounting_closure(name):
+    """On gl3 box(2, 6), sl3_flip box(2, 7) and 60 seeded gl4 elements."""
+    aw = AffineWeyl(builtin_datum(name))
+    elements = {'gl3': lambda: aw.box_elements(2, 6),
+                'sl3_flip': lambda: aw.box_elements(2, 7),
+                'gl4': lambda: seeded_sample(aw, 60, seed=4)}[name]()
+    red = Reduction(aw)
+    for x in elements:
+        assert red.class_key(x) == class_key_recount(red, x), x
