@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (solve_rational_combination, vec_add, vec_dot,
-                      vec_scale, vec_sub)
+from .lattice import vec_add, vec_dot, vec_scale, vec_sub
 
 __all__ = ['BGClass', 'BGInvariants']
 
@@ -112,6 +111,11 @@ class BGInvariants:
         nu - avg(lambda_0) = sum d_o avg(alpha_o^vee); the maximum is the
         componentwise floor, which dominates every other candidate, so
         uniqueness holds by construction.  conv(lambda) = nu is asserted.
+        As sigma permutes the coroots of an orbit o, avg(alpha_o^vee) =
+        (1/|o|) sum_{i in o} alpha_i^vee, so d_o = sum_{i in o} c_i =
+        |o| c_o for the coefficients c of nu - avg(lambda_0) over the
+        simple coroots; c is constant on orbits exactly when
+        nu - avg(lambda_0) is in the averaged coroot span.
 
         >>> from adlv.datum import builtin_datum
         >>> from adlv.affine import AffineWeyl
@@ -125,19 +129,17 @@ class BGInvariants:
             return self._lambda_memo[key]
         d = self.datum
         lam0 = self.kottwitz.lift(b.kappa)
-        orbits = d.sigma_orbits()
-        reps = [d.simple_coroots[orb[0]] for orb in orbits]
-        avg_reps = [d.sigma_avg(r) for r in reps]
-        delta = vec_sub(tuple(Fraction(x) for x in b.nu), d.sigma_avg(lam0))
-        coeffs = solve_rational_combination(avg_reps, delta)
-        if coeffs is None:
+        coeffs = d.coroot_coefficients(vec_sub(b.nu, d.sigma_avg(lam0)))
+        if coeffs is None or any(coeffs[i] != coeffs[d.sigma_perm[i]]
+                                 for i in range(d.rank)):
             raise ValueError('no lambda-invariant: nu - avg(lift(kappa)) '
                              'is outside the averaged coroot span '
                              '(invalid class (kappa, nu))')
         lam = tuple(lam0)
-        for c, rep in zip(coeffs, reps):
-            m = c.numerator // c.denominator  # floor
-            lam = vec_add(lam, vec_scale(m, rep))
+        for orb in d.sigma_orbits():
+            d_o = len(orb) * coeffs[orb[0]]
+            m = d_o.numerator // d_o.denominator  # floor
+            lam = vec_add(lam, vec_scale(m, d.simple_coroots[orb[0]]))
         # runtime checks from the defining properties
         if not d.dominance_leq(d.sigma_avg(lam), b.nu):
             raise AssertionError('lambda candidate fails avg <= nu')
@@ -189,8 +191,7 @@ class BGInvariants:
         i_nu = frozenset(i for i in range(d.rank)
                          if vec_dot(d.simple_roots[i], b.nu) == 0)
         _, lam = self.lambda_invariant(b)
-        diff = vec_sub(tuple(Fraction(x) for x in b.nu), d.sigma_avg(lam))
-        coeffs = solve_rational_combination(d.simple_coroots, diff)
+        coeffs = d.coroot_coefficients(vec_sub(b.nu, d.sigma_avg(lam)))
         if coeffs is None:
             raise AssertionError('nu - avg(lambda) not in the coroot span')
         i_one = frozenset(i for i, c in enumerate(coeffs) if c != 0)

@@ -13,8 +13,11 @@ The JSON config format is::
       "type": "A2",              # or "cartan": [[2,-1],[-1,2]]
       "lattice_basis": "sc",     # "sc" | "adjoint" | "gl" | explicit matrix
       "sigma_perm":  [2, 1],     # optional, 1-based images of simple roots
-      "sigma_matrix": [[...]]    # optional, action on lattice coordinates
+      "sigma_matrix": [[...]],   # optional, action on lattice coordinates
+      "name": "sl3"              # optional
     }
+
+Any other key is an error.
 
 An explicit ``lattice_basis`` matrix has columns expressing a basis of X
 in fundamental-coweight coordinates; "sc" is the coroot lattice,
@@ -29,11 +32,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul
 
 from .lattice import (QuotientPresentation, mat_identity,
                       mat_inverse_rational, mat_inverse_unimodular, mat_mul,
-                      mat_vec, rational_rank, solve_rational_combination,
-                      vec_add, vec_dot, vec_scale, vec_sub)
+                      mat_vec, rational_rank, vec_dot, vec_scale, vec_sub)
 
 __all__ = [
     'RootDatum',
@@ -45,6 +48,7 @@ __all__ = [
     'BUILTIN_DATA',
     'diagram_components',
     'perm_orbit',
+    'root_closure',
 ]
 
 
@@ -127,6 +131,46 @@ def _cartan_block(name):
     return c
 
 
+def root_closure(cartan):
+    """The roots of the root system of a Cartan matrix, by reflection
+    closure: a dict from the coordinates of each root over the simple
+    roots to the coordinates of its coroot over the simple coroots.
+
+    Raises ValueError once there are more than n * max(2n, 30) roots for
+    rank n, as no finite root system has: an irreducible one of rank r
+    has r * h roots, h its Coxeter number (Bourbaki, Lie VI 1.11, Prop.
+    31), and h <= max(2r, 30) by the classification.
+
+    >>> sorted(root_closure(cartan_matrix('C2')).items())[-2:]  # alpha_1 short
+    [((1, 1), (1, 2)), ((2, 1), (1, 1))]
+    """
+    n = len(cartan)
+    bound = n * max(2 * n, 30)
+    seen = {r: r for r in (tuple(int(i == j) for j in range(n))
+                           for i in range(n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            co = seen[r]
+            for i in range(n):
+                # s_i r = r - <alpha_i^vee, r> alpha_i, and dually
+                k = sum(x * a for x, a in zip(r, cartan[i]))
+                new = tuple(x - k * (j == i) for j, x in enumerate(r))
+                if new not in seen:
+                    k = sum(x * row[i] for x, row in zip(co, cartan))
+                    seen[new] = tuple(x - k * (j == i)
+                                      for j, x in enumerate(co))
+                    nxt.append(new)
+        frontier = nxt
+        if len(seen) > bound:
+            raise ValueError('the Cartan matrix %s is not of finite type: '
+                             'its roots outnumber %d' % (cartan, bound))
+    if any(min(r) < 0 < max(r) for r in seen):
+        raise ValueError('root generation produced a non-symmetric system')
+    return seen
+
+
 def perm_orbit(perm, i):
     """The cycle of a permutation through i: [i, perm[i], ...].
 
@@ -186,27 +230,12 @@ def _vec_text(vec):
     return '(%s)' % ', '.join(map(str, vec))
 
 
-def _integer_form(matrix):
-    """(den, m): a positive integer and an integer matrix with
-    matrix = m / den, for a matrix of Fractions."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return den, [[int(x * den) for x in row] for row in matrix]
-
-
 @dataclass(frozen=True)
 class _Root:
     """One root: covector on X, its coroot in X, and simple-root coords."""
     covec: tuple
     coroot: tuple
     coords: tuple  # expansion in simple roots
-
-    @property
-    def positive(self):
-        return all(c >= 0 for c in self.coords)
-
-    @property
-    def height(self):
-        return sum(self.coords)
 
 
 class RootDatum:
@@ -285,37 +314,13 @@ class RootDatum:
                      for j in range(d))
 
     def _generate_roots(self):
-        seen = {}
-        order = []
-        for i in range(self.rank):
-            coords = tuple(1 if j == i else 0 for j in range(self.rank))
-            r = _Root(self.simple_roots[i], self.simple_coroots[i], coords)
-            seen[r.covec] = r
-            order.append(r)
-        frontier = list(order)
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for i in range(self.rank):
-                    c = vec_dot(r.covec, self.simple_coroots[i])
-                    new = _Root(
-                        vec_sub(r.covec, vec_scale(c, self.simple_roots[i])),
-                        vec_sub(r.coroot, vec_scale(
-                            vec_dot(self.simple_roots[i], r.coroot),
-                            self.simple_coroots[i])),
-                        tuple(x - c * (j == i) for j, x in enumerate(r.coords)))
-                    if new.covec not in seen:
-                        seen[new.covec] = new
-                        order.append(new)
-                        nxt.append(new)
-            frontier = nxt
-        pos = [r for r in order if r.positive]
-        neg = [r for r in order if not r.positive]
-        if len(pos) != len(neg) or len(pos) + len(neg) != len(order):
-            raise ValueError('root generation produced a non-symmetric system')
-        pos.sort(key=lambda r: (r.height, r.coords))
-        self.roots = pos + [_Root(vec_scale(-1, r.covec), vec_scale(-1, r.coroot),
-                                  vec_scale(-1, r.coords)) for r in pos]
+        closure = root_closure(self.cartan)
+        pos = sorted((c for c in closure if min(c) >= 0),
+                     key=lambda c: (sum(c), c))
+        self.roots = [
+            _Root(self._covec_times(c, self.simple_roots),
+                  self._covec_times(closure[c], self.simple_coroots), c)
+            for c in pos + [vec_scale(-1, c) for c in pos]]
         self.root_index = {r.covec: i for i, r in enumerate(self.roots)}
         if len(self.root_index) != len(self.roots):
             raise ValueError('duplicate roots')
@@ -328,33 +333,32 @@ class RootDatum:
         self.simple_indices = [self.root_index[a] for a in self.simple_roots]
         self.components = diagram_components(self.cartan)
         self.highest_roots = [self._highest_root(c) for c in self.components]
-        self.sigma_order = self._order_of_sigma()
+        self.sigma_order, self._sigma_sum = self._sigma_powers()
         # simple_orbit[i]: the sigma-orbit of the simple index i
         self.simple_orbit = tuple(frozenset(perm_orbit(self.sigma_perm, i))
                                   for i in range(self.rank))
+        self._coordinates = self._coroot_coordinates(range(self.rank))
         self._projection_memo = {}
         self._hull_memo = {}
 
     def _highest_root(self, comp):
-        best = None
-        for idx, r in enumerate(self.positive_roots):
-            if all((r.coords[i] == 0) == (i not in comp) for i in range(self.rank)):
-                if set(i for i in range(self.rank) if r.coords[i]) <= comp:
-                    if best is None or r.height > self.positive_roots[best].height:
-                        best = idx
-        return best
+        """Index of the highest root of a connected set of simple indices:
+        the last of the positive roots, sorted by height, supported in it."""
+        return max(idx for idx, r in enumerate(self.positive_roots)
+                   if all(c == 0 or i in comp for i, c in enumerate(r.coords)))
 
-    def _order_of_sigma(self):
-        m = self.sigma_matrix
+    def _sigma_powers(self):
+        """(order of sigma, the integer matrix 1 + sigma + sigma^2 + ...
+        summed over one period)."""
         ident = mat_identity(self.dim)
-        acc = [row[:] for row in m]
-        n = 1
-        while acc != ident:
-            acc = mat_mul(acc, m)
+        power, total, n = self.sigma_matrix, ident, 1
+        while power != ident:
+            total = [list(map(add, a, b)) for a, b in zip(total, power)]
+            power = mat_mul(power, self.sigma_matrix)
             n += 1
             if n > 10000:
                 raise ValueError('sigma does not have finite order')
-        return n
+        return n, total
 
     # -- basic operations -----------------------------------------------
 
@@ -383,18 +387,14 @@ class RootDatum:
                      for r in self.roots)
 
     def sigma_avg(self, mu):
-        """Average of mu over the sigma orbit, a Fraction vector.
+        """Average of mu over the sigma orbit, a Fraction vector: the
+        averaged projection for J = {}.
 
-        >>> d = builtin_datum('sl2')
-        >>> d.sigma_avg((3,))
-        (Fraction(3, 1),)
+        >>> d = builtin_datum('sl3_flip')
+        >>> d.sigma_avg((3, 0))
+        (Fraction(3, 2), Fraction(3, 2))
         """
-        total = tuple(Fraction(x) for x in mu)
-        cur = tuple(mu)
-        for _ in range(self.sigma_order - 1):
-            cur = self.sigma_vec(cur)
-            total = vec_add(total, cur)
-        return tuple(x / self.sigma_order for x in total)
+        return self.pi_projection(frozenset(), mu)
 
     def negative(self, root_idx):
         r = self.roots[root_idx]
@@ -448,74 +448,77 @@ class RootDatum:
         >>> d.dominance_leq((0, 1, 0), (1, 0, 0))
         True
         """
-        den, diff = _common_denominator(vec_sub(tuple(b), tuple(a)))
-        scale, matrix = self._coroot_coordinates
-        # the coordinates of b - a, times scale * den
-        coeffs = [vec_dot(row, diff) for row in matrix]
-        if any(c < 0 for c in coeffs):
-            return False
-        # the coordinates reconstruct b - a exactly when it is in the span
-        return all(sum(c * g[k] for c, g in zip(coeffs, self.simple_coroots))
-                   == scale * diff[k] for k in range(self.dim))
+        coeffs = self.coroot_coefficients(vec_sub(tuple(b), tuple(a)))
+        return coeffs is not None and all(c >= 0 for c in coeffs)
 
-    @cached_property
-    def _coroot_coordinates(self):
-        """(D, K) with K / D = cartan^{-T} (simple roots), the rank-by-dim
-        matrix taking a vector in the span of the simple coroots to its
-        coordinates; K is an integer matrix."""
-        cartan_t = [[self.cartan[i][j] for i in range(self.rank)]
-                    for j in range(self.rank)]
-        return _integer_form(mat_mul(mat_inverse_rational(cartan_t),
-                                     self.simple_roots))
+    def coroot_coefficients(self, vec):
+        """The coefficients of vec over the simple coroots, as Fractions,
+        or None when vec is outside their span.
+
+        >>> d = builtin_datum('gl3')
+        >>> d.coroot_coefficients((1, Fraction(1, 2), Fraction(-3, 2)))
+        (Fraction(1, 1), Fraction(3, 2))
+        >>> d.coroot_coefficients((1, 0, 0)) is None
+        True
+        """
+        den, num = _common_denominator(vec)
+        scale, matrix = self._coordinates
+        coeffs = [vec_dot(row, num) for row in matrix]
+        # the coordinates reconstruct vec exactly when it is in the span
+        if any(sum(map(mul, coeffs, column)) != scale * x
+               for column, x in zip(zip(*self.simple_coroots), num)):
+            return None
+        return tuple([Fraction(c, scale * den) for c in coeffs])
+
+    def _coroot_coordinates(self, subset):
+        """(D, K) with K / D = (C_J^T)^{-1} A_J, K an integer matrix, C_J
+        the Cartan block of J and A_J the roots of J (sorted) as rows: the
+        coordinates over the J-coroots of the part of a vector in their
+        span, along the annihilator of the J-roots."""
+        js = sorted(subset)
+        try:
+            inverse = mat_inverse_rational(
+                [[self.cartan[i][j] for i in js] for j in js])
+        except ValueError:
+            raise AssertionError(
+                'datum %r: the Cartan block of J = %s is singular'
+                % (self.name, [j + 1 for j in js])) from None
+        coords = mat_mul(inverse, [self.simple_roots[j] for j in js])
+        den = math.lcm(*(x.denominator for row in coords for x in row))
+        return den, [[int(x * den) for x in row] for row in coords]
 
     def pi_projection(self, subset, mu):
         """Averaged projection onto the J-fixed subspace, then sigma-averaged.
 
-        Equals the sigma-average of the image of mu under averaging over
-        the parabolic subgroup W_J: the unique vector in mu + span(coroots
-        of J) pairing to zero with every root of J, then averaged over the
-        sigma orbit.  Both steps are linear, so the composite is one
-        matrix per subset, built on first use and kept as an integer
-        matrix over a common denominator.  J must be sigma stable.
+        The Levi projection P_J = 1 - G_J (C_J^T)^{-1} A_J (columns of
+        G_J the coroots of J; see _coroot_coordinates) keeps the roots of
+        J at zero and moves mu within mu + span(coroots of J), like
+        averaging over W_J.  J is sigma stable, so P_J commutes with
+        sigma and pi_J = P_J (1 + sigma + ... + sigma^(n-1)) / n for sigma
+        of order n.  The matrix is built per subset on first use, over a
+        common denominator.
 
-        >>> d = builtin_datum('sl2')
-        >>> d.pi_projection(frozenset(), (1,))
-        (Fraction(1, 1),)
-        >>> d.pi_projection(frozenset({0}), (1,))
-        (Fraction(0, 1),)
+        >>> d = builtin_datum('gl3')
+        >>> d.pi_projection(frozenset({0}), (1, 0, 0))
+        (Fraction(1, 2), Fraction(1, 2), Fraction(0, 1))
+        >>> d.pi_projection(frozenset({0, 1}), (1, 0, 0))
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
         """
         subset = frozenset(subset)
         if subset not in self._projection_memo:
             if not self.is_sigma_stable(subset):
                 raise ValueError('subset must be sigma stable')
-            columns = [self.sigma_avg(self._levi_average(
-                subset, tuple(int(i == j) for i in range(self.dim))))
-                for j in range(self.dim)]
-            self._projection_memo[subset] = _integer_form(
-                [[col[i] for col in columns] for i in range(self.dim)])
+            scale, coords = self._coroot_coordinates(subset)
+            gens = [self.simple_coroots[j] for j in sorted(subset)]
+            levi = [[scale * (i == k)
+                     - sum(g[i] * row[k] for g, row in zip(gens, coords))
+                     for k in range(self.dim)] for i in range(self.dim)]
+            self._projection_memo[subset] = (
+                scale * self.sigma_order, mat_mul(levi, self._sigma_sum))
         scale, matrix = self._projection_memo[subset]
         den, vec = _common_denominator(mu)
         return tuple(Fraction(vec_dot(row, vec), scale * den)
                      for row in matrix)
-
-    def _levi_average(self, subset, mu):
-        js = sorted(subset)
-        if not js:
-            return tuple(Fraction(x) for x in mu)
-        gens = [self.simple_coroots[j] for j in js]
-        # find coefficients c with <mu - sum c_j coroot_j, alpha_i> = 0, i in J
-        columns = [tuple(vec_dot(self.simple_roots[i], g) for i in js)
-                   for g in gens]
-        rhs = tuple(vec_dot(self.simple_roots[i], mu) for i in js)
-        coeffs = solve_rational_combination(columns, rhs)
-        if coeffs is None:
-            raise AssertionError(
-                'datum %r: the Cartan block of J = %s is singular'
-                % (self.name, sorted(j + 1 for j in js)))
-        out = tuple(Fraction(x) for x in mu)
-        for c, g in zip(coeffs, gens):
-            out = vec_sub(out, vec_scale(c, g))
-        return out
 
     def convex_hull_point(self, mu):
         """The maximal averaged projection of mu over sigma-stable subsets.
@@ -599,12 +602,20 @@ class RootDatum:
 # -- config loading -----------------------------------------------------
 
 
+_CONFIG_KEYS = frozenset({'type', 'cartan', 'lattice_basis', 'sigma_perm',
+                         'sigma_matrix', 'name'})
+
+
 def datum_from_config(config):
     """Build a RootDatum from a JSON-style dict.  See module docstring.
 
     >>> datum_from_config({'type': 'A1', 'lattice_basis': 'sc'}).rank
     1
     """
+    unknown = ', '.join(sorted(map(str, set(config) - _CONFIG_KEYS)))
+    if unknown:
+        raise ValueError('unknown config key(s) %s; the keys are %s'
+                         % (unknown, ', '.join(sorted(_CONFIG_KEYS))))
     if 'cartan' in config:
         cartan = config['cartan']
     elif 'type' in config:
@@ -659,6 +670,11 @@ def _perm_from_config(config, n):
     perm = config.get('sigma_perm')
     if perm is None:
         return tuple(range(n))
+    if not (isinstance(perm, (list, tuple))
+            and all(type(p) is int for p in perm)
+            and sorted(perm) == list(range(1, n + 1))):
+        raise ValueError('sigma_perm must be a permutation of 1..%d, got %r'
+                         % (n, perm))
     return tuple(p - 1 for p in perm)
 
 

@@ -13,8 +13,9 @@ columns).  On top sit quotients of free abelian groups with canonical
 residue forms and an integer cone solver, ``solve_in_cone``, whose
 search is bounded exactly by a functional positive on the cone (its
 value on the target), optionally modulo such a quotient.  The library
-reads interval witnesses off ``PCT.bgx_interval``; ``solve_in_cone`` is
-the independent cone search that the tests compare them with.
+reads interval witnesses off ``PCT.bgx_interval`` and coroot coordinates
+off ``RootDatum``; it no longer calls ``solve_in_cone`` or
+``solve_rational_combination``, the independent solvers of the tests.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import AffineElement
-from .datum import diagram_components, perm_orbit
+from .datum import diagram_components, perm_orbit, root_closure
 from .lattice import (QuotientPresentation, solve_integer_combination,
                       vec_add, vec_dot, vec_scale, vec_sub)
 from .qbg import QuantumBruhatGraph
@@ -612,34 +612,14 @@ def _budget_tuples(weights, budget):
 
 def count_positive_roots(cartan):
     """Number of positive roots of the finite root system with this Cartan
-    matrix, by reflection closure over simple-root coordinates.
+    matrix.
 
     >>> count_positive_roots([[2, -1], [-1, 2]])     # A2
     3
     >>> count_positive_roots([[2, -2], [-1, 2]])     # C2
     4
     """
-    n = len(cartan)
-    simple = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for i in range(n):
-                pairing = sum(r[j] * cartan[j][i] for j in range(n))
-                s = tuple(r[j] - (pairing if j == i else 0)
-                          for j in range(n))
-                if s not in roots:
-                    roots.add(s)
-                    nxt.append(s)
-        frontier = nxt
-        if len(roots) > 2400:
-            raise ValueError('root system is not finite (or too large)')
-    positive = [r for r in roots if all(c >= 0 for c in r)]
-    if 2 * len(positive) != len(roots):
-        raise AssertionError('root count parity failure')
-    return len(positive)
+    return sum(min(r) >= 0 for r in root_closure(cartan))
 
 
 def very_special_subsets(affine_cartan, perm):

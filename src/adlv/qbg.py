@@ -12,7 +12,7 @@ a runtime check rather than an assumption.
 
 from __future__ import annotations
 
-from .lattice import solve_rational_combination, vec_add
+from .lattice import vec_add
 
 __all__ = ['QuantumBruhatGraph']
 
@@ -36,7 +36,7 @@ class QuantumBruhatGraph:
         # coefficients of each positive coroot over the simple coroots
         self.coroot_coords = []
         for r in d.positive_roots:
-            coeffs = solve_rational_combination(d.simple_coroots, r.coroot)
+            coeffs = d.coroot_coefficients(r.coroot)
             if coeffs is None or any(c.denominator != 1 for c in coeffs):
                 raise AssertionError(
                     'datum %r: coroot %s has no integer coordinates over '

@@ -9,8 +9,10 @@ import pytest
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.bg import BGClass, BGInvariants
 from adlv.datum import builtin_datum
+from adlv.lattice import solve_rational_combination
 
 from test_affine import SMALL_DATA, gl6_sample
+from test_datum import sigma_avg_by_powers
 
 
 @pytest.fixture(scope='module')
@@ -66,6 +68,58 @@ def test_lambda_invariant_invalid_class(gl3):
     bad = BGClass(gl3.kottwitz.project((1, 0, 0)), (Fraction(1),) * 3)
     with pytest.raises(ValueError):
         gl3.lambda_invariant(bad)
+
+
+def lambda_by_averaged_coroots(bg, b):
+    """The lambda-invariant from the coefficients of nu - avg(lift(kappa))
+    over the averaged coroots avg(alpha_o^vee), one per sigma-orbit o,
+    rounded down."""
+    d = bg.datum
+    lam0 = bg.kottwitz.lift(b.kappa)
+    reps = [d.simple_coroots[orb[0]] for orb in d.sigma_orbits()]
+    delta = tuple(x - y for x, y in zip(b.nu, sigma_avg_by_powers(d, lam0)))
+    coeffs = solve_rational_combination(
+        [sigma_avg_by_powers(d, r) for r in reps], delta)
+    if coeffs is None:
+        raise ValueError('outside the averaged coroot span')
+    lam = tuple(lam0)
+    for c, rep in zip(coeffs, reps):
+        lam = tuple(x + (c.numerator // c.denominator) * y
+                    for x, y in zip(lam, rep))
+    return bg.gamma.project(lam), lam
+
+
+@pytest.mark.parametrize('name,bound,max_length', [
+    ('gl3', 2, 6), ('sl3_flip', 3, 10), ('psp4', 2, 6)])
+def test_lambda_invariant_matches_averaged_coroot_solve(name, bound,
+                                                        max_length):
+    """On every class met in a box scan, types included."""
+    bg = BGInvariants(AffineWeyl(builtin_datum(name)))
+    classes = {bg.element_class(x)
+               for x in bg.aw.box_elements(bound, max_length)}
+    for b in sorted(classes):
+        res, lam = bg.lambda_invariant(b)
+        want_res, want_lam = lambda_by_averaged_coroots(bg, b)
+        assert res == want_res and typed(lam) == typed(want_lam), b
+
+
+def test_lambda_invariant_rejects_newton_point_off_averaged_span():
+    """nu = alpha_1^vee is in the coroot span but not sigma-invariant."""
+    bg = BGInvariants(AffineWeyl(builtin_datum('sl3_flip')))
+    b = BGClass(bg.kottwitz.project((0, 0)), (Fraction(1), Fraction(0)))
+    with pytest.raises(ValueError, match='averaged coroot span'):
+        bg.lambda_invariant(b)
+    with pytest.raises(ValueError):
+        lambda_by_averaged_coroots(bg, b)
+
+
+def test_strata_sets_off_coroot_span_is_an_invariant_error(monkeypatch):
+    bg = BGInvariants(AffineWeyl(builtin_datum('gl3')))
+    b = BGClass(bg.kottwitz.project((1, 0, 0)), (Fraction(1, 3),) * 3)
+    # avg(lambda) = 0 leaves nu, whose coordinates sum to 1, off the span
+    monkeypatch.setattr(bg, 'lambda_invariant', lambda b: (None, (0, 0, 0)))
+    with pytest.raises(AssertionError, match='not in the coroot span'):
+        bg.strata_sets(b)
 
 
 def test_sl2_defect_and_dimensions(sl2):

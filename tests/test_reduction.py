@@ -179,11 +179,20 @@ def test_find_down_move_matches_orbit_scan(name):
                     == scan_find_down_move(red, x, rng_scan))
 
 
+def qbg_with_coroot_coefficients(monkeypatch, coeffs):
+    W = WeylGroup(builtin_datum('sl2'))
+    monkeypatch.setattr(W.datum, 'coroot_coefficients', lambda vec: coeffs)
+    return QuantumBruhatGraph(W)
+
+
 def test_qbg_coroot_check_names_datum(monkeypatch):
-    monkeypatch.setattr('adlv.qbg.solve_rational_combination',
-                        lambda gens, target: (Fraction(1, 2),))
     with pytest.raises(AssertionError, match="'sl2'.*coroot"):
-        QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
+        qbg_with_coroot_coefficients(monkeypatch, (Fraction(1, 2),))
+
+
+def test_qbg_coroot_outside_span_names_datum(monkeypatch):
+    with pytest.raises(AssertionError, match="'sl2'.*coroot"):
+        qbg_with_coroot_coefficients(monkeypatch, None)
 
 
 def test_bgx_integrality_check_names_leaf(monkeypatch):
