@@ -131,22 +131,25 @@ class AffineWeyl:
         """All v in W with ell(x, v alpha) >= 0 for every positive alpha,
         sorted by (length, word).
 
+        With N(x) = {beta : ell(x, beta) < 0}, taken over all roots, v is
+        in LP(x) iff v(Phi+) misses N(x): one AND of N(x) with the bitmask
+        ``W.pos_mask[v]`` per v.  W indices already run in (length, least
+        reduced word) order, so the list needs no sort.
+
         >>> from adlv.datum import builtin_datum
         >>> aw = AffineWeyl(builtin_datum('sl2'))
         >>> aw.lp_set(AffineElement(0, (0,)))   # identity: all of W
         [0, 1]
+        >>> aw = AffineWeyl(builtin_datum('sl3'))
+        >>> aw.lp_set(aw.from_weyl(aw.W.simple[0]))
+        [0, 2, 4]
         """
-        d = self.datum
-        # ell(x, .) on every root, looked up at v(alpha) for each v
-        ell = [self.length_functional(x, i) for i in range(len(d.roots))]
-        out = []
-        for v in range(self.W.size):
-            act = self.W.root_action[v]
-            if all(ell[act[i]] >= 0 for i in range(d.num_positive)):
-                out.append(v)
-        out.sort(key=lambda v: (self.W.lengths[v], self.W.words[v]))
+        neg = sum(1 << b for b in range(len(self.datum.roots))
+                  if self.length_functional(x, b) < 0)
+        out = [v for v, m in enumerate(self.W.pos_mask) if not m & neg]
         if not out:
-            raise AssertionError('LP set must never be empty')
+            raise AssertionError('datum %r: the LP set of %s is empty'
+                                 % (self.datum.name, self.format_element(x)))
         return out
 
     def lp_transport(self, x, aroot):
@@ -180,11 +183,17 @@ class AffineWeyl:
                 vinv_a = self.W.act_root(self.W.inv[v], idx)
                 cand = sv if not self.datum.is_positive_root(vinv_a) else v
             if cand is not None and cand not in lp_xr:
-                raise AssertionError('transport target not length positive')
+                raise AssertionError(
+                    'datum %r: transport of %s along the affine root %s: '
+                    'target not length positive'
+                    % (self.datum.name, self.format_element(x), aroot))
             transported[v] = cand
         if case < 0:
             if {self.W.mult(s_alpha, v) for v in lp_x} != set(lp_xr):
-                raise AssertionError('case <0 must give equality of LP sets')
+                raise AssertionError(
+                    'datum %r: transport of %s along the affine root %s: '
+                    'case < 0 must give equality of LP sets'
+                    % (self.datum.name, self.format_element(x), aroot))
         return case, lp_x, lp_xr, transported
 
     # -- sigma-conjugation moves ---------------------------------------------

@@ -17,7 +17,9 @@ The JSON config format is::
       "name": "sl3"              # optional
     }
 
-Any other key is an error.
+Any other key is an error, and so is a ``cartan``, ``sigma_matrix`` or
+explicit ``lattice_basis`` that is not a square list of lists of integers
+of the right size.
 
 An explicit ``lattice_basis`` matrix has columns expressing a basis of X
 in fundamental-coweight coordinates; "sc" is the coroot lattice,
@@ -76,7 +78,11 @@ def cartan_matrix(type_name):
 
 
 def _cartan_block(name):
-    family, rank = name[0].upper(), int(name[1:])
+    family, digits = name[:1].upper(), name[1:]
+    if not digits.isdecimal():
+        raise ValueError('type part %r is not a family letter followed by '
+                         'a rank, such as "A2"' % name)
+    rank = int(digits)
     if rank < 1:
         raise ValueError('rank must be positive: %r' % name)
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -612,19 +618,29 @@ def datum_from_config(config):
     >>> datum_from_config({'type': 'A1', 'lattice_basis': 'sc'}).rank
     1
     """
+    if not isinstance(config, dict):
+        raise ValueError('a datum config must be a JSON object, got %s'
+                         % _show(config))
     unknown = ', '.join(sorted(map(str, set(config) - _CONFIG_KEYS)))
     if unknown:
         raise ValueError('unknown config key(s) %s; the keys are %s'
                          % (unknown, ', '.join(sorted(_CONFIG_KEYS))))
     if 'cartan' in config:
-        cartan = config['cartan']
+        cartan = _int_matrix(config, 'cartan')
     elif 'type' in config:
+        if not isinstance(config['type'], str):
+            raise ValueError('type must be a string such as "A2" or '
+                             '"C2xA1", got %s' % _show(config['type']))
         cartan = cartan_matrix(config['type'])
     else:
         raise ValueError("config needs 'type' or 'cartan'")
     n = len(cartan)
     basis = config.get('lattice_basis', 'sc')
     name = config.get('name', config.get('type', 'custom'))
+    if basis not in ('sc', 'adjoint', 'gl'):
+        _int_matrix(config, 'lattice_basis', n, '"sc", "adjoint", "gl" or ')
+    if 'sigma_matrix' in config:
+        _int_matrix(config, 'sigma_matrix', n + 1 if basis == 'gl' else n)
 
     if basis == 'gl':
         # type A_{n} realized on the standard lattice of GL_{n+1}
@@ -664,6 +680,26 @@ def datum_from_config(config):
                              'give sigma_matrix explicitly')
         sig_mat = [[int(x) for x in row] for row in m]
     return RootDatum(cartan, coroots, roots, perm, sig_mat, name=name)
+
+
+def _show(value):
+    return json.dumps(value, default=repr)
+
+
+def _int_matrix(config, key, size=None, names=''):
+    """config[key], refused with a ValueError naming the key unless it is
+    a square list of lists of integers (not booleans), of the given size
+    if one is given."""
+    m = config[key]
+    n = len(m) if size is None and isinstance(m, list) else size
+    if not (isinstance(m, list) and len(m) == n
+            and all(isinstance(r, list) and len(r) == n
+                    and all(type(c) is int for c in r) for r in m)):
+        raise ValueError('%s must be %sa square matrix of integers%s, got %s'
+                         % (key, names,
+                            '' if size is None else ' of size %d' % size,
+                            _show(m)))
+    return m
 
 
 def _perm_from_config(config, n):

@@ -29,6 +29,12 @@ class WeylGroup:
     element (Casselman, "Machine calculations in Weyl groups", Invent.
     Math. 1994).
 
+    ``pos_mask[e]`` is the bitmask over root indices of e(Phi+).  s_i
+    permutes Phi+ minus alpha_i and sends alpha_i to -alpha_i (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.4), so (e s_i)(Phi+) is
+    e(Phi+) with e(alpha_i) swapped for e(-alpha_i): one XOR of two bits
+    per new element.
+
     >>> from adlv.datum import builtin_datum
     >>> w = WeylGroup(builtin_datum('sl3'))
     >>> w.size
@@ -60,6 +66,8 @@ class WeylGroup:
         # root_action[e][r]: index of the root e(alpha_r), and
         # (e s_i)(alpha_r) = e(s_i(alpha_r))
         root_action = [list(roots)]
+        pos_mask = [(1 << datum.num_positive) - 1]
+        neg_simple = [datum.negative(s) for s in simple]
         # index: root indices of the images of the simple roots -> element
         index = {tuple(simple): 0}
         frontier = [0]
@@ -81,6 +89,8 @@ class WeylGroup:
                         words.append(words[e] + (i,))
                         right.append([0] * n)
                         root_action.append([row[r] for r in perms[i]])
+                        pos_mask.append(pos_mask[e] ^ (1 << row[simple[i]])
+                                        ^ (1 << row[neg_simple[i]]))
                         nxt.append(f)
                     right[e][i] = f
             frontier = nxt
@@ -103,6 +113,7 @@ class WeylGroup:
         self.simple = [self.right[0][i] for i in range(n)]
         # action of each element on the root list (by root index)
         self.root_action = root_action
+        self.pos_mask = pos_mask
         # reflection through each root, as a group element, found by the
         # images of the simple roots
         self.root_reflection = [index[tuple(reflected(j, simple))]

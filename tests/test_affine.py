@@ -3,6 +3,7 @@ elements."""
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -172,18 +173,55 @@ def test_lp_transport_cases(name):
 
 
 def lp_set_per_v(aw, x):
-    """Oracle: LP(x) with ell(x, v alpha) recomputed for every v."""
+    """Oracle: LP(x) by testing ell(x, v alpha) >= 0 for every v and every
+    positive alpha, read off one table of ell(x, .) over all roots."""
+    ell = [aw.length_functional(x, b) for b in range(len(aw.datum.roots))]
     out = [v for v in range(aw.W.size)
-           if all(aw.length_functional(x, aw.W.root_action[v][i]) >= 0
+           if all(ell[aw.W.root_action[v][i]] >= 0
                   for i in range(aw.datum.num_positive))]
     return sorted(out, key=lambda v: (aw.W.lengths[v], aw.W.words[v]))
 
 
-@pytest.mark.parametrize('name', ['gl4', 'sp4', 'g2', 'sl3_flip'])
+@pytest.mark.parametrize('name', SMALL_DATA)
 def test_lp_set_matches_per_v_oracle(name):
+    """On every third box(1, 6) element, or on 200 seeded gl6 elements."""
     aw = AffineWeyl(builtin_datum(name))
-    for x in aw.box_elements(1, 6)[::3]:
-        assert aw.lp_set(x) == lp_set_per_v(aw, x)
+    elements = (gl6_sample(aw) if name == 'gl6'
+                else aw.box_elements(1, 6)[::3])
+    sizes = []
+    for x in elements:
+        lp = aw.lp_set(x)
+        assert lp == lp_set_per_v(aw, x), x
+        sizes.append(len(lp))
+    assert max(sizes) > 1
+
+
+def test_empty_lp_set_names_datum_and_element(monkeypatch):
+    aw = AffineWeyl(builtin_datum('sl3'))
+    x = AffineElement(aw.W.simple[0], (1, -1))
+    monkeypatch.setattr(AffineWeyl, 'length_functional', lambda *a: -1)
+    with pytest.raises(AssertionError, match="datum 'sl3': the LP set of "
+                       + re.escape(aw.format_element(x)) + ' is empty'):
+        aw.lp_set(x)
+
+
+def test_lp_transport_errors_name_datum_element_and_root(monkeypatch):
+    aw = AffineWeyl(builtin_datum('sl2'))
+    x = aw.translation((-1,))
+    a = aw.simple_affine[0]
+    assert aw.length_functional(x, a[0]) < 0
+    where = ("datum 'sl2': transport of %s along the affine root %s: "
+             % (re.escape(aw.format_element(x)), re.escape(str(a))))
+    # LP(x r_a) empty: s_alpha v is not length positive
+    monkeypatch.setattr(aw, 'lp_set', lambda y: [0] if y == x else [])
+    with pytest.raises(AssertionError,
+                       match=where + 'target not length positive'):
+        aw.lp_transport(x, a)
+    # LP(x r_a) all of W: s_alpha LP(x) is a proper subset of it
+    monkeypatch.setattr(aw, 'lp_set', lambda y: [0] if y == x else [0, 1])
+    with pytest.raises(AssertionError, match=where + 'case < 0 must give '
+                       'equality of LP sets'):
+        aw.lp_transport(x, a)
 
 
 @pytest.mark.parametrize('name', SMALL_DATA)

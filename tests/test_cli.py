@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from adlv.affine import AffineWeyl
 from adlv.cli import main
 
 
@@ -28,6 +29,15 @@ def test_lp(capsys):
     data = run_json(capsys, 'lp', '--datum', 'sl2', '--x',
                     '{"w": [], "mu": [0]}')
     assert sorted(map(tuple, data['lp'])) == [(), (1,)]
+
+
+def test_empty_lp_set_exits_3_naming_datum_and_element(capsys, monkeypatch):
+    monkeypatch.setattr(AffineWeyl, 'length_functional', lambda *a: -1)
+    code, out, err = run(capsys, 'lp', '--datum', 'sl3', '--x',
+                         '{"w": [1], "mu": [1, -1]}')
+    assert code == 3 and out == ''
+    assert err.startswith('invariant violation: '), err
+    assert """datum 'sl3': the LP set of {"w": [1], "mu": [1, -1]}""" in err
 
 
 def test_eta_newton_kappa(capsys):

@@ -201,6 +201,23 @@ def test_describe_roundtrip():
     ({'type': 'A1', 'lattice_basis': [[0]]}, 'singular'),
     ({'type': 'A1', 'extra': 1}, 'unknown config key.*extra'),
     ({'type': 'A2', 'sigma_perm': [2, 2]}, 'sigma_perm must be a permutation'),
+    (3, 'a datum config must be a JSON object, got 3'),
+    ({'type': 3}, 'type must be a string'),
+    ({'type': 'A2x'}, "type part '' is not a family letter followed by a rank"),
+    ({'type': 'A'}, "type part 'A' is not a family letter"),
+    ({'cartan': [[2, -1], [-1]]}, 'cartan must be a square matrix of integers'),
+    ({'cartan': [[2, -1.5], [-1, 2]]}, 'cartan must be a square matrix'),
+    ({'cartan': 'A2'}, 'cartan must be a square matrix'),
+    ({'cartan': [[True, -1], [-1, 2]]}, 'cartan must be a square matrix'),
+    ({'type': 'A2', 'lattice_basis': 'foo'},
+     'lattice_basis must be "sc", "adjoint", "gl" or a square matrix of '
+     'integers of size 2, got "foo"'),
+    ({'type': 'A2', 'lattice_basis': [[1, 0], [0, 1], [1, 1]]},
+     'lattice_basis must be .* of size 2'),
+    ({'type': 'A2', 'sigma_matrix': [[1, 0], [0]]},
+     'sigma_matrix must be a square matrix of integers of size 2'),
+    ({'type': 'A2', 'lattice_basis': 'gl', 'sigma_matrix': [[0, 1], [1, 0]]},
+     'sigma_matrix must be a square matrix of integers of size 3'),
 ])
 def test_bad_matrix_raises_clear_value_error(config, message, tmp_path,
                                             capsys):

@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from adlv.affine import AffineWeyl
+from adlv.affine import AffineElement, AffineWeyl
 from adlv.datum import BUILTIN_DATA, builtin_datum
 from adlv.lattice import mat_identity, mat_inverse_unimodular, mat_mul
 from adlv.weyl import WeylGroup
+
+from test_affine import lp_set_per_v
 
 ORDERS = {'sl2': 2, 'sl3': 6, 'sl4': 24, 'sp4': 8, 'g2': 12}
 LONGEST = {'sl2': 1, 'sl3': 3, 'sl4': 6, 'sp4': 4, 'g2': 6}
@@ -175,6 +177,11 @@ def test_tables_match_matrix_products(name):
             mat_mul(d.sigma_matrix, g.mats[e]), d.sigma_inv_matrix))]
 
 
+def positive_image_mask(d, root_action_row):
+    """Bitmask over root indices of e(Phi+), from the root action of e."""
+    return sum(1 << r for r in root_action_row[:d.num_positive])
+
+
 def matrix_bfs_tables(d):
     """Oracle: W tabulated by a breadth-first search keyed on matrices,
     one matrix product per edge, every table read off the matrices."""
@@ -204,13 +211,15 @@ def matrix_bfs_tables(d):
     def elem(m):
         return index[mat_key(m)]
     inv = [elem(mat_inverse_unimodular(m)) for m in mats]
+    root_action = [[d.root_index[d._covec_times(r.covec, mats[inv[e]])]
+                    for r in d.roots] for e in range(len(mats))]
     return {
         'mats': mats, 'words': words, 'right': right,
         'left': [[elem(mat_mul(gen, m)) for gen in gens] for m in mats],
         'inv': inv, 'lengths': lengths,
         'longest': max(range(len(mats)), key=lambda e: lengths[e]),
-        'root_action': [[d.root_index[d._covec_times(r.covec, mats[inv[e]])]
-                         for r in d.roots] for e in range(len(mats))],
+        'root_action': root_action,
+        'pos_mask': [positive_image_mask(d, row) for row in root_action],
         'root_reflection': [elem(d.reflection_matrix(j))
                             for j in range(len(d.roots))],
         'sigma_elem': [elem(mat_mul(mat_mul(d.sigma_matrix, m),
@@ -254,3 +263,39 @@ def test_e6_partial_sigma_coxeter_matches_reflection_length(e6_weyl):
     for e in short:
         assert g.is_partial_sigma_coxeter(e) == \
             (g.reflection_length_sigma(e) == g.lengths[e])
+
+
+def test_e6_pos_mask_matches_root_action(e6_weyl):
+    g = e6_weyl
+    assert g.pos_mask == [positive_image_mask(g.datum, row)
+                          for row in g.root_action]
+
+
+@pytest.mark.parametrize('name', sorted(BUILTIN_DATA))
+def test_index_order_is_length_then_least_reduced_word(name, request):
+    """lp_set returns W indices unsorted, relying on this order.  The
+    stored word is the least reduced word: it starts with the least left
+    descent, followed by the stored word of what remains (by induction on
+    the length)."""
+    g = (request.getfixturevalue('e6_weyl') if name == 'e6_adjoint'
+         else WeylGroup(builtin_datum(name)))
+    keys = [(g.lengths[e], g.words[e]) for e in range(g.size)]
+    assert keys == sorted(keys)
+    for e in range(1, g.size):
+        i = min(i for i in range(g.datum.rank)
+                if g.lengths[g.left[e][i]] < g.lengths[e])
+        assert g.words[e] == (i,) + g.words[g.left[e][i]]
+        assert g.lengths[e] == len(g.words[e])
+
+
+def test_e6_lp_set_matches_per_v_oracle(e6_weyl):
+    aw = AffineWeyl(e6_weyl.datum, e6_weyl)
+    rng = random.Random(6)
+    sizes = []
+    for _ in range(10):
+        x = AffineElement(rng.randrange(aw.W.size),
+                          tuple(rng.randint(-1, 1) for _ in range(6)))
+        lp = aw.lp_set(x)
+        assert lp == lp_set_per_v(aw, x), x
+        sizes.append(len(lp))
+    assert max(sizes) > 1
