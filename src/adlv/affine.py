@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -19,6 +20,10 @@ from .lattice import vec_add, vec_dot, vec_scale
 from .weyl import WeylGroup
 
 __all__ = ['AffineElement', 'AffineWeyl']
+
+
+# kind of a move r_a x r_{sigma a}, by how many of its two sides lengthen
+_KINDS = ('down', 'keep', 'up')
 
 
 class AffineElement(NamedTuple):
@@ -47,10 +52,18 @@ class AffineWeyl:
         self.simple_affine = [(idx, 0) for idx in d.simple_indices]
         self.simple_affine += [(d.negative(h), 1) for h in d.highest_roots]
         self.identity = AffineElement(0, (0,) * d.dim)
-        # r_a for each simple affine root a
-        self._simple_reflection = {a: self.reflection(a)
-                                   for a in self.simple_affine}
         self._positive_covecs = tuple(r.covec for r in d.positive_roots)
+
+    @cached_property
+    def _conjugation(self):
+        """For each simple affine root a = (alpha, k): alpha, k, the index
+        of sigma alpha, and the simple positions of alpha and sigma alpha
+        (None for the affine roots), built on first use."""
+        d = self.datum
+        pos = {r: i for i, r in enumerate(d.simple_indices)}
+        return {(idx, k): (idx, k, d.sigma_root(idx), pos.get(idx),
+                           pos.get(d.sigma_root(idx)))
+                for idx, k in self.simple_affine}
 
     # -- group law --------------------------------------------------------
 
@@ -202,13 +215,24 @@ class AffineWeyl:
         """(r_a x r_{sigma a}, kind, r_a x) with kind 'keep', 'down' or 'up',
         for a simple affine root a.
 
-        sigma permutes the simple affine roots, so both reflections come
-        from the per-group table of r_a.  Each side changes the length by
+        Both products come from the reflection formula, with no matrix
+        action.  For x = w eps^mu, a = (alpha, k) and b = sigma a =
+        (beta, k):
+
+            r_a x = w' eps^{mu'},   w' = s_alpha w,
+                                    mu' = mu + k (w^{-1} alpha)^vee;
+            r_a x r_b = (w' s_beta) eps^{mu' + k' beta^vee},
+                                    k' = k - <beta, mu'>.
+
+        The Weyl parts are one table step (``W.left``, ``W.right``) for a
+        finite simple root, and a product with the reflection in the
+        highest root for an affine one.  Each side changes the length by
         +-1, read off from a sign instead of a recount: ell(r_a x) -
         ell(x) = +1 iff x^{-1}(a) > 0, and ell(y r_b) - ell(y) = +1 iff
-        y(b) > 0, for y = r_a x and b = sigma a.  Here x^{-1}(alpha, k) =
-        (w^{-1} alpha, k + <mu, w^{-1} alpha>) for x = w eps^mu, and
-        (beta, k) > 0 iff k > 0, or k = 0 and beta > 0.
+        y(b) > 0, for y = r_a x.  Both roots are already at hand:
+        x^{-1}(a) = (w^{-1} alpha, k + <w^{-1} alpha, mu>) and y(b) =
+        (w' beta, k'), where (gamma, l) > 0 iff l > 0, or l = 0 and
+        gamma > 0.
 
         >>> from adlv.datum import builtin_datum
         >>> aw = AffineWeyl(builtin_datum('sl2'))
@@ -219,23 +243,43 @@ class AffineWeyl:
         'down'
         >>> aw.simple_sigma_conjugate(aw.from_weyl(1), a0)[1]
         'up'
+
+        On sl3, with a0 = (-theta, 1) and x = eps^{alpha_1^vee}: w = 1,
+        so mu' = alpha_1^vee - theta^vee = -alpha_2^vee and w' = s_theta;
+        then k' = 1 - <-theta, -alpha_2^vee> = 0, so r_a0 x r_a0 is the
+        translation by s_theta(alpha_1^vee) = -alpha_2^vee:
+
+        >>> aw = AffineWeyl(builtin_datum('sl3'))
+        >>> a0 = aw.simple_affine[-1]
+        >>> x = aw.translation((1, 0))
+        >>> both, kind, left = aw.simple_sigma_conjugate(x, a0)
+        >>> left == aw.mult(aw.reflection(a0), x), left.mu
+        (True, (0, -1))
+        >>> both, kind
+        (AffineElement(w=0, mu=(0, -1)), 'keep')
         """
-        d, W = self.datum, self.W
-        idx, k = aroot
-        sidx = d.sigma_root(idx)
-        left = self.mult(self._simple_reflection[aroot], x)
-        both = self.mult(left, self._simple_reflection[sidx, k])
-        # x^{-1}(a) = (back, k_back) and (r_a x)(sigma a) = (fwd, k_fwd)
-        back = W.act_root(W.inv[x.w], idx)
-        k_back = k + vec_dot(d.roots[back].covec, x.mu)
-        fwd = W.act_root(left.w, sidx)
-        k_fwd = k - vec_dot(d.roots[sidx].covec, left.mu)
-        delta = 0
-        for beta, level in ((back, k_back), (fwd, k_fwd)):
-            up = level > 0 or (level == 0 and d.is_positive_root(beta))
-            delta += 1 if up else -1
-        kind = {0: 'keep', -2: 'down', 2: 'up'}[delta]
-        return both, kind, left
+        W, roots, npos = self.W, self.datum.roots, self.datum.num_positive
+        idx, k, sidx, i, j = self._conjugation[aroot]
+        w, mu = x
+        # x^{-1}(a) = (back, k_back)
+        back = W.root_action[W.inv[w]][idx]
+        k_back = k + sum(map(mul, roots[back].covec, mu))
+        w1 = W.left[w][i] if i is not None else W.mult(
+            W.root_reflection[idx], w)
+        if k:
+            mu = tuple([m + k * c for m, c in zip(mu, roots[back].coroot)])
+        left = AffineElement(w1, mu)
+        # (r_a x)(sigma a) = (fwd, k_fwd)
+        fwd = W.root_action[w1][sidx]
+        k_fwd = k - sum(map(mul, roots[sidx].covec, mu))
+        w2 = W.right[w1][j] if j is not None else W.mult(
+            w1, W.root_reflection[sidx])
+        if k_fwd:
+            mu = tuple([m + k_fwd * c
+                        for m, c in zip(mu, roots[sidx].coroot)])
+        up = ((k_back > 0 or (k_back == 0 and back < npos))
+              + (k_fwd > 0 or (k_fwd == 0 and fwd < npos)))
+        return AffineElement(w2, mu), _KINDS[up], left
 
     # -- eta ---------------------------------------------------------------
 

@@ -48,6 +48,7 @@ __all__ = [
     'builtin_datum',
     'load_datum',
     'BUILTIN_DATA',
+    'MAX_WEYL_ORDER',
     'diagram_components',
     'perm_orbit',
     'root_closure',
@@ -58,14 +59,22 @@ def cartan_matrix(type_name):
     """Cartan matrix of a (product of) finite type(s), e.g. "A2" or "C2xA1".
 
     Convention: entry [i][j] is the pairing of the i-th simple coroot
-    with the j-th simple root.
+    with the j-th simple root.  A type whose Weyl group has more than
+    ``MAX_WEYL_ORDER`` elements is refused with a ValueError before any
+    matrix is built.
 
     >>> cartan_matrix('C2')
     [[2, -2], [-1, 2]]
     >>> cartan_matrix('G2')
     [[2, -1], [-3, 2]]
+    >>> cartan_matrix('A5xA5')
+    Traceback (most recent call last):
+    ...
+    ValueError: type 'A5xA5' has a Weyl group of order 518400; the limit is 51840
     """
-    blocks = [_cartan_block(part.strip()) for part in type_name.split('x')]
+    parts = [_type_part(part.strip()) for part in type_name.split('x')]
+    _check_weyl_order(type_name, parts)
+    blocks = [_cartan_block(*part) for part in parts]
     n = sum(len(b) for b in blocks)
     out = [[0] * n for _ in range(n)]
     off = 0
@@ -77,7 +86,20 @@ def cartan_matrix(type_name):
     return out
 
 
-def _cartan_block(name):
+# The largest Weyl group a "type" may name: W(E6), of e6_adjoint, the
+# largest built-in.  Every table over W holds |W| entries or more.
+MAX_WEYL_ORDER = 51_840
+
+_EXCEPTIONAL_ORDERS = {('E', 6): 51_840, ('E', 7): 2_903_040,
+                       ('E', 8): 696_729_600, ('F', 4): 1_152, ('G', 2): 12}
+
+# the ranks each family admits, where a family has a least rank
+_LEAST_RANK = {'B': 2, 'C': 2, 'D': 3}
+
+
+def _type_part(name):
+    """(family, rank) of one irreducible part such as "A2", checked
+    against the ranks its family admits."""
     family, digits = name[:1].upper(), name[1:]
     if not digits.isdecimal():
         raise ValueError('type part %r is not a family letter followed by '
@@ -85,6 +107,45 @@ def _cartan_block(name):
     rank = int(digits)
     if rank < 1:
         raise ValueError('rank must be positive: %r' % name)
+    if family not in 'ABCDEFG':
+        raise ValueError('unknown family %r' % family)
+    if rank < _LEAST_RANK.get(family, 1):
+        raise ValueError('%s needs rank >= %d' % (family, _LEAST_RANK[family]))
+    if family in 'EFG' and (family, rank) not in _EXCEPTIONAL_ORDERS:
+        raise ValueError({'E': 'E needs rank 6, 7 or 8', 'F': 'F needs rank 4',
+                          'G': 'G needs rank 2'}[family])
+    return family, rank
+
+
+def _weyl_order(family, rank):
+    """|W| of an irreducible type of rank n: (n+1)! for A_n, 2^n n! for B_n
+    and C_n, 2^(n-1) n! for D_n, and the orders of E6, E7, E8, F4 and G2
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 2.11)."""
+    if family in 'EFG':
+        return _EXCEPTIONAL_ORDERS[family, rank]
+    return {'A': rank + 1, 'B': 2 ** rank, 'C': 2 ** rank,
+            'D': 2 ** (rank - 1)}[family] * math.factorial(rank)
+
+
+def _check_weyl_order(type_name, parts):
+    """Refuse a type whose Weyl group has more than MAX_WEYL_ORDER
+    elements.  The product stops at the first part that passes the
+    limit, and a part of rank n > 20 counts as 21! elements, a lower
+    bound since every part of rank n has at least (n+1)!: so no huge
+    order is formed (for "A100000" it has 456 579 digits)."""
+    order = 1
+    for count, (family, rank) in enumerate(parts, 1):
+        order *= _weyl_order(family, rank) if rank <= 20 else \
+            math.factorial(21)
+        if order > MAX_WEYL_ORDER:
+            exact = count == len(parts) and rank <= 20
+            raise ValueError('type %r has a Weyl group of order %s%d; the '
+                             'limit is %d' % (type_name,
+                                              '' if exact else 'at least ',
+                                              order, MAX_WEYL_ORDER))
+
+
+def _cartan_block(family, rank):
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
     def link(i, j, a=-1, b=-1):
@@ -96,44 +157,30 @@ def _cartan_block(name):
             link(i, i + 1)
     elif family == 'B':
         # alpha_rank is short
-        if rank < 2:
-            raise ValueError('B needs rank >= 2')
         for i in range(rank - 2):
             link(i, i + 1)
         link(rank - 2, rank - 1, -1, -2)
     elif family == 'C':
         # alpha_rank is long
-        if rank < 2:
-            raise ValueError('C needs rank >= 2')
         for i in range(rank - 2):
             link(i, i + 1)
         link(rank - 2, rank - 1, -2, -1)
     elif family == 'D':
-        if rank < 3:
-            raise ValueError('D needs rank >= 3')
         for i in range(rank - 2):
             link(i, i + 1)
         link(rank - 3, rank - 1)
     elif family == 'E':
-        if rank not in (6, 7, 8):
-            raise ValueError('E needs rank 6, 7 or 8')
         # Bourbaki: chain 1-3-4-5-...-rank, node 2 attached to 4
         chain = [0] + list(range(2, rank))
         for a, b in zip(chain, chain[1:]):
             link(a, b)
         link(1, 3)
     elif family == 'F':
-        if rank != 4:
-            raise ValueError('F needs rank 4')
         link(0, 1)
         link(1, 2, -2, -1)
         link(2, 3)
     elif family == 'G':
-        if rank != 2:
-            raise ValueError('G needs rank 2')
         link(0, 1, -1, -3)
-    else:
-        raise ValueError('unknown family %r' % family)
     return c
 
 

@@ -98,7 +98,12 @@ class PCT:
             b_min = self.minimal_class(pair)
             i_nu, i_one = self.bg.strata_sets(b_min)
             if not (i_one <= pair.J <= i_nu):
-                raise AssertionError('support violates I_1 <= J <= I(nu)')
+                raise AssertionError(
+                    'datum %r: the pair on %s with v = %s: support J = %s '
+                    'violates I_1 <= J <= I(nu)'
+                    % (self.datum.name, self.aw.format_element(x),
+                       [i + 1 for i in self.W.words[v]],
+                       sorted(i + 1 for i in pair.J)))
             out.append(pair)
         return out
 
@@ -130,7 +135,9 @@ class PCT:
         idx, _ = aroot
         s_sigma_alpha = W.root_reflection[self.datum.sigma_root(idx)]
         if kind == 'up':
-            raise ValueError('transport is defined for keep and down moves')
+            raise ValueError(self._transport_error(
+                pair, aroot, 'transport is defined for keep and down moves, '
+                'not up'))
         if kind == 'keep':
             for v2 in (pair.v, W.mult(s_sigma_alpha, pair.v)):
                 p2 = self.make_pair(both, v2)
@@ -140,15 +147,16 @@ class PCT:
                 p2 = self._pair(both, v2)
                 if p2 is not None and p2.J == pair.J:
                     return ('keep', p2)
-            raise AssertionError('length-preserving move lost the support')
+            raise AssertionError(self._transport_error(
+                pair, aroot, 'length-preserving move lost the support'))
         # down move
         pair_i = self.make_pair(left, pair.v)
         if pair_i is None:
             pair_i = next((p for p in self.positive_coxeter_pairs(left)
                            if p.J < pair.J), None)
         if pair_i is None or not (pair_i.J < pair.J):
-            raise AssertionError('type I child is not a pair of smaller '
-                                 'support')
+            raise AssertionError(self._transport_error(
+                pair, aroot, 'type I child is not a pair of smaller support'))
         pair_ii = self.make_pair(both, W.mult(s_sigma_alpha, pair.v))
         if pair_ii is None or pair_ii.J != pair.J:
             for v2 in aw.lp_set(both):
@@ -157,13 +165,16 @@ class PCT:
                     pair_ii = p2
                     break
         if pair_ii is None or pair_ii.J != pair.J:
-            raise AssertionError('type II child is not a pair of equal '
-                                 'support')
-        dropped = pair.J - pair_i.J
-        if not dropped:
-            raise AssertionError('no dropped orbit on a down move')
-        i = min(dropped)
+            raise AssertionError(self._transport_error(
+                pair, aroot, 'type II child is not a pair of equal support'))
+        # pair_i.J < pair.J, so some orbit is dropped
+        i = min(pair.J - pair_i.J)
         return ('down', pair_i, pair_ii, i)
+
+    def _transport_error(self, pair, aroot, what):
+        return ('datum %r: transport of %s along the affine root %s: %s'
+                % (self.datum.name, self.aw.format_element(pair.x), aroot,
+                   what))
 
     # -- Newton extremes ------------------------------------------------------
 

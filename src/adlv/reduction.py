@@ -147,6 +147,8 @@ class Reduction:
         self.slack = DEFAULT_SLACK if slack is None else slack
         self._orbit_memo = {}
         self._down_memo = {}
+        # the move table: y -> ((a, r_a y r_{sigma a} or None, kind), ...)
+        self._moves = {}
         self._key_memo = {}
         self._wide = None
 
@@ -157,27 +159,40 @@ class Reduction:
         r_a y r_{sigma a}, with BFS parent data: {elem: (parent, aroot)}.
 
         The same walk records every down move (y, a) of the orbit, in BFS
-        and root order, for find_down_move."""
+        and root order, for find_down_move.  The moves of each element
+        are formed once per Reduction (``_moves``), so a walk over an
+        orbit that an earlier walk has reached forms no product."""
         if x in self._orbit_memo:
             return self._orbit_memo[x]
-        aw = self.aw
         parents = {x: None}
         downs = []
         frontier = [x]
         while frontier:
             nxt = []
             for y in frontier:
-                for a in aw.simple_affine:
-                    z, kind, _ = aw.simple_sigma_conjugate(y, a)
+                moves = self._moves.get(y)
+                if moves is None:
+                    moves = self._moves[y] = self._moves_of(y)
+                for a, z, kind in moves:
                     if kind == 'down':
                         downs.append((y, a))
-                    elif kind == 'keep' and z not in parents:
+                    elif z is not None and z not in parents:
                         parents[z] = (y, a)
                         nxt.append(z)
             frontier = nxt
         self._orbit_memo[x] = parents
         self._down_memo[x] = downs
         return parents
+
+    def _moves_of(self, y):
+        """((a, z, kind), ...) over the simple affine roots a, in root
+        order, with z = r_a y r_{sigma a} for a 'keep' move and None
+        otherwise: walks need only the kind of the other moves."""
+        out = []
+        for a in self.aw.simple_affine:
+            z, kind, _ = self.aw.simple_sigma_conjugate(y, a)
+            out.append((a, z if kind == 'keep' else None, kind))
+        return tuple(out)
 
     def _witness_path(self, parents, y):
         """Conjugation path from the BFS root to y as [(aroot, elem), ...]."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.datum import BUILTIN_DATA, builtin_datum
 from adlv.lattice import (integer_kernel, solve_integer_combination, vec_add,
-                          vec_scale)
+                          vec_dot, vec_scale)
 from adlv.reduction import Reduction
 
 # every built-in but e6_adjoint, whose Weyl group of order 51 840 is too
@@ -239,6 +239,44 @@ def test_simple_sigma_conjugate_kinds(name):
             delta = aw.aff_length(both) - aw.aff_length(x)
             assert {'keep': 0, 'down': -2, 'up': 2}[kind] == delta
             assert aw.mult(aw.reflection(a), x) == left
+
+
+def simple_sigma_conjugate_two_products(aw, x, aroot):
+    """Oracle: r_a x and r_a x r_{sigma a} as two full products ``mult``,
+    with the kind from the signs of x^{-1}(a) and (r_a x)(sigma a)."""
+    d, W = aw.datum, aw.W
+    idx, k = aroot
+    sidx = d.sigma_root(idx)
+    left = aw.mult(aw.reflection(aroot), x)
+    both = aw.mult(left, aw.reflection((sidx, k)))
+    back = W.act_root(W.inv[x.w], idx)
+    k_back = k + vec_dot(d.roots[back].covec, x.mu)
+    fwd = W.act_root(left.w, sidx)
+    k_fwd = k - vec_dot(d.roots[sidx].covec, left.mu)
+    delta = 0
+    for beta, level in ((back, k_back), (fwd, k_fwd)):
+        up = level > 0 or (level == 0 and d.is_positive_root(beta))
+        delta += 1 if up else -1
+    return both, {0: 'keep', -2: 'down', 2: 'up'}[delta], left
+
+
+@pytest.mark.parametrize('name', SMALL_DATA)
+def test_simple_sigma_conjugate_matches_two_products(name):
+    """The reflection formula against two products, for every simple
+    affine root: on every w eps^mu with |mu_i| <= 2, or on 200 seeded
+    elements for gl6."""
+    if name == 'gl6':
+        aw = AffineWeyl(builtin_datum(name))
+        elements = gl6_sample(aw)
+    else:
+        aw, elements = random_elements(name, -2, 2)
+    for x in elements:
+        for a in aw.simple_affine:
+            got = aw.simple_sigma_conjugate(x, a)
+            assert got == simple_sigma_conjugate_two_products(aw, x, a), \
+                (x, a)
+            assert all(type(c) is int for y in (got[0], got[2])
+                       for c in y.mu)
 
 
 def test_omega_counts():

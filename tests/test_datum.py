@@ -13,10 +13,12 @@ from pathlib import Path
 import pytest
 
 from adlv.cli import main
-from adlv.datum import (BUILTIN_DATA, RootDatum, builtin_datum,
-                        cartan_matrix, datum_from_config)
+from adlv.datum import (BUILTIN_DATA, MAX_WEYL_ORDER, RootDatum,
+                        _weyl_order, builtin_datum, cartan_matrix,
+                        datum_from_config)
 from adlv.lattice import (solve_rational_combination, vec_dot, vec_scale,
                           vec_sub)
+from adlv.weyl import WeylGroup
 
 # numbers of positive roots, frozen from the classical count formulas
 POSITIVE_COUNTS = {'sl2': 1, 'sl3': 3, 'sl4': 6, 'gl6': 15, 'sp4': 4,
@@ -28,6 +30,25 @@ def test_cartan_matrices():
     assert cartan_matrix('C2') == [[2, -2], [-1, 2]]
     assert cartan_matrix('G2') == [[2, -1], [-3, 2]]
     assert cartan_matrix('B2') == [[2, -1], [-2, 2]]
+
+
+@pytest.mark.parametrize('family,rank', [
+    ('A', 1), ('A', 4), ('B', 3), ('C', 3), ('D', 4), ('D', 5), ('F', 4),
+    ('G', 2)])
+def test_weyl_order_formula_matches_weyl_group(family, rank):
+    config = {'type': '%s%d' % (family, rank), 'lattice_basis': 'adjoint'}
+    assert _weyl_order(family, rank) == \
+        WeylGroup(datum_from_config(config)).size
+
+
+def test_weyl_order_limit_admits_every_builtin():
+    orders = []
+    for config in BUILTIN_DATA.values():
+        order = 1
+        for part in config['type'].split('x'):
+            order *= _weyl_order(part[0], int(part[1:]))
+        orders.append(order)
+    assert max(orders) == MAX_WEYL_ORDER == 51840
 
 
 @pytest.mark.parametrize('name,count', sorted(POSITIVE_COUNTS.items()))
@@ -218,6 +239,13 @@ def test_describe_roundtrip():
      'sigma_matrix must be a square matrix of integers of size 2'),
     ({'type': 'A2', 'lattice_basis': 'gl', 'sigma_matrix': [[0, 1], [1, 0]]},
      'sigma_matrix must be a square matrix of integers of size 3'),
+    # Weyl groups past W(E6) are refused before any matrix is built
+    ({'type': 'A100000'}, "type 'A100000' has a Weyl group of order at "
+     'least 51090942171709440000; the limit is 51840'),
+    ({'type': 'E8'}, "type 'E8' has a Weyl group of order 696729600; the "
+     'limit is 51840'),
+    ({'type': 'A5xA5'}, "type 'A5xA5' has a Weyl group of order 518400; "
+     'the limit is 51840'),
 ])
 def test_bad_matrix_raises_clear_value_error(config, message, tmp_path,
                                             capsys):

@@ -1,6 +1,7 @@
 """Positive Coxeter pairs, intervals, J-points, endpoints, converses."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from adlv.affine import AffineElement, AffineWeyl
 from adlv.context import Context
 from adlv.datum import builtin_datum, diagram_components
 from adlv.lattice import solve_in_cone, vec_add, vec_dot, vec_scale, vec_sub
-from adlv.pct import PCT, count_positive_roots, very_special_subsets
+from adlv.pct import (PCT, PositiveCoxeterPair, count_positive_roots,
+                      very_special_subsets)
 
 
 @pytest.fixture(scope='module')
@@ -61,6 +63,52 @@ def test_pct_transport(pct2):
         else:
             assert res[1].J == pair.J
     assert 'down' in kinds.values()
+
+
+def test_pair_support_error_names_datum_element_and_v(monkeypatch):
+    pct = PCT(AffineWeyl(builtin_datum('sl2')))
+    x = AffineElement(1, (1,))
+    monkeypatch.setattr(pct.bg, 'strata_sets',
+                        lambda b: (frozenset(), frozenset()))
+    with pytest.raises(AssertionError, match=re.escape(
+            "datum 'sl2': the pair on %s with v = []: support J = [1] "
+            'violates I_1 <= J <= I(nu)' % pct.aw.format_element(x))):
+        pct.positive_coxeter_pairs(x)
+
+
+@pytest.mark.parametrize('case,error,message', [
+    ('up', ValueError, 'transport is defined for keep and down moves'),
+    ('keep', AssertionError, 'length-preserving move lost the support'),
+    ('type I', AssertionError, 'type I child is not a pair of smaller '
+     'support'),
+    ('type II', AssertionError, 'type II child is not a pair of equal '
+     'support'),
+])
+def test_pct_transport_errors_name_datum_element_and_root(
+        case, error, message, monkeypatch):
+    pct = PCT(AffineWeyl(builtin_datum('sl2')))
+    aw = pct.aw
+    a1, a0 = aw.simple_affine
+    # s1 eps^{alpha^vee} moves down by a1 and up by a0; s1 keeps by a1
+    x, a = {'up': (AffineElement(1, (1,)), a0),
+            'keep': (AffineElement(1, (0,)), a1)}.get(
+                case, (AffineElement(1, (1,)), a1))
+    pair = pct.positive_coxeter_pairs(x)[0]
+    left = aw.simple_sigma_conjugate(x, a)[2]
+    if case != 'up':
+        monkeypatch.setattr(pct, 'make_pair', lambda y, v: None)
+        monkeypatch.setattr(pct, '_pair', lambda y, v: None)
+    if case == 'type I':
+        monkeypatch.setattr(pct, 'positive_coxeter_pairs', lambda y: [])
+    if case == 'type II':
+        # r_a x gets a pair of empty support, r_a x r_{sigma a} none
+        monkeypatch.setattr(pct, 'make_pair', lambda y, v: (
+            PositiveCoxeterPair(y, v, frozenset(), 0, ()) if y == left
+            else None))
+    where = ("datum 'sl2': transport of %s along the affine root %s: "
+             % (aw.format_element(x), a))
+    with pytest.raises(error, match=re.escape(where + message)):
+        pct.pct_transport(pair, a)
 
 
 def test_min_and_generic_newton(pct3):

@@ -18,7 +18,7 @@ from adlv.reduction import (POLY_ONE, Reduction, poly_add, poly_mul,
                             poly_str)
 from adlv.weyl import WeylGroup
 
-from test_affine import seeded_sample
+from test_affine import seeded_sample, simple_sigma_conjugate_two_products
 
 
 @pytest.fixture(scope='module')
@@ -177,6 +177,52 @@ def test_find_down_move_matches_orbit_scan(name):
         for x in xs:
             assert (red.find_down_move(x, rng)
                     == scan_find_down_move(red, x, rng_scan))
+
+
+def equal_length_orbit_per_walk(aw, x):
+    """Oracle: the equal-length orbit walk with no move table, forming
+    every move of every element afresh by two products: (parents, downs)."""
+    parents = {x: None}
+    downs = []
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for a in aw.simple_affine:
+                z, kind, _ = simple_sigma_conjugate_two_products(aw, y, a)
+                if kind == 'down':
+                    downs.append((y, a))
+                elif kind == 'keep' and z not in parents:
+                    parents[z] = (y, a)
+                    nxt.append(z)
+        frontier = nxt
+    return parents, downs
+
+
+@pytest.mark.parametrize('name', ['sl4', 'sl4_flip'])
+@pytest.mark.parametrize('order_seed', [None, 4])
+def test_equal_length_orbit_matches_per_walk(name, order_seed):
+    """The orbits and down lists read off one move table against walks
+    that share nothing, on box(1, 8) in box order and in a seeded order,
+    insertion order included."""
+    aw = AffineWeyl(builtin_datum(name))
+    red = Reduction(aw)
+    xs = aw.box_elements(1, 8)
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(xs)
+    for x in xs:
+        parents, downs = equal_length_orbit_per_walk(aw, x)
+        assert list(red.equal_length_orbit(x).items()) == \
+            list(parents.items()), x
+        assert red._down_memo[x] == downs, x
+    # each orbit member's moves were formed once, in root order
+    assert set(red._moves) == {y for p in red._orbit_memo.values()
+                               for y in p}
+    for y, moves in red._moves.items():
+        assert [a for a, _, _ in moves] == aw.simple_affine
+        for a, z, kind in moves:
+            both, want, _ = simple_sigma_conjugate_two_products(aw, y, a)
+            assert (z, kind) == (both if want == 'keep' else None, want)
 
 
 def qbg_with_coroot_coefficients(monkeypatch, coeffs):

@@ -13,7 +13,7 @@ from adlv.datum import BUILTIN_DATA, builtin_datum
 from adlv.lattice import mat_identity, mat_inverse_unimodular, mat_mul
 from adlv.weyl import WeylGroup
 
-from test_affine import lp_set_per_v
+from test_affine import lp_set_per_v, simple_sigma_conjugate_two_products
 
 ORDERS = {'sl2': 2, 'sl3': 6, 'sl4': 24, 'sp4': 8, 'g2': 12}
 LONGEST = {'sl2': 1, 'sl3': 3, 'sl4': 6, 'sp4': 4, 'g2': 6}
@@ -299,3 +299,14 @@ def test_e6_lp_set_matches_per_v_oracle(e6_weyl):
         assert lp == lp_set_per_v(aw, x), x
         sizes.append(len(lp))
     assert max(sizes) > 1
+
+
+def test_e6_simple_sigma_conjugate_matches_two_products(e6_weyl):
+    aw = AffineWeyl(e6_weyl.datum, e6_weyl)
+    rng = random.Random(6)
+    for _ in range(200):
+        x = AffineElement(rng.randrange(aw.W.size),
+                          tuple(rng.randint(-2, 2) for _ in range(6)))
+        for a in aw.simple_affine:
+            assert (aw.simple_sigma_conjugate(x, a)
+                    == simple_sigma_conjugate_two_products(aw, x, a)), (x, a)
