@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -53,17 +52,13 @@ class AffineWeyl:
         self.simple_affine += [(d.negative(h), 1) for h in d.highest_roots]
         self.identity = AffineElement(0, (0,) * d.dim)
         self._positive_covecs = tuple(r.covec for r in d.positive_roots)
-
-    @cached_property
-    def _conjugation(self):
-        """For each simple affine root a = (alpha, k): alpha, k, the index
-        of sigma alpha, and the simple positions of alpha and sigma alpha
-        (None for the affine roots), built on first use."""
-        d = self.datum
+        # for each simple affine root (alpha, k): the index of sigma alpha
+        # and the simple positions of alpha and sigma alpha (None for the
+        # affine roots)
         pos = {r: i for i, r in enumerate(d.simple_indices)}
-        return {(idx, k): (idx, k, d.sigma_root(idx), pos.get(idx),
-                           pos.get(d.sigma_root(idx)))
-                for idx, k in self.simple_affine}
+        self._conjugation = {a: (d.sigma_root(a[0]), pos.get(a[0]),
+                                 pos.get(d.sigma_root(a[0])))
+                             for a in self.simple_affine}
 
     # -- group law --------------------------------------------------------
 
@@ -259,7 +254,8 @@ class AffineWeyl:
         (AffineElement(w=0, mu=(0, -1)), 'keep')
         """
         W, roots, npos = self.W, self.datum.roots, self.datum.num_positive
-        idx, k, sidx, i, j = self._conjugation[aroot]
+        idx, k = aroot
+        sidx, i, j = self._conjugation[aroot]
         w, mu = x
         # x^{-1}(a) = (back, k_back)
         back = W.root_action[W.inv[w]][idx]

@@ -9,16 +9,15 @@ dominant rational Newton point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import vec_add, vec_dot, vec_scale, vec_sub
 
 __all__ = ['BGClass', 'BGInvariants']
 
 
-@dataclass(frozen=True, order=True)
-class BGClass:
+class BGClass(NamedTuple):
     """(kappa residue, dominant Newton point) of a sigma-conjugacy class."""
     kappa: tuple
     nu: tuple

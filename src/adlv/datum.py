@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
@@ -283,12 +282,15 @@ def _vec_text(vec):
     return '(%s)' % ', '.join(map(str, vec))
 
 
-@dataclass(frozen=True)
 class _Root:
     """One root: covector on X, its coroot in X, and simple-root coords."""
-    covec: tuple
-    coroot: tuple
-    coords: tuple  # expansion in simple roots
+
+    __slots__ = ('covec', 'coroot', 'coords')
+
+    def __init__(self, covec, coroot, coords):
+        self.covec = covec
+        self.coroot = coroot
+        self.coords = coords  # expansion in simple roots
 
 
 class RootDatum:
@@ -435,9 +437,17 @@ class RootDatum:
 
     @cached_property
     def _sigma_root_perm(self):
-        """sigma as a permutation of the root indices, built on first use."""
-        return tuple(self.root_index[self.sigma_covec(r.covec)]
-                     for r in self.roots)
+        """sigma as a permutation of the root indices, built on first use.
+        sigma maps alpha_i to alpha_{sigma_perm[i]}, so it moves the
+        simple-root coordinates of every root the same way."""
+        index = {r.coords: i for i, r in enumerate(self.roots)}
+        out = []
+        for r in self.roots:
+            image = [0] * self.rank
+            for i, c in zip(self.sigma_perm, r.coords):
+                image[i] = c
+            out.append(index[tuple(image)])
+        return tuple(out)
 
     def sigma_avg(self, mu):
         """Average of mu over the sigma orbit, a Fraction vector: the

@@ -20,12 +20,10 @@ off ``RootDatum``; it no longer calls ``solve_in_cone`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import add, mul, sub
-from typing import Sequence
 
 __all__ = [
     'Vec',
@@ -360,7 +358,6 @@ def solve_in_cone(generators, target, positive_functional, modulo=None):
     return None
 
 
-@dataclass
 class QuotientPresentation:
     """A quotient Z^n / L with a canonical residue normal form.
 
@@ -382,14 +379,9 @@ class QuotientPresentation:
     True
     """
 
-    ambient_dim: int
-    relations: Sequence[Vec]
-    divisors: tuple = field(init=False)
-    invariants: tuple = field(init=False)
-    free_rank: int = field(init=False)
-
-    def __post_init__(self):
-        self.relations = [tuple(r) for r in self.relations]
+    def __init__(self, ambient_dim, relations):
+        self.ambient_dim = ambient_dim
+        self.relations = [tuple(r) for r in relations]
         for r in self.relations:
             if len(r) != self.ambient_dim:
                 raise ValueError('relation has wrong dimension')

@@ -14,8 +14,8 @@ parahoric data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .affine import AffineElement
 from .datum import diagram_components, perm_orbit, root_closure
@@ -28,8 +28,7 @@ __all__ = ['PositiveCoxeterPair', 'PCT', 'count_positive_roots',
            'very_special_subsets']
 
 
-@dataclass(frozen=True)
-class PositiveCoxeterPair:
+class PositiveCoxeterPair(NamedTuple):
     """A pair (x, v) with v length positive for x and c = v^{-1} sigma(wv)
     a sigma-Coxeter element of W_J, J = its sigma-support."""
     x: AffineElement

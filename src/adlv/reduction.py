@@ -12,9 +12,7 @@ q^2 - q is (0, -1, 1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .affine import AffineElement
 from .bg import BGInvariants
@@ -76,7 +74,6 @@ def poly_str(p):
     return ''.join(parts)
 
 
-@dataclass
 class TreeNode:
     """One vertex of a reduction tree.
 
@@ -86,21 +83,26 @@ class TreeNode:
     children are the type I child r_a x' and the type II child
     r_a x' r_{sigma a}.
     """
-    x: AffineElement
-    witness: Optional[list] = None      # [(aroot, element), ...]
-    x_prime: Optional[AffineElement] = None
-    aroot: Optional[tuple] = None
-    child_i: Optional['TreeNode'] = None
-    child_ii: Optional['TreeNode'] = None
+
+    __slots__ = ('x', 'witness', 'x_prime', 'aroot', 'child_i', 'child_ii')
+
+    def __init__(self, x, witness=None, x_prime=None, aroot=None):
+        self.x = x
+        self.witness = witness          # [(aroot, element), ...]
+        self.x_prime = x_prime
+        self.aroot = aroot
+        self.child_i = self.child_ii = None
 
     @property
     def is_leaf(self):
         return self.aroot is None
 
 
-@dataclass
 class ReductionTree:
-    root: TreeNode
+    __slots__ = ('root',)
+
+    def __init__(self, root):
+        self.root = root
 
     def leaves(self):
         out = []
@@ -147,7 +149,7 @@ class Reduction:
         self.slack = DEFAULT_SLACK if slack is None else slack
         self._orbit_memo = {}
         self._down_memo = {}
-        # the move table: y -> ((a, r_a y r_{sigma a} or None, kind), ...)
+        # the move table: y -> (down edges, keeps), see _moves_of
         self._moves = {}
         self._key_memo = {}
         self._wide = None
@@ -173,11 +175,11 @@ class Reduction:
                 moves = self._moves.get(y)
                 if moves is None:
                     moves = self._moves[y] = self._moves_of(y)
-                for a, z, kind in moves:
-                    if kind == 'down':
-                        downs.append((y, a))
-                    elif z is not None and z not in parents:
-                        parents[z] = (y, a)
+                down_edges, keeps = moves
+                downs.extend(down_edges)
+                for z, edge in keeps:
+                    if z not in parents:
+                        parents[z] = edge
                         nxt.append(z)
             frontier = nxt
         self._orbit_memo[x] = parents
@@ -185,14 +187,19 @@ class Reduction:
         return parents
 
     def _moves_of(self, y):
-        """((a, z, kind), ...) over the simple affine roots a, in root
-        order, with z = r_a y r_{sigma a} for a 'keep' move and None
-        otherwise: walks need only the kind of the other moves."""
-        out = []
+        """(down_edges, keeps) over the simple affine roots a, in root
+        order: the edge (y, a) of each down move from y, and (z, (y, a))
+        with z = r_a y r_{sigma a} for each keep move.  Every walk that
+        reaches y shares these edge tuples for its down list and parent
+        data; it skips up moves and needs no product for a down move."""
+        down_edges, keeps = [], []
         for a in self.aw.simple_affine:
             z, kind, _ = self.aw.simple_sigma_conjugate(y, a)
-            out.append((a, z if kind == 'keep' else None, kind))
-        return tuple(out)
+            if kind == 'down':
+                down_edges.append((y, a))
+            elif kind == 'keep':
+                keeps.append((z, (y, a)))
+        return tuple(down_edges), tuple(keeps)
 
     def _witness_path(self, parents, y):
         """Conjugation path from the BFS root to y as [(aroot, elem), ...]."""
