@@ -251,10 +251,8 @@ def _run(args, out):
                     'polynomial': list(e['polynomial'])}
                    for b, e in sorted(data.items())], out, indent=2)
     elif args.command == 'classpoly':
-        polys = ctx.red.class_polynomials(x)
-        json.dump([{'class_key': _key_dict(ctx, k),
-                    'coefficients': list(p)}
-                   for k, p in sorted(polys.items())], out, indent=2)
+        json.dump(_poly_rows(ctx, ctx.red.class_polynomials(x)), out,
+                  indent=2)
     elif args.command == 'tree':
         tree = ctx.red.build_reduction_tree(x, seed=args.seed)
         if args.format == 'dot':
@@ -264,9 +262,7 @@ def _run(args, out):
         json.dump({
             'leaves': [ctx.aw.element_to_dict(leaf.x)
                        for leaf in tree.leaves()],
-            'classes': [{'class_key': _key_dict(ctx, k),
-                         'coefficients': list(p)}
-                        for k, p in sorted(polys.items())],
+            'classes': _poly_rows(ctx, polys),
         }, out, indent=2)
     out.write('\n')
     return 0
@@ -277,6 +273,12 @@ def _key_dict(ctx, key):
     return {'kappa': list(kappa), 'nu': [_frac_str(c) for c in nu],
             'min_length': lmin,
             'representative': ctx.aw.element_to_dict(canon)}
+
+
+def _poly_rows(ctx, polys):
+    """Class polynomials as output rows, sorted by class key."""
+    return [{'class_key': _key_dict(ctx, k), 'coefficients': list(p)}
+            for k, p in sorted(polys.items())]
 
 
 def _report_dict(ctx, report):
@@ -316,10 +318,8 @@ def _scan(ctx, args, out):
             'class': b.to_dict(),
             'positive_coxeter_type': flag,
             'finite_coxeter_part': pct.has_finite_coxeter_part(x),
-            'classpoly': [
-                {'class_key': _key_dict(ctx, k), 'coefficients': list(p)}
-                for k, p in sorted(
-                    ctx.red.class_polynomials(x, seed=args.seed).items())],
+            'classpoly': _poly_rows(
+                ctx, ctx.red.class_polynomials(x, seed=args.seed)),
         }
         rows.append(row)
     json.dump(rows, out, indent=2)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
 
-from .lattice import (QuotientPresentation, mat_identity,
+from .lattice import (QuotientPresentation, _column_snf, mat_identity,
                       mat_inverse_rational, mat_inverse_unimodular, mat_mul,
                       mat_vec, rational_rank, vec_dot, vec_scale, vec_sub)
 
@@ -58,21 +58,22 @@ def cartan_matrix(type_name):
     """Cartan matrix of a (product of) finite type(s), e.g. "A2" or "C2xA1".
 
     Convention: entry [i][j] is the pairing of the i-th simple coroot
-    with the j-th simple root.  A type whose Weyl group has more than
-    ``MAX_WEYL_ORDER`` elements is refused with a ValueError before any
-    matrix is built.
+    with the j-th simple root.  A type whose rank alone puts |W| past
+    ``MAX_WEYL_ORDER`` is refused before any matrix is built (see
+    ``_check_rank``); ``datum_from_config`` checks |W| exactly, by
+    ``RootDatum.weyl_order``.
 
     >>> cartan_matrix('C2')
     [[2, -2], [-1, 2]]
     >>> cartan_matrix('G2')
     [[2, -1], [-3, 2]]
-    >>> cartan_matrix('A5xA5')
+    >>> cartan_matrix('A9xA20')
     Traceback (most recent call last):
     ...
-    ValueError: type 'A5xA5' has a Weyl group of order 518400; the limit is 51840
+    ValueError: type 'A9xA20' has a Weyl group of order at least 3628800; the limit is 51840
     """
     parts = [_type_part(part.strip()) for part in type_name.split('x')]
-    _check_weyl_order(type_name, parts)
+    _check_rank('type %r' % type_name, [rank for _, rank in parts])
     blocks = [_cartan_block(*part) for part in parts]
     n = sum(len(b) for b in blocks)
     out = [[0] * n for _ in range(n)]
@@ -85,15 +86,14 @@ def cartan_matrix(type_name):
     return out
 
 
-# The largest Weyl group a "type" may name: W(E6), of e6_adjoint, the
+# The largest Weyl group a datum may have: W(E6), of e6_adjoint, the
 # largest built-in.  Every table over W holds |W| entries or more.
 MAX_WEYL_ORDER = 51_840
 
-_EXCEPTIONAL_ORDERS = {('E', 6): 51_840, ('E', 7): 2_903_040,
-                       ('E', 8): 696_729_600, ('F', 4): 1_152, ('G', 2): 12}
-
-# the ranks each family admits, where a family has a least rank
+# the ranks each family admits, where a family has a least rank, and the
+# exceptional types
 _LEAST_RANK = {'B': 2, 'C': 2, 'D': 3}
+_EXCEPTIONAL = {('E', 6), ('E', 7), ('E', 8), ('F', 4), ('G', 2)}
 
 
 def _type_part(name):
@@ -110,38 +110,28 @@ def _type_part(name):
         raise ValueError('unknown family %r' % family)
     if rank < _LEAST_RANK.get(family, 1):
         raise ValueError('%s needs rank >= %d' % (family, _LEAST_RANK[family]))
-    if family in 'EFG' and (family, rank) not in _EXCEPTIONAL_ORDERS:
+    if family in 'EFG' and (family, rank) not in _EXCEPTIONAL:
         raise ValueError({'E': 'E needs rank 6, 7 or 8', 'F': 'F needs rank 4',
                           'G': 'G needs rank 2'}[family])
     return family, rank
 
 
-def _weyl_order(family, rank):
-    """|W| of an irreducible type of rank n: (n+1)! for A_n, 2^n n! for B_n
-    and C_n, 2^(n-1) n! for D_n, and the orders of E6, E7, E8, F4 and G2
-    (Humphreys, *Reflection Groups and Coxeter Groups*, 2.11)."""
-    if family in 'EFG':
-        return _EXCEPTIONAL_ORDERS[family, rank]
-    return {'A': rank + 1, 'B': 2 ** rank, 'C': 2 ** rank,
-            'D': 2 ** (rank - 1)}[family] * math.factorial(rank)
-
-
-def _check_weyl_order(type_name, parts):
-    """Refuse a type whose Weyl group has more than MAX_WEYL_ORDER
-    elements.  The product stops at the first part that passes the
-    limit, and a part of rank n > 20 counts as 21! elements, a lower
-    bound since every part of rank n has at least (n+1)!: so no huge
-    order is formed (for "A100000" it has 456 579 digits)."""
+def _check_rank(what, ranks):
+    """Refuse a Dynkin diagram, given the ranks of its components, before
+    anything of its size is built, once its total rank r alone puts |W|
+    past MAX_WEYL_ORDER: a component of rank n has at least (n+1)! >= 2^n
+    elements, so |W| >= 2^r.  The bound reported is the product of the
+    (n+1)!, stopped once past the limit, with a rank above 20 counted as
+    21!, so no huge integer is formed."""
+    if sum(ranks) < MAX_WEYL_ORDER.bit_length():
+        return
     order = 1
-    for count, (family, rank) in enumerate(parts, 1):
-        order *= _weyl_order(family, rank) if rank <= 20 else \
-            math.factorial(21)
+    for n in ranks:
+        order *= math.factorial(min(n, 20) + 1)
         if order > MAX_WEYL_ORDER:
-            exact = count == len(parts) and rank <= 20
-            raise ValueError('type %r has a Weyl group of order %s%d; the '
-                             'limit is %d' % (type_name,
-                                              '' if exact else 'at least ',
-                                              order, MAX_WEYL_ORDER))
+            break
+    raise ValueError('%s has a Weyl group of order at least %d; the limit '
+                     'is %d' % (what, order, MAX_WEYL_ORDER))
 
 
 def _cartan_block(family, rank):
@@ -395,6 +385,25 @@ class RootDatum:
         self._coordinates = self._coroot_coordinates(range(self.rank))
         self._projection_memo = {}
         self._hull_memo = {}
+
+    def weyl_order(self):
+        """|W|: det C times the product over the Dynkin components of rank
+        n of n! a_1 ... a_n, where a_1 alpha_1 + ... + a_n alpha_n is the
+        component's highest root (Bourbaki, *Lie Groups and Lie Algebras*,
+        VI §2) and det C, the product over the components, is the product
+        of the Smith divisors of the Cartan matrix C.
+
+        >>> [datum_from_config({'type': t}).weyl_order()
+        ...  for t in ('E6', 'B6', 'A2xG2')]
+        [51840, 46080, 72]
+        """
+        _, divisors, _ = _column_snf(self.cartan, self.rank)
+        order = math.prod(divisors)
+        for comp, h in zip(self.components, self.highest_roots):
+            coords = self.positive_roots[h].coords
+            order *= (math.factorial(len(comp))
+                      * math.prod(coords[i] for i in comp))
+        return order
 
     def _highest_root(self, comp):
         """Index of the highest root of a connected set of simple indices:
@@ -684,10 +693,13 @@ def datum_from_config(config):
                          % (unknown, ', '.join(sorted(_CONFIG_KEYS))))
     if 'cartan' in config:
         cartan = _int_matrix(config, 'cartan')
+        what = 'the Cartan matrix'
+        _check_rank(what, [len(c) for c in diagram_components(cartan)])
     elif 'type' in config:
         if not isinstance(config['type'], str):
             raise ValueError('type must be a string such as "A2" or '
                              '"C2xA1", got %s' % _show(config['type']))
+        what = 'type %r' % config['type']
         cartan = cartan_matrix(config['type'])
     else:
         raise ValueError("config needs 'type' or 'cartan'")
@@ -707,36 +719,41 @@ def datum_from_config(config):
         roots = coroots
         sig_mat = config.get('sigma_matrix')
         perm = _perm_from_config(config, n)
-        return RootDatum(cartan, coroots, roots, perm, sig_mat, name=name)
-
-    if basis == 'adjoint':
-        b = mat_identity(n)
-    elif basis == 'sc':
-        # columns are the simple coroots in coweight coordinates
-        b = [[cartan[j][i] for j in range(n)] for i in range(n)]
     else:
-        b = [list(r) for r in basis]
-    binv = mat_inverse_rational(b)
-    # coroot i in lattice coordinates: B^{-1} (cartan row i)
-    coroots = []
-    for i in range(n):
-        v = mat_vec(binv, cartan[i])
-        if any(x.denominator != 1 for x in v):
-            raise ValueError('lattice does not contain the coroot lattice')
-        coroots.append(tuple(int(x) for x in v))
-    # root j as covector on lattice coordinates: row j of B
-    roots = [tuple(b[j][k] for k in range(n)) for j in range(n)]
-    perm = _perm_from_config(config, n)
-    sig_mat = config.get('sigma_matrix')
-    if sig_mat is None and any(p != i for i, p in enumerate(perm)):
-        # permutation of the coweight basis, transported to lattice coords
-        p_mat = [[1 if perm[j] == i else 0 for j in range(n)] for i in range(n)]
-        m = mat_mul(mat_mul(binv, p_mat), b)
-        if any(x.denominator != 1 for row in m for x in row):
-            raise ValueError('sigma_perm does not preserve the lattice; '
-                             'give sigma_matrix explicitly')
-        sig_mat = [[int(x) for x in row] for row in m]
-    return RootDatum(cartan, coroots, roots, perm, sig_mat, name=name)
+        if basis == 'adjoint':
+            b = mat_identity(n)
+        elif basis == 'sc':
+            # columns are the simple coroots in coweight coordinates
+            b = [[cartan[j][i] for j in range(n)] for i in range(n)]
+        else:
+            b = [list(r) for r in basis]
+        binv = mat_inverse_rational(b)
+        # coroot i in lattice coordinates: B^{-1} (cartan row i)
+        coroots = []
+        for i in range(n):
+            v = mat_vec(binv, cartan[i])
+            if any(x.denominator != 1 for x in v):
+                raise ValueError('lattice does not contain the coroot lattice')
+            coroots.append(tuple(int(x) for x in v))
+        # root j as covector on lattice coordinates: row j of B
+        roots = [tuple(b[j][k] for k in range(n)) for j in range(n)]
+        perm = _perm_from_config(config, n)
+        sig_mat = config.get('sigma_matrix')
+        if sig_mat is None and any(p != i for i, p in enumerate(perm)):
+            # permutation of the coweight basis, transported to lattice coords
+            p_mat = [[1 if perm[j] == i else 0 for j in range(n)]
+                     for i in range(n)]
+            m = mat_mul(mat_mul(binv, p_mat), b)
+            if any(x.denominator != 1 for row in m for x in row):
+                raise ValueError('sigma_perm does not preserve the lattice; '
+                                 'give sigma_matrix explicitly')
+            sig_mat = [[int(x) for x in row] for row in m]
+    datum = RootDatum(cartan, coroots, roots, perm, sig_mat, name=name)
+    order = datum.weyl_order()
+    if order > MAX_WEYL_ORDER:
+        raise ValueError('%s has a Weyl group of order %d; the limit is %d'
+                         % (what, order, MAX_WEYL_ORDER))
+    return datum
 
 
 def _show(value):

@@ -138,16 +138,12 @@ class PCT:
                 pair, aroot, 'transport is defined for keep and down moves, '
                 'not up'))
         if kind == 'keep':
-            for v2 in (pair.v, W.mult(s_sigma_alpha, pair.v)):
-                p2 = self.make_pair(both, v2)
-                if p2 is not None and p2.J == pair.J:
-                    return ('keep', p2)
-            for v2 in aw.lp_set(both):
-                p2 = self._pair(both, v2)
-                if p2 is not None and p2.J == pair.J:
-                    return ('keep', p2)
-            raise AssertionError(self._transport_error(
-                pair, aroot, 'length-preserving move lost the support'))
+            p2 = self._pair_with_support(
+                both, pair.J, (pair.v, W.mult(s_sigma_alpha, pair.v)))
+            if p2 is None:
+                raise AssertionError(self._transport_error(
+                    pair, aroot, 'length-preserving move lost the support'))
+            return ('keep', p2)
         # down move
         pair_i = self.make_pair(left, pair.v)
         if pair_i is None:
@@ -156,19 +152,24 @@ class PCT:
         if pair_i is None or not (pair_i.J < pair.J):
             raise AssertionError(self._transport_error(
                 pair, aroot, 'type I child is not a pair of smaller support'))
-        pair_ii = self.make_pair(both, W.mult(s_sigma_alpha, pair.v))
-        if pair_ii is None or pair_ii.J != pair.J:
-            for v2 in aw.lp_set(both):
-                p2 = self._pair(both, v2)
-                if p2 is not None and p2.J == pair.J:
-                    pair_ii = p2
-                    break
-        if pair_ii is None or pair_ii.J != pair.J:
+        pair_ii = self._pair_with_support(
+            both, pair.J, (W.mult(s_sigma_alpha, pair.v),))
+        if pair_ii is None:
             raise AssertionError(self._transport_error(
                 pair, aroot, 'type II child is not a pair of equal support'))
         # pair_i.J < pair.J, so some orbit is dropped
         i = min(pair.J - pair_i.J)
         return ('down', pair_i, pair_ii, i)
+
+    def _pair_with_support(self, y, J, candidates):
+        """The first pair on y with support J, or None: the lemma's
+        candidates v first, then LP(y) in order, LP(y) computed once."""
+        lp = self.aw.lp_set(y)
+        for v in itertools.chain([v for v in candidates if v in lp], lp):
+            p = self._pair(y, v)
+            if p is not None and p.J == J:
+                return p
+        return None
 
     def _transport_error(self, pair, aroot, what):
         return ('datum %r: transport of %s along the affine root %s: %s'
@@ -267,7 +268,7 @@ class PCT:
     def orbit_count(self, subset):
         return len(self.datum.sigma_orbits(frozenset(subset)))
 
-    def class_data(self, pair, b, witness=None):
+    def class_data(self, pair, b, witness):
         """Exact per-class data: path counts l_I, l_II, the endpoint
         support J(b) and its length, and the dimension."""
         d = self.datum

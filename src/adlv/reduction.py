@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import count
 
-from .affine import AffineElement
 from .bg import BGInvariants
 
 __all__ = ['Reduction', 'ReductionTree', 'TreeNode', 'poly_add', 'poly_mul',
@@ -77,18 +77,16 @@ def poly_str(p):
 class TreeNode:
     """One vertex of a reduction tree.
 
-    For an internal node, ``witness`` is the length-preserving
-    conjugation path from ``x`` to the element ``x_prime`` at which the
-    down-move by the simple affine root ``aroot`` was applied; the
-    children are the type I child r_a x' and the type II child
-    r_a x' r_{sigma a}.
+    For an internal node, ``x_prime`` is the element of the equal-length
+    orbit of ``x`` at which the down move by the simple affine root
+    ``aroot`` was applied; the children are the type I child r_a x' and
+    the type II child r_a x' r_{sigma a}.
     """
 
-    __slots__ = ('x', 'witness', 'x_prime', 'aroot', 'child_i', 'child_ii')
+    __slots__ = ('x', 'x_prime', 'aroot', 'child_i', 'child_ii')
 
-    def __init__(self, x, witness=None, x_prime=None, aroot=None):
+    def __init__(self, x, x_prime=None, aroot=None):
         self.x = x
-        self.witness = witness          # [(aroot, element), ...]
         self.x_prime = x_prime
         self.aroot = aroot
         self.child_i = self.child_ii = None
@@ -141,104 +139,78 @@ class Reduction:
     [(-1, 1), (0, 1)]
     """
 
-    def __init__(self, aw, bg=None, slack=None):
+    def __init__(self, aw, bg=None):
         self.aw = aw
         self.W = aw.W
         self.datum = aw.datum
         self.bg = bg if bg is not None else BGInvariants(aw)
-        self.slack = DEFAULT_SLACK if slack is None else slack
-        self._orbit_memo = {}
-        self._down_memo = {}
-        # the move table: y -> (down edges, keeps), see _moves_of
-        self._moves = {}
+        self._moves = {}     # y -> (down edges, keep targets)
+        self._walks = {}     # x -> (orbit members, their down edges)
         self._key_memo = {}
-        self._wide = None
 
     # -- the equal-length sigma-conjugation orbit ---------------------------
 
     def equal_length_orbit(self, x):
-        """All elements reachable from x by length-preserving conjugations
-        r_a y r_{sigma a}, with BFS parent data: {elem: (parent, aroot)}.
-
-        The same walk records every down move (y, a) of the orbit, in BFS
-        and root order, for find_down_move.  The moves of each element
-        are formed once per Reduction (``_moves``), so a walk over an
-        orbit that an earlier walk has reached forms no product."""
-        if x in self._orbit_memo:
-            return self._orbit_memo[x]
-        parents = {x: None}
-        downs = []
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                moves = self._moves.get(y)
-                if moves is None:
-                    moves = self._moves[y] = self._moves_of(y)
-                down_edges, keeps = moves
-                downs.extend(down_edges)
-                for z, edge in keeps:
-                    if z not in parents:
-                        parents[z] = edge
-                        nxt.append(z)
-            frontier = nxt
-        self._orbit_memo[x] = parents
-        self._down_memo[x] = downs
-        return parents
+        """The elements reachable from x by length-preserving conjugations
+        r_a y r_{sigma a}, as a tuple in BFS order from x.  The walk also
+        records the down edges (y, a) of its members, in that order and
+        root order, for find_down_move."""
+        walk = self._walks.get(x)
+        if walk is None:
+            members, seen = [x], {x}
+            for y in members:                # grows as the BFS goes
+                for z in self._moves_of(y)[1]:
+                    if z not in seen:
+                        seen.add(z)
+                        members.append(z)
+            downs = tuple(e for y in members for e in self._moves[y][0])
+            walk = self._walks[x] = (tuple(members), downs)
+        return walk[0]
 
     def _moves_of(self, y):
-        """(down_edges, keeps) over the simple affine roots a, in root
-        order: the edge (y, a) of each down move from y, and (z, (y, a))
-        with z = r_a y r_{sigma a} for each keep move.  Every walk that
-        reaches y shares these edge tuples for its down list and parent
-        data; it skips up moves and needs no product for a down move."""
-        down_edges, keeps = [], []
-        for a in self.aw.simple_affine:
-            z, kind, _ = self.aw.simple_sigma_conjugate(y, a)
-            if kind == 'down':
-                down_edges.append((y, a))
-            elif kind == 'keep':
-                keeps.append((z, (y, a)))
-        return tuple(down_edges), tuple(keeps)
-
-    def _witness_path(self, parents, y):
-        """Conjugation path from the BFS root to y as [(aroot, elem), ...]."""
-        path = []
-        while parents[y] is not None:
-            parent, a = parents[y]
-            path.append((a, y))
-            y = parent
-        path.reverse()
-        return path
+        """(down_edges, keeps) in root order: the edge (y, a) of each down
+        move from y and the target r_a y r_{sigma a} of each keep move,
+        formed the first time any walk reaches y."""
+        moves = self._moves.get(y)
+        if moves is None:
+            down_edges, keeps = [], []
+            for a in self.aw.simple_affine:
+                z, kind, _ = self.aw.simple_sigma_conjugate(y, a)
+                if kind == 'down':
+                    down_edges.append((y, a))
+                elif kind == 'keep':
+                    keeps.append(z)
+            moves = self._moves[y] = (tuple(down_edges), tuple(keeps))
+        return moves
 
     def find_down_move(self, x, rng=None):
-        """(x_prime, witness_path, aroot) for the first (or seeded) length
-        drop reachable through the equal-length orbit, or None."""
-        parents = self.equal_length_orbit(x)
-        downs = self._down_memo[x]
+        """(x_prime, aroot) for the first (or seeded) down move from a
+        member x_prime of the equal-length orbit of x, in BFS and root
+        order, or None when the orbit has none."""
+        self.equal_length_orbit(x)
+        downs = self._walks[x][1]
         if not downs:
             return None
-        y, a = downs[0] if rng is None else rng.choice(downs)
-        return (y, self._witness_path(parents, y), a)
+        return downs[0] if rng is None else rng.choice(downs)
 
     # -- minimal length descent ------------------------------------------------
 
     def descend_to_minimal(self, x):
         """(x_min, moves): follow down-2 moves through equal-length orbits
         until the whole orbit admits none.  Each move is recorded as
-        (witness_path, aroot, new_element)."""
+        (x_prime, aroot, new_element), new_element = r_a x' r_{sigma a}."""
         moves = []
         while True:
             found = self.find_down_move(x)
             if found is None:
                 return x, moves
-            y, path, a = found
+            y, a = found
             z, kind, _ = self.aw.simple_sigma_conjugate(y, a)
             if kind != 'down':
                 raise AssertionError(
                     'datum %r: the move by %s at %s is %r, not down'
                     % (self.datum.name, a, self.aw.format_element(y), kind))
-            moves.append((path, a, z))
+            moves.append((y, a, z))
             x = z
 
     def is_minimal(self, x):
@@ -255,9 +227,9 @@ class Reduction:
             found = self.find_down_move(el, rng)
             if found is None:
                 return TreeNode(el)
-            y, path, a = found
+            y, a = found
             z, kind, left = self.aw.simple_sigma_conjugate(y, a)
-            node = TreeNode(el, witness=path, x_prime=y, aroot=a)
+            node = TreeNode(el, x_prime=y, aroot=a)
             node.child_i = build(left)     # r_a x', one shorter
             node.child_ii = build(z)       # r_a x' r_{sigma a}, two shorter
             return node
@@ -295,22 +267,36 @@ class Reduction:
     def class_key(self, x):
         """Canonical key of the sigma-conjugacy class of x in the extended
         affine Weyl group: (kappa, nu, minimal length, lexicographically
-        least minimal-length element of a bounded conjugation closure).
-
-        The closure conjugates by simple affine reflections and by the
-        length-zero elements, never exceeding the minimal length plus
-        the slack.  Lengths are carried through the search, not
-        recounted: a move r_a y r_{sigma a} changes the length by the
-        step of its kind (keep 0, down -2, up +2), and conjugation by a
-        length-zero element keeps it."""
+        least minimal-length element of the conjugation closure of a
+        minimal-length element up to the minimal length plus
+        ``DEFAULT_SLACK``)."""
         if x in self._key_memo:
             return self._key_memo[x]
-        aw = self.aw
         x_min, _ = self.descend_to_minimal(x)
-        lmin = aw.aff_length(x_min)
-        cap = lmin + self.slack
-        lengths = {x_min: lmin}
-        frontier = [x_min]
+        lengths = self._closure(x_min, DEFAULT_SLACK)
+        lmin = lengths[x_min]
+        canon = min((y for y, ly in lengths.items() if ly == lmin),
+                    key=lambda y: (self.W.words[y.w], y.mu))
+        b = self.bg.element_class(x_min)
+        key = (b.kappa, b.nu, lmin, canon)
+        for y in lengths:
+            self._key_memo[y] = key
+        self._key_memo[x] = key
+        return key
+
+    def _closure(self, start, slack):
+        """{element: length} for every element reached from start by
+        conjugations r_a y r_{sigma a} and by the length-zero elements,
+        never passing length l(start) + slack.  Lengths are carried, not
+        recounted: a move changes the length by the step of its kind, and
+        a length-zero conjugation keeps it.  Each move is an involution
+        and each length-zero conjugation returns to its start when
+        repeated, so the closure is the connected component of start
+        below the cap: two closures under one cap are equal or disjoint."""
+        aw = self.aw
+        lengths = {start: aw.aff_length(start)}
+        cap = lengths[start] + slack
+        frontier = [start]
         while frontier:
             nxt = []
             for y in frontier:
@@ -326,27 +312,19 @@ class Reduction:
                         lengths[z] = lz
                         nxt.append(z)
             frontier = nxt
-        canon = min((y for y, ly in lengths.items() if ly == lmin),
-                    key=lambda y: (self.W.words[y.w], y.mu))
-        b = self.bg.element_class(x_min)
-        key = (b.kappa, b.nu, lmin, canon)
-        for y in lengths:
-            self._key_memo[y] = key
-        self._key_memo[x] = key
-        return key
+        return lengths
 
     def same_class(self, x, y):
         """Equality of sigma-conjugacy classes in the extended affine Weyl
-        group, by key comparison with a wider-slack fallback."""
+        group, by key comparison; keys that agree but for the canonical
+        element are compared again, by looking for y's canonical element
+        in the closure of x's with 4 more slack."""
         kx, ky = self.class_key(x), self.class_key(y)
         if kx == ky:
             return True
         if kx[:3] != ky[:3]:
             return False
-        # same invariants and minimal length: retry with more slack
-        if self._wide is None:
-            self._wide = Reduction(self.aw, self.bg, slack=self.slack + 4)
-        return self._wide.class_key(x) == self._wide.class_key(y)
+        return ky[3] in self._closure(kx[3], DEFAULT_SLACK + 4)
 
     # -- endpoint data ---------------------------------------------------------------
 
@@ -386,23 +364,21 @@ class Reduction:
     def tree_to_dot(self, tree):
         """DOT rendering: type I edges solid, type II dashed."""
         lines = ['digraph reduction {']
-        counter = [0]
-        names = {}
+        numbers = count()
 
         def visit(node):
-            names[id(node)] = 'n%d' % counter[0]
-            counter[0] += 1
+            """Append the lines of node's subtree; return node's name."""
+            name = 'n%d' % next(numbers)
             lines.append('  %s [label="%s (l=%d)"];'
-                         % (names[id(node)],
+                         % (name,
                             self.aw.format_element(node.x).replace('"', "'"),
                             self.aw.aff_length(node.x)))
             if not node.is_leaf:
-                visit(node.child_i)
-                lines.append('  %s -> %s [style=solid, label="I"];'
-                             % (names[id(node)], names[id(node.child_i)]))
-                visit(node.child_ii)
-                lines.append('  %s -> %s [style=dashed, label="II"];'
-                             % (names[id(node)], names[id(node.child_ii)]))
+                for child, style, label in ((node.child_i, 'solid', 'I'),
+                                            (node.child_ii, 'dashed', 'II')):
+                    lines.append('  %s -> %s [style=%s, label="%s"];'
+                                 % (name, visit(child), style, label))
+            return name
 
         visit(tree.root)
         lines.append('}')

@@ -14,8 +14,7 @@ import pytest
 
 from adlv.cli import main
 from adlv.datum import (BUILTIN_DATA, MAX_WEYL_ORDER, RootDatum,
-                        _weyl_order, builtin_datum, cartan_matrix,
-                        datum_from_config)
+                        builtin_datum, cartan_matrix, datum_from_config)
 from adlv.lattice import (solve_rational_combination, vec_dot, vec_scale,
                           vec_sub)
 from adlv.weyl import WeylGroup
@@ -37,18 +36,53 @@ def test_cartan_matrices():
     ('G', 2)])
 def test_weyl_order_formula_matches_weyl_group(family, rank):
     config = {'type': '%s%d' % (family, rank), 'lattice_basis': 'adjoint'}
-    assert _weyl_order(family, rank) == \
-        WeylGroup(datum_from_config(config)).size
+    d = datum_from_config(config)
+    assert d.weyl_order() == WeylGroup(d).size
+
+
+def test_weyl_order_formula_matches_builtin_weyl_groups():
+    """Every built-in but e6_adjoint, whose order the next test reads."""
+    for name in BUILTIN_DATA:
+        if name != 'e6_adjoint':
+            d = builtin_datum(name)
+            assert d.weyl_order() == WeylGroup(d).size, name
 
 
 def test_weyl_order_limit_admits_every_builtin():
-    orders = []
-    for config in BUILTIN_DATA.values():
-        order = 1
-        for part in config['type'].split('x'):
-            order *= _weyl_order(part[0], int(part[1:]))
-        orders.append(order)
+    orders = [builtin_datum(name).weyl_order() for name in BUILTIN_DATA]
     assert max(orders) == MAX_WEYL_ORDER == 51840
+
+
+# orders from the classical formulas: (n+1)! for A_n, 2^n n! for B_n and
+# C_n, 2^(n-1) n! for D_n, and the tabulated E, F and G orders
+KNOWN_ORDERS = {'A1': 2, 'A5': 720, 'B3': 48, 'B6': 46080, 'C4': 384,
+                'D4': 192, 'D5': 1920, 'E6': 51840, 'E7': 2903040,
+                'E8': 696729600, 'F4': 1152, 'G2': 12, 'A2xG2': 72}
+
+
+@pytest.mark.parametrize('type_name', sorted(KNOWN_ORDERS))
+def test_weyl_order_formula_matches_known_orders(type_name):
+    """B6 and E6 share rank 6 and 72 roots; the formula tells them apart.
+    The datum is built directly on the adjoint lattice, since
+    datum_from_config refuses E7 and E8."""
+    cartan = cartan_matrix(type_name)
+    n = len(cartan)
+    d = RootDatum(cartan, cartan, [[int(i == j) for j in range(n)]
+                                   for i in range(n)])
+    assert d.weyl_order() == KNOWN_ORDERS[type_name]
+
+
+@pytest.mark.parametrize('key', ['type', 'cartan'])
+def test_weyl_order_limit_on_both_config_paths(key):
+    """B6 (46 080) is admitted and E7 refused, by type or by matrix."""
+    def config(type_name):
+        if key == 'type':
+            return {'type': type_name}
+        return {'cartan': cartan_matrix(type_name)}
+
+    assert datum_from_config(config('B6')).rank == 6
+    with pytest.raises(ValueError, match='order 2903040; the limit is'):
+        datum_from_config(config('E7'))
 
 
 @pytest.mark.parametrize('name,count', sorted(POSITIVE_COUNTS.items()))
@@ -246,6 +280,9 @@ def test_describe_roundtrip():
      'limit is 51840'),
     ({'type': 'A5xA5'}, "type 'A5xA5' has a Weyl group of order 518400; "
      'the limit is 51840'),
+    # an explicit Cartan matrix meets the same limit: A9 has 10! elements
+    ({'cartan': cartan_matrix('A9')}, 'the Cartan matrix has a Weyl group '
+     'of order 3628800; the limit is 51840'),
 ])
 def test_bad_matrix_raises_clear_value_error(config, message, tmp_path,
                                             capsys):

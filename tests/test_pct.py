@@ -65,6 +65,58 @@ def test_pct_transport(pct2):
     assert 'down' in kinds.values()
 
 
+def pct_transport_two_searches(pct, pair, aroot):
+    """Oracle: pct_transport with a separate search in the keep and the
+    type II branch, each candidate tested by make_pair (which recomputes
+    the LP set)."""
+    aw, W = pct.aw, pct.W
+    x = pair.x
+    both, kind, left = aw.simple_sigma_conjugate(x, aroot)
+    s_sigma_alpha = W.root_reflection[pct.datum.sigma_root(aroot[0])]
+    assert kind != 'up'
+    if kind == 'keep':
+        for v2 in (pair.v, W.mult(s_sigma_alpha, pair.v)):
+            p2 = pct.make_pair(both, v2)
+            if p2 is not None and p2.J == pair.J:
+                return ('keep', p2)
+        for v2 in aw.lp_set(both):
+            p2 = pct._pair(both, v2)
+            if p2 is not None and p2.J == pair.J:
+                return ('keep', p2)
+        raise AssertionError('length-preserving move lost the support')
+    pair_i = pct.make_pair(left, pair.v)
+    if pair_i is None:
+        pair_i = next((p for p in pct.positive_coxeter_pairs(left)
+                       if p.J < pair.J), None)
+    assert pair_i is not None and pair_i.J < pair.J
+    pair_ii = pct.make_pair(both, W.mult(s_sigma_alpha, pair.v))
+    if pair_ii is None or pair_ii.J != pair.J:
+        for v2 in aw.lp_set(both):
+            p2 = pct._pair(both, v2)
+            if p2 is not None and p2.J == pair.J:
+                pair_ii = p2
+                break
+    assert pair_ii is not None and pair_ii.J == pair.J
+    return ('down', pair_i, pair_ii, min(pair.J - pair_i.J))
+
+
+@pytest.mark.parametrize('name,bound,max_len', [
+    ('sl2', 3, 8), ('sl3', 2, 6), ('gl3', 2, 6), ('sp4', 2, 6),
+    ('g2', 2, 6), ('sl3_flip', 2, 6), ('pgl3', 2, 6), ('psp4', 2, 6),
+    ('so5', 2, 6), ('sl4_flip', 1, 6)])
+def test_pct_transport_matches_two_searches(name, bound, max_len):
+    """Every keep and down transport of every pair on the box."""
+    pct = PCT(AffineWeyl(builtin_datum(name)))
+    aw = pct.aw
+    for x in aw.box_elements(bound, max_len):
+        for pair in pct.positive_coxeter_pairs(x):
+            for a in aw.simple_affine:
+                if aw.simple_sigma_conjugate(x, a)[1] == 'up':
+                    continue
+                assert (pct.pct_transport(pair, a)
+                        == pct_transport_two_searches(pct, pair, a)), (x, a)
+
+
 def test_pair_support_error_names_datum_element_and_v(monkeypatch):
     pct = PCT(AffineWeyl(builtin_datum('sl2')))
     x = AffineElement(1, (1,))

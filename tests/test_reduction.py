@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from adlv import reduction
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.datum import builtin_datum
 from adlv.qbg import QuantumBruhatGraph
@@ -153,17 +154,15 @@ def scan_find_down_move(red, x, rng=None):
     """Oracle: find_down_move by rescanning the whole orbit, with move
     types from recounted lengths."""
     aw = red.aw
-    parents = red.equal_length_orbit(x)
     candidates = []
-    for y in parents:          # insertion order = BFS order
+    for y in red.equal_length_orbit(x):      # BFS order
         for a in aw.simple_affine:
             z, _, _ = aw.simple_sigma_conjugate(y, a)
             if aw.aff_length(z) - aw.aff_length(y) == -2:
                 candidates.append((y, a))
     if not candidates:
         return None
-    y, a = candidates[0] if rng is None else rng.choice(candidates)
-    return (y, red._witness_path(parents, y), a)
+    return candidates[0] if rng is None else rng.choice(candidates)
 
 
 @pytest.mark.parametrize('name', ['sl3', 'sp4', 'g2', 'sl3_flip', 'pgl3'])
@@ -212,12 +211,11 @@ def test_equal_length_orbit_matches_per_walk(name, order_seed):
         random.Random(order_seed).shuffle(xs)
     for x in xs:
         parents, downs = equal_length_orbit_per_walk(aw, x)
-        assert list(red.equal_length_orbit(x).items()) == \
-            list(parents.items()), x
-        assert red._down_memo[x] == downs, x
+        assert red.equal_length_orbit(x) == tuple(parents), x
+        assert red._walks[x] == (tuple(parents), tuple(downs)), x
     # each orbit member's moves were formed once, in root order
-    assert set(red._moves) == {y for p in red._orbit_memo.values()
-                               for y in p}
+    assert set(red._moves) == {y for members, _ in red._walks.values()
+                               for y in members}
     for y, (down_edges, keeps) in red._moves.items():
         want_downs, want_keeps = [], []
         for a in aw.simple_affine:
@@ -225,7 +223,7 @@ def test_equal_length_orbit_matches_per_walk(name, order_seed):
             if kind == 'down':
                 want_downs.append((y, a))
             elif kind == 'keep':
-                want_keeps.append((both, (y, a)))
+                want_keeps.append(both)
         assert (list(down_edges), list(keeps)) == (want_downs, want_keeps)
 
 
@@ -277,13 +275,15 @@ def test_invariant_check_survives_python_O():
     assert "AssertionError: datum 'sl2'" in done.stderr
 
 
-def class_key_recount(red, x):
+def class_key_recount(red, x, slack=None):
     """Oracle: the class_key closure with every neighbour's length
-    recounted by aff_length instead of carried through the search."""
+    recounted by aff_length instead of carried through the search; with
+    a wider slack, the key the retry of same_class once read off a
+    second Reduction."""
     aw = red.aw
     x_min, _ = red.descend_to_minimal(x)
     lmin = aw.aff_length(x_min)
-    cap = lmin + red.slack
+    cap = lmin + (reduction.DEFAULT_SLACK if slack is None else slack)
     seen = {x_min}
     frontier = [x_min]
     while frontier:
@@ -314,3 +314,40 @@ def test_class_key_matches_recounting_closure(name):
     red = Reduction(aw)
     for x in elements:
         assert red.class_key(x) == class_key_recount(red, x), x
+
+
+def same_class_twin(red, x, y):
+    """Oracle: same_class as it was with a second Reduction whose slack
+    is 4 wider: keys first, then the wider keys."""
+    kx, ky = red.class_key(x), red.class_key(y)
+    if kx == ky:
+        return True
+    if kx[:3] != ky[:3]:
+        return False
+    wide = reduction.DEFAULT_SLACK + 4
+    return class_key_recount(red, x, wide) == class_key_recount(red, y, wide)
+
+
+@pytest.mark.parametrize('name', ['sl3', 'sp4', 'sl3_flip'])
+def test_same_class_retry_matches_twin_closure(name, monkeypatch):
+    """With no slack, keys of one class split, so same_class reaches its
+    retry; it must answer as the twin-Reduction closure did, on one pair
+    of box(2, 6) elements for every two keys that agree on kappa, nu and
+    the minimal length, and on 200 seeded pairs."""
+    monkeypatch.setattr(reduction, 'DEFAULT_SLACK', 0)
+    red = Reduction(AffineWeyl(builtin_datum(name)))
+    xs = red.aw.box_elements(2, 6)
+    groups = {}
+    for x in xs:
+        groups.setdefault(red.class_key(x)[:3], []).append(x)
+    rng = random.Random(7)
+    pairs = [tuple(rng.sample(xs, 2)) for _ in range(200)]
+    for members in groups.values():
+        by_key = {red.class_key(x): x for x in members}
+        pairs += itertools.combinations(sorted(by_key.values()), 2)
+    split = 0
+    for x, y in pairs:
+        kx, ky = red.class_key(x), red.class_key(y)
+        split += kx != ky and kx[:3] == ky[:3]
+        assert red.same_class(x, y) == same_class_twin(red, x, y), (x, y)
+    assert split > 0
