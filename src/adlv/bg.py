@@ -9,10 +9,12 @@ dominant rational Newton point.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lattice import vec_add, vec_dot, vec_scale, vec_sub
+from .datum import _common_denominator, _vec_text
+from .lattice import vec_add, vec_dot, vec_scale
 
 __all__ = ['BGClass', 'BGInvariants']
 
@@ -114,7 +116,9 @@ class BGInvariants:
         (1/|o|) sum_{i in o} alpha_i^vee, so d_o = sum_{i in o} c_i =
         |o| c_o for the coefficients c of nu - avg(lambda_0) over the
         simple coroots; c is constant on orbits exactly when
-        nu - avg(lambda_0) is in the averaged coroot span.
+        nu - avg(lambda_0) is in the averaged coroot span.  c is read as
+        integer numerators over one denominator (see :meth:`_excess`), so
+        the floor and the avg <= nu check form no Fraction.
 
         >>> from adlv.datum import builtin_datum
         >>> from adlv.affine import AffineWeyl
@@ -128,29 +132,53 @@ class BGInvariants:
             return self._lambda_memo[key]
         d = self.datum
         lam0 = self.kottwitz.lift(b.kappa)
-        coeffs = d.coroot_coefficients(vec_sub(b.nu, d.sigma_avg(lam0)))
-        if coeffs is None or any(coeffs[i] != coeffs[d.sigma_perm[i]]
+        excess = self._excess(b.nu, lam0)
+        if excess is None or any(excess[1][i] != excess[1][d.sigma_perm[i]]
                                  for i in range(d.rank)):
             raise ValueError('no lambda-invariant: nu - avg(lift(kappa)) '
                              'is outside the averaged coroot span '
                              '(invalid class (kappa, nu))')
+        den, coeffs = excess
         lam = tuple(lam0)
         for orb in d.sigma_orbits():
-            d_o = len(orb) * coeffs[orb[0]]
-            m = d_o.numerator // d_o.denominator  # floor
+            m = len(orb) * coeffs[orb[0]] // den   # floor of d_o
             lam = vec_add(lam, vec_scale(m, d.simple_coroots[orb[0]]))
         # runtime checks from the defining properties
-        if not d.dominance_leq(d.sigma_avg(lam), b.nu):
-            raise AssertionError('lambda candidate fails avg <= nu')
+        excess = self._excess(b.nu, lam)
+        if excess is None or any(c < 0 for c in excess[1]):
+            raise AssertionError(self._class_error(
+                b, 'lambda candidate fails avg <= nu: lambda = %s'
+                % _vec_text(lam)))
         if self.kottwitz.project(lam) != b.kappa:
-            raise AssertionError('lambda candidate fails kappa match')
+            raise AssertionError(self._class_error(
+                b, 'lambda candidate fails kappa match: lambda = %s'
+                % _vec_text(lam)))
         conv = d.convex_hull_point(lam)
-        if conv != tuple(Fraction(x) for x in b.nu):
-            raise AssertionError('conv(lambda(b)) != nu(b): %r vs %r'
-                                 % (conv, b.nu))
+        if conv != tuple(b.nu):
+            raise AssertionError(self._class_error(
+                b, 'conv(lambda(b)) != nu(b): lambda = %s, conv = %s'
+                % (_vec_text(lam), _vec_text(conv))))
         result = (self.gamma.project(lam), lam)
         self._lambda_memo[key] = result
         return result
+
+    def _excess(self, nu, lam):
+        """nu - avg_sigma(lam) over the simple coroots, on integers: (D, k)
+        with coefficients k / D, or None off their span (see
+        RootDatum.coroot_numerators)."""
+        d = self.datum
+        den, avg = d.pi_numerators(frozenset(), lam)
+        den_nu, num = _common_denominator(nu)
+        common = math.lcm(den, den_nu)
+        return d.coroot_numerators(
+            [x * (common // den_nu) - y * (common // den)
+             for x, y in zip(num, avg)], common)
+
+    def _class_error(self, b, what):
+        """An invariant failure message naming the datum and the class."""
+        return ('datum %r: %s, for the class kappa = %s, nu = %s'
+                % (self.datum.name, what, _vec_text(b.kappa),
+                   _vec_text(b.nu)))
 
     def pair_two_rho(self, vec):
         return vec_dot(self.datum.two_rho, vec)
@@ -161,8 +189,8 @@ class BGInvariants:
         val = self.pair_two_rho(b.nu) - self.pair_two_rho(lam)
         val = Fraction(val)
         if val.denominator != 1 or val < 0:
-            raise AssertionError('defect must be a nonnegative integer, '
-                                 'got %s' % val)
+            raise AssertionError(self._class_error(
+                b, 'defect must be a nonnegative integer, got %s' % val))
         return int(val)
 
     # -- order and strata -----------------------------------------------------
@@ -182,7 +210,8 @@ class BGInvariants:
 
     def strata_sets(self, b):
         """(I(nu), I_1(b)): simple roots vanishing on nu, and those with a
-        nonzero coefficient in nu - avg_sigma(lambda(b))."""
+        nonzero coefficient in nu - avg_sigma(lambda(b)), read on integer
+        numerators (see :meth:`_excess`)."""
         key = (b.kappa, b.nu)
         if key in self._strata_memo:
             return self._strata_memo[key]
@@ -190,10 +219,11 @@ class BGInvariants:
         i_nu = frozenset(i for i in range(d.rank)
                          if vec_dot(d.simple_roots[i], b.nu) == 0)
         _, lam = self.lambda_invariant(b)
-        coeffs = d.coroot_coefficients(vec_sub(b.nu, d.sigma_avg(lam)))
-        if coeffs is None:
-            raise AssertionError('nu - avg(lambda) not in the coroot span')
-        i_one = frozenset(i for i, c in enumerate(coeffs) if c != 0)
+        excess = self._excess(b.nu, lam)
+        if excess is None:
+            raise AssertionError(self._class_error(
+                b, 'nu - avg(lambda) not in the coroot span'))
+        i_one = frozenset(i for i, c in enumerate(excess[1]) if c != 0)
         self._strata_memo[key] = (i_nu, i_one)
         return i_nu, i_one
 
@@ -215,5 +245,7 @@ class BGInvariants:
         total = Fraction(self.aw.aff_length(x) + self.W.lengths[eta]) \
             - self.pair_two_rho(b.nu) - self.defect(b)
         if total % 2 != 0:
-            raise AssertionError('virtual dimension is not an integer')
+            raise AssertionError(self._class_error(
+                b, 'virtual dimension %s / 2 of x = %s is not an integer'
+                % (total, self.aw.format_element(x))))
         return int(total // 2)

@@ -33,7 +33,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
+from operator import add, le, mul, sub
 
 from .lattice import (QuotientPresentation, _column_snf, mat_identity,
                       mat_inverse_rational, mat_inverse_unimodular, mat_mul,
@@ -382,6 +382,7 @@ class RootDatum:
         # simple_orbit[i]: the sigma-orbit of the simple index i
         self.simple_orbit = tuple(frozenset(perm_orbit(self.sigma_perm, i))
                                   for i in range(self.rank))
+        self._block_inverses = {}
         self._coordinates = self._coroot_coordinates(range(self.rank))
         self._projection_memo = {}
         self._hull_memo = {}
@@ -509,10 +510,21 @@ class RootDatum:
         return all(self.sigma_perm[i] in subset for i in subset)
 
     # -- dominance order and averaged projections -----------------------
+    #
+    # The class layer runs on integer numerators over one denominator: a
+    # vector mu is cleared to (den, num) once, the per-subset matrices and
+    # the simple-coroot coordinates are integer matrices over their own
+    # scales, and Fractions are formed only in the public wrappers and in
+    # failure messages.
 
     def dominance_leq(self, a, b):
         """Dominance order: b - a a nonnegative rational combination of
         simple coroots.
+
+        a and b (ints or Fractions) are cleared to integers over one
+        denominator, and the test reads the signs of the integer
+        coordinates of the difference (see :meth:`coroot_numerators`); no
+        Fraction is formed.
 
         >>> d = builtin_datum('gl3')
         >>> d.dominance_leq((1, 0, 0), (Fraction(1, 3),) * 3)
@@ -520,12 +532,15 @@ class RootDatum:
         >>> d.dominance_leq((0, 1, 0), (1, 0, 0))
         True
         """
-        coeffs = self.coroot_coefficients(vec_sub(tuple(b), tuple(a)))
-        return coeffs is not None and all(c >= 0 for c in coeffs)
+        n = len(a)
+        _, num = _common_denominator(tuple(a) + tuple(b))
+        coeffs, off = self._coroot_split(list(map(sub, num[n:], num[:n])))
+        return not any(off) and all(c >= 0 for c in coeffs)
 
     def coroot_coefficients(self, vec):
         """The coefficients of vec over the simple coroots, as Fractions,
-        or None when vec is outside their span.
+        or None when vec is outside their span: the Fraction form of
+        :meth:`coroot_numerators` on vec cleared of denominators.
 
         >>> d = builtin_datum('gl3')
         >>> d.coroot_coefficients((1, Fraction(1, 2), Fraction(-3, 2)))
@@ -534,30 +549,110 @@ class RootDatum:
         True
         """
         den, num = _common_denominator(vec)
+        found = self.coroot_numerators(num, den)
+        if found is None:
+            return None
+        den, coeffs = found
+        return tuple([Fraction(c, den) for c in coeffs])
+
+    def coroot_numerators(self, num, den=1):
+        """The coefficients of the vector num / den (num integers, den > 0)
+        over the simple coroots as (D, k), meaning k / D, k integers; None
+        when the vector is outside their span.  The signs of k are the
+        signs of the coefficients.
+
+        >>> d = builtin_datum('gl3')
+        >>> d.coroot_numerators([2, 1, -3], 2)
+        (6, [6, 9])
+        >>> d.coroot_numerators([1, 0, 0]) is None
+        True
+        """
+        coeffs, off = self._coroot_split(num)
+        if any(off):
+            return None
+        return self._coordinates[0] * den, coeffs
+
+    def _coroot_split(self, num):
+        """(k, r) for an integer vector num, with (D, K) = _coordinates:
+        k = K num, so that k / D are the coordinates of num over the
+        simple coroots when num is in their span, and r = D num - G k
+        (G: the simple coroots as columns), zero exactly when it is.
+        Both are linear in num, so num <= num' in dominance exactly when
+        r = r' and k <= k'."""
         scale, matrix = self._coordinates
         coeffs = [vec_dot(row, num) for row in matrix]
-        # the coordinates reconstruct vec exactly when it is in the span
-        if any(sum(map(mul, coeffs, column)) != scale * x
-               for column, x in zip(zip(*self.simple_coroots), num)):
-            return None
-        return tuple([Fraction(c, scale * den) for c in coeffs])
+        return coeffs, [scale * x - sum(map(mul, coeffs, column))
+                        for column, x in zip(self._coroot_columns, num)]
+
+    @cached_property
+    def _coroot_columns(self):
+        """The i-th coordinates of the simple coroots, one tuple per i."""
+        return list(zip(*self.simple_coroots))
 
     def _coroot_coordinates(self, subset):
         """(D, K) with K / D = (C_J^T)^{-1} A_J, K an integer matrix, C_J
         the Cartan block of J and A_J the roots of J (sorted) as rows: the
         coordinates over the J-coroots of the part of a vector in their
-        span, along the annihilator of the J-roots."""
-        js = sorted(subset)
-        try:
-            inverse = mat_inverse_rational(
-                [[self.cartan[i][j] for i in js] for j in js])
-        except ValueError:
-            raise AssertionError(
-                'datum %r: the Cartan block of J = %s is singular'
-                % (self.name, [j + 1 for j in js])) from None
-        coords = mat_mul(inverse, [self.simple_roots[j] for j in js])
-        den = math.lcm(*(x.denominator for row in coords for x in row))
-        return den, [[int(x * den) for x in row] for row in coords]
+        span, along the annihilator of the J-roots.
+
+        C_J is block diagonal over the Dynkin components of J, so each
+        component's block is inverted on its own, as an integer matrix
+        over its scale, and kept by its entries: equal blocks (the A1
+        components of gl6, say) share one inverse."""
+        parts = []
+        for comp in diagram_components(self.cartan, subset):
+            cs = sorted(comp)
+            block = tuple(tuple(self.cartan[i][j] for i in cs) for j in cs)
+            if block not in self._block_inverses:
+                try:
+                    inverse = mat_inverse_rational(block)
+                except ValueError:
+                    raise AssertionError(
+                        'datum %r: the Cartan block of J = %s is singular'
+                        % (self.name, sorted(j + 1 for j in subset))) from None
+                scale = math.lcm(*(x.denominator for r in inverse for x in r))
+                self._block_inverses[block] = scale, [
+                    [x.numerator * (scale // x.denominator) for x in r]
+                    for r in inverse]
+            scale, inverse = self._block_inverses[block]
+            parts.append((scale, cs, mat_mul(
+                inverse, [self.simple_roots[j] for j in cs])))
+        den = math.lcm(*(scale for scale, _, _ in parts))
+        rows = {j: [x * (den // scale) for x in r]
+                for scale, cs, coords in parts for j, r in zip(cs, coords)}
+        g = math.gcd(den, *(x for r in rows.values() for x in r))
+        return den // g, [[x // g for x in rows[j]] for j in sorted(rows)]
+
+    def pi_numerators(self, subset, num):
+        """The averaged projection pi_J of an integer vector num, as
+        (den, nums) with pi_J(num) = nums / den: the one integer form of
+        :meth:`pi_projection`, which the convex hull point, the minimal
+        class and the lambda checks read.
+
+        >>> d = builtin_datum('gl3')
+        >>> d.pi_numerators(frozenset({0}), (1, 0, 0))
+        (2, (1, 1, 0))
+        """
+        scale, matrix = self._projection(frozenset(subset))
+        return scale, tuple([vec_dot(row, num) for row in matrix])
+
+    def _projection(self, subset):
+        """(D, M) with pi_J = M / D, M an integer matrix, built for the
+        sigma-stable subset J on first use and kept."""
+        found = self._projection_memo.get(subset)
+        if found is None:
+            if not self.is_sigma_stable(subset):
+                raise ValueError('subset must be sigma stable')
+            scale, coords = self._coroot_coordinates(subset)
+            gens = [self.simple_coroots[j] for j in sorted(subset)]
+            levi = [[scale * (i == k)
+                     - sum(g[i] * row[k] for g, row in zip(gens, coords))
+                     for k in range(self.dim)] for i in range(self.dim)]
+            if self.sigma_order > 1:
+                levi = mat_mul(levi, self._sigma_sum)
+            found = self._projection_memo[subset] = (
+                scale * self.sigma_order, levi)
+        return found
 
     def pi_projection(self, subset, mu):
         """Averaged projection onto the J-fixed subspace, then sigma-averaged.
@@ -567,8 +662,14 @@ class RootDatum:
         J at zero and moves mu within mu + span(coroots of J), like
         averaging over W_J.  J is sigma stable, so P_J commutes with
         sigma and pi_J = P_J (1 + sigma + ... + sigma^(n-1)) / n for sigma
-        of order n.  The matrix is built per subset on first use, over a
-        common denominator.
+        of order n.
+
+        The matrix is an integer matrix over one scale, built per subset
+        on first use and kept, not for all 2^rank subsets when the datum
+        is built: most callers meet a few subsets, and building them all
+        would add to every datum's set-up time.  mu (ints or Fractions)
+        is cleared to integers over one denominator and projected by
+        :meth:`pi_numerators`; this wrapper forms the Fractions.
 
         >>> d = builtin_datum('gl3')
         >>> d.pi_projection(frozenset({0}), (1, 0, 0))
@@ -576,57 +677,66 @@ class RootDatum:
         >>> d.pi_projection(frozenset({0, 1}), (1, 0, 0))
         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
         """
-        subset = frozenset(subset)
-        if subset not in self._projection_memo:
-            if not self.is_sigma_stable(subset):
-                raise ValueError('subset must be sigma stable')
-            scale, coords = self._coroot_coordinates(subset)
-            gens = [self.simple_coroots[j] for j in sorted(subset)]
-            levi = [[scale * (i == k)
-                     - sum(g[i] * row[k] for g, row in zip(gens, coords))
-                     for k in range(self.dim)] for i in range(self.dim)]
-            self._projection_memo[subset] = (
-                scale * self.sigma_order, mat_mul(levi, self._sigma_sum))
-        scale, matrix = self._projection_memo[subset]
         den, vec = _common_denominator(mu)
-        return tuple(Fraction(vec_dot(row, vec), scale * den)
-                     for row in matrix)
+        scale, nums = self.pi_numerators(subset, vec)
+        return tuple([Fraction(x, scale * den) for x in nums])
+
+    @cached_property
+    def _stable_subsets(self):
+        """The sigma-stable subsets of the simple indices, by bit mask."""
+        subsets = (frozenset(i for i in range(self.rank) if bits >> i & 1)
+                   for bits in range(1 << self.rank))
+        return [s for s in subsets if self.is_sigma_stable(s)]
 
     def convex_hull_point(self, mu):
         """The maximal averaged projection of mu over sigma-stable subsets.
 
-        Checks that the maximum is unique, and raises AssertionError
-        naming the datum, mu and two incomparable projections when it is
-        not.  The result is a tuple of Fractions kept per tuple(mu), so
+        mu is cleared to integers once; each candidate pi_J(mu) comes from
+        :meth:`pi_numerators` and is brought to the lcm of their scales,
+        and the candidates are compared by the integer dominance test of
+        :meth:`dominance_leq`, their coroot coordinates and residues
+        formed once each.  Checks that the maximum is unique, and raises
+        AssertionError naming the datum, mu and two incomparable
+        projections when it is not.  Fractions are formed only for the
+        result and for that message.  The result is kept per tuple(mu), so
         equal int and Fraction vectors share one entry.
 
         >>> d = builtin_datum('sl2')
         >>> d.convex_hull_point((1,))
         (Fraction(1, 1),)
+        >>> builtin_datum('gl3').convex_hull_point((0, 0, 1))
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
         """
         mu = tuple(mu)
         if mu in self._hull_memo:
             return self._hull_memo[mu]
-        candidates = {}
-        for bits in range(1 << self.rank):
-            subset = frozenset(i for i in range(self.rank) if bits >> i & 1)
-            if not self.is_sigma_stable(subset):
-                continue
-            candidates[subset] = self.pi_projection(subset, mu)
-        best = None
-        for subset, val in candidates.items():
-            if best is None or self.dominance_leq(candidates[best], val):
-                best = subset
-        top = candidates[best]
-        for subset, val in candidates.items():
-            if not self.dominance_leq(val, top):
+        den, vec = _common_denominator(mu)
+        subsets = self._stable_subsets
+        candidates = [self.pi_numerators(subset, vec) for subset in subsets]
+        common = math.lcm(*(scale for scale, _ in candidates))
+        keys = [self._coroot_split([x * (common // scale) for x in nums])
+                for scale, nums in candidates]
+
+        def leq(i, j):
+            (ki, ri), (kj, rj) = keys[i], keys[j]
+            return ri == rj and all(map(le, ki, kj))
+
+        best = 0
+        for i in range(1, len(keys)):
+            if leq(best, i):
+                best = i
+        scale, nums = candidates[best]
+        top = tuple([Fraction(x, scale * den) for x in nums])
+        for i, (scale, nums) in enumerate(candidates):
+            if not leq(i, best):
+                val = [Fraction(x, scale * den) for x in nums]
                 raise AssertionError(
                     'datum %r: the convex hull point of mu = %s is not '
                     'unique: the projections %s (J = %s) and %s (J = %s) '
                     'are incomparable'
                     % (self.name, _vec_text(mu), _vec_text(top),
-                       sorted(j + 1 for j in best), _vec_text(val),
-                       sorted(j + 1 for j in subset)))
+                       sorted(j + 1 for j in subsets[best]), _vec_text(val),
+                       sorted(j + 1 for j in subsets[i])))
         self._hull_memo[mu] = top
         return top
 

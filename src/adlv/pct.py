@@ -179,12 +179,27 @@ class PCT:
     # -- Newton extremes ------------------------------------------------------
 
     def minimal_class(self, pair):
-        """The minimal class: nu = pi_J(v^{-1} mu), kappa = kappa(x)."""
+        """The minimal class: nu = pi_J(v^{-1} mu), kappa = kappa(x).
+
+        pi_J(v^{-1} mu) is taken as integer numerators over one
+        denominator (RootDatum.pi_numerators), the dominant representative
+        is found on the numerators, and only the result is divided into
+        Fractions: the descent is linear and reads only signs of
+        pairings, which a positive denominator keeps.
+
+        >>> from adlv.context import Context
+        >>> ctx = Context('gl3')
+        >>> x = ctx.aw.mult(AffineElement(0, (1, 0, 0)),
+        ...                 ctx.aw.from_weyl(ctx.W.simple[0]))
+        >>> pair = ctx.pct.positive_coxeter_pairs(x)[0]
+        >>> ctx.pct.minimal_class(pair).nu
+        (Fraction(1, 2), Fraction(1, 2), Fraction(0, 1))
+        """
         x, v = pair.x, pair.v
         vinv_mu = self.W.act(self.W.inv[v], x.mu)
-        nu = self.datum.pi_projection(pair.J, vinv_mu)
-        _, nu_dom = self.W.dominant_representative(nu)
-        return self._bgclass(x, nu_dom)
+        den, nums = self.datum.pi_numerators(pair.J, vinv_mu)
+        _, lam = self.W.dominant_representative(nums)
+        return self._bgclass(x, [Fraction(c, den) for c in lam])
 
     def _bgclass(self, x, nu_dom):
         from .bg import BGClass

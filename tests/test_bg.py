@@ -8,7 +8,8 @@ import pytest
 
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.bg import BGClass, BGInvariants
-from adlv.datum import builtin_datum
+from adlv.cli import main
+from adlv.datum import RootDatum, builtin_datum
 from adlv.lattice import solve_rational_combination
 
 from test_affine import SMALL_DATA, gl6_sample
@@ -120,6 +121,21 @@ def test_strata_sets_off_coroot_span_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(bg, 'lambda_invariant', lambda b: (None, (0, 0, 0)))
     with pytest.raises(AssertionError, match='not in the coroot span'):
         bg.strata_sets(b)
+
+
+def test_conv_lambda_fault_exits_3_naming_datum_and_class(monkeypatch,
+                                                         capsys):
+    """A convex hull point moved off nu fails the conv(lambda) = nu check;
+    the CLI exits 3 with a message naming the datum and the class."""
+    hull = RootDatum.convex_hull_point
+    monkeypatch.setattr(RootDatum, 'convex_hull_point',
+                        lambda self, mu: tuple(x + 1 for x in hull(self, mu)))
+    argv = ['lambda', '--datum', 'gl3', '--x', '{"w":[1],"mu":[1,0,0]}']
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: datum 'gl3': "
+                          'conv(lambda(b)) != nu(b)'), err
+    assert 'for the class kappa = (' in err and 'nu = (1/2, 1/2, 0)' in err
 
 
 def test_sl2_defect_and_dimensions(sl2):

@@ -303,23 +303,24 @@ def test_singular_levi_block_is_an_invariant_error():
         d.pi_projection(frozenset({0, 1}), (1, 0, 0))
 
 
-PI_PROJECTION = RootDatum.pi_projection
+PI_NUMERATORS = RootDatum.pi_numerators
 
 
-def shifted_projection(self, subset, mu):
-    """pi_projection with the one-element subsets shifted off the coroot
-    span, so that they are incomparable with the other projections."""
-    val = PI_PROJECTION(self, subset, mu)
+def shifted_projection(self, subset, num):
+    """pi_numerators with the one-element subsets shifted by 1 off the
+    coroot span, so that they are incomparable with the other
+    projections."""
+    den, nums = PI_NUMERATORS(self, subset, num)
     if len(subset) == 1:
-        val = (val[0] + 1,) + val[1:]
-    return val
+        nums = (nums[0] + den,) + nums[1:]
+    return den, nums
 
 
 HULL_ARGV = ['lambda', '--datum', 'gl3', '--x', '{"w":[1],"mu":[1,0,0]}']
 
 
 def test_non_unique_hull_point_is_an_invariant_error(monkeypatch, capsys):
-    monkeypatch.setattr(RootDatum, 'pi_projection', shifted_projection)
+    monkeypatch.setattr(RootDatum, 'pi_numerators', shifted_projection)
     with pytest.raises(AssertionError,
                        match=r"'gl3'.*mu = \(1, 0, 0\).*incomparable"):
         builtin_datum('gl3').convex_hull_point((1, 0, 0))
@@ -338,7 +339,7 @@ def test_non_unique_hull_point_exits_3_under_optimize():
         from test_datum import shifted_projection
         if __debug__:
             sys.exit('assert statements are still enabled')
-        RootDatum.pi_projection = shifted_projection
+        RootDatum.pi_numerators = shifted_projection
         sys.exit(main(%r))
         """ % (str(tests), HULL_ARGV))
     done = run_python('-O', '-c', script)

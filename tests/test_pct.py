@@ -7,11 +7,15 @@ from fractions import Fraction
 import pytest
 
 from adlv.affine import AffineElement, AffineWeyl
+from adlv.bg import BGClass
 from adlv.context import Context
 from adlv.datum import builtin_datum, diagram_components
 from adlv.lattice import solve_in_cone, vec_add, vec_dot, vec_scale, vec_sub
 from adlv.pct import (PCT, PositiveCoxeterPair, count_positive_roots,
                       very_special_subsets)
+
+from test_affine import gl6_sample
+from test_datum import pi_projection_oracle, typed
 
 
 @pytest.fixture(scope='module')
@@ -170,6 +174,34 @@ def test_min_and_generic_newton(pct3):
     assert b_min == b_max                      # straight: interval is a point
     assert lam == (2, 1)
     assert pct3.bgx_interval(pair).keys() == {b_min}
+
+
+def minimal_class_on_fractions(pct, pair):
+    """Oracle: pi_J(v^{-1} mu) solved per call in Fractions, then the
+    dominant representative found by a descent on the Fraction vector."""
+    W = pct.W
+    vinv_mu = W.act(W.inv[pair.v], pair.x.mu)
+    _, nu = W.dominant_representative(
+        pi_projection_oracle(pct.datum, pair.J, vinv_mu))
+    return BGClass(pct.bg.kottwitz_point(pair.x), tuple(nu))
+
+
+@pytest.mark.parametrize('name', ['gl3', 'sl3_flip', 'sp4', 'g2', 'gl6'])
+def test_minimal_class_matches_fraction_path(name):
+    """Every pair on the box(2, 6) elements, or on 200 seeded gl6
+    elements; nu stays a tuple of Fractions."""
+    ctx = Context(name)
+    elements = (gl6_sample(ctx.aw) if name == 'gl6'
+                else ctx.aw.box_elements(2, 6))
+    count = 0
+    for x in elements:
+        for pair in ctx.pct.positive_coxeter_pairs(x):
+            got = ctx.pct.minimal_class(pair)
+            want = minimal_class_on_fractions(ctx.pct, pair)
+            assert got.kappa == want.kappa, pair
+            assert typed(got.nu) == typed(want.nu), pair
+            count += 1
+    assert count > 0
 
 
 def test_point_space_full_support_is_coinvariants(pct3):

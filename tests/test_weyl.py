@@ -1,5 +1,6 @@
 """Finite Weyl groups: tabulation, Bruhat order, sigma-twisted lengths."""
 
+import functools
 import gc
 import itertools
 import random
@@ -7,6 +8,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.datum import BUILTIN_DATA, builtin_datum
@@ -90,6 +93,28 @@ def test_dominant_representative_matches_scan(name):
         want_v, want_lam = scan_dominant_representative(g, mu)
         assert v == want_v
         assert typed(lam) == typed(want_lam)
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_group(name):
+    return WeylGroup(builtin_datum(name))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(['sl2', 'sl3_flip', 'gl3', 'sp4', 'g2', 'gl4']),
+       st.integers(1, 12), st.data())
+def test_dominant_representative_on_numerators_matches_fractions(name, den,
+                                                                 data):
+    """The descent on integer numerators, divided by den afterwards, is the
+    descent on the Fraction vector num / den, types included."""
+    g = weyl_group(name)
+    num = tuple(data.draw(st.lists(st.integers(-20, 20), min_size=g.datum.dim,
+                                   max_size=g.datum.dim)))
+    v, lam = g.dominant_representative(num)
+    want_v, want_lam = g.dominant_representative(
+        tuple(Fraction(x, den) for x in num))
+    assert v == want_v
+    assert typed([Fraction(c, den) for c in lam]) == typed(want_lam)
 
 
 def test_min_coset_rep():
