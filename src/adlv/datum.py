@@ -555,7 +555,7 @@ class RootDatum:
         den, coeffs = found
         return tuple([Fraction(c, den) for c in coeffs])
 
-    def coroot_numerators(self, num, den=1):
+    def coroot_numerators(self, num, den):
         """The coefficients of the vector num / den (num integers, den > 0)
         over the simple coroots as (D, k), meaning k / D, k integers; None
         when the vector is outside their span.  The signs of k are the
@@ -564,7 +564,7 @@ class RootDatum:
         >>> d = builtin_datum('gl3')
         >>> d.coroot_numerators([2, 1, -3], 2)
         (6, [6, 9])
-        >>> d.coroot_numerators([1, 0, 0]) is None
+        >>> d.coroot_numerators([1, 0, 0], 1) is None
         True
         """
         coeffs, off = self._coroot_split(num)
