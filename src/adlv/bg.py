@@ -127,9 +127,15 @@ class BGInvariants:
         >>> bg.lambda_invariant(b)[1]
         (0, 0, 1)
         """
+        return self._lambda_entry(b)[0]
+
+    def _lambda_entry(self, b):
+        """(lambda_invariant(b), the (D, k) of nu - avg(lambda(b)) that
+        its avg <= nu check formed), memoised per class."""
         key = (b.kappa, b.nu)
-        if key in self._lambda_memo:
-            return self._lambda_memo[key]
+        entry = self._lambda_memo.get(key)
+        if entry is not None:
+            return entry
         d = self.datum
         lam0 = self.kottwitz.lift(b.kappa)
         excess = self._excess(b.nu, lam0)
@@ -158,9 +164,9 @@ class BGInvariants:
             raise AssertionError(self._class_error(
                 b, 'conv(lambda(b)) != nu(b): lambda = %s, conv = %s'
                 % (_vec_text(lam), _vec_text(conv))))
-        result = (self.gamma.project(lam), lam)
-        self._lambda_memo[key] = result
-        return result
+        entry = self._lambda_memo[key] = ((self.gamma.project(lam), lam),
+                                          excess)
+        return entry
 
     def _excess(self, nu, lam):
         """nu - avg_sigma(lam) over the simple coroots, on integers: (D, k)
@@ -209,17 +215,18 @@ class BGInvariants:
                 and self.datum.dominance_leq(b1.nu, b2.nu))
 
     def strata_sets(self, b):
-        """(I(nu), I_1(b)): simple roots vanishing on nu, and those with a
-        nonzero coefficient in nu - avg_sigma(lambda(b)), read on integer
-        numerators (see :meth:`_excess`)."""
+        """(I(nu), I_1(b)): simple roots vanishing on nu, read on the
+        integer numerators of nu, and those with a nonzero coefficient in
+        nu - avg_sigma(lambda(b)), read off the (D, k) that
+        lambda_invariant formed (see :meth:`_excess`)."""
         key = (b.kappa, b.nu)
         if key in self._strata_memo:
             return self._strata_memo[key]
         d = self.datum
+        _, num = _common_denominator(b.nu)
         i_nu = frozenset(i for i in range(d.rank)
-                         if vec_dot(d.simple_roots[i], b.nu) == 0)
-        _, lam = self.lambda_invariant(b)
-        excess = self._excess(b.nu, lam)
+                         if vec_dot(d.simple_roots[i], num) == 0)
+        excess = self._lambda_entry(b)[1]
         if excess is None:
             raise AssertionError(self._class_error(
                 b, 'nu - avg(lambda) not in the coroot span'))

@@ -171,6 +171,11 @@ class PCT:
                 return p
         return None
 
+    def _element_error(self, x, what):
+        """An invariant failure message naming the datum and x."""
+        return ('datum %r: %s, for x = %s'
+                % (self.datum.name, what, self.aw.format_element(x)))
+
     def _transport_error(self, pair, aroot, what):
         return ('datum %r: transport of %s along the affine root %s: %s'
                 % (self.datum.name, self.aw.format_element(pair.x), aroot,
@@ -225,8 +230,9 @@ class PCT:
         b = self._bgclass(pair.x, nu)
         res, _ = self.bg.lambda_invariant(b)
         if res != self.gamma.project(lam):
-            raise AssertionError('generic lambda is not the lambda-invariant '
-                                 'of its class')
+            raise AssertionError(self._element_error(
+                pair.x, 'generic lambda is not the lambda-invariant of its '
+                'class'))
         return b, lam
 
     def min_and_generic_newton(self, pair):
@@ -275,7 +281,8 @@ class PCT:
                 continue
             found[b] = dict(zip(js, ks))
         if b_min not in found or b_max not in found:
-            raise AssertionError('interval misses an extreme class')
+            raise AssertionError(self._element_error(
+                pair.x, 'interval misses an extreme class'))
         return found
 
     # -- the full report -------------------------------------------------------
@@ -293,7 +300,8 @@ class PCT:
         _, lam_b = self.bg.lambda_invariant(b)
         doubled = vec_dot(d.two_rho, vec_sub(lam_max, lam_b))
         if doubled % 2:
-            raise AssertionError('l_II is not an integer')
+            raise AssertionError(self._element_error(
+                pair.x, 'l_II is not an integer'))
         l_ii = doubled // 2
         jb = frozenset(pair.J & i_nu)
         two_rho_nu = int(self.bg.pair_two_rho(b.nu))
@@ -331,26 +339,29 @@ class PCT:
         tree = self.red.build_reduction_tree(x)
         tree_data = self.red.bgx_from_tree(x, tree)
         if set(tree_data) != {c['class'] for c in report['classes']}:
-            raise AssertionError('interval differs from tree endpoint '
-                                 'classes')
+            raise AssertionError(self._element_error(
+                x, 'interval differs from tree endpoint classes'))
         for cd in report['classes']:
             entry = tree_data[cd['class']]
             if len(entry['paths']) != 1:
-                raise AssertionError('path to a class is not unique')
+                raise AssertionError(self._element_error(
+                    x, 'path to a class is not unique'))
             ni, nii, end_len, dim = entry['paths'][0]
             if (ni, nii, end_len) != (cd['l_i'], cd['l_ii'],
                                       cd['endpoint_length']):
-                raise AssertionError('path statistics differ from formulas')
+                raise AssertionError(self._element_error(
+                    x, 'path statistics differ from formulas'))
             if dim != cd['dimension']:
-                raise AssertionError('dimension statistic mismatch')
+                raise AssertionError(self._element_error(
+                    x, 'dimension statistic mismatch'))
             expected = POLY_ONE
             for _ in range(cd['l_i']):
                 expected = poly_mul(expected, POLY_Q_MINUS_ONE)
             for _ in range(cd['l_ii']):
                 expected = poly_mul(expected, POLY_Q)
             if entry['polynomial'] != expected:
-                raise AssertionError('class polynomial is not '
-                                     'q^l_II (q-1)^l_I')
+                raise AssertionError(self._element_error(
+                    x, 'class polynomial is not q^l_II (q-1)^l_I'))
 
     # -- J-points and point spaces --------------------------------------------
 
@@ -474,8 +485,9 @@ class PCT:
                          for leaf in tree.leaves()
                          if self.bg.element_class(leaf.x) == b}
             if leaf_keys != {key}:
-                raise AssertionError('endpoint certificate differs from the '
-                                     'tree leaf class')
+                raise AssertionError(self._element_error(
+                    pair.x, 'endpoint certificate differs from the tree '
+                    'leaf class'))
         return {'key': key, 'c_prime': c_prime, 'lambda': lam,
                 'endpoint': endpoint, 'support': jb}
 

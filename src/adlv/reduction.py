@@ -11,8 +11,9 @@ q^2 - q is (0, -1, 1).
 
 from __future__ import annotations
 
+import math
 import random
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count
 
 from .bg import BGInvariants
@@ -56,6 +57,17 @@ def poly_mul(p, q):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+@cache
+def _monomial(ni, nii):
+    """(q-1)^ni q^nii, formed once per (ni, nii) per process.
+
+    >>> _monomial(2, 1)   # (q^2 - 2q + 1) q
+    (0, 1, -2, 1)
+    """
+    return (0,) * nii + tuple((-1) ** (ni - k) * math.comb(ni, k)
+                              for k in range(ni + 1))
 
 
 def poly_str(p):
@@ -146,7 +158,9 @@ class Reduction:
         self.bg = bg if bg is not None else BGInvariants(aw)
         self._moves = {}     # y -> (down edges, keep targets)
         self._walks = {}     # x -> (orbit members, their down edges)
-        self._key_memo = {}
+        self._key_memo = {}  # element -> class id
+        self._keys = []      # class id -> class key
+        self._key_ids = {}   # class key -> class id
 
     # -- the equal-length sigma-conjugation orbit ---------------------------
 
@@ -237,41 +251,52 @@ class Reduction:
         return ReductionTree(build(x))
 
     def class_polynomials(self, x, seed=None, tree=None):
-        """Map class_key -> coefficient tuple, by the tree recursion
-        f_x = (q-1) f_{r_a x'} + q f_{r_a x' r_{sigma a}}."""
+        """Map class_key -> coefficient tuple of the class polynomial: the
+        sum, over the leaves of the class, of (q-1)^{n_I} q^{n_II}, where
+        n_I and n_II count the type I and type II edges above the leaf.
+
+        This is the recursion f_x = (q-1) f_{r_a x'} + q f_{r_a x' r_{sigma
+        a}}: unrolled down the tree it gives f_x = sum over leaves of that
+        monomial times f_leaf, with f_leaf = 1 on the leaf's class, and
+        integer addition is associative, so every coefficient agrees.  Each
+        class of a leaf keeps its entry, () if its terms cancel, as in the
+        recursion.  The sums are kept by interned class id, so each key is
+        hashed once per distinct class.
+        """
         if tree is None:
             tree = self.build_reduction_tree(x, seed=seed)
-
-        def fold(node):
-            if node.is_leaf:
-                return {self.class_key(node.x): POLY_ONE}
-            out = {}
-            for child, factor in ((node.child_i, POLY_Q_MINUS_ONE),
-                                  (node.child_ii, POLY_Q)):
-                for key, p in fold(child).items():
-                    term = poly_mul(factor, p)
-                    out[key] = poly_add(out.get(key, ()), term)
-            return out
-
-        return fold(tree.root)
+        sums = {}
+        for leaf, ni, nii in tree.paths():
+            i = self._class_id(leaf.x)
+            sums[i] = poly_add(sums.get(i, ()), _monomial(ni, nii))
+        keys = self._keys
+        return {keys[i]: p for i, p in sums.items()}
 
     # -- class keys -------------------------------------------------------------
 
     @cached_property
     def _omega_pairs(self):
-        """(tau^{-1}, sigma(tau)) for each length-zero tau of omega_elements;
-        x -> tau^{-1} x sigma(tau) is sigma-conjugation by tau."""
+        """(tau^{-1}, sigma(tau)) for each length-zero tau of omega_elements
+        but the identity; x -> tau^{-1} x sigma(tau) is sigma-conjugation by
+        tau, a no-op for tau = 1."""
         aw = self.aw
-        return [(aw.inverse(t), aw.sigma(t)) for t in aw.omega_elements()]
+        return [(aw.inverse(t), aw.sigma(t)) for t in aw.omega_elements()
+                if t != aw.identity]
 
     def class_key(self, x):
         """Canonical key of the sigma-conjugacy class of x in the extended
         affine Weyl group: (kappa, nu, minimal length, lexicographically
         least minimal-length element of the conjugation closure of a
         minimal-length element up to the minimal length plus
-        ``DEFAULT_SLACK``)."""
-        if x in self._key_memo:
-            return self._key_memo[x]
+        ``DEFAULT_SLACK``).  Keys are interned per ``Reduction``: every
+        element of one closure gets the same tuple object."""
+        return self._keys[self._class_id(x)]
+
+    def _class_id(self, x):
+        """The interned id of class_key(x), a small integer."""
+        i = self._key_memo.get(x)
+        if i is not None:
+            return i
         x_min, _ = self.descend_to_minimal(x)
         lengths = self._closure(x_min, DEFAULT_SLACK)
         lmin = lengths[x_min]
@@ -279,10 +304,14 @@ class Reduction:
                     key=lambda y: (self.W.words[y.w], y.mu))
         b = self.bg.element_class(x_min)
         key = (b.kappa, b.nu, lmin, canon)
+        i = self._key_ids.get(key)
+        if i is None:
+            i = self._key_ids[key] = len(self._keys)
+            self._keys.append(key)
         for y in lengths:
-            self._key_memo[y] = key
-        self._key_memo[x] = key
-        return key
+            self._key_memo[y] = i
+        self._key_memo[x] = i
+        return i
 
     def _closure(self, start, slack):
         """{element: length} for every element reached from start by

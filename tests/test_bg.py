@@ -10,7 +10,7 @@ from adlv.affine import AffineElement, AffineWeyl
 from adlv.bg import BGClass, BGInvariants
 from adlv.cli import main
 from adlv.datum import RootDatum, builtin_datum
-from adlv.lattice import solve_rational_combination
+from adlv.lattice import solve_rational_combination, vec_dot
 
 from test_affine import SMALL_DATA, gl6_sample
 from test_datum import sigma_avg_by_powers
@@ -118,9 +118,30 @@ def test_strata_sets_off_coroot_span_is_an_invariant_error(monkeypatch):
     bg = BGInvariants(AffineWeyl(builtin_datum('gl3')))
     b = BGClass(bg.kottwitz.project((1, 0, 0)), (Fraction(1, 3),) * 3)
     # avg(lambda) = 0 leaves nu, whose coordinates sum to 1, off the span
-    monkeypatch.setattr(bg, 'lambda_invariant', lambda b: (None, (0, 0, 0)))
+    monkeypatch.setattr(bg, '_lambda_entry',
+                        lambda b: (None, bg._excess(b.nu, (0, 0, 0))))
     with pytest.raises(AssertionError, match='not in the coroot span'):
         bg.strata_sets(b)
+
+
+def strata_sets_on_fractions(bg, b):
+    """Oracle: I(nu) by pairing the simple roots with the Fraction nu, and
+    I_1(b) from nu - avg(lambda(b)) formed again."""
+    d = bg.datum
+    i_nu = frozenset(i for i in range(d.rank)
+                     if vec_dot(d.simple_roots[i], b.nu) == 0)
+    _, lam = bg.lambda_invariant(b)
+    _, coeffs = bg._excess(b.nu, lam)
+    return i_nu, frozenset(i for i, c in enumerate(coeffs) if c != 0)
+
+
+@pytest.mark.parametrize('name', ['gl3', 'sl3_flip', 'sp4', 'g2'])
+def test_strata_sets_match_fraction_pairing(name):
+    """On every class of box(2, 6)."""
+    bg = BGInvariants(AffineWeyl(builtin_datum(name)))
+    classes = {bg.element_class(x) for x in bg.aw.box_elements(2, 6)}
+    for b in sorted(classes):
+        assert bg.strata_sets(b) == strata_sets_on_fractions(bg, b), b
 
 
 def test_conv_lambda_fault_exits_3_naming_datum_and_class(monkeypatch,

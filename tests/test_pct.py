@@ -8,11 +8,13 @@ import pytest
 
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.bg import BGClass
+from adlv.cli import main
 from adlv.context import Context
 from adlv.datum import builtin_datum, diagram_components
 from adlv.lattice import solve_in_cone, vec_add, vec_dot, vec_scale, vec_sub
 from adlv.pct import (PCT, PositiveCoxeterPair, count_positive_roots,
                       very_special_subsets)
+from adlv.reduction import Reduction, poly_add
 
 from test_affine import gl6_sample
 from test_datum import pi_projection_oracle, typed
@@ -501,6 +503,28 @@ def test_bgx_interval_propagates_lambda_failures(monkeypatch):
     monkeypatch.setattr(pct.bg, 'lambda_invariant', failing)
     with pytest.raises(AssertionError, match='broken lambda-invariant'):
         pct.bgx_interval(pair)
+
+
+def test_class_polynomial_fault_exits_3_naming_datum_and_x(monkeypatch,
+                                                           capsys):
+    """A tree class polynomial off q^l_II (q-1)^l_I fails the tree
+    cross-check of `pct report`; the CLI exits 3 with a message naming
+    the datum and x."""
+    bgx_from_tree = Reduction.bgx_from_tree
+
+    def shifted(self, x, tree=None):
+        out = bgx_from_tree(self, x, tree)
+        for entry in out.values():
+            entry['polynomial'] = poly_add(entry['polynomial'], (1,))
+        return out
+
+    monkeypatch.setattr(Reduction, 'bgx_from_tree', shifted)
+    x = '{"w": [1], "mu": [1, 0, 0]}'
+    assert main(['pct', 'report', '--datum', 'gl3', '--x', x]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: datum 'gl3': class "
+                          'polynomial is not q^l_II (q-1)^l_I'), err
+    assert err.rstrip().endswith('for x = ' + x), err
 
 
 def test_twisted_membership_witnesses():

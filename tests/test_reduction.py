@@ -15,8 +15,8 @@ from adlv import reduction
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.datum import builtin_datum
 from adlv.qbg import QuantumBruhatGraph
-from adlv.reduction import (POLY_ONE, Reduction, poly_add, poly_mul,
-                            poly_str)
+from adlv.reduction import (POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, Reduction,
+                            poly_add, poly_mul, poly_str)
 from adlv.weyl import WeylGroup
 
 from test_affine import seeded_sample, simple_sigma_conjugate_two_products
@@ -130,6 +130,52 @@ def test_seeded_trees_same_polynomials(red2):
     base = red2.class_polynomials(x)
     for seed in (1, 2, 3):
         assert red2.class_polynomials(x, seed=seed) == base
+
+
+def class_polynomials_by_fold(red, tree):
+    """Oracle: the recursion f_x = (q-1) f_{r_a x'} + q f_{r_a x' r_{sigma a}}
+    folded up the tree, one dict of class polynomials per node."""
+    def fold(node):
+        if node.is_leaf:
+            return {red.class_key(node.x): POLY_ONE}
+        out = {}
+        for child, factor in ((node.child_i, POLY_Q_MINUS_ONE),
+                              (node.child_ii, POLY_Q)):
+            for key, p in fold(child).items():
+                out[key] = poly_add(out.get(key, ()), poly_mul(factor, p))
+        return out
+
+    return fold(tree.root)
+
+
+@pytest.mark.parametrize('name,bound,max_length,seeds', [
+    ('sl4', 1, 8, (None, 1, 2, 3)), ('gl3', 2, 6, (None,)),
+    ('sl3_flip', 2, 8, (None,)), ('pgl3', 2, 8, (None,)),
+    ('psp4', 2, 8, (None,))])
+def test_class_polynomials_match_per_node_fold(name, bound, max_length,
+                                               seeds):
+    """The leaf-monomial sum against the per-node fold, key order and
+    empty polynomials included, under each branch policy."""
+    red = Reduction(AffineWeyl(builtin_datum(name)))
+    for x in red.aw.box_elements(bound, max_length):
+        for seed in seeds:
+            got = red.class_polynomials(x, seed=seed)
+            want = class_polynomials_by_fold(
+                red, red.build_reduction_tree(x, seed=seed))
+            assert list(got.items()) == list(want.items()), (x, seed)
+
+
+def test_class_key_interned_per_reduction():
+    """Every member of one closure, and every element of one class key,
+    gets the same key object."""
+    red = Reduction(AffineWeyl(builtin_datum('gl3')))
+    interned = {}
+    for x in red.aw.box_elements(2, 6):
+        key = red.class_key(x)
+        assert interned.setdefault(key, key) is key
+        x_min, _ = red.descend_to_minimal(x)
+        for y in red._closure(x_min, reduction.DEFAULT_SLACK):
+            assert red.class_key(y) is key
 
 
 def test_tree_dot(red2):
