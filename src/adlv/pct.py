@@ -235,10 +235,6 @@ class PCT:
                 'class'))
         return b, lam
 
-    def min_and_generic_newton(self, pair):
-        """(minimal class, (generic class, lambda lift))."""
-        return self.minimal_class(pair), self.generic_class(pair)
-
     # -- the interval of classes ---------------------------------------------
 
     def membership_witness(self, pair, b):
@@ -445,8 +441,10 @@ class PCT:
             for rw in self.reduced_words(c):
                 other = self.W.from_word([i for i in rw if i in j_prime])
                 if other != result:
-                    raise AssertionError('truncation depends on the reduced '
-                                         'word')
+                    raise AssertionError(
+                        'datum %r: truncation depends on the reduced word, '
+                        'for c = %s' % (self.datum.name,
+                                        [i + 1 for i in word]))
         return result
 
     # -- endpoint classes ------------------------------------------------------
@@ -523,9 +521,9 @@ class PCT:
         finite_side = self.W.sigma_conjugate_to_partial_coxeter(x.w)
         pct_side = self.is_positive_coxeter(x)
         if finite_side != pct_side:
-            raise AssertionError('minimal-length criterion mismatch: '
-                                 'finite %r vs pairs %r'
-                                 % (finite_side, pct_side))
+            raise AssertionError(self._element_error(
+                x, 'minimal-length criterion mismatch: finite %r vs pairs %r'
+                % (finite_side, pct_side)))
         return pct_side
 
     def large_support_check(self, pair):
@@ -540,8 +538,9 @@ class PCT:
         if not hypothesis:
             return False
         if not self.red.is_minimal(pair.x):
-            raise AssertionError('large support hypothesis holds but x is '
-                                 'not minimal')
+            raise AssertionError(self._element_error(
+                pair.x, 'large support hypothesis holds but x is not '
+                'minimal'))
         return True
 
     # -- very special parahoric data ----------------------------------------------
@@ -612,8 +611,10 @@ class PCT:
         for a in aroots:
             image = aw.act_affine_root(tau, aw.sigma_affine_root(a))
             if image not in aroots:
-                raise AssertionError('twist does not permute the Levi '
-                                     'affine diagram')
+                raise AssertionError(
+                    'datum %r: twist does not permute the Levi affine '
+                    'diagram, for tau = %s'
+                    % (self.datum.name, aw.format_element(tau)))
             perm.append(aroots.index(image))
         return perm
 

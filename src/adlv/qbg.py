@@ -80,12 +80,12 @@ class QuantumBruhatGraph:
                         nxt.append(v)
                     elif dist[v] == dist[u] + 1 and weight[v] != cand:
                         raise AssertionError(
-                            'quantum Bruhat graph weight mismatch at '
-                            '%r -> %r' % (src, v))
+                            'datum %r: quantum Bruhat graph weight mismatch '
+                            'at %r -> %r' % (self.datum.name, src, v))
             frontier = nxt
         if len(dist) != self.W.size:
-            raise AssertionError('quantum Bruhat graph is not strongly '
-                                 'connected')
+            raise AssertionError('datum %r: quantum Bruhat graph is not '
+                                 'strongly connected' % self.datum.name)
         self._memo[src] = (dist, weight)
         return self._memo[src]
 
@@ -160,11 +160,13 @@ class QuantumBruhatGraph:
             cur = nxt
         dist, wt = self.distance_weight(v, cur)
         if dist != len(word):
-            raise AssertionError('Coxeter-word path is not minimal: '
-                                 'len %d vs distance %d' % (len(word), dist))
+            raise AssertionError('datum %r: Coxeter-word path is not '
+                                 'minimal: len %d vs distance %d'
+                                 % (d.name, len(word), dist))
         if tuple(weight) != wt:
-            raise AssertionError('Coxeter-word path weight differs from '
-                                 'the common shortest-path weight')
+            raise AssertionError('datum %r: Coxeter-word path weight differs '
+                                 'from the common shortest-path weight'
+                                 % d.name)
         return verts, tuple(weight)
 
     # -- output -------------------------------------------------------------

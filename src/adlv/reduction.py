@@ -5,6 +5,12 @@ affine reflections, reduction trees (type I / type II edges), class
 polynomials in q, canonical keys for sigma-conjugacy classes of the
 extended affine Weyl group, and the extraction of endpoint data.
 
+Each element's moves r_a y r_{sigma a}, one per simple affine root a,
+are formed once per ``Reduction``, into one table, the first time any
+walk reaches the element.  The four walks read that table: the
+equal-length orbit walk, the minimal-length descent, the reduction tree
+and the class-key closure.
+
 Polynomials are integer coefficient tuples, lowest degree first:
 q^2 - q is (0, -1, 1).
 """
@@ -156,7 +162,7 @@ class Reduction:
         self.W = aw.W
         self.datum = aw.datum
         self.bg = bg if bg is not None else BGInvariants(aw)
-        self._moves = {}     # y -> (down edges, keep targets)
+        self._moves = {}     # y -> move record of y per simple affine root
         self._walks = {}     # x -> (orbit members, their down edges)
         self._key_memo = {}  # element -> class id
         self._keys = []      # class id -> class key
@@ -171,31 +177,32 @@ class Reduction:
         root order, for find_down_move."""
         walk = self._walks.get(x)
         if walk is None:
-            members, seen = [x], {x}
+            members, seen, downs = [x], {x}, []
+            roots = self.aw.simple_affine
             for y in members:                # grows as the BFS goes
-                for z in self._moves_of(y)[1]:
-                    if z not in seen:
+                for a, (z, kind, _) in zip(roots, self._moves_of(y)):
+                    if kind == 'down':
+                        downs.append((y, a))
+                    elif kind == 'keep' and z not in seen:
                         seen.add(z)
                         members.append(z)
-            downs = tuple(e for y in members for e in self._moves[y][0])
-            walk = self._walks[x] = (tuple(members), downs)
+            walk = self._walks[x] = (tuple(members), tuple(downs))
         return walk[0]
 
     def _moves_of(self, y):
-        """(down_edges, keeps) in root order: the edge (y, a) of each down
-        move from y and the target r_a y r_{sigma a} of each keep move,
-        formed the first time any walk reaches y."""
+        """The move records (r_a y r_{sigma a}, kind, r_a y) of y, one per
+        simple affine root a in root order, formed the first time any walk
+        reaches y."""
         moves = self._moves.get(y)
         if moves is None:
-            down_edges, keeps = [], []
-            for a in self.aw.simple_affine:
-                z, kind, _ = self.aw.simple_sigma_conjugate(y, a)
-                if kind == 'down':
-                    down_edges.append((y, a))
-                elif kind == 'keep':
-                    keeps.append(z)
-            moves = self._moves[y] = (tuple(down_edges), tuple(keeps))
+            conjugate = self.aw.simple_sigma_conjugate
+            moves = self._moves[y] = tuple(
+                conjugate(y, a) for a in self.aw.simple_affine)
         return moves
+
+    def _move(self, y, a):
+        """The move record of y by the simple affine root a."""
+        return self._moves_of(y)[self.aw.simple_affine.index(a)]
 
     def find_down_move(self, x, rng=None):
         """(x_prime, aroot) for the first (or seeded) down move from a
@@ -219,7 +226,7 @@ class Reduction:
             if found is None:
                 return x, moves
             y, a = found
-            z, kind, _ = self.aw.simple_sigma_conjugate(y, a)
+            z, kind, _ = self._move(y, a)
             if kind != 'down':
                 raise AssertionError(
                     'datum %r: the move by %s at %s is %r, not down'
@@ -242,7 +249,7 @@ class Reduction:
             if found is None:
                 return TreeNode(el)
             y, a = found
-            z, kind, left = self.aw.simple_sigma_conjugate(y, a)
+            z, _, left = self._move(y, a)
             node = TreeNode(el, x_prime=y, aroot=a)
             node.child_i = build(left)     # r_a x', one shorter
             node.child_ii = build(z)       # r_a x' r_{sigma a}, two shorter
@@ -293,23 +300,30 @@ class Reduction:
         return self._keys[self._class_id(x)]
 
     def _class_id(self, x):
-        """The interned id of class_key(x), a small integer."""
+        """The interned id of class_key(x), a small integer.
+
+        A closure is formed only when x_min lies in none formed before.
+        Every closure starts at a descent's end, of the minimal length of
+        its class, so the closure that holds x_min has x_min's cap, and
+        two closures under one cap are equal or disjoint."""
         i = self._key_memo.get(x)
         if i is not None:
             return i
         x_min, _ = self.descend_to_minimal(x)
-        lengths = self._closure(x_min, DEFAULT_SLACK)
-        lmin = lengths[x_min]
-        canon = min((y for y, ly in lengths.items() if ly == lmin),
-                    key=lambda y: (self.W.words[y.w], y.mu))
-        b = self.bg.element_class(x_min)
-        key = (b.kappa, b.nu, lmin, canon)
-        i = self._key_ids.get(key)
+        i = self._key_memo.get(x_min)
         if i is None:
-            i = self._key_ids[key] = len(self._keys)
-            self._keys.append(key)
-        for y in lengths:
-            self._key_memo[y] = i
+            lengths = self._closure(x_min, DEFAULT_SLACK)
+            lmin = lengths[x_min]
+            canon = min((y for y, ly in lengths.items() if ly == lmin),
+                        key=lambda y: (self.W.words[y.w], y.mu))
+            b = self.bg.element_class(x_min)
+            key = (b.kappa, b.nu, lmin, canon)
+            i = self._key_ids.get(key)
+            if i is None:
+                i = self._key_ids[key] = len(self._keys)
+                self._keys.append(key)
+            for y in lengths:
+                self._key_memo[y] = i
         self._key_memo[x] = i
         return i
 
@@ -330,10 +344,8 @@ class Reduction:
             nxt = []
             for y in frontier:
                 ly = lengths[y]
-                neighbors = []
-                for a in aw.simple_affine:
-                    z, kind, _ = aw.simple_sigma_conjugate(y, a)
-                    neighbors.append((z, ly + _STEP[kind]))
+                neighbors = [(z, ly + _STEP[kind])
+                             for z, kind, _ in self._moves_of(y)]
                 for tinv, st in self._omega_pairs:
                     neighbors.append((aw.mult(aw.mult(tinv, y), st), ly))
                 for z, lz in neighbors:

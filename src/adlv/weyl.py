@@ -249,18 +249,6 @@ class WeylGroup:
         """Set of simple indices occurring in a reduced word of e."""
         return frozenset(self.words[e])
 
-    def min_coset_rep(self, e, subset):
-        """Minimal representative of e W_J."""
-        changed = True
-        while changed:
-            changed = False
-            for i in subset:
-                f = self.right[e][i]
-                if self.lengths[f] < self.lengths[e]:
-                    e = f
-                    changed = True
-        return e
-
     def dominant_representative(self, mu):
         """(v, lam): minimal v in W with v^{-1} mu = lam dominant.
 
@@ -351,15 +339,6 @@ class WeylGroup:
         """Union of the sigma-orbits meeting the support of e."""
         orbit = self.datum.simple_orbit
         return frozenset().union(*(orbit[i] for i in self.words[e]))
-
-    def is_sigma_coxeter_in(self, e, subset):
-        """True when e is a sigma-Coxeter element of W_J: partial
-        sigma-Coxeter with sigma-support exactly J."""
-        subset = frozenset(subset)
-        if not self.datum.is_sigma_stable(subset):
-            return False
-        return (self.is_partial_sigma_coxeter(e)
-                and self.sigma_support(e) == subset)
 
     def sigma_conjugates(self, e):
         """All v^{-1} e sigma(v) for v in W."""

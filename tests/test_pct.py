@@ -172,7 +172,7 @@ def test_pct_transport_errors_name_datum_element_and_root(
 def test_min_and_generic_newton(pct3):
     x = AffineElement(0, (2, 1))              # dominant regular translation
     pair = pct3.positive_coxeter_pairs(x)[0]
-    b_min, (b_max, lam) = pct3.min_and_generic_newton(pair)
+    b_min, (b_max, lam) = pct3.minimal_class(pair), pct3.generic_class(pair)
     assert b_min == b_max                      # straight: interval is a point
     assert lam == (2, 1)
     assert pct3.bgx_interval(pair).keys() == {b_min}
@@ -301,6 +301,16 @@ def test_min_length_pct(pct2):
     assert pct2.min_length_pct(AffineElement(0, (1,)))
     with pytest.raises(ValueError):
         pct2.min_length_pct(AffineElement(1, (1,)))    # not minimal
+
+
+def test_min_length_mismatch_names_datum_and_x(pct2, monkeypatch):
+    x = AffineElement(0, (1,))
+    monkeypatch.setattr(pct2.W, 'sigma_conjugate_to_partial_coxeter',
+                        lambda w: False)
+    where = ("datum 'sl2': minimal-length criterion mismatch: finite False "
+             "vs pairs True, for x = %s" % pct2.aw.format_element(x))
+    with pytest.raises(AssertionError, match=re.escape(where)):
+        pct2.min_length_pct(x)
 
 
 def test_large_support(pct2, pct3):

@@ -66,6 +66,14 @@ def test_coxeter_path_flip():
     assert len(verts) == 2
 
 
+def test_connectivity_check_names_datum():
+    q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
+    q.edges[1] = []                       # drop the quantum edge 1 -> 0
+    with pytest.raises(AssertionError, match="^datum 'sl2': quantum Bruhat "
+                       "graph is not strongly connected$"):
+        q.distance_weight(1, 0)
+
+
 def test_dot_output(qa2):
     dot = qa2.to_dot()
     assert dot.startswith('digraph') and 'dashed' in dot and 'solid' in dot

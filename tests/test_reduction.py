@@ -249,7 +249,9 @@ def equal_length_orbit_per_walk(aw, x):
 def test_equal_length_orbit_matches_per_walk(name, order_seed):
     """The orbits and down lists read off one move table against walks
     that share nothing, on box(1, 8) in box order and in a seeded order,
-    insertion order included."""
+    insertion order included; then every record of the table, the
+    elements only a class-key closure reached included, against the two
+    products."""
     aw = AffineWeyl(builtin_datum(name))
     red = Reduction(aw)
     xs = aw.box_elements(1, 8)
@@ -259,18 +261,51 @@ def test_equal_length_orbit_matches_per_walk(name, order_seed):
         parents, downs = equal_length_orbit_per_walk(aw, x)
         assert red.equal_length_orbit(x) == tuple(parents), x
         assert red._walks[x] == (tuple(parents), tuple(downs)), x
-    # each orbit member's moves were formed once, in root order
-    assert set(red._moves) == {y for members, _ in red._walks.values()
-                               for y in members}
-    for y, (down_edges, keeps) in red._moves.items():
-        want_downs, want_keeps = [], []
-        for a in aw.simple_affine:
-            both, kind, _ = simple_sigma_conjugate_two_products(aw, y, a)
-            if kind == 'down':
-                want_downs.append((y, a))
-            elif kind == 'keep':
-                want_keeps.append(both)
-        assert (list(down_edges), list(keeps)) == (want_downs, want_keeps)
+        red.class_key(x)
+    members = {y for orbit, _ in red._walks.values() for y in orbit}
+    assert members < set(red._moves)
+    for y, records in red._moves.items():
+        assert records == tuple(simple_sigma_conjugate_two_products(aw, y, a)
+                                for a in aw.simple_affine), y
+
+
+def count_calls(monkeypatch, obj, name):
+    """Wrap the method obj.name on the instance; return the call list."""
+    calls = []
+    method = getattr(obj, name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+def test_each_move_formed_once(monkeypatch):
+    """Orbit walks, descents, trees under four branch policies and
+    class-key closures over sl4 box(1, 8) form each element's moves once,
+    one per simple affine root."""
+    aw = AffineWeyl(builtin_datum('sl4'))
+    red = Reduction(aw)
+    calls = count_calls(monkeypatch, aw, 'simple_sigma_conjugate')
+    for x in aw.box_elements(1, 8):
+        for seed in (None, 1, 2, 3):
+            red.class_polynomials(x, seed=seed)
+        red.class_key(x)
+    assert len(calls) == len(aw.simple_affine) * len(red._moves)
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize('name,bound,max_length',
+                         [('gl3', 2, 6), ('sl4', 1, 8)])
+def test_one_closure_per_class_key(name, bound, max_length, monkeypatch):
+    """A class-key closure is formed only for an x_min that no earlier
+    closure holds, so once per distinct key."""
+    red = Reduction(AffineWeyl(builtin_datum(name)))
+    calls = count_calls(monkeypatch, red, '_closure')
+    keys = {red.class_key(x) for x in red.aw.box_elements(bound, max_length)}
+    assert len(calls) == len(keys) == len(red._keys)
 
 
 def qbg_with_coroot_coefficients(monkeypatch, coeffs):
@@ -306,11 +341,13 @@ def test_invariant_check_survives_python_O():
             sys.exit('assert statements are still enabled')
         red = Reduction(AffineWeyl(builtin_datum('sl2')))
         x = AffineElement(1, (1,))
-        red.find_down_move(x)
+        y, a = red.find_down_move(x)
         # the recorded down move now reads as a length preserving move to
         # the identity, which has no down move
         e = red.aw.identity
-        red.aw.simple_sigma_conjugate = lambda y, a: (e, 'keep', e)
+        records = list(red._moves[y])
+        records[red.aw.simple_affine.index(a)] = (e, 'keep', e)
+        red._moves[y] = tuple(records)
         red.descend_to_minimal(x)
         """)
     root = Path(__file__).resolve().parents[1]

@@ -117,15 +117,6 @@ def test_dominant_representative_on_numerators_matches_fractions(name, den,
     assert typed([Fraction(c, den) for c in lam]) == typed(want_lam)
 
 
-def test_min_coset_rep():
-    g = WeylGroup(builtin_datum('sl3'))
-    for e in range(g.size):
-        r = g.min_coset_rep(e, (0,))
-        assert g.lengths[r] <= g.lengths[e]
-        # r differs from e by a right factor in W_{0}
-        assert g.mult(g.inv[r], e) in g.parabolic((0,))
-
-
 def test_sigma_twisted_reflection_length_split():
     # sigma = id: reflection length of a Coxeter element is the rank
     g = WeylGroup(builtin_datum('sp4'))
@@ -141,7 +132,7 @@ def test_sigma_support_and_coxeter_flip():
     # one letter from the single sigma-orbit {0,1}: sigma-Coxeter for J={0,1}
     assert g.sigma_support(s0) == frozenset({0, 1})
     assert g.is_partial_sigma_coxeter(s0)
-    assert g.is_sigma_coxeter_in(s0, frozenset({0, 1}))
+    assert g.datum.is_sigma_stable(frozenset({0, 1}))
     # two letters from one orbit is not
     assert not g.is_partial_sigma_coxeter(g.from_word([0, 1]))
 
