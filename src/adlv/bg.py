@@ -49,7 +49,6 @@ class BGInvariants:
         self.kottwitz = self.datum.kottwitz_presentation()
         self.gamma = self.datum.galois_coinvariants()
         self._lambda_memo = {}
-        self._strata_memo = {}
 
     # -- Newton and Kottwitz ------------------------------------------------
 
@@ -130,8 +129,7 @@ class BGInvariants:
         return self._lambda_entry(b)[0]
 
     def _lambda_entry(self, b):
-        """(lambda_invariant(b), the (D, k) of nu - avg(lambda(b)) that
-        its avg <= nu check formed), memoised per class."""
+        """(lambda_invariant(b), strata_sets(b)), memoised per class."""
         key = (b.kappa, b.nu)
         entry = self._lambda_memo.get(key)
         if entry is not None:
@@ -164,8 +162,12 @@ class BGInvariants:
             raise AssertionError(self._class_error(
                 b, 'conv(lambda(b)) != nu(b): lambda = %s, conv = %s'
                 % (_vec_text(lam), _vec_text(conv))))
+        _, num = _common_denominator(b.nu)
+        i_nu = frozenset(i for i in range(d.rank)
+                         if vec_dot(d.simple_roots[i], num) == 0)
+        i_one = frozenset(i for i, c in enumerate(excess[1]) if c != 0)
         entry = self._lambda_memo[key] = ((self.gamma.project(lam), lam),
-                                          excess)
+                                          (i_nu, i_one))
         return entry
 
     def _excess(self, nu, lam):
@@ -218,21 +220,9 @@ class BGInvariants:
         """(I(nu), I_1(b)): simple roots vanishing on nu, read on the
         integer numerators of nu, and those with a nonzero coefficient in
         nu - avg_sigma(lambda(b)), read off the (D, k) that
-        lambda_invariant formed (see :meth:`_excess`)."""
-        key = (b.kappa, b.nu)
-        if key in self._strata_memo:
-            return self._strata_memo[key]
-        d = self.datum
-        _, num = _common_denominator(b.nu)
-        i_nu = frozenset(i for i in range(d.rank)
-                         if vec_dot(d.simple_roots[i], num) == 0)
-        excess = self._lambda_entry(b)[1]
-        if excess is None:
-            raise AssertionError(self._class_error(
-                b, 'nu - avg(lambda) not in the coroot span'))
-        i_one = frozenset(i for i, c in enumerate(excess[1]) if c != 0)
-        self._strata_memo[key] = (i_nu, i_one)
-        return i_nu, i_one
+        lambda_invariant formed (see :meth:`_excess`), memoised with
+        lambda(b)."""
+        return self._lambda_entry(b)[1]
 
     # -- virtual dimension ------------------------------------------------------
 

@@ -44,6 +44,14 @@ def _datum_arg(value):
         % (value, ', '.join(BUILTIN_DATA)))
 
 
+def _count_arg(value):
+    """A nonnegative integer option value."""
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(
+            'must be a nonnegative integer, got %r' % value)
+    return int(value)
+
+
 def _build_parser():
     p = _Parser(prog='adlv', description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest='command', required=True)
@@ -87,8 +95,8 @@ def _build_parser():
                     help='Newton point as JSON list of "p/q" strings')
 
     scan = with_datum(sub.add_parser('scan'))
-    scan.add_argument('--max-length', type=int, required=True)
-    scan.add_argument('--mu-bound', type=int, default=None,
+    scan.add_argument('--max-length', type=_count_arg, required=True)
+    scan.add_argument('--mu-bound', type=_count_arg, default=None,
                       help='coordinate box bound for mu (default: derived '
                            'from the length bound)')
     scan.add_argument('--seed', type=int, default=None)
@@ -141,6 +149,9 @@ def _run(args, out):
         from pathlib import Path
         tests = Path(__file__).resolve().parents[2] / 'tests' \
             / 'test_acceptance.py'
+        if not tests.is_file():
+            raise _Usage('selftest runs %s, which is not there: it needs a '
+                         'source checkout' % tests)
         code = subprocess.call([sys.executable, '-m', 'pytest', '-q',
                                 str(tests)])
         return code

@@ -287,7 +287,7 @@ class RootDatum:
     """A root system realized on a cocharacter lattice, with sigma.
 
     >>> d = builtin_datum('sl2')
-    >>> d.pairing((1,), d.simple_roots[0])
+    >>> vec_dot(d.simple_roots[0], (1,))
     2
     >>> len(d.roots), len(d.positive_roots)
     (2, 1)
@@ -426,10 +426,6 @@ class RootDatum:
         return n, total
 
     # -- basic operations -----------------------------------------------
-
-    def pairing(self, mu, alpha):
-        """Pairing of a cocharacter with a character (covector)."""
-        return vec_dot(alpha, mu)
 
     def sigma_vec(self, mu):
         return mat_vec(self.sigma_matrix, mu)

@@ -26,7 +26,6 @@ from math import prod
 from operator import add, mul, sub
 
 __all__ = [
-    'Vec',
     'mat_identity',
     'mat_mul',
     'mat_vec',
@@ -44,8 +43,6 @@ __all__ = [
     'solve_in_cone',
     'QuotientPresentation',
 ]
-
-Vec = tuple
 
 
 def mat_identity(n):

@@ -22,7 +22,7 @@ from .datum import diagram_components, perm_orbit, root_closure
 from .lattice import (QuotientPresentation, solve_integer_combination,
                       vec_add, vec_dot, vec_scale, vec_sub)
 from .qbg import QuantumBruhatGraph
-from .reduction import Reduction
+from .reduction import Reduction, _monomial
 
 __all__ = ['PositiveCoxeterPair', 'PCT', 'count_positive_roots',
            'very_special_subsets']
@@ -286,13 +286,13 @@ class PCT:
     def orbit_count(self, subset):
         return len(self.datum.sigma_orbits(frozenset(subset)))
 
-    def class_data(self, pair, b, witness):
+    def class_data(self, pair, b, witness, lam_max):
         """Exact per-class data: path counts l_I, l_II, the endpoint
-        support J(b) and its length, and the dimension."""
+        support J(b) and its length, and the dimension; lam_max is the
+        generic lambda of the pair (see :meth:`generic_class`)."""
         d = self.datum
         i_nu, i_one = self.bg.strata_sets(b)
         l_i = self.orbit_count(pair.J - i_nu)
-        _, lam_max = self.generic_class(pair)
         _, lam_b = self.bg.lambda_invariant(b)
         doubled = vec_dot(d.two_rho, vec_sub(lam_max, lam_b))
         if doubled % 2:
@@ -319,7 +319,7 @@ class PCT:
         interval = self.bgx_interval(pair)
         b_min = self.minimal_class(pair)
         b_max, lam_max = self.generic_class(pair)
-        classes = [self.class_data(pair, b, witness)
+        classes = [self.class_data(pair, b, witness, lam_max)
                    for b, witness in sorted(interval.items())]
         report = {'x': x, 'pair': pair, 'pairs': pairs, 'b_min': b_min,
                   'b_max': b_max, 'lambda_max': lam_max, 'classes': classes}
@@ -330,7 +330,6 @@ class PCT:
     def _validate_against_tree(self, report):
         """The interval, path statistics and class polynomials must agree
         with the reduction tree."""
-        from .reduction import POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, poly_mul
         x = report['x']
         tree = self.red.build_reduction_tree(x)
         tree_data = self.red.bgx_from_tree(x, tree)
@@ -350,12 +349,7 @@ class PCT:
             if dim != cd['dimension']:
                 raise AssertionError(self._element_error(
                     x, 'dimension statistic mismatch'))
-            expected = POLY_ONE
-            for _ in range(cd['l_i']):
-                expected = poly_mul(expected, POLY_Q_MINUS_ONE)
-            for _ in range(cd['l_ii']):
-                expected = poly_mul(expected, POLY_Q)
-            if entry['polynomial'] != expected:
+            if entry['polynomial'] != _monomial(cd['l_i'], cd['l_ii']):
                 raise AssertionError(self._element_error(
                     x, 'class polynomial is not q^l_II (q-1)^l_I'))
 
@@ -456,7 +450,9 @@ class PCT:
         lambda solves the two congruences: lambda = lambda(b) modulo the
         J(b)-coroots and the coinvariant relations, and lambda =
         sigma(v^{-1} mu) modulo the relations of X(c, J(b)).  The key of
-        c' eps^lambda must equal the key of the actual tree leaf.
+        c' eps^lambda must equal the key of the actual tree leaf of class
+        b, which is read off the leaf keys: their first two fields are
+        (kappa, nu).
         """
         d = self.datum
         i_nu, _ = self.bg.strata_sets(b)
@@ -479,10 +475,8 @@ class PCT:
         key = self.red.class_key(endpoint)
         if validate:
             tree = self.red.build_reduction_tree(pair.x)
-            leaf_keys = {self.red.class_key(leaf.x)
-                         for leaf in tree.leaves()
-                         if self.bg.element_class(leaf.x) == b}
-            if leaf_keys != {key}:
+            leaf_keys = {self.red.class_key(leaf.x) for leaf in tree.leaves()}
+            if {k for k in leaf_keys if k[:2] == b} != {key}:
                 raise AssertionError(self._element_error(
                     pair.x, 'endpoint certificate differs from the tree '
                     'leaf class'))

@@ -12,7 +12,7 @@ a runtime check rather than an assumption.
 
 from __future__ import annotations
 
-from .lattice import vec_add
+from .lattice import vec_add, vec_dot
 
 __all__ = ['QuantumBruhatGraph']
 
@@ -42,7 +42,8 @@ class QuantumBruhatGraph:
                     'datum %r: coroot %s has no integer coordinates over '
                     'the simple coroots' % (d.name, r.coroot))
             self.coroot_coords.append(tuple(int(c) for c in coeffs))
-        self.pair_2rho = [self._pair(r.coroot) for r in d.positive_roots]
+        self.pair_2rho = [vec_dot(d.two_rho, r.coroot)
+                          for r in d.positive_roots]
         zero = (0,) * d.rank
         self.edges = [[] for _ in range(self.W.size)]
         for w in range(self.W.size):
@@ -56,10 +57,6 @@ class QuantumBruhatGraph:
                     self.edges[w].append((ws, self.coroot_coords[i], i,
                                           'quantum'))
         self._memo = {}
-
-    def _pair(self, coroot):
-        d = self.datum
-        return sum(d.two_rho[j] * coroot[j] for j in range(d.dim))
 
     # -- distances and weights --------------------------------------------
 

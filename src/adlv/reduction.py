@@ -11,6 +11,10 @@ walk reaches the element.  The four walks read that table: the
 equal-length orbit walk, the minimal-length descent, the reduction tree
 and the class-key closure.
 
+A class key is interned once per ``Reduction`` and is the one record of
+a class: its first two fields are (kappa, nu), so the class of a tree
+leaf is read off the leaf's key, never from a Newton point of the leaf.
+
 Polynomials are integer coefficient tuples, lowest degree first:
 q^2 - q is (0, -1, 1).
 """
@@ -22,7 +26,7 @@ import random
 from functools import cache, cached_property
 from itertools import count
 
-from .bg import BGInvariants
+from .bg import BGClass, BGInvariants
 
 __all__ = ['Reduction', 'ReductionTree', 'TreeNode', 'poly_add', 'poly_mul',
            'POLY_ONE', 'POLY_Q', 'POLY_Q_MINUS_ONE', 'DEFAULT_SLACK']
@@ -121,15 +125,8 @@ class ReductionTree:
         self.root = root
 
     def leaves(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if n.is_leaf:
-                out.append(n)
-            else:
-                stack.extend([n.child_ii, n.child_i])
-        return out
+        """The leaves in the order of :meth:`paths`, type I subtree first."""
+        return [leaf for leaf, _, _ in self.paths()]
 
     def paths(self):
         """All root-to-leaf paths as (leaf, n_type_I, n_type_II)."""
@@ -374,30 +371,37 @@ class Reduction:
                       'leaf_keys': set, 'polynomial': tuple}}.
 
         dim is the path statistic l_I + l_II + ell(end) - <nu(b), 2 rho>.
+        One pass over the root-to-leaf paths: a leaf's class b is read
+        off its interned class key, whose first two fields are (kappa,
+        nu), and <nu(b), 2 rho> is formed and checked once per class.
+        The polynomial of b is the sum of (q-1)^{l_I} q^{l_II} over the
+        leaves of class b, which is the sum of the class polynomials of
+        its keys, since a key's class polynomial is the sum of the
+        monomials of its leaves (see :meth:`class_polynomials`).
         """
         if tree is None:
             tree = self.build_reduction_tree(x)
-        polys = self.class_polynomials(x, tree=tree)
-        out = {}
+        out, two_rho = {}, {}
         for leaf, ni, nii in tree.paths():
-            b = self.bg.element_class(leaf.x)
+            key = self.class_key(leaf.x)
+            b = BGClass(key[0], key[1])
+            entry = out.get(b)
+            if entry is None:
+                two_rho_nu = self.bg.pair_two_rho(b.nu)
+                if two_rho_nu.denominator != 1:
+                    raise AssertionError(
+                        'datum %r: <nu, 2 rho> = %s is not integral at leaf '
+                        '%s' % (self.datum.name, two_rho_nu,
+                                self.aw.format_element(leaf.x)))
+                two_rho[b] = int(two_rho_nu)
+                entry = out[b] = {'paths': [], 'leaf_keys': set(),
+                                  'polynomial': ()}
             end_len = self.aw.aff_length(leaf.x)
-            two_rho_nu = self.bg.pair_two_rho(b.nu)
-            if two_rho_nu.denominator != 1:
-                raise AssertionError(
-                    'datum %r: <nu, 2 rho> = %s is not integral at leaf %s'
-                    % (self.datum.name, two_rho_nu,
-                       self.aw.format_element(leaf.x)))
-            dim = ni + nii + end_len - int(two_rho_nu)
-            entry = out.setdefault(b, {'paths': [], 'leaf_keys': set()})
-            entry['paths'].append((ni, nii, end_len, dim))
-            entry['leaf_keys'].add(self.class_key(leaf.x))
-        for b, entry in out.items():
-            keys = entry['leaf_keys']
-            polysum = ()
-            for k in keys:
-                polysum = poly_add(polysum, polys.get(k, ()))
-            entry['polynomial'] = polysum
+            entry['paths'].append(
+                (ni, nii, end_len, ni + nii + end_len - two_rho[b]))
+            entry['leaf_keys'].add(key)
+            entry['polynomial'] = poly_add(entry['polynomial'],
+                                           _monomial(ni, nii))
         return out
 
     # -- output ------------------------------------------------------------------------

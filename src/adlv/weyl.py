@@ -245,10 +245,6 @@ class WeylGroup:
         self._parabolic_memo[subset] = out
         return out
 
-    def support(self, e):
-        """Set of simple indices occurring in a reduced word of e."""
-        return frozenset(self.words[e])
-
     def dominant_representative(self, mu):
         """(v, lam): minimal v in W with v^{-1} mu = lam dominant.
 

@@ -117,10 +117,17 @@ def test_lambda_invariant_rejects_newton_point_off_averaged_span():
 def test_strata_sets_off_coroot_span_is_an_invariant_error(monkeypatch):
     bg = BGInvariants(AffineWeyl(builtin_datum('gl3')))
     b = BGClass(bg.kottwitz.project((1, 0, 0)), (Fraction(1, 3),) * 3)
-    # avg(lambda) = 0 leaves nu, whose coordinates sum to 1, off the span
-    monkeypatch.setattr(bg, '_lambda_entry',
-                        lambda b: (None, bg._excess(b.nu, (0, 0, 0))))
-    with pytest.raises(AssertionError, match='not in the coroot span'):
+    # the avg <= nu check reads avg(lambda) = 0, which leaves nu, whose
+    # coordinates sum to 1, off the span
+    excess, calls = bg._excess, []
+
+    def zero_lambda_in_check(nu, lam):
+        calls.append(lam)
+        return excess(nu, lam if len(calls) == 1 else (0, 0, 0))
+
+    monkeypatch.setattr(bg, '_excess', zero_lambda_in_check)
+    with pytest.raises(AssertionError, match="^datum 'gl3': lambda candidate "
+                                             'fails avg <= nu'):
         bg.strata_sets(b)
 
 

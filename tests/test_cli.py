@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from adlv import cli
 from adlv.affine import AffineWeyl
 from adlv.cli import main
 
@@ -173,6 +174,25 @@ def test_exit_codes(capsys):
                          '{"w": [1, 2, 1], "mu": [0, 0]}')
     assert code == 1 and out == ''
     assert err == 'usage error: --x: x is not of positive Coxeter type\n'
+    # a negative scan bound is bad input, not an empty box
+    for bounds, option in [(('--max-length', '-1'), '--max-length'),
+                           (('--max-length', '2', '--mu-bound', '-3'),
+                            '--mu-bound')]:
+        code, out, err = run(capsys, 'scan', '--datum', 'sl2', *bounds)
+        assert code == 1 and out == '', bounds
+        assert err.startswith('usage error: argument ' + option), err
+
+
+def test_selftest_outside_a_checkout_names_the_missing_file(
+        capsys, monkeypatch, tmp_path):
+    """With no tests/ beside the package, selftest exits 1 naming the
+    acceptance test file it looked for."""
+    monkeypatch.setattr(cli, '__file__', str(tmp_path / 'src' / 'adlv'
+                                             / 'cli.py'))
+    code, out, err = run(capsys, 'selftest')
+    missing = tmp_path.resolve() / 'tests' / 'test_acceptance.py'
+    assert code == 1 and out == ''
+    assert err.startswith('usage error: ') and str(missing) in err, err
 
 
 def test_scan_deterministic(capsys):

@@ -18,6 +18,7 @@ from adlv.reduction import Reduction, poly_add
 
 from test_affine import gl6_sample
 from test_datum import pi_projection_oracle, typed
+from test_reduction import count_calls
 
 
 @pytest.fixture(scope='module')
@@ -535,6 +536,28 @@ def test_class_polynomial_fault_exits_3_naming_datum_and_x(monkeypatch,
     assert err.startswith("invariant violation: datum 'gl3': class "
                           'polynomial is not q^l_II (q-1)^l_I'), err
     assert err.rstrip().endswith('for x = ' + x), err
+
+
+def test_report_and_endpoints_form_no_newton_point_per_leaf(monkeypatch):
+    """thmA_report and endpoint_class(validate=True) over every class of
+    every gl3 box(2, 6) element of positive Coxeter type read each tree
+    leaf's class off its key: element_class runs once per class-key
+    closure and nowhere else."""
+    ctx = Context('gl3')
+    pct = ctx.pct
+    newton = count_calls(monkeypatch, ctx.bg, 'element_class')
+    closures = count_calls(monkeypatch, ctx.red, '_closure')
+    reports = 0
+    for x in ctx.aw.box_elements(2, 6):
+        pairs = pct.positive_coxeter_pairs(x)
+        if not pairs:
+            continue
+        report = pct.thmA_report(x)
+        for cd in report['classes']:
+            pct.endpoint_class(pairs[0], cd['class'], validate=True)
+        reports += 1
+    assert reports > 100
+    assert len(newton) == len(closures) > 0
 
 
 def test_twisted_membership_witnesses():

@@ -196,6 +196,61 @@ def test_bgx_from_tree_minimal(red3):
     assert entry['paths'][0][3] == 0
 
 
+def bgx_from_tree_per_leaf(red, x):
+    """Oracle: bgx_from_tree with a Newton point per leaf and the class
+    polynomials re-summed over each class's leaf keys."""
+    tree = red.build_reduction_tree(x)
+    polys = red.class_polynomials(x, tree=tree)
+    out = {}
+    for leaf, ni, nii in tree.paths():
+        b = red.bg.element_class(leaf.x)
+        end_len = red.aw.aff_length(leaf.x)
+        dim = ni + nii + end_len - int(red.bg.pair_two_rho(b.nu))
+        entry = out.setdefault(b, {'paths': [], 'leaf_keys': set()})
+        entry['paths'].append((ni, nii, end_len, dim))
+        entry['leaf_keys'].add(red.class_key(leaf.x))
+    for entry in out.values():
+        polysum = ()
+        for k in entry['leaf_keys']:
+            polysum = poly_add(polysum, polys[k])
+        entry['polynomial'] = polysum
+    return out
+
+
+@pytest.mark.parametrize('name,bound,max_length', [
+    ('gl3', 2, 6), ('sl3_flip', 2, 7), ('sp4', 3, 6)])
+def test_bgx_from_tree_matches_per_leaf_newton(name, bound, max_length):
+    """Classes from leaf keys against a Newton point per leaf, class
+    order, paths and polynomials included."""
+    red = Reduction(AffineWeyl(builtin_datum(name)))
+    for x in red.aw.box_elements(bound, max_length):
+        got = red.bgx_from_tree(x)
+        want = bgx_from_tree_per_leaf(red, x)
+        assert list(got.items()) == list(want.items()), x
+
+
+def leaves_by_stack(tree):
+    """Oracle: the leaves by a stack walk, type I child popped first."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        if n.is_leaf:
+            out.append(n)
+        else:
+            stack.extend([n.child_ii, n.child_i])
+    return out
+
+
+def test_leaves_match_stack_walk():
+    """On sl4 box(1, 8) under four branch policies."""
+    red = Reduction(AffineWeyl(builtin_datum('sl4')))
+    for x in red.aw.box_elements(1, 8):
+        for seed in (None, 1, 2, 3):
+            tree = red.build_reduction_tree(x, seed=seed)
+            assert tree.leaves() == leaves_by_stack(tree), (x, seed)
+
+
 def scan_find_down_move(red, x, rng=None):
     """Oracle: find_down_move by rescanning the whole orbit, with move
     types from recounted lengths."""
