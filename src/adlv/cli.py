@@ -4,9 +4,11 @@ Subcommands: ``datum validate``, ``lp``, ``eta``, ``qbg dist|weight|dot``,
 ``newton``, ``kappa``, ``lambda``, ``bgx``, ``tree``, ``classpoly``,
 ``pct classify|report|endpoint``, ``scan``, ``selftest``.
 
-Exit codes: 0 success, 1 usage error, 2 computation error, 3 violated
-internal invariant.  Rationals are printed as "p/q" strings, polynomials
-as coefficient arrays lowest degree first, graphs as DOT.
+Exit codes: 0 success, 1 usage error, 2 computation error (a
+``ValueError``), 3 violated internal invariant or internal error (any
+other exception, with its traceback).  Rationals are printed as "p/q"
+strings, polynomials as coefficient arrays lowest degree first, graphs
+as DOT.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .bg import BGClass
 from .context import Context
 from .datum import BUILTIN_DATA
 
@@ -207,7 +210,6 @@ def _run(args, out):
             out.write('\n')
             return 0
         # endpoint
-        from .bg import BGClass
         dim, kottwitz = ctx.datum.dim, ctx.bg.kottwitz
         kappa = _vector(args.kappa, '--kappa', dim)
         if kottwitz.project(kottwitz.lift(kappa)) != kappa:
@@ -321,9 +323,9 @@ def _scan(ctx, args, out):
     bound = args.mu_bound if args.mu_bound is not None else args.max_length
     rows = []
     for x in aw.box_elements(bound, args.max_length):
-        b = ctx.bg.element_class(x)
+        b = BGClass(*ctx.red.class_key(x)[:2])
         flag, v = pct.pct_characterize(x)
-        row = {
+        rows.append({
             'x': aw.element_to_dict(x),
             'length': aw.aff_length(x),
             'class': b.to_dict(),
@@ -331,8 +333,7 @@ def _scan(ctx, args, out):
             'finite_coxeter_part': pct.has_finite_coxeter_part(x),
             'classpoly': _poly_rows(
                 ctx, ctx.red.class_polynomials(x, seed=args.seed)),
-        }
-        rows.append(row)
+        })
     json.dump(rows, out, indent=2)
     out.write('\n')
     return 0
@@ -350,12 +351,17 @@ def main(argv=None):
     except AssertionError as e:
         print('invariant violation: %s' % e, file=sys.stderr)
         return 3
-    except (_Usage,) as e:
+    except _Usage as e:
         print('usage error: %s' % e, file=sys.stderr)
         return 1
-    except Exception as e:
+    except ValueError as e:
         print('error: %s' % e, file=sys.stderr)
         return 2
+    except Exception:
+        import traceback    # here only, off every call's import path
+        print('internal error:', file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == '__main__':

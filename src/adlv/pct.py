@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .affine import AffineElement
+from .bg import BGClass
 from .datum import diagram_components, perm_orbit, root_closure
 from .lattice import (QuotientPresentation, solve_integer_combination,
                       vec_add, vec_dot, vec_scale, vec_sub)
@@ -207,7 +208,6 @@ class PCT:
         return self._bgclass(x, [Fraction(c, den) for c in lam])
 
     def _bgclass(self, x, nu_dom):
-        from .bg import BGClass
         return BGClass(self.bg.kottwitz_point(x), tuple(nu_dom))
 
     def generic_lambda(self, pair):
@@ -494,7 +494,7 @@ class PCT:
         if not self.W.sigma_conjugate_to_partial_coxeter(x.w):
             return False, None
         x_min, moves = self.red.descend_to_minimal(x)
-        b = self.bg.element_class(x)
+        b = BGClass(*self.red.class_key(x_min)[:2])
         two_rho_nu = self.bg.pair_two_rho(b.nu)
         dim_path = len(moves) + self.aw.aff_length(x_min) - two_rho_nu
         defect = self.bg.defect(b)

@@ -9,7 +9,9 @@ Each element's moves r_a y r_{sigma a}, one per simple affine root a,
 are formed once per ``Reduction``, into one table, the first time any
 walk reaches the element.  The four walks read that table: the
 equal-length orbit walk, the minimal-length descent, the reduction tree
-and the class-key closure.
+and the class-key closure.  None recurses: one loop over a stack builds
+a reduction tree and the record of its root-to-leaf paths, which every
+reader of the tree reads.
 
 A class key is interned once per ``Reduction`` and is the one record of
 a class: its first two fields are (kappa, nu), so the class of a tree
@@ -119,28 +121,19 @@ class TreeNode:
 
 
 class ReductionTree:
-    __slots__ = ('root',)
+    __slots__ = ('root', '_paths')
 
-    def __init__(self, root):
+    def __init__(self, root, paths):
         self.root = root
+        self._paths = paths
 
     def leaves(self):
         """The leaves in the order of :meth:`paths`, type I subtree first."""
-        return [leaf for leaf, _, _ in self.paths()]
+        return [leaf for leaf, _, _ in self._paths]
 
     def paths(self):
-        """All root-to-leaf paths as (leaf, n_type_I, n_type_II)."""
-        out = []
-
-        def walk(node, ni, nii):
-            if node.is_leaf:
-                out.append((node, ni, nii))
-                return
-            walk(node.child_i, ni + 1, nii)
-            walk(node.child_ii, ni, nii + 1)
-
-        walk(self.root, 0, 0)
-        return out
+        """The recorded root-to-leaf paths (leaf, n_type_I, n_type_II)."""
+        return self._paths
 
 
 class Reduction:
@@ -238,21 +231,26 @@ class Reduction:
 
     def build_reduction_tree(self, x, seed=None):
         """Reduction tree from x.  Deterministic when seed is None (first
-        down move in BFS-orbit and root order); otherwise seeded."""
+        down move in BFS-orbit and root order); otherwise seeded.  Nodes
+        are expanded in preorder, type I child first, which fixes the
+        order of the rng draws and of the recorded paths."""
         rng = random.Random(seed) if seed is not None else None
-
-        def build(el):
-            found = self.find_down_move(el, rng)
+        root = TreeNode(x)
+        paths = []
+        stack = [(root, 0, 0)]
+        while stack:
+            node, ni, nii = stack.pop()
+            found = self.find_down_move(node.x, rng)
             if found is None:
-                return TreeNode(el)
+                paths.append((node, ni, nii))
+                continue
             y, a = found
             z, _, left = self._move(y, a)
-            node = TreeNode(el, x_prime=y, aroot=a)
-            node.child_i = build(left)     # r_a x', one shorter
-            node.child_ii = build(z)       # r_a x' r_{sigma a}, two shorter
-            return node
-
-        return ReductionTree(build(x))
+            node.x_prime, node.aroot = y, a
+            node.child_i = TreeNode(left)   # r_a x', one shorter
+            node.child_ii = TreeNode(z)     # r_a x' r_{sigma a}, two shorter
+            stack += [(node.child_ii, ni, nii + 1), (node.child_i, ni + 1, nii)]
+        return ReductionTree(root, paths)
 
     def class_polynomials(self, x, seed=None, tree=None):
         """Map class_key -> coefficient tuple of the class polynomial: the
@@ -368,7 +366,7 @@ class Reduction:
 
     def bgx_from_tree(self, x, tree=None):
         """{BGClass: {'paths': [(l_I, l_II, end_length, dim)],
-                      'leaf_keys': set, 'polynomial': tuple}}.
+                      'polynomial': tuple}}.
 
         dim is the path statistic l_I + l_II + ell(end) - <nu(b), 2 rho>.
         One pass over the root-to-leaf paths: a leaf's class b is read
@@ -383,8 +381,7 @@ class Reduction:
             tree = self.build_reduction_tree(x)
         out, two_rho = {}, {}
         for leaf, ni, nii in tree.paths():
-            key = self.class_key(leaf.x)
-            b = BGClass(key[0], key[1])
+            b = BGClass(*self.class_key(leaf.x)[:2])
             entry = out.get(b)
             if entry is None:
                 two_rho_nu = self.bg.pair_two_rho(b.nu)
@@ -394,12 +391,10 @@ class Reduction:
                         '%s' % (self.datum.name, two_rho_nu,
                                 self.aw.format_element(leaf.x)))
                 two_rho[b] = int(two_rho_nu)
-                entry = out[b] = {'paths': [], 'leaf_keys': set(),
-                                  'polynomial': ()}
+                entry = out[b] = {'paths': [], 'polynomial': ()}
             end_len = self.aw.aff_length(leaf.x)
             entry['paths'].append(
                 (ni, nii, end_len, ni + nii + end_len - two_rho[b]))
-            entry['leaf_keys'].add(key)
             entry['polynomial'] = poly_add(entry['polynomial'],
                                            _monomial(ni, nii))
         return out
@@ -407,24 +402,23 @@ class Reduction:
     # -- output ------------------------------------------------------------------------
 
     def tree_to_dot(self, tree):
-        """DOT rendering: type I edges solid, type II dashed."""
+        """DOT rendering: type I edges solid, type II dashed; nodes are
+        named in preorder and each edge line follows its child's line."""
         lines = ['digraph reduction {']
         numbers = count()
-
-        def visit(node):
-            """Append the lines of node's subtree; return node's name."""
+        stack = [(tree.root, None)]     # (node, edge line from its parent)
+        while stack:
+            node, edge = stack.pop()
             name = 'n%d' % next(numbers)
             lines.append('  %s [label="%s (l=%d)"];'
                          % (name,
                             self.aw.format_element(node.x).replace('"', "'"),
                             self.aw.aff_length(node.x)))
+            if edge is not None:
+                lines.append(edge % name)
             if not node.is_leaf:
-                for child, style, label in ((node.child_i, 'solid', 'I'),
-                                            (node.child_ii, 'dashed', 'II')):
-                    lines.append('  %s -> %s [style=%s, label="%s"];'
-                                 % (name, visit(child), style, label))
-            return name
-
-        visit(tree.root)
+                arrow = '  %s -> %%s [style=%s, label="%s"];'
+                stack += [(node.child_ii, arrow % (name, 'dashed', 'II')),
+                          (node.child_i, arrow % (name, 'solid', 'I'))]
         lines.append('}')
         return '\n'.join(lines)

@@ -6,7 +6,10 @@ import pytest
 
 from adlv import cli
 from adlv.affine import AffineWeyl
+from adlv.bg import BGInvariants
 from adlv.cli import main
+from adlv.context import Context
+from adlv.reduction import Reduction
 
 
 def run(capsys, *argv):
@@ -181,6 +184,55 @@ def test_exit_codes(capsys):
         code, out, err = run(capsys, 'scan', '--datum', 'sl2', *bounds)
         assert code == 1 and out == '', bounds
         assert err.startswith('usage error: argument ' + option), err
+
+
+def count_calls(monkeypatch, cls, name):
+    """Wrap the method cls.name on the class; return the call list."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize('error,code,head', [
+    (KeyError, 3, 'internal error:'), (ValueError, 2, 'error: boom')])
+def test_unexpected_library_exception_is_an_internal_error(
+        capsys, monkeypatch, error, code, head):
+    """A ValueError is a declared computation error, exit 2; any other
+    exception of the library is a programming error, exit 3 with its
+    traceback."""
+    def fail(*args, **kwargs):
+        raise error('boom')
+
+    monkeypatch.setattr(Reduction, 'class_polynomials', fail)
+    got, out, err = run(capsys, 'classpoly', '--datum', 'sl2', '--x',
+                        '{"w": [1], "mu": [1]}')
+    assert got == code and out == ''
+    assert err.startswith(head), err
+    assert (('Traceback' in err and "KeyError: 'boom'" in err)
+            == (error is KeyError)), err
+
+
+def test_scan_forms_one_newton_point_per_class_key(capsys, monkeypatch):
+    """Each scan row's class, and the class pct_characterize needs, is read
+    off the interned class key: element_class runs once per class-key
+    closure.  The rows' classes agree with element_class of x."""
+    newton = count_calls(monkeypatch, BGInvariants, 'element_class')
+    closures = count_calls(monkeypatch, Reduction, '_closure')
+    rows = run_json(capsys, 'scan', '--datum', 'gl3', '--max-length', '4',
+                    '--mu-bound', '1')
+    assert len(rows) == 127
+    assert len(newton) == len(closures) < len(rows)
+    monkeypatch.undo()
+    ctx = Context('gl3')
+    for row in rows:
+        x = ctx.aw.parse_element(json.dumps(row['x']))
+        assert row['class'] == ctx.bg.element_class(x).to_dict(), row['x']
 
 
 def test_selftest_outside_a_checkout_names_the_missing_file(

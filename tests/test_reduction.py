@@ -1,6 +1,7 @@
 """Reduction trees, minimal descent, class keys, class polynomials."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -13,10 +14,11 @@ import pytest
 
 from adlv import reduction
 from adlv.affine import AffineElement, AffineWeyl
+from adlv.cli import main
 from adlv.datum import builtin_datum
 from adlv.qbg import QuantumBruhatGraph
 from adlv.reduction import (POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, Reduction,
-                            poly_add, poly_mul, poly_str)
+                            TreeNode, poly_add, poly_mul, poly_str)
 from adlv.weyl import WeylGroup
 
 from test_affine import seeded_sample, simple_sigma_conjugate_two_products
@@ -201,17 +203,17 @@ def bgx_from_tree_per_leaf(red, x):
     polynomials re-summed over each class's leaf keys."""
     tree = red.build_reduction_tree(x)
     polys = red.class_polynomials(x, tree=tree)
-    out = {}
+    out, leaf_keys = {}, {}
     for leaf, ni, nii in tree.paths():
         b = red.bg.element_class(leaf.x)
         end_len = red.aw.aff_length(leaf.x)
         dim = ni + nii + end_len - int(red.bg.pair_two_rho(b.nu))
-        entry = out.setdefault(b, {'paths': [], 'leaf_keys': set()})
-        entry['paths'].append((ni, nii, end_len, dim))
-        entry['leaf_keys'].add(red.class_key(leaf.x))
-    for entry in out.values():
+        out.setdefault(b, {'paths': []})['paths'].append(
+            (ni, nii, end_len, dim))
+        leaf_keys.setdefault(b, set()).add(red.class_key(leaf.x))
+    for b, entry in out.items():
         polysum = ()
-        for k in entry['leaf_keys']:
+        for k in leaf_keys[b]:
             polysum = poly_add(polysum, polys[k])
         entry['polynomial'] = polysum
     return out
@@ -249,6 +251,119 @@ def test_leaves_match_stack_walk():
         for seed in (None, 1, 2, 3):
             tree = red.build_reduction_tree(x, seed=seed)
             assert tree.leaves() == leaves_by_stack(tree), (x, seed)
+
+
+def tree_by_recursion(red, x, seed=None):
+    """Oracle: the reduction tree built by recursion, each node expanded
+    before its type I subtree and that before its type II subtree."""
+    rng = random.Random(seed) if seed is not None else None
+
+    def build(el):
+        found = red.find_down_move(el, rng)
+        if found is None:
+            return TreeNode(el)
+        y, a = found
+        z, _, left = red._move(y, a)
+        node = TreeNode(el, x_prime=y, aroot=a)
+        node.child_i = build(left)
+        node.child_ii = build(z)
+        return node
+
+    return build(x)
+
+
+def paths_by_recursion(root):
+    """Oracle: the root-to-leaf paths (leaf, n_I, n_II) by a recursive
+    walk, type I subtree first."""
+    out = []
+
+    def walk(node, ni, nii):
+        if node.is_leaf:
+            out.append((node, ni, nii))
+            return
+        walk(node.child_i, ni + 1, nii)
+        walk(node.child_ii, ni, nii + 1)
+
+    walk(root, 0, 0)
+    return out
+
+
+def dot_by_recursion(red, root):
+    """Oracle: the DOT rendering by a recursive walk, in which each edge
+    line follows its child's whole subtree."""
+    lines = ['digraph reduction {']
+    numbers = itertools.count()
+
+    def visit(node):
+        name = 'n%d' % next(numbers)
+        lines.append('  %s [label="%s (l=%d)"];'
+                     % (name, red.aw.format_element(node.x).replace('"', "'"),
+                        red.aw.aff_length(node.x)))
+        if not node.is_leaf:
+            for child, style, label in ((node.child_i, 'solid', 'I'),
+                                        (node.child_ii, 'dashed', 'II')):
+                lines.append('  %s -> %s [style=%s, label="%s"];'
+                             % (name, visit(child), style, label))
+        return name
+
+    visit(root)
+    lines.append('}')
+    return '\n'.join(lines)
+
+
+def preorder(node):
+    """Oracle: (x, x_prime, aroot) of every node by recursion, type I
+    subtree first."""
+    if node.is_leaf:
+        return [(node.x, None, None)]
+    return ([(node.x, node.x_prime, node.aroot)] + preorder(node.child_i)
+            + preorder(node.child_ii))
+
+
+@pytest.mark.parametrize('name,bound,max_length,seeds', [
+    ('sl4', 1, 8, (None, 1, 2, 3)), ('gl3', 2, 6, (None,))])
+def test_tree_walk_matches_recursive_oracles(name, bound, max_length, seeds):
+    """The stack-built tree against the recursive build, under each
+    branch policy: the same nodes, the same paths and leaves in the same
+    order, and the same DOT lines, edge lines moved up to their child's
+    node line."""
+    red = Reduction(AffineWeyl(builtin_datum(name)))
+    for x, seed in itertools.product(red.aw.box_elements(bound, max_length),
+                                     seeds):
+        tree = red.build_reduction_tree(x, seed=seed)
+        root = tree_by_recursion(red, x, seed=seed)
+        assert preorder(tree.root) == preorder(root), (x, seed)
+        got = [(leaf.x, ni, nii) for leaf, ni, nii in tree.paths()]
+        want = [(leaf.x, ni, nii)
+                for leaf, ni, nii in paths_by_recursion(root)]
+        assert got == want, (x, seed)
+        assert [leaf.x for leaf in tree.leaves()] == [el for el, _, _ in want]
+        got = red.tree_to_dot(tree).split('\n')
+        want = dot_by_recursion(red, root).split('\n')
+        assert ([line for line in got if '->' not in line]
+                == [line for line in want if '->' not in line]), (x, seed)
+        assert sorted(got) == sorted(want), (x, seed)
+
+
+def test_tree_deeper_than_the_recursion_limit(capsys):
+    """sl2 x = s1 eps^L, whose tree is about L deep, with L past the
+    recursion limit: the tree, its readers and the CLI still run."""
+    depth = sys.getrecursionlimit() + 100
+    red = Reduction(AffineWeyl(builtin_datum('sl2')))
+    x = AffineElement(1, (depth,))
+    tree = red.build_reduction_tree(x)
+    assert max(ni + nii for _, ni, nii in tree.paths()) >= depth
+    polys = red.class_polynomials(x, tree=tree)
+    assert len(polys) == len(tree.paths())
+    data = red.bgx_from_tree(x, tree)
+    assert sum(len(e['paths']) for e in data.values()) == len(tree.paths())
+    dot = red.tree_to_dot(tree)
+    assert dot.count('->') == 2 * (len(tree.paths()) - 1)
+    code = main(['classpoly', '--datum', 'sl2', '--x',
+                 '{"w": [1], "mu": [%d]}' % depth])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert len(json.loads(out)) == len(polys)
 
 
 def scan_find_down_move(red, x, rng=None):
