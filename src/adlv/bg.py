@@ -4,7 +4,10 @@ the virtual dimension.
 
 A class is identified by the pair (kappa, nu): kappa is a canonical
 residue tuple in the presentation of pi_1(G)_Gamma and nu is the
-dominant rational Newton point.
+dominant rational Newton point.  Its integers are formed once, in one
+record per class: lambda(b), the strata sets, <nu, 2 rho> and the
+defect.  The record checks that <nu, 2 rho> is an integer and that the
+defect is nonnegative, so every reader of these numbers works on ints.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class BGInvariants:
         self.datum = aw.datum
         self.kottwitz = self.datum.kottwitz_presentation()
         self.gamma = self.datum.galois_coinvariants()
-        self._lambda_memo = {}
+        self._records = {}
 
     # -- Newton and Kottwitz ------------------------------------------------
 
@@ -126,14 +129,20 @@ class BGInvariants:
         >>> bg.lambda_invariant(b)[1]
         (0, 0, 1)
         """
-        return self._lambda_entry(b)[0]
+        return self._class_record(b)[0]
 
-    def _lambda_entry(self, b):
-        """(lambda_invariant(b), strata_sets(b)), memoised per class."""
+    def _class_record(self, b):
+        """(lambda_invariant(b), strata_sets(b), <nu, 2 rho>, defect(b)),
+        memoised per class.
+
+        The pairings are read on the integer numerators of nu, and the
+        one check that <nu, 2 rho> is an integer and the defect
+        <nu, 2 rho> - <lambda(b), 2 rho> is nonnegative is made here.
+        """
         key = (b.kappa, b.nu)
-        entry = self._lambda_memo.get(key)
-        if entry is not None:
-            return entry
+        record = self._records.get(key)
+        if record is not None:
+            return record
         d = self.datum
         lam0 = self.kottwitz.lift(b.kappa)
         excess = self._excess(b.nu, lam0)
@@ -162,13 +171,24 @@ class BGInvariants:
             raise AssertionError(self._class_error(
                 b, 'conv(lambda(b)) != nu(b): lambda = %s, conv = %s'
                 % (_vec_text(lam), _vec_text(conv))))
-        _, num = _common_denominator(b.nu)
+        den, num = _common_denominator(b.nu)
+        pairing = vec_dot(d.two_rho, num)
+        if pairing % den:
+            raise AssertionError(self._class_error(
+                b, '<nu, 2 rho> = %s is not an integer'
+                % Fraction(pairing, den)))
+        two_rho_nu = pairing // den
+        defect = two_rho_nu - vec_dot(d.two_rho, lam)
+        if defect < 0:
+            raise AssertionError(self._class_error(
+                b, 'the defect %d is negative: lambda = %s'
+                % (defect, _vec_text(lam))))
         i_nu = frozenset(i for i in range(d.rank)
                          if vec_dot(d.simple_roots[i], num) == 0)
         i_one = frozenset(i for i, c in enumerate(excess[1]) if c != 0)
-        entry = self._lambda_memo[key] = ((self.gamma.project(lam), lam),
-                                          (i_nu, i_one))
-        return entry
+        record = self._records[key] = ((self.gamma.project(lam), lam),
+                                       (i_nu, i_one), two_rho_nu, defect)
+        return record
 
     def _excess(self, nu, lam):
         """nu - avg_sigma(lam) over the simple coroots, on integers: (D, k)
@@ -188,18 +208,14 @@ class BGInvariants:
                 % (self.datum.name, what, _vec_text(b.kappa),
                    _vec_text(b.nu)))
 
-    def pair_two_rho(self, vec):
-        return vec_dot(self.datum.two_rho, vec)
+    def two_rho_nu(self, b):
+        """<nu(b), 2 rho>, an integer, read off the class record."""
+        return self._class_record(b)[2]
 
     def defect(self, b):
-        """<nu, 2 rho> - <lambda(b), 2 rho>, a nonnegative integer."""
-        _, lam = self.lambda_invariant(b)
-        val = self.pair_two_rho(b.nu) - self.pair_two_rho(lam)
-        val = Fraction(val)
-        if val.denominator != 1 or val < 0:
-            raise AssertionError(self._class_error(
-                b, 'defect must be a nonnegative integer, got %s' % val))
-        return int(val)
+        """<nu, 2 rho> - <lambda(b), 2 rho>, a nonnegative integer, read
+        off the class record."""
+        return self._class_record(b)[3]
 
     # -- order and strata -----------------------------------------------------
 
@@ -222,7 +238,7 @@ class BGInvariants:
         nu - avg_sigma(lambda(b)), read off the (D, k) that
         lambda_invariant formed (see :meth:`_excess`), memoised with
         lambda(b)."""
-        return self._lambda_entry(b)[1]
+        return self._class_record(b)[1]
 
     # -- virtual dimension ------------------------------------------------------
 
@@ -239,10 +255,10 @@ class BGInvariants:
         if b.kappa != self.kottwitz_point(x):
             raise ValueError('kappa(b) differs from kappa(x)')
         eta = self.aw.eta_sigma(x)
-        total = Fraction(self.aw.aff_length(x) + self.W.lengths[eta]) \
-            - self.pair_two_rho(b.nu) - self.defect(b)
-        if total % 2 != 0:
+        total = self.aw.aff_length(x) + self.W.lengths[eta] \
+            - self.two_rho_nu(b) - self.defect(b)
+        if total % 2:
             raise AssertionError(self._class_error(
-                b, 'virtual dimension %s / 2 of x = %s is not an integer'
+                b, 'virtual dimension %d / 2 of x = %s is not an integer'
                 % (total, self.aw.format_element(x))))
-        return int(total // 2)
+        return total // 2

@@ -6,9 +6,10 @@ Subcommands: ``datum validate``, ``lp``, ``eta``, ``qbg dist|weight|dot``,
 
 Exit codes: 0 success, 1 usage error, 2 computation error (a
 ``ValueError``), 3 violated internal invariant or internal error (any
-other exception, with its traceback).  Rationals are printed as "p/q"
-strings, polynomials as coefficient arrays lowest degree first, graphs
-as DOT.
+other exception, with its traceback), 141 output pipe closed by its
+reader (128 + SIGPIPE, as a shell reports a pipe writer).  Rationals
+are printed as "p/q" strings, polynomials as coefficient arrays lowest
+degree first, graphs as DOT.
 """
 
 from __future__ import annotations
@@ -348,6 +349,11 @@ def main(argv=None):
         return 1
     try:
         return _run(args, sys.stdout)
+    except BrokenPipeError:
+        # the reader closed the pipe early (``adlv scan ... | head``);
+        # stdout goes to devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except AssertionError as e:
         print('invariant violation: %s' % e, file=sys.stderr)
         return 3

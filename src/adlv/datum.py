@@ -430,9 +430,6 @@ class RootDatum:
     def sigma_vec(self, mu):
         return mat_vec(self.sigma_matrix, mu)
 
-    def sigma_covec(self, alpha):
-        return self._covec_times(alpha, self.sigma_inv_matrix)
-
     def sigma_root(self, root_idx):
         """Index of sigma(alpha) for a root index.
 

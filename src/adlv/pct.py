@@ -254,11 +254,14 @@ class PCT:
         modulo (sigma - 1) X.  <2 rho, .> vanishes on (sigma - 1) X, so
         every such k has sum k_j <2 rho, alpha_j^vee> = <2 rho,
         lambda_max - lambda(b)>."""
+        return self._interval(pair, self.minimal_class(pair),
+                              *self.generic_class(pair))
+
+    def _interval(self, pair, b_min, b_max, lam_max):
+        """:meth:`bgx_interval` between extremes already formed: the
+        minimal class, and the generic class with its lambda lift."""
         d = self.datum
-        b_min = self.minimal_class(pair)
-        b_max, lam_max = self.generic_class(pair)
-        budget = self.aw.aff_length(pair.x) - int(self.bg.pair_two_rho(
-            b_min.nu))
+        budget = self.aw.aff_length(pair.x) - self.bg.two_rho_nu(b_min)
         js = sorted(pair.J)
         weights = [vec_dot(d.two_rho, d.simple_coroots[j]) for j in js]
         found = {}
@@ -300,7 +303,7 @@ class PCT:
                 pair.x, 'l_II is not an integer'))
         l_ii = doubled // 2
         jb = frozenset(pair.J & i_nu)
-        two_rho_nu = int(self.bg.pair_two_rho(b.nu))
+        two_rho_nu = self.bg.two_rho_nu(b)
         end_length = two_rho_nu + self.orbit_count(jb - i_one)
         dim = l_i + l_ii + end_length - two_rho_nu
         return {'class': b, 'witness': witness, 'l_i': l_i, 'l_ii': l_ii,
@@ -316,9 +319,9 @@ class PCT:
         if not pairs:
             raise ValueError('x is not of positive Coxeter type')
         pair = pairs[0]
-        interval = self.bgx_interval(pair)
         b_min = self.minimal_class(pair)
         b_max, lam_max = self.generic_class(pair)
+        interval = self._interval(pair, b_min, b_max, lam_max)
         classes = [self.class_data(pair, b, witness, lam_max)
                    for b, witness in sorted(interval.items())]
         report = {'x': x, 'pair': pair, 'pairs': pairs, 'b_min': b_min,
@@ -365,6 +368,12 @@ class PCT:
         """X(c, J'): coinvariants of sigma c^{(J')} modulo the rotated
         coroots attached to the deleted letters of the fixed reduced word
         of c."""
+        return QuotientPresentation(self.datum.dim,
+                                    self._point_relations(c, j_prime))
+
+    def _point_relations(self, c, j_prime):
+        """The relations of X(c, J'), in order: the twist relations of
+        sigma c^{(J')}, then one rotated coroot per deleted letter."""
         d, W = self.datum, self.W
         j_prime = frozenset(j_prime)
         if not d.is_sigma_stable(j_prime):
@@ -383,12 +392,7 @@ class PCT:
             else:
                 prefix = [word[q] for q in kept_positions if q < p]
                 rels.append(d.sigma_vec(W.act(W.from_word(prefix), coroot)))
-        return QuotientPresentation(d.dim, rels)
-
-    def j_point_space(self, pair):
-        """X(J) presented through the pair's Coxeter element: coinvariants
-        of sigma c."""
-        return self.coinvariants(pair.c)
+        return rels
 
     def j_point_vector(self, pair):
         """sigma(v^{-1} mu), the ambient representative of the J-point."""
@@ -402,22 +406,18 @@ class PCT:
 
     # -- truncation -----------------------------------------------------------
 
-    def reduced_words(self, e):
-        """All reduced words of a finite Weyl element."""
-        if e == 0:
-            return [()]
-        out = []
-        for i in self.W.descents_right(e):
-            for w in self.reduced_words(self.W.right[e][i]):
-                out.append(w + (i,))
-        return out
-
     def j_truncation(self, c, j_prime):
-        """Order-preserving subword of c on the letters of J'.
+        """Order-preserving subword of a partial sigma-Coxeter c on the
+        letters of J'.
 
-        Well-definedness (independence of the reduced word) is asserted
-        by recomputation on every reduced word when the length is at
-        most 6.
+        The result does not depend on the reduced word of c.  The letters
+        of c are distinct, so its reduced words differ only by
+        commutations st = ts of commuting letters (Matsumoto-Tits, see
+        WeylGroup.is_partial_sigma_coxeter).  Deleting the letters
+        outside J' turns such a commutation into a commutation of the
+        truncated words, when both letters are kept, or into no move.  So
+        the truncations of any two reduced words of c differ only by
+        commutations, and their products are equal.
 
         >>> from adlv.datum import builtin_datum
         >>> from adlv.affine import AffineWeyl
@@ -429,17 +429,9 @@ class PCT:
         j_prime = frozenset(j_prime)
         if not self.datum.is_sigma_stable(j_prime):
             raise ValueError("J' must be sigma stable")
-        word = self.W.words[c]
-        result = self.W.from_word([i for i in word if i in j_prime])
-        if self.W.lengths[c] <= 6:
-            for rw in self.reduced_words(c):
-                other = self.W.from_word([i for i in rw if i in j_prime])
-                if other != result:
-                    raise AssertionError(
-                        'datum %r: truncation depends on the reduced word, '
-                        'for c = %s' % (self.datum.name,
-                                        [i + 1 for i in word]))
-        return result
+        if not self.W.is_partial_sigma_coxeter(c):
+            raise ValueError('c must be partial sigma-Coxeter')
+        return self.W.from_word([i for i in self.W.words[c] if i in j_prime])
 
     # -- endpoint classes ------------------------------------------------------
 
@@ -461,8 +453,8 @@ class PCT:
         _, lam_b = self.bg.lambda_invariant(b)
         s = self.j_point_vector(pair)
         lattice_one = [d.simple_coroots[j] for j in sorted(jb)] \
-            + [r for r in d.twist_relations() if any(r)]
-        lattice_two = [r for r in self.point_space(pair.c, jb).relations
+            + [r for r in self.gamma.relations if any(r)]
+        lattice_two = [r for r in self._point_relations(pair.c, jb)
                        if any(r)]
         gens = lattice_one + lattice_two
         sol = solve_integer_combination(gens, vec_sub(s, lam_b))
@@ -495,14 +487,13 @@ class PCT:
             return False, None
         x_min, moves = self.red.descend_to_minimal(x)
         b = BGClass(*self.red.class_key(x_min)[:2])
-        two_rho_nu = self.bg.pair_two_rho(b.nu)
+        two_rho_nu = self.bg.two_rho_nu(b)
         dim_path = len(moves) + self.aw.aff_length(x_min) - two_rho_nu
         defect = self.bg.defect(b)
         lx = self.aw.aff_length(x)
         for v in self.aw.lp_set(x):
             c = self._coxeter_candidate(x.w, v)
-            target = Fraction(lx + self.W.lengths[c] - two_rho_nu - defect, 2)
-            if dim_path == target:
+            if 2 * dim_path == lx + self.W.lengths[c] - two_rho_nu - defect:
                 return True, v
         return False, None
 

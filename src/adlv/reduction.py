@@ -371,7 +371,7 @@ class Reduction:
         dim is the path statistic l_I + l_II + ell(end) - <nu(b), 2 rho>.
         One pass over the root-to-leaf paths: a leaf's class b is read
         off its interned class key, whose first two fields are (kappa,
-        nu), and <nu(b), 2 rho> is formed and checked once per class.
+        nu), and <nu(b), 2 rho> off the class record of b.
         The polynomial of b is the sum of (q-1)^{l_I} q^{l_II} over the
         leaves of class b, which is the sum of the class polynomials of
         its keys, since a key's class polynomial is the sum of the
@@ -379,22 +379,16 @@ class Reduction:
         """
         if tree is None:
             tree = self.build_reduction_tree(x)
-        out, two_rho = {}, {}
+        out = {}
         for leaf, ni, nii in tree.paths():
             b = BGClass(*self.class_key(leaf.x)[:2])
             entry = out.get(b)
             if entry is None:
-                two_rho_nu = self.bg.pair_two_rho(b.nu)
-                if two_rho_nu.denominator != 1:
-                    raise AssertionError(
-                        'datum %r: <nu, 2 rho> = %s is not integral at leaf '
-                        '%s' % (self.datum.name, two_rho_nu,
-                                self.aw.format_element(leaf.x)))
-                two_rho[b] = int(two_rho_nu)
                 entry = out[b] = {'paths': [], 'polynomial': ()}
             end_len = self.aw.aff_length(leaf.x)
             entry['paths'].append(
-                (ni, nii, end_len, ni + nii + end_len - two_rho[b]))
+                (ni, nii, end_len,
+                 ni + nii + end_len - self.bg.two_rho_nu(b)))
             entry['polynomial'] = poly_add(entry['polynomial'],
                                            _monomial(ni, nii))
         return out

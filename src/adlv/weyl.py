@@ -352,27 +352,6 @@ class WeylGroup:
         return any(self.is_partial_sigma_coxeter(f)
                    for f in self.sigma_conjugates(e))
 
-    def is_sigma_elliptic(self, e):
-        """True when no sigma-conjugate of e lies in a proper sigma-stable
-        parabolic subgroup W_J."""
-        n = self.datum.rank
-        full = frozenset(range(n))
-        for f in self.sigma_conjugates(e):
-            if self.sigma_support(f) != full:
-                return False
-        return True
-
-    def coxeter_conjugator(self, c1, c2, subset=None):
-        """Some u (in W_J when a subset is given) with u^{-1} c1 sigma(u) = c2,
-        or None.  Any two sigma-Coxeter elements of the same W_J are
-        sigma-conjugate by such a u."""
-        pool = self.parabolic(tuple(sorted(subset))) if subset is not None \
-            else range(self.size)
-        for u in pool:
-            if self.mult(self.mult(self.inv[u], c1), self.sigma_elem[u]) == c2:
-                return u
-        return None
-
 
 def _rank_minus_identity(m):
     """rank(m - 1) for a square integer matrix m."""

@@ -190,6 +190,46 @@ def test_gl2_chain():
     assert bg.virtual_dimension(x, b) == 1
 
 
+def class_integers_on_fractions(bg, x, b):
+    """Oracle: <nu, 2 rho>, the defect and d_x(b), paired on the Fraction
+    nu and divided as Fractions."""
+    two_rho = bg.datum.two_rho
+    _, lam = bg.lambda_invariant(b)
+    two_rho_nu = vec_dot(two_rho, b.nu)
+    defect = two_rho_nu - vec_dot(two_rho, lam)
+    eta = bg.aw.eta_sigma(x)
+    dim = Fraction(bg.aw.aff_length(x) + bg.W.lengths[eta] - two_rho_nu
+                   - defect, 2)
+    return two_rho_nu, defect, dim
+
+
+@pytest.mark.parametrize('name,bound,max_length', [
+    ('gl3', 2, 6), ('sl3_flip', 2, 7), ('sp4', 2, 6), ('psp4', 2, 6),
+    ('g2', 2, 7)])
+def test_class_record_integers_match_fraction_pairing(name, bound,
+                                                      max_length):
+    """On every element of the box and its class: ints equal to the
+    Fraction formulas."""
+    bg = BGInvariants(AffineWeyl(builtin_datum(name)))
+    for x in bg.aw.box_elements(bound, max_length):
+        b = bg.element_class(x)
+        got = (bg.two_rho_nu(b), bg.defect(b), bg.virtual_dimension(x, b))
+        assert [type(v) for v in got] == [int] * 3, x
+        assert got == class_integers_on_fractions(bg, x, b), x
+
+
+def test_negative_defect_names_datum_and_class(monkeypatch):
+    """A 2 rho of the wrong sign makes the defect of the class with
+    lambda = (0, 0, 1) negative: <nu, 2 rho> = 0 and <lambda, 2 rho> = 2."""
+    bg = BGInvariants(AffineWeyl(builtin_datum('gl3')))
+    monkeypatch.setattr(bg.datum, 'two_rho', (-2, 0, 2))
+    b = BGClass(bg.kottwitz.project((1, 0, 0)), (Fraction(1, 3),) * 3)
+    with pytest.raises(AssertionError, match=r"^datum 'gl3': the defect -2 "
+                       r'is negative: lambda = \(0, 0, 1\), for the class '
+                       r'kappa = \(0, 0, 1\), nu = \(1/3, 1/3, 1/3\)$'):
+        bg.defect(b)
+
+
 def test_virtual_dimension_kappa_mismatch(gl3):
     x = AffineElement(0, (1, 0, 0))
     b = BGClass(gl3.kottwitz_point(AffineElement(0, (0, 0, 0))),

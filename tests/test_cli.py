@@ -1,6 +1,10 @@
 """Command line interface: round trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +261,22 @@ def test_scan_deterministic(capsys):
     lengths = [r['length'] for r in rows]
     assert lengths == sorted(lengths)
     assert all(r['length'] <= 3 for r in rows)
+
+
+def test_reader_closing_the_pipe_exits_141():
+    """A reader that stops early (``adlv scan ... | head -c 10``) is no
+    internal error: exit 141 with nothing on stderr.  The scan prints
+    about 135 kB, more than a pipe holds, so the writer is still writing
+    when the read end closes."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / 'src'))
+    proc = subprocess.Popen(
+        [sys.executable, '-m', 'adlv.cli', 'scan', '--datum', 'gl3',
+         '--max-length', '4', '--mu-bound', '1'],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141, err
+    assert err == ''

@@ -209,11 +209,19 @@ def test_projection_and_dominance_match_oracles(name):
                 dominance_leq_oracle(d, mu, other)
 
 
+def sigma_covec(d, alpha):
+    """sigma(alpha) = alpha o sigma^{-1}: the row vector alpha times the
+    matrix of sigma^{-1}."""
+    m = d.sigma_inv_matrix
+    return tuple(sum(alpha[i] * m[i][j] for i in range(d.dim))
+                 for j in range(d.dim))
+
+
 @pytest.mark.parametrize('name', sorted(BUILTIN_DATA))
 def test_sigma_root_matches_covector_lookup(name):
     d = builtin_datum(name)
     for i, r in enumerate(d.roots):
-        assert d.sigma_root(i) == d.root_index[d.sigma_covec(r.covec)]
+        assert d.sigma_root(i) == d.root_index[sigma_covec(d, r.covec)]
 
 
 def test_pi_projection_rejects_unstable_subset():

@@ -19,6 +19,7 @@ from adlv.reduction import Reduction, poly_add
 from test_affine import gl6_sample
 from test_datum import pi_projection_oracle, typed
 from test_reduction import count_calls
+from test_weyl import coxeter_conjugator
 
 
 @pytest.fixture(scope='module')
@@ -242,7 +243,7 @@ def test_point_space_naturality(pct4):
     c1 = W.from_word([0, 1, 2])
     c2 = W.from_word([2, 1, 0])
     subset = frozenset({0, 1, 2})
-    u = W.coxeter_conjugator(c1, c2, subset)
+    u = coxeter_conjugator(W, c1, c2, subset)
     assert u is not None
     su_inv = W.inv[W.sigma_elem[u]]
     for jp in (frozenset({0, 2}), subset):
@@ -261,8 +262,40 @@ def test_j_truncation(pct4):
     assert pct4.j_truncation(c, frozenset()) == 0
     assert pct4.j_truncation(c, frozenset({0, 1, 2})) == c
     flip = PCT(AffineWeyl(builtin_datum('sl4_flip')))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='sigma stable'):
         flip.j_truncation(flip.W.from_word([0]), frozenset({0}))
+    with pytest.raises(ValueError, match='partial sigma-Coxeter'):
+        pct4.j_truncation(W.from_word([0, 1, 0]), frozenset({0}))
+
+
+def reduced_words(W, e):
+    """Every reduced word of e, by peeling off right descents."""
+    if e == 0:
+        return [()]
+    return [word + (i,) for i in W.descents_right(e)
+            for word in reduced_words(W, W.right[e][i])]
+
+
+@pytest.mark.parametrize('name,bound,cap', [
+    ('gl4', 1, 7), ('sl4_flip', 1, 7), ('sp4', 2, 6), ('g2', 2, 7)])
+def test_j_truncation_matches_every_reduced_word(name, bound, cap):
+    """Oracle: for the c of every pair of the box and every sigma-stable
+    J' in its support, the J'-truncations of all reduced words of c have
+    one product, the j_truncation."""
+    ctx = Context(name)
+    W = ctx.W
+    coxeter = {pair.c for x in ctx.aw.box_elements(bound, cap)
+               for pair in ctx.pct.positive_coxeter_pairs(x)}
+    assert coxeter
+    for c in sorted(coxeter):
+        words = reduced_words(W, c)
+        orbits = ctx.datum.sigma_orbits(W.sigma_support(c))
+        for keep in itertools.product((False, True), repeat=len(orbits)):
+            jp = frozenset(i for k, orb in zip(keep, orbits) if k
+                           for i in orb)
+            products = {W.from_word([i for i in word if i in jp])
+                        for word in words}
+            assert products == {ctx.pct.j_truncation(c, jp)}, (c, jp)
 
 
 def test_j_point(pct2):
@@ -270,7 +303,7 @@ def test_j_point(pct2):
     pair = pct2.positive_coxeter_pairs(x)[0]
     assert pct2.j_point_vector(pair) == (1,)
     # the J-point lives in a finite quotient (sigma c acts by -1 on sl2)
-    space = pct2.j_point_space(pair)
+    space = pct2.coinvariants(pair.c)
     assert space.free_rank == 0
     # image in X(c, emptyset) exists
     pct2.j_point_image(pair, frozenset())

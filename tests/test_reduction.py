@@ -16,6 +16,7 @@ from adlv import reduction
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.cli import main
 from adlv.datum import builtin_datum
+from adlv.lattice import vec_dot
 from adlv.qbg import QuantumBruhatGraph
 from adlv.reduction import (POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, Reduction,
                             TreeNode, poly_add, poly_mul, poly_str)
@@ -193,7 +194,7 @@ def test_bgx_from_tree_minimal(red3):
     (b, entry), = data.items()
     assert entry['paths'] == [(0, 0, red3.aw.aff_length(x),
                                red3.aw.aff_length(x)
-                               - int(red3.bg.pair_two_rho(b.nu)))]
+                               - vec_dot(red3.datum.two_rho, b.nu))]
     # straight element: dim statistic 0
     assert entry['paths'][0][3] == 0
 
@@ -207,7 +208,7 @@ def bgx_from_tree_per_leaf(red, x):
     for leaf, ni, nii in tree.paths():
         b = red.bg.element_class(leaf.x)
         end_len = red.aw.aff_length(leaf.x)
-        dim = ni + nii + end_len - int(red.bg.pair_two_rho(b.nu))
+        dim = ni + nii + end_len - vec_dot(red.datum.two_rho, b.nu)
         out.setdefault(b, {'paths': []})['paths'].append(
             (ni, nii, end_len, dim))
         leaf_keys.setdefault(b, set()).add(red.class_key(leaf.x))
@@ -494,11 +495,23 @@ def test_qbg_coroot_outside_span_names_datum(monkeypatch):
         qbg_with_coroot_coefficients(monkeypatch, None)
 
 
-def test_bgx_integrality_check_names_leaf(monkeypatch):
-    red = Reduction(AffineWeyl(builtin_datum('sl2')))
-    monkeypatch.setattr(red.bg, 'pair_two_rho', lambda nu: Fraction(1, 2))
-    with pytest.raises(AssertionError, match="'sl2'.*not integral at leaf"):
-        red.bgx_from_tree(AffineElement(1, (1,)))
+@pytest.mark.parametrize('name,x,two_rho,what', [
+    pytest.param('sl2', AffineElement(1, (1,)), (Fraction(1, 2),),
+                 r'<nu, 2 rho> = 1/2 is not an integer', id='fractional'),
+    pytest.param('gl3', AffineElement(1, (1, 0, 0)), (-2, 0, 2),
+                 r'the defect -1 is negative: lambda = \(0, 1, 0\)',
+                 id='negative-defect')])
+def test_bgx_class_record_check_names_datum_and_class(monkeypatch, name, x,
+                                                      two_rho, what):
+    """bgx_from_tree reads <nu, 2 rho> off the class record, whose checks
+    see a 2 rho that makes the pairing fractional or the defect
+    negative."""
+    red = Reduction(AffineWeyl(builtin_datum(name)))
+    monkeypatch.setattr(red.datum, 'two_rho', two_rho)
+    with pytest.raises(AssertionError,
+                       match="^datum '%s': %s, for the class kappa = "
+                       % (name, what)):
+        red.bgx_from_tree(x)
 
 
 def test_invariant_check_survives_python_O():
