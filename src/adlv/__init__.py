@@ -12,7 +12,7 @@ All arithmetic is exact (integers and fractions).
 from .affine import AffineElement, AffineWeyl
 from .bg import BGClass, BGInvariants
 from .context import Context
-from .datum import (BUILTIN_DATA, RootDatum, builtin_datum,
+from .datum import (BUILTIN_DATA, InvariantError, RootDatum, builtin_datum,
                     datum_from_config, datum_from_json)
 from .lattice import QuotientPresentation
 from .pct import PCT, PositiveCoxeterPair, very_special_subsets
@@ -22,7 +22,7 @@ from .weyl import WeylGroup
 
 __all__ = [
     'AffineElement', 'AffineWeyl', 'BGClass', 'BGInvariants',
-    'BUILTIN_DATA', 'Context', 'PCT', 'PositiveCoxeterPair',
+    'BUILTIN_DATA', 'Context', 'InvariantError', 'PCT', 'PositiveCoxeterPair',
     'QuantumBruhatGraph', 'QuotientPresentation', 'Reduction', 'ReductionTree', 'RootDatum',
     'WeylGroup', 'builtin_datum', 'datum_from_config', 'datum_from_json',
     'very_special_subsets',

@@ -15,6 +15,7 @@ import json
 from operator import mul
 from typing import NamedTuple
 
+from .datum import InvariantError
 from .lattice import vec_add, vec_dot, vec_scale
 from .weyl import WeylGroup
 
@@ -156,8 +157,8 @@ class AffineWeyl:
                   if self.length_functional(x, b) < 0)
         out = [v for v, m in enumerate(self.W.pos_mask) if not m & neg]
         if not out:
-            raise AssertionError('datum %r: the LP set of %s is empty'
-                                 % (self.datum.name, self.format_element(x)))
+            raise InvariantError(self.datum.name, 'the LP set is empty',
+                                 self.element_to_dict(x))
         return out
 
     def lp_transport(self, x, aroot):
@@ -176,9 +177,8 @@ class AffineWeyl:
         idx, _ = aroot
         ell = self.length_functional(x, idx)
         case = 0 if ell == 0 else (1 if ell > 0 else -1)
-        xr = self.mult(x, self.reflection(aroot))
         lp_x = self.lp_set(x)
-        lp_xr = self.lp_set(xr)
+        lp_xr = self.lp_set(self.mult(x, self.reflection(aroot)))
         s_alpha = self.W.root_reflection[idx]
         transported = {}
         for v in lp_x:
@@ -190,19 +190,16 @@ class AffineWeyl:
             else:
                 vinv_a = self.W.act_root(self.W.inv[v], idx)
                 cand = sv if not self.datum.is_positive_root(vinv_a) else v
-            if cand is not None and cand not in lp_xr:
-                raise AssertionError(
-                    'datum %r: transport of %s along the affine root %s: '
-                    'target not length positive'
-                    % (self.datum.name, self.format_element(x), aroot))
             transported[v] = cand
-        if case < 0:
-            if {self.W.mult(s_alpha, v) for v in lp_x} != set(lp_xr):
-                raise AssertionError(
-                    'datum %r: transport of %s along the affine root %s: '
-                    'case < 0 must give equality of LP sets'
-                    % (self.datum.name, self.format_element(x), aroot))
-        return case, lp_x, lp_xr, transported
+        if set(transported.values()) - {None} - set(lp_xr):
+            problem = 'target not length positive'
+        elif case < 0 and set(transported.values()) != set(lp_xr):
+            problem = 'case < 0 must give equality of LP sets'
+        else:
+            return case, lp_x, lp_xr, transported
+        raise InvariantError(
+            self.datum.name, 'transport along the affine root %s: %s'
+            % (aroot, problem), self.element_to_dict(x))
 
     # -- sigma-conjugation moves ---------------------------------------------
 
@@ -339,10 +336,9 @@ class AffineWeyl:
                                    *[range(2)] * pi1.free_rank):
             tau = self.length_zero_part(self.translation(pi1.lift(r)))
             if self.aff_length(tau) != 0 or pi1.project(tau.mu) != r:
-                raise AssertionError(
-                    'datum %r: %s is not the length-zero element over the '
-                    'pi_1 residue %s' % (self.datum.name,
-                                         self.format_element(tau), r))
+                raise InvariantError(self.datum.name, 'x is not the length-'
+                                     'zero element over the pi_1 residue %s'
+                                     % (r,), self.element_to_dict(tau))
             out.append(tau)
         return out
 

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .datum import _common_denominator, _vec_text
+from .datum import InvariantError, _common_denominator, _vec_text
 from .lattice import vec_add, vec_dot, vec_scale
 
 __all__ = ['BGClass', 'BGInvariants']
@@ -70,18 +70,15 @@ class BGInvariants:
         """
         aw, d = self.aw, self.datum
         bound = self.W.size * d.sigma_order
-        p = x
-        k = 1
-        sx = x
+        p, k, sx = x, 1, x
         while not (p.w == 0 and k % d.sigma_order == 0):
             sx = aw.sigma(sx)
             p = aw.mult(p, sx)
             k += 1
             if k > bound:
-                raise AssertionError(
-                    'datum %r: the twisted powers of %s did not close up '
-                    'within |W| * ord(sigma) = %d factors'
-                    % (d.name, aw.format_element(x), bound))
+                raise InvariantError(d.name, 'the twisted powers of x did not '
+                                     'close up within |W| * ord(sigma) = %d '
+                                     'factors' % bound, aw.element_to_dict(x))
         _, lam = self.W.dominant_representative(p.mu)
         return (tuple([Fraction(c, k) for c in p.mu]),
                 tuple([Fraction(c, k) for c in lam]))
@@ -159,30 +156,27 @@ class BGInvariants:
         # runtime checks from the defining properties
         excess = self._excess(b.nu, lam)
         if excess is None or any(c < 0 for c in excess[1]):
-            raise AssertionError(self._class_error(
-                b, 'lambda candidate fails avg <= nu: lambda = %s'
-                % _vec_text(lam)))
+            raise InvariantError(d.name, 'lambda candidate fails avg <= nu: '
+                                 'lambda = %s' % _vec_text(lam), sigma_class=b)
         if self.kottwitz.project(lam) != b.kappa:
-            raise AssertionError(self._class_error(
-                b, 'lambda candidate fails kappa match: lambda = %s'
-                % _vec_text(lam)))
+            raise InvariantError(d.name, 'lambda candidate fails kappa match: '
+                                 'lambda = %s' % _vec_text(lam), sigma_class=b)
         conv = d.convex_hull_point(lam)
         if conv != tuple(b.nu):
-            raise AssertionError(self._class_error(
-                b, 'conv(lambda(b)) != nu(b): lambda = %s, conv = %s'
-                % (_vec_text(lam), _vec_text(conv))))
+            raise InvariantError(
+                d.name, 'conv(lambda(b)) != nu(b): lambda = %s, conv = %s'
+                % (_vec_text(lam), _vec_text(conv)), sigma_class=b)
         den, num = _common_denominator(b.nu)
         pairing = vec_dot(d.two_rho, num)
         if pairing % den:
-            raise AssertionError(self._class_error(
-                b, '<nu, 2 rho> = %s is not an integer'
-                % Fraction(pairing, den)))
+            raise InvariantError(d.name, '<nu, 2 rho> = %s is not an integer'
+                                 % Fraction(pairing, den), sigma_class=b)
         two_rho_nu = pairing // den
         defect = two_rho_nu - vec_dot(d.two_rho, lam)
         if defect < 0:
-            raise AssertionError(self._class_error(
-                b, 'the defect %d is negative: lambda = %s'
-                % (defect, _vec_text(lam))))
+            raise InvariantError(
+                d.name, 'the defect %d is negative: lambda = %s'
+                % (defect, _vec_text(lam)), sigma_class=b)
         i_nu = frozenset(i for i in range(d.rank)
                          if vec_dot(d.simple_roots[i], num) == 0)
         i_one = frozenset(i for i, c in enumerate(excess[1]) if c != 0)
@@ -201,12 +195,6 @@ class BGInvariants:
         return d.coroot_numerators(
             [x * (common // den_nu) - y * (common // den)
              for x, y in zip(num, avg)], common)
-
-    def _class_error(self, b, what):
-        """An invariant failure message naming the datum and the class."""
-        return ('datum %r: %s, for the class kappa = %s, nu = %s'
-                % (self.datum.name, what, _vec_text(b.kappa),
-                   _vec_text(b.nu)))
 
     def two_rho_nu(self, b):
         """<nu(b), 2 rho>, an integer, read off the class record."""
@@ -258,7 +246,7 @@ class BGInvariants:
         total = self.aw.aff_length(x) + self.W.lengths[eta] \
             - self.two_rho_nu(b) - self.defect(b)
         if total % 2:
-            raise AssertionError(self._class_error(
-                b, 'virtual dimension %d / 2 of x = %s is not an integer'
-                % (total, self.aw.format_element(x))))
+            raise InvariantError(
+                self.datum.name, 'virtual dimension %d / 2 is not an '
+                'integer' % total, self.aw.element_to_dict(x), b)
         return total // 2

@@ -7,9 +7,12 @@ Subcommands: ``datum validate``, ``lp``, ``eta``, ``qbg dist|weight|dot``,
 Exit codes: 0 success, 1 usage error, 2 computation error (a
 ``ValueError``), 3 violated internal invariant or internal error (any
 other exception, with its traceback), 141 output pipe closed by its
-reader (128 + SIGPIPE, as a shell reports a pipe writer).  Rationals
-are printed as "p/q" strings, polynomials as coefficient arrays lowest
-degree first, graphs as DOT.
+reader (128 + SIGPIPE, as a shell reports a pipe writer).  An
+``adlv.InvariantError`` prints ``invariant violation: datum '<name>':
+<what failed>``, then ``, for x = <--x JSON>``, ``, for the class kappa
+= (...), nu = (...)`` or both joined by ``and``; Weyl group elements in
+it are 1-based words.  Rationals print as "p/q" strings, polynomials as
+coefficient arrays lowest degree first, graphs as DOT.
 """
 
 from __future__ import annotations
@@ -101,8 +104,8 @@ def _build_parser():
     scan = with_datum(sub.add_parser('scan'))
     scan.add_argument('--max-length', type=_count_arg, required=True)
     scan.add_argument('--mu-bound', type=_count_arg, default=None,
-                      help='coordinate box bound for mu (default: derived '
-                           'from the length bound)')
+                      help='coordinate box bound for mu (default: the '
+                           'length bound)')
     scan.add_argument('--seed', type=int, default=None)
 
     sub.add_parser('selftest')

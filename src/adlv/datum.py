@@ -40,6 +40,7 @@ from .lattice import (QuotientPresentation, _column_snf, mat_identity,
                       mat_vec, rational_rank, vec_dot, vec_scale, vec_sub)
 
 __all__ = [
+    'InvariantError',
     'RootDatum',
     'cartan_matrix',
     'datum_from_config',
@@ -52,6 +53,23 @@ __all__ = [
     'perm_orbit',
     'root_closure',
 ]
+
+
+class InvariantError(AssertionError):
+    """A failed runtime check, raised explicitly, so ``python -O`` keeps
+    it.  Fields: ``datum`` (the datum name), ``what`` (what failed),
+    ``element`` (the affine element as its CLI JSON dict, or None) and
+    ``sigma_class`` ((kappa, nu), or None); the message is built from them."""
+
+    def __init__(self, datum, what, element=None, sigma_class=None):
+        self.datum, self.what = datum, what
+        self.element, self.sigma_class = element, sigma_class
+        where = [] if element is None else ['x = ' + json.dumps(element)]
+        if sigma_class is not None:
+            where.append('the class kappa = %s, nu = %s'
+                         % tuple(map(_vec_text, sigma_class)))
+        super().__init__('datum %r: %s' % (datum, what) + (
+            ', for ' + ' and '.join(where) if where else ''))
 
 
 def cartan_matrix(type_name):
@@ -378,10 +396,10 @@ class RootDatum:
         self.simple_indices = [self.root_index[a] for a in self.simple_roots]
         self.components = diagram_components(self.cartan)
         self.highest_roots = [self._highest_root(c) for c in self.components]
-        self.sigma_order, self._sigma_sum = self._sigma_powers()
         # simple_orbit[i]: the sigma-orbit of the simple index i
         self.simple_orbit = tuple(frozenset(perm_orbit(self.sigma_perm, i))
                                   for i in range(self.rank))
+        self.sigma_order, self._sigma_sum = self._sigma_powers()
         self._block_inverses = {}
         self._coordinates = self._coroot_coordinates(range(self.rank))
         self._projection_memo = {}
@@ -414,16 +432,27 @@ class RootDatum:
 
     def _sigma_powers(self):
         """(order of sigma, the integer matrix 1 + sigma + sigma^2 + ...
-        summed over one period)."""
+        summed over one period), in a loop of derived length.  sigma
+        permutes the simple coroots by sigma_perm, of order p, and keeps
+        the kernel K of the roots, which it permutes (_validate_basic), of
+        rank k = dim - rank: 0, or 1 for "gl".  A finite-order unimodular
+        map of Z^k has m-th roots of unity as eigenvalues, phi(m) <= k, so
+        m <= 2 k^2 as phi(m) >= sqrt(m / 2); ord(sigma) divides lcm(p, 1,
+        ..., 2 k^2), which for k <= 1 divides 2 p (sigma is +-1 on K)."""
+        k = self.dim - self.rank
+        bound = math.lcm(*map(len, self.simple_orbit),
+                         *range(1, 2 * k * k + 1))
         ident = mat_identity(self.dim)
-        power, total, n = self.sigma_matrix, ident, 1
-        while power != ident:
+        power, total = self.sigma_matrix, ident
+        for n in range(1, bound + 1):
+            if power == ident:
+                return n, total
             total = [list(map(add, a, b)) for a, b in zip(total, power)]
             power = mat_mul(power, self.sigma_matrix)
-            n += 1
-            if n > 10000:
-                raise ValueError('sigma does not have finite order')
-        return n, total
+        if k > 1:
+            raise ValueError('sigma does not have finite order')
+        raise InvariantError(self.name, 'sigma has not closed after %d '
+                             'powers, a multiple of its order' % bound)
 
     # -- basic operations -----------------------------------------------
 
@@ -600,9 +629,9 @@ class RootDatum:
                 try:
                     inverse = mat_inverse_rational(block)
                 except ValueError:
-                    raise AssertionError(
-                        'datum %r: the Cartan block of J = %s is singular'
-                        % (self.name, sorted(j + 1 for j in subset))) from None
+                    raise InvariantError(
+                        self.name, 'the Cartan block of J = %s is singular'
+                        % sorted(j + 1 for j in subset)) from None
                 scale = math.lcm(*(x.denominator for r in inverse for x in r))
                 self._block_inverses[block] = scale, [
                     [x.numerator * (scale // x.denominator) for x in r]
@@ -689,7 +718,7 @@ class RootDatum:
         and the candidates are compared by the integer dominance test of
         :meth:`dominance_leq`, their coroot coordinates and residues
         formed once each.  Checks that the maximum is unique, and raises
-        AssertionError naming the datum, mu and two incomparable
+        InvariantError naming the datum, mu and two incomparable
         projections when it is not.  Fractions are formed only for the
         result and for that message.  The result is kept per tuple(mu), so
         equal int and Fraction vectors share one entry.
@@ -723,11 +752,11 @@ class RootDatum:
         for i, (scale, nums) in enumerate(candidates):
             if not leq(i, best):
                 val = [Fraction(x, scale * den) for x in nums]
-                raise AssertionError(
-                    'datum %r: the convex hull point of mu = %s is not '
+                raise InvariantError(
+                    self.name, 'the convex hull point of mu = %s is not '
                     'unique: the projections %s (J = %s) and %s (J = %s) '
                     'are incomparable'
-                    % (self.name, _vec_text(mu), _vec_text(top),
+                    % (_vec_text(mu), _vec_text(top),
                        sorted(j + 1 for j in subsets[best]), _vec_text(val),
                        sorted(j + 1 for j in subsets[i])))
         self._hull_memo[mu] = top

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from .affine import AffineElement
 from .bg import BGClass
-from .datum import diagram_components, perm_orbit, root_closure
+from .datum import (InvariantError, diagram_components, perm_orbit,
+                    root_closure)
 from .lattice import (QuotientPresentation, solve_integer_combination,
                       vec_add, vec_dot, vec_scale, vec_sub)
 from .qbg import QuantumBruhatGraph
@@ -98,12 +99,12 @@ class PCT:
             b_min = self.minimal_class(pair)
             i_nu, i_one = self.bg.strata_sets(b_min)
             if not (i_one <= pair.J <= i_nu):
-                raise AssertionError(
-                    'datum %r: the pair on %s with v = %s: support J = %s '
+                raise InvariantError(
+                    self.datum.name, 'the pair with v = %s: support J = %s '
                     'violates I_1 <= J <= I(nu)'
-                    % (self.datum.name, self.aw.format_element(x),
-                       [i + 1 for i in self.W.words[v]],
-                       sorted(i + 1 for i in pair.J)))
+                    % ([i + 1 for i in self.W.words[v]],
+                       sorted(i + 1 for i in pair.J)),
+                    self.aw.element_to_dict(x))
             out.append(pair)
         return out
 
@@ -135,32 +136,32 @@ class PCT:
         idx, _ = aroot
         s_sigma_alpha = W.root_reflection[self.datum.sigma_root(idx)]
         if kind == 'up':
-            raise ValueError(self._transport_error(
-                pair, aroot, 'transport is defined for keep and down moves, '
-                'not up'))
+            raise ValueError('transport is defined for keep and down moves, '
+                             'not up: the affine root %s moves x = %s up'
+                             % (aroot, aw.format_element(x)))
         if kind == 'keep':
             p2 = self._pair_with_support(
                 both, pair.J, (pair.v, W.mult(s_sigma_alpha, pair.v)))
-            if p2 is None:
-                raise AssertionError(self._transport_error(
-                    pair, aroot, 'length-preserving move lost the support'))
-            return ('keep', p2)
-        # down move
-        pair_i = self.make_pair(left, pair.v)
-        if pair_i is None:
-            pair_i = next((p for p in self.positive_coxeter_pairs(left)
-                           if p.J < pair.J), None)
-        if pair_i is None or not (pair_i.J < pair.J):
-            raise AssertionError(self._transport_error(
-                pair, aroot, 'type I child is not a pair of smaller support'))
-        pair_ii = self._pair_with_support(
-            both, pair.J, (W.mult(s_sigma_alpha, pair.v),))
-        if pair_ii is None:
-            raise AssertionError(self._transport_error(
-                pair, aroot, 'type II child is not a pair of equal support'))
-        # pair_i.J < pair.J, so some orbit is dropped
-        i = min(pair.J - pair_i.J)
-        return ('down', pair_i, pair_ii, i)
+            if p2 is not None:
+                return ('keep', p2)
+            problem = 'length-preserving move lost the support'
+        else:
+            pair_i = self.make_pair(left, pair.v)
+            if pair_i is None:
+                pair_i = next((p for p in self.positive_coxeter_pairs(left)
+                               if p.J < pair.J), None)
+            pair_ii = self._pair_with_support(
+                both, pair.J, (W.mult(s_sigma_alpha, pair.v),))
+            if pair_i is None or not (pair_i.J < pair.J):
+                problem = 'type I child is not a pair of smaller support'
+            elif pair_ii is None:
+                problem = 'type II child is not a pair of equal support'
+            else:
+                # pair_i.J < pair.J, so some orbit is dropped
+                return ('down', pair_i, pair_ii, min(pair.J - pair_i.J))
+        raise InvariantError(
+            self.datum.name, 'transport along the affine root %s: %s'
+            % (aroot, problem), aw.element_to_dict(x))
 
     def _pair_with_support(self, y, J, candidates):
         """The first pair on y with support J, or None: the lemma's
@@ -171,16 +172,6 @@ class PCT:
             if p is not None and p.J == J:
                 return p
         return None
-
-    def _element_error(self, x, what):
-        """An invariant failure message naming the datum and x."""
-        return ('datum %r: %s, for x = %s'
-                % (self.datum.name, what, self.aw.format_element(x)))
-
-    def _transport_error(self, pair, aroot, what):
-        return ('datum %r: transport of %s along the affine root %s: %s'
-                % (self.datum.name, self.aw.format_element(pair.x), aroot,
-                   what))
 
     # -- Newton extremes ------------------------------------------------------
 
@@ -230,9 +221,9 @@ class PCT:
         b = self._bgclass(pair.x, nu)
         res, _ = self.bg.lambda_invariant(b)
         if res != self.gamma.project(lam):
-            raise AssertionError(self._element_error(
-                pair.x, 'generic lambda is not the lambda-invariant of its '
-                'class'))
+            raise InvariantError(
+                self.datum.name, 'generic lambda is not the lambda-invariant '
+                'of its class', self.aw.element_to_dict(pair.x))
         return b, lam
 
     # -- the interval of classes ---------------------------------------------
@@ -280,8 +271,8 @@ class PCT:
                 continue
             found[b] = dict(zip(js, ks))
         if b_min not in found or b_max not in found:
-            raise AssertionError(self._element_error(
-                pair.x, 'interval misses an extreme class'))
+            raise InvariantError(self.datum.name, 'interval misses an extreme '
+                                 'class', self.aw.element_to_dict(pair.x))
         return found
 
     # -- the full report -------------------------------------------------------
@@ -299,8 +290,8 @@ class PCT:
         _, lam_b = self.bg.lambda_invariant(b)
         doubled = vec_dot(d.two_rho, vec_sub(lam_max, lam_b))
         if doubled % 2:
-            raise AssertionError(self._element_error(
-                pair.x, 'l_II is not an integer'))
+            raise InvariantError(self.datum.name, 'l_II is not an integer',
+                                 self.aw.element_to_dict(pair.x))
         l_ii = doubled // 2
         jb = frozenset(pair.J & i_nu)
         two_rho_nu = self.bg.two_rho_nu(b)
@@ -326,35 +317,31 @@ class PCT:
                    for b, witness in sorted(interval.items())]
         report = {'x': x, 'pair': pair, 'pairs': pairs, 'b_min': b_min,
                   'b_max': b_max, 'lambda_max': lam_max, 'classes': classes}
-        if cross_validate:
-            self._validate_against_tree(report)
+        problem = cross_validate and self._tree_disagreement(x, classes)
+        if problem:
+            raise InvariantError(self.datum.name, problem,
+                                 self.aw.element_to_dict(x))
         return report
 
-    def _validate_against_tree(self, report):
-        """The interval, path statistics and class polynomials must agree
-        with the reduction tree."""
-        x = report['x']
-        tree = self.red.build_reduction_tree(x)
-        tree_data = self.red.bgx_from_tree(x, tree)
-        if set(tree_data) != {c['class'] for c in report['classes']}:
-            raise AssertionError(self._element_error(
-                x, 'interval differs from tree endpoint classes'))
-        for cd in report['classes']:
+    def _tree_disagreement(self, x, classes):
+        """The first way the interval, path statistics or class polynomials
+        of the per-class data disagree with the reduction tree of x."""
+        tree_data = self.red.bgx_from_tree(x, self.red.build_reduction_tree(x))
+        if set(tree_data) != {c['class'] for c in classes}:
+            return 'interval differs from tree endpoint classes'
+        for cd in classes:
             entry = tree_data[cd['class']]
             if len(entry['paths']) != 1:
-                raise AssertionError(self._element_error(
-                    x, 'path to a class is not unique'))
+                return 'path to a class is not unique'
             ni, nii, end_len, dim = entry['paths'][0]
             if (ni, nii, end_len) != (cd['l_i'], cd['l_ii'],
                                       cd['endpoint_length']):
-                raise AssertionError(self._element_error(
-                    x, 'path statistics differ from formulas'))
+                return 'path statistics differ from formulas'
             if dim != cd['dimension']:
-                raise AssertionError(self._element_error(
-                    x, 'dimension statistic mismatch'))
+                return 'dimension statistic mismatch'
             if entry['polynomial'] != _monomial(cd['l_i'], cd['l_ii']):
-                raise AssertionError(self._element_error(
-                    x, 'class polynomial is not q^l_II (q-1)^l_I'))
+                return 'class polynomial is not q^l_II (q-1)^l_I'
+        return None
 
     # -- J-points and point spaces --------------------------------------------
 
@@ -469,9 +456,9 @@ class PCT:
             tree = self.red.build_reduction_tree(pair.x)
             leaf_keys = {self.red.class_key(leaf.x) for leaf in tree.leaves()}
             if {k for k in leaf_keys if k[:2] == b} != {key}:
-                raise AssertionError(self._element_error(
-                    pair.x, 'endpoint certificate differs from the tree '
-                    'leaf class'))
+                raise InvariantError(
+                    self.datum.name, 'endpoint certificate differs from the '
+                    'tree leaf class', self.aw.element_to_dict(pair.x))
         return {'key': key, 'c_prime': c_prime, 'lambda': lam,
                 'endpoint': endpoint, 'support': jb}
 
@@ -506,9 +493,10 @@ class PCT:
         finite_side = self.W.sigma_conjugate_to_partial_coxeter(x.w)
         pct_side = self.is_positive_coxeter(x)
         if finite_side != pct_side:
-            raise AssertionError(self._element_error(
-                x, 'minimal-length criterion mismatch: finite %r vs pairs %r'
-                % (finite_side, pct_side)))
+            raise InvariantError(
+                self.datum.name, 'minimal-length criterion mismatch: finite '
+                '%r vs pairs %r' % (finite_side, pct_side),
+                self.aw.element_to_dict(x))
         return pct_side
 
     def large_support_check(self, pair):
@@ -523,9 +511,9 @@ class PCT:
         if not hypothesis:
             return False
         if not self.red.is_minimal(pair.x):
-            raise AssertionError(self._element_error(
-                pair.x, 'large support hypothesis holds but x is not '
-                'minimal'))
+            raise InvariantError(
+                self.datum.name, 'large support hypothesis holds but x is not '
+                'minimal', self.aw.element_to_dict(pair.x))
         return True
 
     # -- very special parahoric data ----------------------------------------------
@@ -582,11 +570,10 @@ class PCT:
             problem = 'non-central Newton point'
         else:
             return tau
-        raise AssertionError('datum %r: Levi length-zero element %s over J = '
-                             '%s has the wrong %s for the class %s'
-                             % (d.name, aw.format_element(tau),
-                                sorted(j + 1 for j in jb), problem,
-                                b.to_dict()))
+        raise InvariantError(
+            d.name, 'x, the Levi length-zero element over J = %s, has the '
+            'wrong %s' % (sorted(j + 1 for j in jb), problem),
+            aw.element_to_dict(tau), b)
 
     def _tau_sigma_perm(self, tau, aroots):
         """Permutation of the Levi affine simple roots by conjugation with
@@ -596,10 +583,9 @@ class PCT:
         for a in aroots:
             image = aw.act_affine_root(tau, aw.sigma_affine_root(a))
             if image not in aroots:
-                raise AssertionError(
-                    'datum %r: twist does not permute the Levi affine '
-                    'diagram, for tau = %s'
-                    % (self.datum.name, aw.format_element(tau)))
+                raise InvariantError(
+                    self.datum.name, 'conjugation by x after sigma does not '
+                    'permute the Levi affine diagram', aw.element_to_dict(tau))
             perm.append(aroots.index(image))
         return perm
 

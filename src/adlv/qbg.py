@@ -12,6 +12,7 @@ a runtime check rather than an assumption.
 
 from __future__ import annotations
 
+from .datum import InvariantError
 from .lattice import vec_add, vec_dot
 
 __all__ = ['QuantumBruhatGraph']
@@ -38,9 +39,9 @@ class QuantumBruhatGraph:
         for r in d.positive_roots:
             coeffs = d.coroot_coefficients(r.coroot)
             if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                raise AssertionError(
-                    'datum %r: coroot %s has no integer coordinates over '
-                    'the simple coroots' % (d.name, r.coroot))
+                raise InvariantError(
+                    d.name, 'coroot %s has no integer coordinates over the '
+                    'simple coroots' % (r.coroot,))
             self.coroot_coords.append(tuple(int(c) for c in coeffs))
         self.pair_2rho = [vec_dot(d.two_rho, r.coroot)
                           for r in d.positive_roots]
@@ -65,24 +66,23 @@ class QuantumBruhatGraph:
             return self._memo[src]
         dist = {src: 0}
         weight = {src: (0,) * self.datum.rank}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v, wt, _root, _kind in self.edges[u]:
-                    cand = vec_add(weight[u], wt)
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        weight[v] = cand
-                        nxt.append(v)
-                    elif dist[v] == dist[u] + 1 and weight[v] != cand:
-                        raise AssertionError(
-                            'datum %r: quantum Bruhat graph weight mismatch '
-                            'at %r -> %r' % (self.datum.name, src, v))
-            frontier = nxt
+        members = [src]
+        for u in members:                    # grows as the BFS goes
+            for v, wt, _root, _kind in self.edges[u]:
+                cand = vec_add(weight[u], wt)
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    weight[v] = cand
+                    members.append(v)
+                elif dist[v] == dist[u] + 1 and weight[v] != cand:
+                    raise InvariantError(self.datum.name, 'quantum Bruhat '
+                                         'graph weight mismatch at %s -> %s'
+                                         % (self._word(src), self._word(v)))
         if len(dist) != self.W.size:
-            raise AssertionError('datum %r: quantum Bruhat graph is not '
-                                 'strongly connected' % self.datum.name)
+            raise InvariantError(
+                self.datum.name, 'quantum Bruhat graph is not strongly '
+                'connected: %s reaches %d of %d elements'
+                % (self._word(src), len(dist), self.W.size))
         self._memo[src] = (dist, weight)
         return self._memo[src]
 
@@ -125,6 +125,10 @@ class QuantumBruhatGraph:
                     stack.append((v, vec_add(acc, wt), d0 + 1))
         return out
 
+    def _word(self, w):
+        """The 1-based word of w, as ``adlv qbg --source`` takes it."""
+        return [i + 1 for i in self.W.words[w]]
+
     # -- the Coxeter-word path ----------------------------------------------
 
     def coxeter_path(self, v, word):
@@ -156,14 +160,12 @@ class QuantumBruhatGraph:
             verts.append(nxt)
             cur = nxt
         dist, wt = self.distance_weight(v, cur)
-        if dist != len(word):
-            raise AssertionError('datum %r: Coxeter-word path is not '
-                                 'minimal: len %d vs distance %d'
-                                 % (d.name, len(word), dist))
-        if tuple(weight) != wt:
-            raise AssertionError('datum %r: Coxeter-word path weight differs '
-                                 'from the common shortest-path weight'
-                                 % d.name)
+        if (dist, wt) != (len(word), tuple(weight)):
+            raise InvariantError(
+                d.name, 'the Coxeter-word path from %s along %s has length '
+                '%d and weight %s, but the shortest paths have length %d '
+                'and weight %s' % (self._word(v), [i + 1 for i in word],
+                                   len(word), tuple(weight), dist, wt))
         return verts, tuple(weight)
 
     # -- output -------------------------------------------------------------

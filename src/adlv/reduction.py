@@ -29,9 +29,10 @@ from functools import cache, cached_property
 from itertools import count
 
 from .bg import BGClass, BGInvariants
+from .datum import InvariantError
 
 __all__ = ['Reduction', 'ReductionTree', 'TreeNode', 'poly_add', 'poly_mul',
-           'POLY_ONE', 'POLY_Q', 'POLY_Q_MINUS_ONE', 'DEFAULT_SLACK']
+           'POLY_ONE', 'POLY_Q', 'POLY_Q_MINUS_ONE']
 
 DEFAULT_SLACK = 4
 
@@ -218,9 +219,9 @@ class Reduction:
             y, a = found
             z, kind, _ = self._move(y, a)
             if kind != 'down':
-                raise AssertionError(
-                    'datum %r: the move by %s at %s is %r, not down'
-                    % (self.datum.name, a, self.aw.format_element(y), kind))
+                raise InvariantError(
+                    self.datum.name, 'the move by the affine root %s is %r, '
+                    'not down' % (a, kind), self.aw.element_to_dict(y))
             moves.append((y, a, z))
             x = z
 
@@ -307,7 +308,7 @@ class Reduction:
         x_min, _ = self.descend_to_minimal(x)
         i = self._key_memo.get(x_min)
         if i is None:
-            lengths = self._closure(x_min, DEFAULT_SLACK)
+            lengths = self._closure(x_min)
             lmin = lengths[x_min]
             canon = min((y for y, ly in lengths.items() if ly == lmin),
                         key=lambda y: (self.W.words[y.w], y.mu))
@@ -322,45 +323,30 @@ class Reduction:
         self._key_memo[x] = i
         return i
 
-    def _closure(self, start, slack):
+    def _closure(self, start):
         """{element: length} for every element reached from start by
         conjugations r_a y r_{sigma a} and by the length-zero elements,
-        never passing length l(start) + slack.  Lengths are carried, not
-        recounted: a move changes the length by the step of its kind, and
-        a length-zero conjugation keeps it.  Each move is an involution
-        and each length-zero conjugation returns to its start when
-        repeated, so the closure is the connected component of start
+        never passing length l(start) + DEFAULT_SLACK.  Lengths are
+        carried, not recounted: a move changes the length by the step of
+        its kind, and a length-zero conjugation keeps it.  Each move is an
+        involution and each length-zero conjugation returns to its start
+        when repeated, so the closure is the connected component of start
         below the cap: two closures under one cap are equal or disjoint."""
         aw = self.aw
         lengths = {start: aw.aff_length(start)}
-        cap = lengths[start] + slack
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                ly = lengths[y]
-                neighbors = [(z, ly + _STEP[kind])
-                             for z, kind, _ in self._moves_of(y)]
-                for tinv, st in self._omega_pairs:
-                    neighbors.append((aw.mult(aw.mult(tinv, y), st), ly))
-                for z, lz in neighbors:
-                    if z not in lengths and lz <= cap:
-                        lengths[z] = lz
-                        nxt.append(z)
-            frontier = nxt
+        cap = lengths[start] + DEFAULT_SLACK
+        members = [start]
+        for y in members:                    # grows as the BFS goes
+            ly = lengths[y]
+            neighbors = [(z, ly + _STEP[kind])
+                         for z, kind, _ in self._moves_of(y)]
+            for tinv, st in self._omega_pairs:
+                neighbors.append((aw.mult(aw.mult(tinv, y), st), ly))
+            for z, lz in neighbors:
+                if z not in lengths and lz <= cap:
+                    lengths[z] = lz
+                    members.append(z)
         return lengths
-
-    def same_class(self, x, y):
-        """Equality of sigma-conjugacy classes in the extended affine Weyl
-        group, by key comparison; keys that agree but for the canonical
-        element are compared again, by looking for y's canonical element
-        in the closure of x's with 4 more slack."""
-        kx, ky = self.class_key(x), self.class_key(y)
-        if kx == ky:
-            return True
-        if kx[:3] != ky[:3]:
-            return False
-        return ky[3] in self._closure(kx[3], DEFAULT_SLACK + 4)
 
     # -- endpoint data ---------------------------------------------------------------
 

@@ -336,21 +336,29 @@ class WeylGroup:
         orbit = self.datum.simple_orbit
         return frozenset().union(*(orbit[i] for i in self.words[e]))
 
-    def sigma_conjugates(self, e):
-        """All v^{-1} e sigma(v) for v in W."""
-        return {self.mult(self.mult(self.inv[v], e), self.sigma_elem[v])
-                for v in range(self.size)}
-
     def sigma_conjugate_to_partial_coxeter(self, e):
-        """True when some sigma-conjugate of e is partial sigma-Coxeter.
+        """True when some sigma-conjugate v^{-1} e sigma(v) of e is partial
+        sigma-Coxeter, by a walk over the sigma-class of e, not a scan of W:
+        as sigma(s_i) = s_{sigma(i)}, v = v' s_i gives v^{-1} e sigma(v) =
+        s_i (v'^{-1} e sigma(v')) s_{sigma(i)}, so by induction on l(v) the
+        class is the closure of {e} under f -> s_i f s_{sigma(i)}, two table
+        steps each.  The walk stops at its first partial sigma-Coxeter member.
 
         >>> from adlv.datum import builtin_datum
         >>> g = WeylGroup(builtin_datum('sp4'))
         >>> g.sigma_conjugate_to_partial_coxeter(g.longest)
         False
         """
-        return any(self.is_partial_sigma_coxeter(f)
-                   for f in self.sigma_conjugates(e))
+        members, seen = [e], {e}
+        for f in members:                   # grows as the walk goes
+            if self.is_partial_sigma_coxeter(f):
+                return True
+            for i, j in enumerate(self.datum.sigma_perm):
+                g = self.left[self.right[f][j]][i]
+                if g not in seen:
+                    seen.add(g)
+                    members.append(g)
+        return False
 
 
 def _rank_minus_identity(m):

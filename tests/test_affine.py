@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlv.affine import AffineElement, AffineWeyl
-from adlv.datum import BUILTIN_DATA, builtin_datum
+from adlv.datum import BUILTIN_DATA, InvariantError, builtin_datum
 from adlv.lattice import (integer_kernel, solve_integer_combination, vec_add,
                           vec_dot, vec_scale)
 from adlv.reduction import Reduction
@@ -200,9 +200,24 @@ def test_empty_lp_set_names_datum_and_element(monkeypatch):
     aw = AffineWeyl(builtin_datum('sl3'))
     x = AffineElement(aw.W.simple[0], (1, -1))
     monkeypatch.setattr(AffineWeyl, 'length_functional', lambda *a: -1)
-    with pytest.raises(AssertionError, match="datum 'sl3': the LP set of "
-                       + re.escape(aw.format_element(x)) + ' is empty'):
+    with pytest.raises(InvariantError, match="^datum 'sl3': the LP set is "
+                       'empty, for x = ' + re.escape(aw.format_element(x))
+                       + '$') as info:
         aw.lp_set(x)
+    assert (info.value.datum, info.value.what, info.value.element,
+            info.value.sigma_class) == ('sl3', 'the LP set is empty',
+                                        aw.element_to_dict(x), None)
+
+
+def test_omega_element_check_names_datum_and_element(monkeypatch):
+    aw = AffineWeyl(builtin_datum('pgl2'))
+    monkeypatch.setattr(aw, 'aff_length', lambda x: 1)
+    with pytest.raises(InvariantError, match=r"^datum 'pgl2': x is not the "
+                       r'length-zero element over the pi_1 residue \(0,\), '
+                       r'for x = \{"w": \[\], "mu": \[0\]\}$') as info:
+        aw.omega_elements()
+    assert (info.value.element, info.value.sigma_class) == (
+        {'w': [], 'mu': [0]}, None)
 
 
 def test_lp_transport_errors_name_datum_element_and_root(monkeypatch):
@@ -210,18 +225,22 @@ def test_lp_transport_errors_name_datum_element_and_root(monkeypatch):
     x = aw.translation((-1,))
     a = aw.simple_affine[0]
     assert aw.length_functional(x, a[0]) < 0
-    where = ("datum 'sl2': transport of %s along the affine root %s: "
-             % (re.escape(aw.format_element(x)), re.escape(str(a))))
+    where = "^datum 'sl2': transport along the affine root %s: " \
+        % re.escape(str(a))
+    at = ', for x = %s$' % re.escape(aw.format_element(x))
     # LP(x r_a) empty: s_alpha v is not length positive
     monkeypatch.setattr(aw, 'lp_set', lambda y: [0] if y == x else [])
-    with pytest.raises(AssertionError,
-                       match=where + 'target not length positive'):
+    with pytest.raises(InvariantError, match=where
+                       + 'target not length positive' + at) as info:
         aw.lp_transport(x, a)
+    assert info.value.element == aw.element_to_dict(x)
     # LP(x r_a) all of W: s_alpha LP(x) is a proper subset of it
     monkeypatch.setattr(aw, 'lp_set', lambda y: [0] if y == x else [0, 1])
-    with pytest.raises(AssertionError, match=where + 'case < 0 must give '
-                       'equality of LP sets'):
+    with pytest.raises(InvariantError, match=where + 'case < 0 must give '
+                       'equality of LP sets' + at) as info:
         aw.lp_transport(x, a)
+    assert (info.value.datum, info.value.element) == (
+        'sl2', aw.element_to_dict(x))
 
 
 @pytest.mark.parametrize('name', SMALL_DATA)

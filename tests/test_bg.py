@@ -9,7 +9,7 @@ import pytest
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.bg import BGClass, BGInvariants
 from adlv.cli import main
-from adlv.datum import RootDatum, builtin_datum
+from adlv.datum import InvariantError, RootDatum, builtin_datum
 from adlv.lattice import solve_rational_combination, vec_dot
 
 from test_affine import SMALL_DATA, gl6_sample
@@ -126,9 +126,11 @@ def test_strata_sets_off_coroot_span_is_an_invariant_error(monkeypatch):
         return excess(nu, lam if len(calls) == 1 else (0, 0, 0))
 
     monkeypatch.setattr(bg, '_excess', zero_lambda_in_check)
-    with pytest.raises(AssertionError, match="^datum 'gl3': lambda candidate "
-                                             'fails avg <= nu'):
+    with pytest.raises(InvariantError, match="^datum 'gl3': lambda candidate "
+                                             'fails avg <= nu') as info:
         bg.strata_sets(b)
+    assert (info.value.datum, info.value.element, info.value.sigma_class) \
+        == ('gl3', None, b)
 
 
 def strata_sets_on_fractions(bg, b):
@@ -224,10 +226,13 @@ def test_negative_defect_names_datum_and_class(monkeypatch):
     bg = BGInvariants(AffineWeyl(builtin_datum('gl3')))
     monkeypatch.setattr(bg.datum, 'two_rho', (-2, 0, 2))
     b = BGClass(bg.kottwitz.project((1, 0, 0)), (Fraction(1, 3),) * 3)
-    with pytest.raises(AssertionError, match=r"^datum 'gl3': the defect -2 "
+    with pytest.raises(InvariantError, match=r"^datum 'gl3': the defect -2 "
                        r'is negative: lambda = \(0, 0, 1\), for the class '
-                       r'kappa = \(0, 0, 1\), nu = \(1/3, 1/3, 1/3\)$'):
+                       r'kappa = \(0, 0, 1\), nu = \(1/3, 1/3, 1/3\)$') \
+            as info:
         bg.defect(b)
+    assert info.value.what == 'the defect -2 is negative: lambda = (0, 0, 1)'
+    assert info.value.sigma_class == b
 
 
 def test_virtual_dimension_kappa_mismatch(gl3):
@@ -277,9 +282,28 @@ def test_newton_bound_names_datum_and_element(monkeypatch):
     # a product whose finite part is never the identity never closes up
     monkeypatch.setattr(bg.aw, 'mult',
                         lambda a, b: AffineElement(1, mult(a, b).mu))
-    with pytest.raises(AssertionError,
-                       match=r"'sl2': the twisted powers of .* = 2 factors"):
+    with pytest.raises(InvariantError,
+                       match=r"'sl2': the twisted powers of .* = 2 factors") \
+            as info:
         bg.newton_of_element(AffineElement(1, (1,)))
+    assert (info.value.datum, info.value.element) == (
+        'sl2', {'w': [1], 'mu': [1]})
+
+
+def test_virtual_dimension_parity_names_element_and_class(gl3,
+                                                          monkeypatch):
+    """An odd virtual dimension numerator names both x and the class."""
+    x = AffineElement(0, (1, 0, 0))
+    b = gl3.element_class(x)
+    monkeypatch.setattr(gl3, 'defect', lambda b: 1)
+    with pytest.raises(InvariantError, match=r"^datum 'gl3': virtual "
+                       r'dimension -1 / 2 is not an integer, for x = '
+                       r'\{"w": \[\], "mu": \[1, 0, 0\]\} and the class '
+                       r'kappa = \(0, 0, 1\), nu = \(1, 0, 0\)$') \
+            as info:
+        gl3.virtual_dimension(x, b)
+    assert (info.value.element, info.value.sigma_class) == (
+        {'w': [], 'mu': [1, 0, 0]}, b)
 
 
 def newton_on_fractions(bg, x):

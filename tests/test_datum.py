@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from adlv.cli import main
-from adlv.datum import (BUILTIN_DATA, MAX_WEYL_ORDER, RootDatum,
-                        builtin_datum, cartan_matrix, datum_from_config)
+from adlv.datum import (BUILTIN_DATA, MAX_WEYL_ORDER, InvariantError,
+                        RootDatum, builtin_datum, cartan_matrix,
+                        datum_from_config)
 from adlv.lattice import (solve_rational_combination, vec_dot, vec_scale,
                           vec_sub)
 from adlv.weyl import WeylGroup
@@ -110,6 +111,34 @@ def test_sigma_validation_rejects_non_automorphism():
     with pytest.raises(Exception):
         datum_from_config({'type': 'C2', 'lattice_basis': 'sc',
                            'sigma_perm': [2, 1]})
+
+
+def test_sigma_order_reaches_its_derived_bound():
+    """On gl2, sigma = -(the swap) fixes the coroot (1, -1) and negates
+    the central line of (1, 1): trivial sigma_perm, order 2 = 2 * 1."""
+    d = datum_from_config({'type': 'A1', 'lattice_basis': 'gl',
+                           'sigma_matrix': [[0, -1], [-1, 0]]})
+    assert d.sigma_perm == (0,)
+    assert d.sigma_order == 2
+    assert d._sigma_sum == [[1, -1], [-1, 1]]
+
+
+def test_sigma_past_its_bound_is_an_invariant_error():
+    """On gl2 the bound is 2; a sigma of infinite order there cannot
+    come from a valid datum, so it is a failed invariant."""
+    d = builtin_datum('gl2')
+    d.sigma_matrix = [[2, 1], [1, 1]]
+    with pytest.raises(InvariantError, match=r"^datum 'gl2': sigma has not "
+                       'closed after 2 powers'):
+        d._sigma_powers()
+
+
+def test_sigma_of_infinite_order_on_a_wide_kernel_is_refused():
+    """With dim X - rank = 2, a unimodular sigma of infinite order on the
+    kernel of the roots is valid input and is refused."""
+    with pytest.raises(ValueError, match='sigma does not have finite order'):
+        RootDatum([[2]], [(2, 0, 0)], [(1, 0, 0)],
+                  sigma_matrix=[[1, 0, 0], [0, 2, 1], [0, 1, 1]])
 
 
 def test_sigma_orbits_flip():
@@ -307,8 +336,11 @@ def test_bad_matrix_raises_clear_value_error(config, message, tmp_path,
 def test_singular_levi_block_is_an_invariant_error():
     d = builtin_datum('gl3')
     d.cartan = [[2, -2], [-2, 2]]   # the affine A1 block, singular
-    with pytest.raises(AssertionError, match=r"'gl3'.*J = \[1, 2\]"):
+    with pytest.raises(InvariantError, match=r"^datum 'gl3': the Cartan "
+                       r'block of J = \[1, 2\] is singular$') as info:
         d.pi_projection(frozenset({0, 1}), (1, 0, 0))
+    assert (info.value.datum, info.value.element,
+            info.value.sigma_class) == ('gl3', None, None)
 
 
 PI_NUMERATORS = RootDatum.pi_numerators
@@ -329,9 +361,10 @@ HULL_ARGV = ['lambda', '--datum', 'gl3', '--x', '{"w":[1],"mu":[1,0,0]}']
 
 def test_non_unique_hull_point_is_an_invariant_error(monkeypatch, capsys):
     monkeypatch.setattr(RootDatum, 'pi_numerators', shifted_projection)
-    with pytest.raises(AssertionError,
-                       match=r"'gl3'.*mu = \(1, 0, 0\).*incomparable"):
+    with pytest.raises(InvariantError,
+                       match=r"'gl3'.*mu = \(1, 0, 0\).*incomparable") as info:
         builtin_datum('gl3').convex_hull_point((1, 0, 0))
+    assert info.value.datum == 'gl3'
     assert main(HULL_ARGV) == 3
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: datum 'gl3'"), err

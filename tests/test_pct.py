@@ -10,7 +10,7 @@ from adlv.affine import AffineElement, AffineWeyl
 from adlv.bg import BGClass
 from adlv.cli import main
 from adlv.context import Context
-from adlv.datum import builtin_datum, diagram_components
+from adlv.datum import InvariantError, builtin_datum, diagram_components
 from adlv.lattice import solve_in_cone, vec_add, vec_dot, vec_scale, vec_sub
 from adlv.pct import (PCT, PositiveCoxeterPair, count_positive_roots,
                       very_special_subsets)
@@ -130,10 +130,13 @@ def test_pair_support_error_names_datum_element_and_v(monkeypatch):
     x = AffineElement(1, (1,))
     monkeypatch.setattr(pct.bg, 'strata_sets',
                         lambda b: (frozenset(), frozenset()))
-    with pytest.raises(AssertionError, match=re.escape(
-            "datum 'sl2': the pair on %s with v = []: support J = [1] "
-            'violates I_1 <= J <= I(nu)' % pct.aw.format_element(x))):
+    with pytest.raises(InvariantError, match='^%s$' % re.escape(
+            "datum 'sl2': the pair with v = []: support J = [1] violates "
+            'I_1 <= J <= I(nu), for x = %s' % pct.aw.format_element(x))) \
+            as info:
         pct.positive_coxeter_pairs(x)
+    assert (info.value.datum, info.value.element) == (
+        'sl2', pct.aw.element_to_dict(x))
 
 
 @pytest.mark.parametrize('case,error,message', [
@@ -165,10 +168,18 @@ def test_pct_transport_errors_name_datum_element_and_root(
         monkeypatch.setattr(pct, 'make_pair', lambda y, v: (
             PositiveCoxeterPair(y, v, frozenset(), 0, ()) if y == left
             else None))
-    where = ("datum 'sl2': transport of %s along the affine root %s: "
-             % (aw.format_element(x), a))
-    with pytest.raises(error, match=re.escape(where + message)):
+    with pytest.raises(error, match=re.escape(message)) as info:
         pct.pct_transport(pair, a)
+    at = 'the affine root %s' % (a,)
+    if case == 'up':
+        assert str(info.value) == '%s, not up: %s moves x = %s up' % (
+            message, at, aw.format_element(x))
+    else:
+        assert type(info.value) is InvariantError
+        assert str(info.value) == "datum 'sl2': transport along %s: %s, " \
+            'for x = %s' % (at, message, aw.format_element(x))
+        assert (info.value.datum, info.value.element) == (
+            'sl2', aw.element_to_dict(x))
 
 
 def test_min_and_generic_newton(pct3):
@@ -343,8 +354,11 @@ def test_min_length_mismatch_names_datum_and_x(pct2, monkeypatch):
                         lambda w: False)
     where = ("datum 'sl2': minimal-length criterion mismatch: finite False "
              "vs pairs True, for x = %s" % pct2.aw.format_element(x))
-    with pytest.raises(AssertionError, match=re.escape(where)):
+    with pytest.raises(InvariantError, match='^%s$' % re.escape(where)) \
+            as info:
         pct2.min_length_pct(x)
+    assert (info.value.datum, info.value.element) == (
+        'sl2', pct2.aw.element_to_dict(x))
 
 
 def test_large_support(pct2, pct3):

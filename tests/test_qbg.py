@@ -2,7 +2,7 @@
 
 import pytest
 
-from adlv.datum import builtin_datum
+from adlv.datum import InvariantError, builtin_datum
 from adlv.qbg import QuantumBruhatGraph
 from adlv.weyl import WeylGroup
 
@@ -69,9 +69,35 @@ def test_coxeter_path_flip():
 def test_connectivity_check_names_datum():
     q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
     q.edges[1] = []                       # drop the quantum edge 1 -> 0
-    with pytest.raises(AssertionError, match="^datum 'sl2': quantum Bruhat "
-                       "graph is not strongly connected$"):
+    with pytest.raises(InvariantError, match=r"^datum 'sl2': quantum Bruhat "
+                       r"graph is not strongly connected: \[1\] reaches 1 of "
+                       r"2 elements$") as info:
         q.distance_weight(1, 0)
+    assert (info.value.datum, info.value.element) == ('sl2', None)
+
+
+def test_coxeter_path_check_names_vertex_and_word_by_letters():
+    q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
+    q.coroot_coords[0] = (5,)             # s1 -> e now adds 5 alpha^vee
+    with pytest.raises(InvariantError, match=r"^datum 'sl2': the "
+                       r'Coxeter-word path from \[1\] along \[1\] has length '
+                       r'1 and weight \(5,\), but the shortest paths have '
+                       r'length 1 and weight \(1,\)$'):
+        q.coxeter_path(q.W.simple[0], [0])
+
+
+def test_weight_mismatch_names_vertices_by_word():
+    """Two shortest routes s1 -> s1 s2 -> w0 and s1 -> s2 s1 -> w0 of
+    sl3 that carry different weights: the check names the source and the
+    vertex where they merge by their 1-based words."""
+    q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl3')))
+    W = q.W
+    s1, s12 = W.simple[0], W.from_word([0, 1])
+    q.edges[s12] = [(v, (5, 5), root, kind)
+                    for v, _, root, kind in q.edges[s12]]
+    with pytest.raises(InvariantError, match=r"^datum 'sl3': quantum Bruhat "
+                       r"graph weight mismatch at \[1\] -> \[1, 2, 1\]$"):
+        q.distance_weight(s1, W.longest)
 
 
 def test_dot_output(qa2):

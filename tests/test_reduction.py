@@ -15,7 +15,7 @@ import pytest
 from adlv import reduction
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.cli import main
-from adlv.datum import builtin_datum
+from adlv.datum import InvariantError, builtin_datum
 from adlv.lattice import vec_dot
 from adlv.qbg import QuantumBruhatGraph
 from adlv.reduction import (POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, Reduction,
@@ -85,12 +85,6 @@ def test_class_keys_sl2(red2):
     for a in red2.aw.simple_affine:
         y, _, _ = red2.aw.simple_sigma_conjugate(x, a)
         assert red2.class_key(y) == red2.class_key(x)
-
-
-def test_same_class(red2):
-    assert red2.same_class(AffineElement(0, (1,)), AffineElement(0, (-1,)))
-    assert not red2.same_class(AffineElement(0, (0,)),
-                               AffineElement(1, (0,)))
 
 
 def test_degree_bookkeeping(red3):
@@ -177,7 +171,7 @@ def test_class_key_interned_per_reduction():
         key = red.class_key(x)
         assert interned.setdefault(key, key) is key
         x_min, _ = red.descend_to_minimal(x)
-        for y in red._closure(x_min, reduction.DEFAULT_SLACK):
+        for y in red._closure(x_min):
             assert red.class_key(y) is key
 
 
@@ -485,13 +479,18 @@ def qbg_with_coroot_coefficients(monkeypatch, coeffs):
     return QuantumBruhatGraph(W)
 
 
+COROOT_CHECK = (r"^datum 'sl2': coroot \(1,\) has no integer coordinates "
+                r'over the simple coroots$')
+
+
 def test_qbg_coroot_check_names_datum(monkeypatch):
-    with pytest.raises(AssertionError, match="'sl2'.*coroot"):
+    with pytest.raises(InvariantError, match=COROOT_CHECK) as info:
         qbg_with_coroot_coefficients(monkeypatch, (Fraction(1, 2),))
+    assert info.value.datum == 'sl2'
 
 
 def test_qbg_coroot_outside_span_names_datum(monkeypatch):
-    with pytest.raises(AssertionError, match="'sl2'.*coroot"):
+    with pytest.raises(InvariantError, match=COROOT_CHECK):
         qbg_with_coroot_coefficients(monkeypatch, None)
 
 
@@ -508,17 +507,21 @@ def test_bgx_class_record_check_names_datum_and_class(monkeypatch, name, x,
     negative."""
     red = Reduction(AffineWeyl(builtin_datum(name)))
     monkeypatch.setattr(red.datum, 'two_rho', two_rho)
-    with pytest.raises(AssertionError,
+    with pytest.raises(InvariantError,
                        match="^datum '%s': %s, for the class kappa = "
-                       % (name, what)):
+                       % (name, what)) as info:
         red.bgx_from_tree(x)
+    assert info.value.datum == name and info.value.element is None
+    assert info.value.sigma_class in {
+        red.bg.element_class(leaf.x)
+        for leaf in red.build_reduction_tree(x).leaves()}
 
 
 def test_invariant_check_survives_python_O():
     script = textwrap.dedent("""
         import sys
         from adlv.affine import AffineElement, AffineWeyl
-        from adlv.datum import builtin_datum
+        from adlv.datum import InvariantError, builtin_datum
         from adlv.reduction import Reduction
         if __debug__:
             sys.exit('assert statements are still enabled')
@@ -538,18 +541,17 @@ def test_invariant_check_survives_python_O():
     done = subprocess.run([sys.executable, '-O', '-c', script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1, done.stderr
-    assert "AssertionError: datum 'sl2'" in done.stderr
+    assert "InvariantError: datum 'sl2': the move by the affine root" \
+        in done.stderr
 
 
-def class_key_recount(red, x, slack=None):
+def class_key_recount(red, x):
     """Oracle: the class_key closure with every neighbour's length
-    recounted by aff_length instead of carried through the search; with
-    a wider slack, the key the retry of same_class once read off a
-    second Reduction."""
+    recounted by aff_length instead of carried through the search."""
     aw = red.aw
     x_min, _ = red.descend_to_minimal(x)
     lmin = aw.aff_length(x_min)
-    cap = lmin + (reduction.DEFAULT_SLACK if slack is None else slack)
+    cap = lmin + reduction.DEFAULT_SLACK
     seen = {x_min}
     frontier = [x_min]
     while frontier:
@@ -582,38 +584,18 @@ def test_class_key_matches_recounting_closure(name):
         assert red.class_key(x) == class_key_recount(red, x), x
 
 
-def same_class_twin(red, x, y):
-    """Oracle: same_class as it was with a second Reduction whose slack
-    is 4 wider: keys first, then the wider keys."""
-    kx, ky = red.class_key(x), red.class_key(y)
-    if kx == ky:
-        return True
-    if kx[:3] != ky[:3]:
-        return False
-    wide = reduction.DEFAULT_SLACK + 4
-    return class_key_recount(red, x, wide) == class_key_recount(red, y, wide)
-
-
-@pytest.mark.parametrize('name', ['sl3', 'sp4', 'sl3_flip'])
-def test_same_class_retry_matches_twin_closure(name, monkeypatch):
-    """With no slack, keys of one class split, so same_class reaches its
-    retry; it must answer as the twin-Reduction closure did, on one pair
-    of box(2, 6) elements for every two keys that agree on kappa, nu and
-    the minimal length, and on 200 seeded pairs."""
-    monkeypatch.setattr(reduction, 'DEFAULT_SLACK', 0)
+@pytest.mark.parametrize('name,bound,max_length', [
+    ('sl4_flip', 1, 8), ('g2', 2, 8), ('sp4', 2, 8), ('sl3_flip', 2, 8),
+    ('gl4', 1, 8)])
+def test_type_ii_leaf_has_the_class_key_of_x(name, bound, max_length):
+    """A cheap detector of one class split over two keys.  A type II child
+    r_a x' r_{sigma a} is sigma-conjugate to x, as x' is, so under any
+    branch choice exactly one leaf has n_I = 0, it lies in the class of
+    x, and its key must be class_key(x)."""
     red = Reduction(AffineWeyl(builtin_datum(name)))
-    xs = red.aw.box_elements(2, 6)
-    groups = {}
-    for x in xs:
-        groups.setdefault(red.class_key(x)[:3], []).append(x)
-    rng = random.Random(7)
-    pairs = [tuple(rng.sample(xs, 2)) for _ in range(200)]
-    for members in groups.values():
-        by_key = {red.class_key(x): x for x in members}
-        pairs += itertools.combinations(sorted(by_key.values()), 2)
-    split = 0
-    for x, y in pairs:
-        kx, ky = red.class_key(x), red.class_key(y)
-        split += kx != ky and kx[:3] == ky[:3]
-        assert red.same_class(x, y) == same_class_twin(red, x, y), (x, y)
-    assert split > 0
+    for x in red.aw.box_elements(bound, max_length):
+        for seed in range(1, 6):
+            tree = red.build_reduction_tree(x, seed=seed)
+            leaves = [leaf for leaf, ni, _ in tree.paths() if ni == 0]
+            assert len(leaves) == 1, (x, seed)
+            assert red.class_key(leaves[0].x) is red.class_key(x), (x, seed)

@@ -137,11 +137,17 @@ def test_sigma_support_and_coxeter_flip():
     assert not g.is_partial_sigma_coxeter(g.from_word([0, 1]))
 
 
+def sigma_conjugates(g, e):
+    """Oracle: all v^{-1} e sigma(v) for v in W, by a scan of W."""
+    return {g.mult(g.mult(g.inv[v], e), g.sigma_elem[v])
+            for v in range(g.size)}
+
+
 def is_sigma_elliptic(g, e):
     """True when no sigma-conjugate of e lies in a proper sigma-stable
     parabolic subgroup W_J."""
     full = frozenset(range(g.datum.rank))
-    return all(g.sigma_support(f) == full for f in g.sigma_conjugates(e))
+    return all(g.sigma_support(f) == full for f in sigma_conjugates(g, e))
 
 
 def coxeter_conjugator(g, c1, c2, subset=None):
@@ -161,6 +167,19 @@ def test_sigma_conjugates_and_ellipticity():
     assert not is_sigma_elliptic(g, g.simple[0])
     assert g.sigma_conjugate_to_partial_coxeter(g.from_word([1, 0]))
     assert not g.sigma_conjugate_to_partial_coxeter(g.longest)
+
+
+@pytest.mark.parametrize('name', ['gl4', 'sl4_flip', 'sp4', 'so5', 'g2',
+                                  'sl3_flip', 'pgl3', 'gl6'])
+def test_sigma_class_walk_matches_scan_of_w(name):
+    """The walk over the sigma-class against the scan of W, on every
+    element of W, and on 50 seeded elements of W(A5) for gl6."""
+    g = WeylGroup(builtin_datum(name))
+    elements = range(g.size) if name != 'gl6' \
+        else random.Random(6).sample(range(g.size), 50)
+    for e in elements:
+        want = any(map(g.is_partial_sigma_coxeter, sigma_conjugates(g, e)))
+        assert g.sigma_conjugate_to_partial_coxeter(e) == want, g.words[e]
 
 
 def test_coxeter_conjugator():
