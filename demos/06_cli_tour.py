@@ -2,9 +2,10 @@
 
 Everything in the library is reachable from the `adlv` console script.
 Elements are passed as JSON objects with a 1-based reduced word for the
-finite part and integer coordinates for the translation part; rational
-output is printed as "p/q" strings and polynomials as coefficient lists,
-lowest degree first.
+finite part and integer coordinates for the translation part.  Each call
+prints one line of JSON (DOT for a graph), and `scan` streams its array
+one row per line; rational output is printed as "p/q" strings and
+polynomials as coefficient lists, lowest degree first.
 """
 
 from adlv.cli import main

@@ -11,8 +11,12 @@ reader (128 + SIGPIPE, as a shell reports a pipe writer).  An
 ``adlv.InvariantError`` prints ``invariant violation: datum '<name>':
 <what failed>``, then ``, for x = <--x JSON>``, ``, for the class kappa
 = (...), nu = (...)`` or both joined by ``and``; Weyl group elements in
-it are 1-based words.  Rationals print as "p/q" strings, polynomials as
-coefficient arrays lowest degree first, graphs as DOT.
+it are 1-based words.
+
+Each call prints one JSON document on one line, or DOT for a graph.
+``scan`` streams its array one row per line, so a scan that fails
+partway leaves the rows formed so far on stdout.  Rationals print as
+"p/q" strings, polynomials as coefficient arrays lowest degree first.
 """
 
 from __future__ import annotations
@@ -150,19 +154,18 @@ def _vector(text, option, dim, rational=False):
                  % (option, dim, 'rationals' if rational else 'integers', text))
 
 
-def _run(args, out):
-    if args.command == 'selftest':
-        import subprocess
-        from pathlib import Path
-        tests = Path(__file__).resolve().parents[2] / 'tests' \
-            / 'test_acceptance.py'
-        if not tests.is_file():
-            raise _Usage('selftest runs %s, which is not there: it needs a '
-                         'source checkout' % tests)
-        code = subprocess.call([sys.executable, '-m', 'pytest', '-q',
-                                str(tests)])
-        return code
+def _selftest():
+    import subprocess
+    from pathlib import Path
+    tests = Path(__file__).resolve().parents[2] / 'tests/test_acceptance.py'
+    if not tests.is_file():
+        raise _Usage('selftest runs %s, which is not there: it needs a '
+                     'source checkout' % tests)
+    return subprocess.call([sys.executable, '-m', 'pytest', '-q', str(tests)])
 
+
+def _run(args):
+    """What the call prints: a JSON value, DOT text or the scan's rows."""
     ctx = Context(args.datum)
     try:
         ctx.datum
@@ -171,48 +174,36 @@ def _run(args, out):
         raise _Usage('--datum: %s' % e) from None
 
     if args.command == 'datum':
-        info = ctx.datum.describe()
-        info['weyl_order'] = ctx.W.size
-        json.dump(info, out, indent=2)
-        out.write('\n')
-        return 0
+        return dict(ctx.datum.describe(), weyl_order=ctx.W.size)
 
     if args.command == 'qbg':
         if args.qbg_cmd == 'dot':
-            out.write(ctx.qbg.to_dot() + '\n')
-            return 0
+            return ctx.qbg.to_dot()
         src = _word(ctx, args.source, '--source')
         dst = _word(ctx, args.target, '--target')
         dist, wt = ctx.qbg.distance_weight(src, dst)
         if args.qbg_cmd == 'dist':
-            json.dump({'distance': dist}, out)
-        else:
-            json.dump({'distance': dist, 'weight_coords': list(wt),
-                       'weight': list(ctx.qbg.weight_vector(wt))}, out)
-        out.write('\n')
-        return 0
+            return {'distance': dist}
+        return {'distance': dist, 'weight_coords': list(wt),
+                'weight': list(ctx.qbg.weight_vector(wt))}
 
     if args.command == 'pct':
         x = _element(ctx, args.x)
         pct = ctx.pct
         if args.pct_cmd == 'classify':
             flag, v = pct.pct_characterize(x)
-            json.dump({
+            return {
                 'x': ctx.aw.element_to_dict(x),
                 'positive_coxeter_type': flag,
                 'witness_v': None if v is None
                 else [i + 1 for i in pct.W.words[v]],
                 'finite_coxeter_part': pct.has_finite_coxeter_part(x),
-            }, out, indent=2)
-            out.write('\n')
-            return 0
+            }
         # report and endpoint are defined on positive Coxeter type only
         if not pct.is_positive_coxeter(x):
             raise _Usage('--x: x is not of positive Coxeter type')
         if args.pct_cmd == 'report':
-            json.dump(_report_dict(ctx, pct.thmA_report(x)), out, indent=2)
-            out.write('\n')
-            return 0
+            return _report_dict(ctx, pct.thmA_report(x))
         # endpoint
         dim, kottwitz = ctx.datum.dim, ctx.bg.kottwitz
         kappa = _vector(args.kappa, '--kappa', dim)
@@ -227,62 +218,70 @@ def _run(args, out):
                          'x, whose classes are %s'
                          % json.dumps([c.to_dict() for c in interval]))
         ep = pct.endpoint_class(pair, b)
-        json.dump({
+        return {
             'c_prime': [i + 1 for i in pct.W.words[ep['c_prime']]],
             'lambda': list(ep['lambda']),
             'endpoint': ctx.aw.element_to_dict(ep['endpoint']),
             'class_key': _key_dict(ctx, ep['key']),
-        }, out, indent=2)
-        out.write('\n')
-        return 0
+        }
 
     if args.command == 'scan':
-        return _scan(ctx, args, out)
+        return _scan_rows(ctx, args)
 
     x = _element(ctx, args.x)
     aw, W = ctx.aw, ctx.W
 
     if args.command == 'lp':
-        json.dump({'lp': [[i + 1 for i in W.words[v]]
-                          for v in aw.lp_set(x)]}, out)
-    elif args.command == 'eta':
+        return {'lp': [[i + 1 for i in W.words[v]] for v in aw.lp_set(x)]}
+    if args.command == 'eta':
         eta = aw.eta_sigma(x)
-        json.dump({'eta': [i + 1 for i in W.words[eta]],
-                   'length': W.lengths[eta]}, out)
-    elif args.command == 'newton':
+        return {'eta': [i + 1 for i in W.words[eta]],
+                'length': W.lengths[eta]}
+    if args.command == 'newton':
         raw, dom = ctx.bg.newton_of_element(x)
-        json.dump({'nu_raw': [_frac_str(c) for c in raw],
-                   'nu': [_frac_str(c) for c in dom]}, out)
-    elif args.command == 'kappa':
-        json.dump({'kappa': list(ctx.bg.kottwitz_point(x))}, out)
-    elif args.command == 'lambda':
+        return {'nu_raw': [_frac_str(c) for c in raw],
+                'nu': [_frac_str(c) for c in dom]}
+    if args.command == 'kappa':
+        return {'kappa': list(ctx.bg.kottwitz_point(x))}
+    if args.command == 'lambda':
         b = ctx.bg.element_class(x)
         res, lam = ctx.bg.lambda_invariant(b)
-        json.dump({'class': b.to_dict(), 'lambda_residue': list(res),
-                   'lambda_lift': list(lam),
-                   'defect': ctx.bg.defect(b)}, out)
-    elif args.command == 'bgx':
+        return {'class': b.to_dict(), 'lambda_residue': list(res),
+                'lambda_lift': list(lam), 'defect': ctx.bg.defect(b)}
+    if args.command == 'bgx':
         data = ctx.red.bgx_from_tree(x)
-        json.dump([{'class': b.to_dict(),
-                    'paths': [list(pth) for pth in e['paths']],
-                    'polynomial': list(e['polynomial'])}
-                   for b, e in sorted(data.items())], out, indent=2)
-    elif args.command == 'classpoly':
-        json.dump(_poly_rows(ctx, ctx.red.class_polynomials(x)), out,
-                  indent=2)
-    elif args.command == 'tree':
-        tree = ctx.red.build_reduction_tree(x, seed=args.seed)
-        if args.format == 'dot':
-            out.write(ctx.red.tree_to_dot(tree) + '\n')
-            return 0
-        polys = ctx.red.class_polynomials(x, tree=tree)
-        json.dump({
-            'leaves': [ctx.aw.element_to_dict(leaf.x)
-                       for leaf in tree.leaves()],
-            'classes': _poly_rows(ctx, polys),
-        }, out, indent=2)
-    out.write('\n')
-    return 0
+        return [{'class': b.to_dict(),
+                 'paths': [list(pth) for pth in e['paths']],
+                 'polynomial': list(e['polynomial'])}
+                for b, e in sorted(data.items())]
+    if args.command == 'classpoly':
+        return _poly_rows(ctx, ctx.red.class_polynomials(x))
+    # tree
+    tree = ctx.red.build_reduction_tree(x, seed=args.seed)
+    if args.format == 'dot':
+        return ctx.red.tree_to_dot(tree)
+    polys = ctx.red.class_polynomials(x, tree=tree)
+    return {
+        'leaves': [ctx.aw.element_to_dict(leaf.x) for leaf in tree.leaves()],
+        'classes': _poly_rows(ctx, polys),
+    }
+
+
+def _write(out, doc):
+    """Print DOT text as it is, a JSON value on one line (``json.dump``
+    would run the pure-Python encoder), and scan rows as a JSON array,
+    one row per line, each flushed as soon as it is formed."""
+    if isinstance(doc, str):
+        out.write(doc + '\n')
+    elif isinstance(doc, (dict, list)):
+        out.write(json.dumps(doc) + '\n')
+    else:
+        out.write('[')
+        for i, row in enumerate(doc):
+            out.write((',\n' if i else '\n') + json.dumps(row))
+            out.flush()
+        out.write('\n]\n')
+    out.flush()
 
 
 def _key_dict(ctx, key):
@@ -322,14 +321,13 @@ def _report_dict(ctx, report):
     }
 
 
-def _scan(ctx, args, out):
+def _scan_rows(ctx, args):
     aw, pct = ctx.aw, ctx.pct
     bound = args.mu_bound if args.mu_bound is not None else args.max_length
-    rows = []
     for x in aw.box_elements(bound, args.max_length):
         b = BGClass(*ctx.red.class_key(x)[:2])
         flag, v = pct.pct_characterize(x)
-        rows.append({
+        yield {
             'x': aw.element_to_dict(x),
             'length': aw.aff_length(x),
             'class': b.to_dict(),
@@ -337,10 +335,7 @@ def _scan(ctx, args, out):
             'finite_coxeter_part': pct.has_finite_coxeter_part(x),
             'classpoly': _poly_rows(
                 ctx, ctx.red.class_polynomials(x, seed=args.seed)),
-        })
-    json.dump(rows, out, indent=2)
-    out.write('\n')
-    return 0
+        }
 
 
 def main(argv=None):
@@ -351,7 +346,10 @@ def main(argv=None):
         print('usage error: %s' % e, file=sys.stderr)
         return 1
     try:
-        return _run(args, sys.stdout)
+        if args.command == 'selftest':
+            return _selftest()
+        _write(sys.stdout, _run(args))
+        return 0
     except BrokenPipeError:
         # the reader closed the pipe early (``adlv scan ... | head``);
         # stdout goes to devnull so the flush at exit does not raise again

@@ -876,9 +876,14 @@ def datum_from_config(config):
             p_mat = [[1 if perm[j] == i else 0 for j in range(n)]
                      for i in range(n)]
             m = mat_mul(mat_mul(binv, p_mat), b)
+            # the simple coroots span X (x) Q, so m is the one map that
+            # permutes them as perm does: no sigma_matrix can do better
             if any(x.denominator != 1 for row in m for x in row):
-                raise ValueError('sigma_perm does not preserve the lattice; '
-                                 'give sigma_matrix explicitly')
+                raise ValueError(
+                    'sigma_perm %s does not preserve the lattice: the one '
+                    'linear map permuting the simple coroots as it does is '
+                    'not integral on the lattice basis'
+                    % _show(config['sigma_perm']))
             sig_mat = [[int(x) for x in row] for row in m]
     datum = RootDatum(cartan, coroots, roots, perm, sig_mat, name=name)
     order = datum.weyl_order()

@@ -1,5 +1,7 @@
 """Command line interface: round trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from adlv.affine import AffineWeyl
 from adlv.bg import BGInvariants
 from adlv.cli import main
 from adlv.context import Context
+from adlv.pct import PCT
 from adlv.reduction import Reduction
 
 
@@ -258,21 +261,92 @@ def test_scan_deterministic(capsys):
     code, out2, _ = run(capsys, *args)
     assert out1 == out2
     rows = json.loads(out1)
+    # one array, one row per line
+    lines = out1.split('\n')
+    assert lines[0] == '[' and lines[-2:] == [']', '']
+    assert [json.loads(line.rstrip(',')) for line in lines[1:-2]] == rows
     lengths = [r['length'] for r in rows]
     assert lengths == sorted(lengths)
     assert all(r['length'] <= 3 for r in rows)
 
 
+X_SL2 = '{"w": [1], "mu": [1]}'
+
+
+@pytest.mark.parametrize('argv', [
+    ('datum', 'validate', '--datum', 'sl3'),
+    ('lp', '--datum', 'sl2', '--x', X_SL2),
+    ('eta', '--datum', 'sl2', '--x', X_SL2),
+    ('newton', '--datum', 'gl2', '--x', '{"w": [1], "mu": [1, 0]}'),
+    ('kappa', '--datum', 'sl2', '--x', X_SL2),
+    ('lambda', '--datum', 'gl3', '--x', '{"w": [], "mu": [0, 0, 1]}'),
+    ('bgx', '--datum', 'sl2', '--x', X_SL2),
+    ('classpoly', '--datum', 'sl2', '--x', X_SL2),
+    ('tree', '--datum', 'sl2', '--x', X_SL2),
+    ('qbg', 'dist', '--datum', 'sl3', '--source', '[]', '--target', '[1]'),
+    ('qbg', 'weight', '--datum', 'sl3', '--source', '[1, 2, 1]',
+     '--target', '[]'),
+    ('pct', 'classify', '--datum', 'gl3', '--x',
+     '{"w": [1], "mu": [0, 0, 0]}'),
+    ('pct', 'report', '--datum', 'sl2', '--x', X_SL2),
+    ('pct', 'endpoint', '--datum', 'sl2', '--x', X_SL2, '--kappa', '[0]',
+     '--nu', '["0"]')], ids=lambda argv: '-'.join(argv[:argv.index('--datum')]))
+def test_every_subcommand_prints_one_line_of_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out)) + '\n'
+
+
+def test_scan_writes_each_row_before_forming_the_next(monkeypatch):
+    """The scan runs pct_characterize once per row; when it runs for row
+    k, rows 0 .. k - 1 are on stdout already."""
+    out = io.StringIO()
+    written = []
+    characterize = PCT.pct_characterize
+
+    def spy(self, x):
+        written.append(out.getvalue().count('\n{'))
+        return characterize(self, x)
+
+    monkeypatch.setattr(PCT, 'pct_characterize', spy)
+    with contextlib.redirect_stdout(out):
+        code = main(['scan', '--datum', 'sl2', '--max-length', '3',
+                     '--mu-bound', '2'])
+    assert code == 0
+    assert written == list(range(len(json.loads(out.getvalue()))))
+
+
+def test_scan_failing_partway_leaves_the_rows_formed_so_far(capsys,
+                                                            monkeypatch):
+    """A scan that fails at its third row exits 2 with its first two rows
+    on stdout and the array left open."""
+    characterize = PCT.pct_characterize
+    calls = []
+
+    def fail_on_third(self, x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise ValueError('boom')
+        return characterize(self, x)
+
+    args = ('scan', '--datum', 'sl2', '--max-length', '3', '--mu-bound', '2')
+    monkeypatch.setattr(PCT, 'pct_characterize', fail_on_third)
+    code, out, err = run(capsys, *args)
+    assert code == 2 and err == 'error: boom\n'
+    monkeypatch.undo()
+    assert json.loads(out + '\n]') == run_json(capsys, *args)[:2]
+
+
 def test_reader_closing_the_pipe_exits_141():
     """A reader that stops early (``adlv scan ... | head -c 10``) is no
     internal error: exit 141 with nothing on stderr.  The scan prints
-    about 135 kB, more than a pipe holds, so the writer is still writing
+    about 253 kB, more than a pipe holds, so the writer is still writing
     when the read end closes."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / 'src'))
     proc = subprocess.Popen(
         [sys.executable, '-m', 'adlv.cli', 'scan', '--datum', 'gl3',
-         '--max-length', '4', '--mu-bound', '1'],
+         '--max-length', '6', '--mu-bound', '2'],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()

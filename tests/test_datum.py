@@ -113,6 +113,33 @@ def test_sigma_validation_rejects_non_automorphism():
                            'sigma_perm': [2, 1]})
 
 
+# D4 on the lattice Q^vee + Z omega_1^vee (SO8): the columns are
+# omega_1^vee, alpha_1^vee, alpha_2^vee, alpha_3^vee in coweight coordinates
+SO8_BASIS = [[1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2], [0, 0, -1, 0]]
+
+
+def test_sigma_perm_off_the_lattice_is_refused_without_advice(tmp_path,
+                                                               capsys):
+    """Triality moves omega_1^vee to omega_3^vee, off the SO8 lattice.
+    With dim X = rank the simple coroots span X (x) Q, so no sigma_matrix
+    exists either: the refusal says so and gives no advice.  The swap of
+    nodes 3 and 4 fixes omega_1^vee and is accepted."""
+    config = {'type': 'D4', 'lattice_basis': SO8_BASIS,
+              'sigma_perm': [3, 2, 4, 1]}
+    message = ('sigma_perm [3, 2, 4, 1] does not preserve the lattice: the '
+               'one linear map permuting the simple coroots as it does is '
+               'not integral on the lattice basis')
+    with pytest.raises(ValueError, match='^%s$' % re.escape(message)):
+        datum_from_config(config)
+    path = tmp_path / 'so8.json'
+    path.write_text(json.dumps(config))
+    assert main(['datum', 'validate', '--datum', str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == 'usage error: --datum: %s\n' % message, err
+    d = datum_from_config(dict(config, sigma_perm=[1, 2, 4, 3]))
+    assert d.sigma_perm == (0, 1, 3, 2) and d.sigma_order == 2
+
+
 def test_sigma_order_reaches_its_derived_bound():
     """On gl2, sigma = -(the swap) fixes the coroot (1, -1) and negates
     the central line of (1, 1): trivial sigma_perm, order 2 = 2 * 1."""
