@@ -300,12 +300,19 @@ def solve_integer_combination(generators, target):
     >>> solve_integer_combination([(2, 0)], (1, 0)) is None
     True
     """
-    u, divisors, v = _column_snf(generators, len(target))
+    return _snf_solve(_column_snf(generators, len(target)), target)
+
+
+def _snf_solve(snf, target):
+    """Integer coefficients c with sum c_i * g_i = target, or None, given
+    snf = _column_snf(generators, len(target)): a caller that solves many
+    targets against one set of generators forms their Smith form once."""
+    u, divisors, v = snf
     y = mat_vec(u, target)
     r = len(divisors)
     if any(x % dv for x, dv in zip(y, divisors)) or any(y[r:]):
         return None
-    z = [x // dv for x, dv in zip(y, divisors)] + [0] * (len(generators) - r)
+    z = [x // dv for x, dv in zip(y, divisors)] + [0] * (len(v) - r)
     return mat_vec(v, z)
 
 

@@ -21,8 +21,8 @@ from .affine import AffineElement
 from .bg import BGClass
 from .datum import (InvariantError, diagram_components, perm_orbit,
                     root_closure)
-from .lattice import (QuotientPresentation, solve_integer_combination,
-                      vec_add, vec_dot, vec_scale, vec_sub)
+from .lattice import (QuotientPresentation, _column_snf, _snf_solve, vec_add,
+                      vec_dot, vec_scale, vec_sub)
 from .qbg import QuantumBruhatGraph
 from .reduction import Reduction, _monomial
 
@@ -62,6 +62,9 @@ class PCT:
         self.bg = self.red.bg
         self.qbg = qbg if qbg is not None else QuantumBruhatGraph(self.W)
         self.gamma = self.bg.gamma
+        # (c, J(b)) -> the first endpoint lattice and the Smith form of
+        # both endpoint lattices' generators
+        self._endpoint_snf = {}
 
     # -- pairs ---------------------------------------------------------------
 
@@ -433,18 +436,13 @@ class PCT:
         b, which is read off the leaf keys: their first two fields are
         (kappa, nu).
         """
-        d = self.datum
         i_nu, _ = self.bg.strata_sets(b)
         jb = frozenset(pair.J & i_nu)
         c_prime = self.j_truncation(pair.c, jb)
         _, lam_b = self.bg.lambda_invariant(b)
         s = self.j_point_vector(pair)
-        lattice_one = [d.simple_coroots[j] for j in sorted(jb)] \
-            + [r for r in self.gamma.relations if any(r)]
-        lattice_two = [r for r in self._point_relations(pair.c, jb)
-                       if any(r)]
-        gens = lattice_one + lattice_two
-        sol = solve_integer_combination(gens, vec_sub(s, lam_b))
+        lattice_one, snf = self._endpoint_lattices(pair.c, jb)
+        sol = _snf_solve(snf, vec_sub(s, lam_b))
         if sol is None:
             raise ValueError('endpoint congruence system is infeasible')
         lam = lam_b
@@ -461,6 +459,20 @@ class PCT:
                     'tree leaf class', self.aw.element_to_dict(pair.x))
         return {'key': key, 'c_prime': c_prime, 'lambda': lam,
                 'endpoint': endpoint, 'support': jb}
+
+    def _endpoint_lattices(self, c, jb):
+        """(lattice one, Smith form of lattice one + lattice two) for the
+        endpoint congruences of :meth:`endpoint_class`.  Both lattices
+        depend on (c, J(b)) alone, so their Smith form is formed once."""
+        key = (c, jb)
+        if key not in self._endpoint_snf:
+            d = self.datum
+            lattice_one = [d.simple_coroots[j] for j in sorted(jb)] \
+                + [r for r in self.gamma.relations if any(r)]
+            lattice_two = [r for r in self._point_relations(c, jb) if any(r)]
+            self._endpoint_snf[key] = (
+                lattice_one, _column_snf(lattice_one + lattice_two, d.dim))
+        return self._endpoint_snf[key]
 
     # -- converse characterization ---------------------------------------------
 

@@ -8,9 +8,17 @@ coefficient vectors over the simple coroots.  All-pairs distances and
 weights are computed by BFS; whenever two shortest routes merge, their
 weights are compared, so the well-definedness of the weight function is
 a runtime check rather than an assumption.
+
+Building the graph forms only the integer coordinates of each positive
+coroot and its pairing with 2 rho.  The edges, |W| |Phi+| products in
+W, are formed for every vertex at the first query that reads them (a
+distance, a weight, a Coxeter-word path or DOT output), so a caller that
+holds a graph but never queries it pays nothing for them.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .datum import InvariantError
 from .lattice import vec_add, vec_dot
@@ -20,6 +28,10 @@ __all__ = ['QuantumBruhatGraph']
 
 class QuantumBruhatGraph:
     """QBG with distances, weights and Coxeter-word paths.
+
+    ``edges`` is formed on its first read, all of it at once: a search
+    that formed each vertex's edges when it first reached it was slower,
+    as every BFS from a source reaches all of W.
 
     >>> from adlv.datum import builtin_datum
     >>> from adlv.weyl import WeylGroup
@@ -45,19 +57,27 @@ class QuantumBruhatGraph:
             self.coroot_coords.append(tuple(int(c) for c in coeffs))
         self.pair_2rho = [vec_dot(d.two_rho, r.coroot)
                           for r in d.positive_roots]
-        zero = (0,) * d.rank
-        self.edges = [[] for _ in range(self.W.size)]
-        for w in range(self.W.size):
-            lw = self.W.lengths[w]
-            for i in range(d.num_positive):
-                ws = self.W.mult(w, self.W.root_reflection[i])
-                lws = self.W.lengths[ws]
-                if lws == lw + 1:
-                    self.edges[w].append((ws, zero, i, 'bruhat'))
-                elif lws == lw + 1 - self.pair_2rho[i]:
-                    self.edges[w].append((ws, self.coroot_coords[i], i,
-                                          'quantum'))
         self._memo = {}
+
+    @cached_property
+    def edges(self):
+        """edges[w]: the out-edges (w s_alpha, weight, root index, kind) of
+        w, for the positive roots alpha in index order; formed for every
+        vertex at the first read."""
+        W, d = self.W, self.datum
+        zero = (0,) * d.rank
+        edges = [[] for _ in range(W.size)]
+        for w in range(W.size):
+            lw = W.lengths[w]
+            for i in range(d.num_positive):
+                ws = W.mult(w, W.root_reflection[i])
+                lws = W.lengths[ws]
+                if lws == lw + 1:
+                    edges[w].append((ws, zero, i, 'bruhat'))
+                elif lws == lw + 1 - self.pair_2rho[i]:
+                    edges[w].append((ws, self.coroot_coords[i], i,
+                                     'quantum'))
+        return edges
 
     # -- distances and weights --------------------------------------------
 

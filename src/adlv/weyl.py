@@ -35,6 +35,14 @@ class WeylGroup:
     e(Phi+) with e(alpha_i) swapped for e(-alpha_i): one XOR of two bits
     per new element.
 
+    The reflections need no matrix either.  s_i moves the simple-root
+    coordinates c of a root by s_i(beta) = beta - <beta, alpha_i^vee>
+    alpha_i, where <beta, alpha_i^vee> = sum_j c_j <alpha_j, alpha_i^vee>
+    is read off the Cartan matrix.  Every root is e(alpha_i) for some e
+    and i (Humphreys, 1.5), and s_{e(alpha_i)} = e s_i e^{-1} (1.2), so
+    the reflection through each root is one product in W, read at the
+    first (e, i) in index order.
+
     >>> from adlv.datum import builtin_datum
     >>> w = WeylGroup(builtin_datum('sl3'))
     >>> w.size
@@ -50,15 +58,17 @@ class WeylGroup:
         n = datum.rank
         simple = datum.simple_indices
         roots = range(len(datum.roots))
-
-        def reflected(j, idxs):
-            """Indices of the roots s_j(alpha_r), r in idxs.  s_j is its
-            own inverse, so the covector times its matrix is the image."""
-            m = datum.reflection_matrix(j)
-            return [datum.root_index[datum._covec_times(
-                datum.roots[r].covec, m)] for r in idxs]
-        # perms[i][r]: index of the root s_i(alpha_r)
-        perms = [reflected(s, roots) for s in simple]
+        # perms[i][r]: index of the root s_i(alpha_r), by its simple-root
+        # coordinates; cartan[i][j] = <alpha_j, alpha_i^vee>
+        by_coords = {r.coords: j for j, r in enumerate(datum.roots)}
+        perms = []
+        for i, row in enumerate(datum.cartan):
+            perm = []
+            for r in datum.roots:
+                k = sum(c * a for c, a in zip(r.coords, row))
+                perm.append(by_coords[tuple(c - k * (j == i) for j, c
+                                            in enumerate(r.coords))])
+            perms.append(perm)
         mats = [mat_identity(datum.dim)]
         words = [()]
         # right[e][i]: index of e s_i
@@ -114,10 +124,18 @@ class WeylGroup:
         # action of each element on the root list (by root index)
         self.root_action = root_action
         self.pos_mask = pos_mask
-        # reflection through each root, as a group element, found by the
-        # images of the simple roots
-        self.root_reflection = [index[tuple(reflected(j, simple))]
-                                for j in roots]
+        # s_r = e s_i e^{-1} at the first (e, i) with e(alpha_i) = alpha_r
+        root_reflection = [None] * len(datum.roots)
+        missing = len(datum.roots)
+        for e in range(self.size):
+            for i in range(n):
+                r = root_action[e][simple[i]]
+                if root_reflection[r] is None:
+                    root_reflection[r] = self.mult(right[e][i], self.inv[e])
+                    missing -= 1
+            if not missing:
+                break
+        self.root_reflection = root_reflection
         # sigma as a permutation of W: w -> sigma w sigma^{-1}, where
         # sigma s_i sigma^{-1} = s_sigma(i)
         self.sigma_elem = [self.from_word(datum.sigma_perm[i] for i in word)

@@ -11,7 +11,8 @@ from adlv.bg import BGClass
 from adlv.cli import main
 from adlv.context import Context
 from adlv.datum import InvariantError, builtin_datum, diagram_components
-from adlv.lattice import solve_in_cone, vec_add, vec_dot, vec_scale, vec_sub
+from adlv.lattice import (solve_in_cone, solve_integer_combination, vec_add,
+                          vec_dot, vec_scale, vec_sub)
 from adlv.pct import (PCT, PositiveCoxeterPair, count_positive_roots,
                       very_special_subsets)
 from adlv.reduction import Reduction, poly_add
@@ -605,6 +606,44 @@ def test_report_and_endpoints_form_no_newton_point_per_leaf(monkeypatch):
         reports += 1
     assert reports > 100
     assert len(newton) == len(closures) > 0
+
+
+def endpoint_per_call(pct, pair, b):
+    """Oracle: (lambda, endpoint, key) of the endpoint certificate, with
+    the endpoint congruences solved by one Smith form per call."""
+    d = pct.datum
+    i_nu, _ = pct.bg.strata_sets(b)
+    jb = frozenset(pair.J & i_nu)
+    lattice_one = [d.simple_coroots[j] for j in sorted(jb)] \
+        + [r for r in pct.gamma.relations if any(r)]
+    lattice_two = [r for r in pct._point_relations(pair.c, jb) if any(r)]
+    lam_b = pct.bg.lambda_invariant(b)[1]
+    sol = solve_integer_combination(
+        lattice_one + lattice_two,
+        vec_sub(pct.j_point_vector(pair), lam_b))
+    lam = lam_b
+    for coeff, g in zip(sol, lattice_one):
+        lam = vec_add(lam, vec_scale(coeff, g))
+    endpoint = AffineElement(pct.j_truncation(pair.c, jb), lam)
+    return lam, endpoint, pct.red.class_key(endpoint)
+
+
+@pytest.mark.parametrize('name,bound,cap', [('gl3', 2, 6),
+                                             ('sl3_flip', 2, 7),
+                                             ('sp4', 2, 6)])
+def test_endpoint_lattices_match_per_call_solve(name, bound, cap):
+    """endpoint_class solves against one Smith form per (c, J(b)); its
+    certificates equal those of a fresh solve per call."""
+    ctx = Context(name)
+    pct = ctx.pct
+    count = 0
+    for pair, b in interval_classes(ctx, bound, cap):
+        cert = pct.endpoint_class(pair, b, validate=False)
+        assert (cert['lambda'], cert['endpoint'], cert['key']) == \
+            endpoint_per_call(pct, pair, b)
+        count += 1
+    assert count > 50
+    assert len(pct._endpoint_snf) < count
 
 
 def test_twisted_membership_witnesses():

@@ -1,10 +1,16 @@
 """Quantum Bruhat graphs: edges, distances, common weights."""
 
+from functools import cached_property
+
 import pytest
 
-from adlv.datum import InvariantError, builtin_datum
+from adlv.affine import AffineElement
+from adlv.context import Context
+from adlv.datum import BUILTIN_DATA, InvariantError, builtin_datum
 from adlv.qbg import QuantumBruhatGraph
 from adlv.weyl import WeylGroup
+
+from test_affine import gl6_sample
 
 
 @pytest.fixture(scope='module')
@@ -78,6 +84,7 @@ def test_connectivity_check_names_datum():
 
 def test_coxeter_path_check_names_vertex_and_word_by_letters():
     q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
+    q.edges                               # the graph keeps the true weight
     q.coroot_coords[0] = (5,)             # s1 -> e now adds 5 alpha^vee
     with pytest.raises(InvariantError, match=r"^datum 'sl2': the "
                        r'Coxeter-word path from \[1\] along \[1\] has length '
@@ -103,3 +110,55 @@ def test_weight_mismatch_names_vertices_by_word():
 def test_dot_output(qa2):
     dot = qa2.to_dot()
     assert dot.startswith('digraph') and 'dashed' in dot and 'solid' in dot
+
+
+def eager_edges(q):
+    """Oracle: every edge of the graph, formed by the loop its constructor
+    once ran, for each vertex and each positive root in index order."""
+    W, d = q.W, q.datum
+    zero = (0,) * d.rank
+    edges = [[] for _ in range(W.size)]
+    for w in range(W.size):
+        lw = W.lengths[w]
+        for i in range(d.num_positive):
+            ws = W.mult(w, W.root_reflection[i])
+            lws = W.lengths[ws]
+            if lws == lw + 1:
+                edges[w].append((ws, zero, i, 'bruhat'))
+            elif lws == lw + 1 - q.pair_2rho[i]:
+                edges[w].append((ws, q.coroot_coords[i], i, 'quantum'))
+    return edges
+
+
+@pytest.mark.parametrize('name', sorted(set(BUILTIN_DATA) - {'e6_adjoint'}))
+def test_edges_match_eager_loop(name):
+    q = QuantumBruhatGraph(WeylGroup(builtin_datum(name)))
+    assert 'edges' not in q.__dict__
+    assert q.edges == eager_edges(q)
+
+
+def test_edges_form_on_first_query_only(monkeypatch):
+    """Pairs, the converse characterization and the finite Coxeter part
+    read no QBG edge, on tau3 s1 and on sampled gl6 elements; the first
+    thmA_report forms every edge, once."""
+    formed = []
+    form = QuantumBruhatGraph.edges.func
+
+    def edges(q):
+        formed.append(q)
+        return form(q)
+    counted = cached_property(edges)
+    counted.__set_name__(QuantumBruhatGraph, 'edges')
+    monkeypatch.setattr(QuantumBruhatGraph, 'edges', counted)
+    ctx = Context('gl6')
+    aw, pct = ctx.aw, ctx.pct
+    tau3 = AffineElement(542, (0, 0, 0, 1, 1, 1))
+    x = aw.mult(tau3, aw.from_weyl(ctx.W.simple[0]))
+    for y in [x] + gl6_sample(aw, count=6):
+        pct.positive_coxeter_pairs(y)
+        pct.pct_characterize(y)
+        pct.has_finite_coxeter_part(y)
+    assert 'edges' not in ctx.qbg.__dict__ and not formed
+    pct.thmA_report(x)
+    pct.thmA_report(x, cross_validate=False)
+    assert formed == [ctx.qbg] and 'edges' in ctx.qbg.__dict__

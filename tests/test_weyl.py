@@ -317,6 +317,20 @@ def test_e6_partial_sigma_coxeter_matches_reflection_length(e6_weyl):
             (g.reflection_length_sigma(e) == g.lengths[e])
 
 
+def test_e6_reflections_match_reflection_matrices(e6_weyl):
+    """matrix_bfs_tables skips e6_adjoint: read the reflection tables off
+    the reflection matrices of all 72 roots instead."""
+    g = e6_weyl
+    d = g.datum
+    assert len(d.roots) == 72
+    for r in range(len(d.roots)):
+        assert g.mats[g.root_reflection[r]] == d.reflection_matrix(r), r
+    for i, s in enumerate(d.simple_indices):
+        m = d.reflection_matrix(s)
+        assert g.root_action[g.simple[i]] == [
+            d.root_index[d._covec_times(r.covec, m)] for r in d.roots], i
+
+
 def test_e6_pos_mask_matches_root_action(e6_weyl):
     g = e6_weyl
     assert g.pos_mask == [positive_image_mask(g.datum, row)
