@@ -15,7 +15,7 @@ import json
 from operator import mul
 from typing import NamedTuple
 
-from .datum import InvariantError
+from .datum import InvariantError, diagram_components
 from .lattice import vec_add, vec_dot, vec_scale
 from .weyl import WeylGroup
 
@@ -47,10 +47,7 @@ class AffineWeyl:
         self.datum = datum
         self.W = weyl if weyl is not None else WeylGroup(datum)
         d = datum
-        # simple affine roots: the finite simple roots at level 0 and the
-        # negated highest root of each component at level 1
-        self.simple_affine = [(idx, 0) for idx in d.simple_indices]
-        self.simple_affine += [(d.negative(h), 1) for h in d.highest_roots]
+        self.simple_affine = self.levi_simple_affine(range(d.rank))
         self.identity = AffineElement(0, (0,) * d.dim)
         self._positive_covecs = tuple(r.covec for r in d.positive_roots)
         # for each simple affine root (alpha, k): the index of sigma alpha
@@ -83,6 +80,23 @@ class AffineWeyl:
 
     # -- affine roots -------------------------------------------------------
 
+    def levi_simple_affine(self, subset):
+        """The simple affine roots of the Levi of a set of simple indices:
+        (alpha_j, 0) for each j in it, in order, then (-theta, 1) for the
+        highest root theta of each Dynkin component of it.  All indices
+        give ``simple_affine``.
+
+        >>> from adlv.datum import builtin_datum
+        >>> aw = AffineWeyl(builtin_datum('sl4'))
+        >>> aw.levi_simple_affine({0, 2})
+        [(2, 0), (0, 0), (8, 1), (6, 1)]
+        """
+        d = self.datum
+        out = [(d.simple_indices[j], 0) for j in sorted(subset)]
+        for comp in diagram_components(d.cartan, subset):
+            out.append((d.negative(d._highest_root(comp)), 1))
+        return out
+
     def reflection(self, aroot):
         """r_a as an affine element, a = (root index, level)."""
         idx, k = aroot
@@ -95,7 +109,7 @@ class AffineWeyl:
 
     def act_affine_root(self, x, aroot):
         idx, k = aroot
-        return (self.W.act_root(x.w, idx),
+        return (self.W.root_action[x.w][idx],
                 k - vec_dot(self.datum.roots[idx].covec, x.mu))
 
     # -- length -------------------------------------------------------------
@@ -129,7 +143,7 @@ class AffineWeyl:
     def length_functional(self, x, root_idx):
         """ell(x, alpha) = -Phi+(w alpha) + <mu, alpha> + Phi+(alpha)."""
         d = self.datum
-        wa = self.W.act_root(x.w, root_idx)
+        wa = self.W.root_action[x.w][root_idx]
         return (vec_dot(d.roots[root_idx].covec, x.mu)
                 + (1 if d.is_positive_root(root_idx) else 0)
                 - (1 if d.is_positive_root(wa) else 0))
@@ -188,7 +202,7 @@ class AffineWeyl:
             elif case < 0:
                 cand = sv
             else:
-                vinv_a = self.W.act_root(self.W.inv[v], idx)
+                vinv_a = self.W.root_action[self.W.inv[v]][idx]
                 cand = sv if not self.datum.is_positive_root(vinv_a) else v
             transported[v] = cand
         if set(transported.values()) - {None} - set(lp_xr):
@@ -278,8 +292,9 @@ class AffineWeyl:
 
     def eta_sigma(self, x):
         """sigma^{-1}(v)^{-1} w v, v minimal with v^{-1} mu dominant."""
-        v, _ = self.W.dominant_representative(x.mu)
-        return self.W.mult(self.W.mult(self.W.inv[self.W.sigma_inv(v)], x.w), v)
+        W = self.W
+        v, _ = W.dominant_representative(x.mu)
+        return W.mult(W.mult(W.inv[W.sigma_inv_elem[v]], x.w), v)
 
     # -- length-zero elements --------------------------------------------------
 
@@ -292,7 +307,7 @@ class AffineWeyl:
         a, x is replaced by x r_a, which is one shorter; so the descent
         ends after exactly ell(x) steps, whichever descents it takes.
         With ``aroots`` the affine simple roots of a Levi subgroup (as
-        built by ``PCT._component_affine_roots``), the same holds for
+        built by :meth:`levi_simple_affine`), the same holds for
         the Levi: the result is the element of x W_{a,J} of Levi length
         zero.
 

@@ -291,14 +291,16 @@ def _vec_text(vec):
 
 
 class _Root:
-    """One root: covector on X, its coroot in X, and simple-root coords."""
+    """One root: covector on X, its coroot in X, and the coordinates of
+    each over the simple roots and the simple coroots."""
 
-    __slots__ = ('covec', 'coroot', 'coords')
+    __slots__ = ('covec', 'coroot', 'coords', 'coroot_coords')
 
-    def __init__(self, covec, coroot, coords):
+    def __init__(self, covec, coroot, coords, coroot_coords):
         self.covec = covec
         self.coroot = coroot
         self.coords = coords  # expansion in simple roots
+        self.coroot_coords = coroot_coords  # expansion in simple coroots
 
 
 class RootDatum:
@@ -380,10 +382,12 @@ class RootDatum:
         closure = root_closure(self.cartan)
         pos = sorted((c for c in closure if min(c) >= 0),
                      key=lambda c: (sum(c), c))
+        coords = [(c, closure[c]) for c in pos]
+        coords += [(vec_scale(-1, c), vec_scale(-1, k)) for c, k in coords]
         self.roots = [
             _Root(self._covec_times(c, self.simple_roots),
-                  self._covec_times(closure[c], self.simple_coroots), c)
-            for c in pos + [vec_scale(-1, c) for c in pos]]
+                  self._covec_times(k, self.simple_coroots), c, k)
+            for c, k in coords]
         self.root_index = {r.covec: i for i, r in enumerate(self.roots)}
         if len(self.root_index) != len(self.roots):
             raise ValueError('duplicate roots')
@@ -481,16 +485,6 @@ class RootDatum:
             out.append(index[tuple(image)])
         return tuple(out)
 
-    def sigma_avg(self, mu):
-        """Average of mu over the sigma orbit, a Fraction vector: the
-        averaged projection for J = {}.
-
-        >>> d = builtin_datum('sl3_flip')
-        >>> d.sigma_avg((3, 0))
-        (Fraction(3, 2), Fraction(3, 2))
-        """
-        return self.pi_projection(frozenset(), mu)
-
     def negative(self, root_idx):
         r = self.roots[root_idx]
         return self.root_index[vec_scale(-1, r.covec)]
@@ -500,12 +494,6 @@ class RootDatum:
 
     def is_dominant(self, mu):
         return all(vec_dot(a, mu) >= 0 for a in self.simple_roots)
-
-    def reflection_matrix(self, root_idx):
-        """Matrix of the reflection through a root, acting on X."""
-        r = self.roots[root_idx]
-        return [[(1 if i == j else 0) - r.covec[j] * r.coroot[i]
-                 for j in range(self.dim)] for i in range(self.dim)]
 
     def sigma_orbits(self, subset=None):
         """Orbits of sigma on a set of simple indices (default all).
@@ -558,24 +546,6 @@ class RootDatum:
         _, num = _common_denominator(tuple(a) + tuple(b))
         coeffs, off = self._coroot_split(list(map(sub, num[n:], num[:n])))
         return not any(off) and all(c >= 0 for c in coeffs)
-
-    def coroot_coefficients(self, vec):
-        """The coefficients of vec over the simple coroots, as Fractions,
-        or None when vec is outside their span: the Fraction form of
-        :meth:`coroot_numerators` on vec cleared of denominators.
-
-        >>> d = builtin_datum('gl3')
-        >>> d.coroot_coefficients((1, Fraction(1, 2), Fraction(-3, 2)))
-        (Fraction(1, 1), Fraction(3, 2))
-        >>> d.coroot_coefficients((1, 0, 0)) is None
-        True
-        """
-        den, num = _common_denominator(vec)
-        found = self.coroot_numerators(num, den)
-        if found is None:
-            return None
-        den, coeffs = found
-        return tuple([Fraction(c, den) for c in coeffs])
 
     def coroot_numerators(self, num, den):
         """The coefficients of the vector num / den (num integers, den > 0)

@@ -413,7 +413,7 @@ class PCT:
         >>> from adlv.affine import AffineWeyl
         >>> pct = PCT(AffineWeyl(builtin_datum('sl4')))
         >>> c = pct.W.from_word([0, 1, 2])
-        >>> pct.W.word(pct.j_truncation(c, frozenset({0, 2})))
+        >>> pct.W.words[pct.j_truncation(c, frozenset({0, 2}))]
         (0, 2)
         """
         j_prime = frozenset(j_prime)
@@ -444,7 +444,9 @@ class PCT:
         lattice_one, snf = self._endpoint_lattices(pair.c, jb)
         sol = _snf_solve(snf, vec_sub(s, lam_b))
         if sol is None:
-            raise ValueError('endpoint congruence system is infeasible')
+            raise InvariantError(
+                self.datum.name, 'the endpoint congruence system is '
+                'infeasible', self.aw.element_to_dict(pair.x), b)
         lam = lam_b
         for coeff, g in zip(sol[:len(lattice_one)], lattice_one):
             lam = vec_add(lam, vec_scale(coeff, g))
@@ -530,16 +532,6 @@ class PCT:
 
     # -- very special parahoric data ----------------------------------------------
 
-    def _component_affine_roots(self, subset):
-        """Affine simple roots of the Levi of the subset: (root, 0) for
-        each simple index plus (-theta, 1) per component of the
-        sub-root-system."""
-        d = self.datum
-        out = [(d.simple_indices[j], 0) for j in sorted(subset)]
-        for comp in diagram_components(d.cartan, subset):
-            out.append((d.negative(d._highest_root(comp)), 1))
-        return out
-
     def very_special_data(self, pair, b):
         """(tau, K, c_K) for the endpoint class of b.
 
@@ -554,7 +546,7 @@ class PCT:
         ep = self.endpoint_class(pair, b, validate=False)
         jb = ep['support']
         tau = self._find_levi_tau(jb, b, ep['lambda'])
-        aroots = self._component_affine_roots(jb)
+        aroots = aw.levi_simple_affine(jb)
         perm = self._tau_sigma_perm(tau, aroots)
         cartan = [[vec_dot(d.roots[a[0]].covec, d.roots[bb[0]].coroot)
                    for bb in aroots] for a in aroots]
@@ -572,7 +564,7 @@ class PCT:
         Newton point that is nu(b) and central in the Levi."""
         aw, d = self.aw, self.datum
         tau = aw.length_zero_part(aw.translation(lam),
-                                  self._component_affine_roots(jb))
+                                  aw.levi_simple_affine(jb))
         nu_raw, nu_dom = self.bg.newton_of_element(tau)
         if self.bg.kottwitz_point(tau) != b.kappa:
             problem = 'Kottwitz point'

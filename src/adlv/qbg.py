@@ -9,11 +9,13 @@ weights are computed by BFS; whenever two shortest routes merge, their
 weights are compared, so the well-definedness of the weight function is
 a runtime check rather than an assumption.
 
-Building the graph forms only the integer coordinates of each positive
-coroot and its pairing with 2 rho.  The edges, |W| |Phi+| products in
-W, are formed for every vertex at the first query that reads them (a
-distance, a weight, a Coxeter-word path or DOT output), so a caller that
-holds a graph but never queries it pays nothing for them.
+Building the graph forms only the pairing of each positive coroot with
+2 rho.  The integer coordinates of each coroot over the simple coroots
+are the ones the root closure formed (``datum.root_closure``), kept on
+the root list, so no linear system is solved.  The edges, |W| |Phi+|
+products in W, are formed for every vertex at the first query that
+reads them (a distance, a weight, a Coxeter-word path or DOT output), so
+a caller that holds a graph but never queries it pays nothing for them.
 """
 
 from __future__ import annotations
@@ -47,14 +49,7 @@ class QuantumBruhatGraph:
         self.datum = weyl.datum
         d = self.datum
         # coefficients of each positive coroot over the simple coroots
-        self.coroot_coords = []
-        for r in d.positive_roots:
-            coeffs = d.coroot_coefficients(r.coroot)
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                raise InvariantError(
-                    d.name, 'coroot %s has no integer coordinates over the '
-                    'simple coroots' % (r.coroot,))
-            self.coroot_coords.append(tuple(int(c) for c in coeffs))
+        self.coroot_coords = [r.coroot_coords for r in d.positive_roots]
         self.pair_2rho = [vec_dot(d.two_rho, r.coroot)
                           for r in d.positive_roots]
         self._memo = {}

@@ -31,17 +31,12 @@ from itertools import count
 from .bg import BGClass, BGInvariants
 from .datum import InvariantError
 
-__all__ = ['Reduction', 'ReductionTree', 'TreeNode', 'poly_add', 'poly_mul',
-           'POLY_ONE', 'POLY_Q', 'POLY_Q_MINUS_ONE']
+__all__ = ['Reduction', 'ReductionTree', 'TreeNode', 'poly_add']
 
 DEFAULT_SLACK = 4
 
 # length change of a move r_a y r_{sigma a}, by its kind
 _STEP = {'keep': 0, 'down': -2, 'up': 2}
-
-POLY_ONE = (1,)
-POLY_Q = (0, 1)
-POLY_Q_MINUS_ONE = (-1, 1)
 
 
 def poly_add(p, q):
@@ -51,22 +46,6 @@ def poly_add(p, q):
         out[i] += c
     for i, c in enumerate(q):
         out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def poly_mul(p, q):
-    """
-    >>> poly_mul((-1, 1), (0, 1))   # (q-1) * q
-    (0, -1, 1)
-    """
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .lattice import (mat_identity, mat_mul, mat_vec, rational_rank,
-                      vec_dot, vec_scale, vec_sub)
+from .lattice import mat_identity, mat_vec, vec_dot, vec_scale, vec_sub
 
 __all__ = ['WeylGroup']
 
@@ -43,13 +42,19 @@ class WeylGroup:
     the reflection through each root is one product in W, read at the
     first (e, i) in index order.
 
+    ``sigma_elem[f]`` is sigma f sigma^{-1}, where sigma s_i sigma^{-1} =
+    s_sigma(i).  With i the last letter of the stored word of f, f = e s_i
+    for e = f s_i, which is shorter and so comes first in index order,
+    and sigma(f) = sigma(e) s_sigma(i): the table fills in index order,
+    one table step per element.
+
     >>> from adlv.datum import builtin_datum
     >>> w = WeylGroup(builtin_datum('sl3'))
     >>> w.size
     6
-    >>> w.word(w.longest)
+    >>> w.words[w.longest]
     (0, 1, 0)
-    >>> w.length(w.longest)
+    >>> w.lengths[w.longest]
     3
     """
 
@@ -136,23 +141,18 @@ class WeylGroup:
             if not missing:
                 break
         self.root_reflection = root_reflection
-        # sigma as a permutation of W: w -> sigma w sigma^{-1}, where
-        # sigma s_i sigma^{-1} = s_sigma(i)
-        self.sigma_elem = [self.from_word(datum.sigma_perm[i] for i in word)
-                           for word in words]
+        # sigma as a permutation of W: w -> sigma w sigma^{-1}, one table
+        # step per element (see the class docstring)
+        sigma_perm = datum.sigma_perm
+        self.sigma_elem = sigma_elem = [0] * self.size
+        for f in range(1, self.size):
+            i = words[f][-1]
+            sigma_elem[f] = right[sigma_elem[right[f][i]]][sigma_perm[i]]
         self.sigma_inv_elem = [0] * self.size
         for e in range(self.size):
-            self.sigma_inv_elem[self.sigma_elem[e]] = e
-        self._parabolic_memo = {}
+            self.sigma_inv_elem[sigma_elem[e]] = e
 
     # -- basics ----------------------------------------------------------
-
-    def word(self, e):
-        """The stored (lexicographically least) reduced word, 0-based."""
-        return self.words[e]
-
-    def length(self, e):
-        return self.lengths[e]
 
     def mult(self, a, b):
         """Product ab."""
@@ -165,7 +165,7 @@ class WeylGroup:
 
         >>> from adlv.datum import builtin_datum
         >>> w = WeylGroup(builtin_datum('sl3'))
-        >>> w.word(w.from_word([0, 1, 0, 1, 0]))
+        >>> w.words[w.from_word([0, 1, 0, 1, 0])]
         (1,)
         """
         e = 0
@@ -181,7 +181,7 @@ class WeylGroup:
 
         >>> from adlv.datum import builtin_datum
         >>> w = WeylGroup(builtin_datum('sl3'))
-        >>> w.word(w.parse_word([2, 1], 'w'))
+        >>> w.words[w.parse_word([2, 1], 'w')]
         (1, 0)
         >>> w.parse_word([0], '--source')
         Traceback (most recent call last):
@@ -203,65 +203,9 @@ class WeylGroup:
         """Action on a cocharacter vector."""
         return mat_vec(self.mats[e], mu)
 
-    def act_root(self, e, root_idx):
-        return self.root_action[e][root_idx]
-
-    def inverse(self, e):
-        return self.inv[e]
-
     def sigma(self, e):
         """The image of e under the diagram automorphism."""
         return self.sigma_elem[e]
-
-    def sigma_inv(self, e):
-        return self.sigma_inv_elem[e]
-
-    def descents_right(self, e):
-        n = self.datum.rank
-        return [i for i in range(n) if self.lengths[self.right[e][i]] < self.lengths[e]]
-
-    def bruhat_leq(self, u, w):
-        """Bruhat order, by the subword recursion on a reduced word of w.
-
-        >>> from adlv.datum import builtin_datum
-        >>> g = WeylGroup(builtin_datum('sl3'))
-        >>> g.bruhat_leq(g.simple[0], g.longest)
-        True
-        """
-        while True:
-            if self.lengths[u] > self.lengths[w]:
-                return False
-            if u == 0:
-                return True
-            if w == 0:
-                return False
-            i = self.words[w][0]
-            su = self.left[u][i]
-            if self.lengths[su] < self.lengths[u]:
-                u = su
-            w = self.left[w][i]
-
-    # -- subgroups --------------------------------------------------------
-
-    def parabolic(self, subset):
-        """Sorted tuple of the elements of the parabolic subgroup W_J."""
-        subset = tuple(sorted(subset))
-        if subset in self._parabolic_memo:
-            return self._parabolic_memo[subset]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for i in subset:
-                    f = self.right[e][i]
-                    if f not in seen:
-                        seen.add(f)
-                        nxt.append(f)
-            frontier = nxt
-        out = tuple(sorted(seen, key=lambda e: (self.lengths[e], self.words[e])))
-        self._parabolic_memo[subset] = out
-        return out
 
     def dominant_representative(self, mu):
         """(v, lam): minimal v in W with v^{-1} mu = lam dominant.
@@ -285,7 +229,7 @@ class WeylGroup:
         (1, (1,))
         >>> g = WeylGroup(builtin_datum('gl3'))
         >>> v, lam = g.dominant_representative((0, Fraction(1, 2), 1))
-        >>> g.word(v), lam
+        >>> g.words[v], lam
         ((0, 1, 0), (Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)))
         """
         d = self.datum
@@ -305,28 +249,6 @@ class WeylGroup:
                 return v, lam
 
     # -- twisted conjugation in W ------------------------------------------
-
-    def reflection_length_sigma(self, e):
-        """Fixed-space codimension of sigma w relative to sigma.
-
-        This is dim X^sigma - dim X^{sigma w}, the sigma-twisted
-        reflection length, computed as a rank (Carter, "Conjugacy classes
-        in the Weyl group", Compositio Math. 25, 1972).  It is the other
-        side of the lemma that it equals l(w) exactly when w is partial
-        sigma-Coxeter, which acceptance test 7 checks against
-        :meth:`is_partial_sigma_coxeter` and a search over all reduced
-        words.
-
-        >>> from adlv.datum import builtin_datum
-        >>> g = WeylGroup(builtin_datum('sp4'))
-        >>> g.reflection_length_sigma(g.from_word([1, 0]))
-        2
-        >>> g.reflection_length_sigma(g.from_word([1, 0, 1, 0]))
-        2
-        """
-        sigma = self.datum.sigma_matrix
-        return (_rank_minus_identity(mat_mul(sigma, self.mats[e]))
-                - _rank_minus_identity(sigma))
 
     def is_partial_sigma_coxeter(self, e):
         """True when e is partial sigma-Coxeter: a product of one simple
@@ -377,10 +299,3 @@ class WeylGroup:
                     seen.add(g)
                     members.append(g)
         return False
-
-
-def _rank_minus_identity(m):
-    """rank(m - 1) for a square integer matrix m."""
-    n = len(m)
-    return rational_rank([[m[i][j] - (i == j) for j in range(n)]
-                          for i in range(n)])

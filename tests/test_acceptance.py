@@ -28,7 +28,9 @@ from adlv.context import Context
 from adlv.datum import BUILTIN_DATA, perm_orbit
 from adlv.lattice import solve_in_cone, vec_sub
 from adlv.pct import count_positive_roots, very_special_subsets
-from adlv.reduction import POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, poly_mul
+
+from test_reduction import POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, poly_mul
+from test_weyl import reflection_length_sigma
 
 _STACKS = {}
 
@@ -239,10 +241,11 @@ def _word_level_partial_coxeter(st, e, used=frozenset()):
     if e == 0:
         return True
     W = st.W
-    for i in W.descents_right(e):
+    for i in range(st.datum.rank):
+        f = W.right[e][i]
         orbit = frozenset(perm_orbit(st.datum.sigma_perm, i))
-        if not orbit & used and _word_level_partial_coxeter(
-                st, W.right[e][i], used | orbit):
+        if (W.lengths[f] < W.lengths[e] and not orbit & used
+                and _word_level_partial_coxeter(st, f, used | orbit)):
             return True
     return False
 
@@ -251,7 +254,7 @@ def _word_level_partial_coxeter(st, e, used=frozenset()):
 def test_7_reflection_length(name):
     st = stack(name)
     for e in range(st.W.size):
-        lhs = st.W.reflection_length_sigma(e) == st.W.lengths[e]
+        lhs = reflection_length_sigma(st.W, e) == st.W.lengths[e]
         assert lhs == _word_level_partial_coxeter(st, e)
         assert lhs == st.W.is_partial_sigma_coxeter(e)
 

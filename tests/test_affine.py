@@ -268,9 +268,9 @@ def simple_sigma_conjugate_two_products(aw, x, aroot):
     sidx = d.sigma_root(idx)
     left = aw.mult(aw.reflection(aroot), x)
     both = aw.mult(left, aw.reflection((sidx, k)))
-    back = W.act_root(W.inv[x.w], idx)
+    back = W.root_action[W.inv[x.w]][idx]
     k_back = k + vec_dot(d.roots[back].covec, x.mu)
-    fwd = W.act_root(left.w, sidx)
+    fwd = W.root_action[left.w][sidx]
     k_fwd = k - vec_dot(d.roots[sidx].covec, left.mu)
     delta = 0
     for beta, level in ((back, k_back), (fwd, k_fwd)):
@@ -323,7 +323,7 @@ def box_omega_elements(aw):
     pi1 = d.fundamental_group_presentation()
     found = {}
     for w in range(W.size):
-        moved = [W.act_root(w, i) for i in d.simple_indices]
+        moved = [W.root_action[w][i] for i in d.simple_indices]
         cols = [tuple(d.roots[m].covec[j] for m in moved)
                 for j in range(d.dim)]
         target = tuple(int(d.is_positive_root(m)) - 1 for m in moved)

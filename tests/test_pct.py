@@ -11,8 +11,9 @@ from adlv.bg import BGClass
 from adlv.cli import main
 from adlv.context import Context
 from adlv.datum import InvariantError, builtin_datum, diagram_components
-from adlv.lattice import (solve_in_cone, solve_integer_combination, vec_add,
-                          vec_dot, vec_scale, vec_sub)
+from adlv.lattice import (_column_snf, solve_in_cone,
+                          solve_integer_combination, vec_add, vec_dot,
+                          vec_scale, vec_sub)
 from adlv.pct import (PCT, PositiveCoxeterPair, count_positive_roots,
                       very_special_subsets)
 from adlv.reduction import Reduction, poly_add
@@ -20,7 +21,7 @@ from adlv.reduction import Reduction, poly_add
 from test_affine import gl6_sample
 from test_datum import pi_projection_oracle, typed
 from test_reduction import count_calls
-from test_weyl import coxeter_conjugator
+from test_weyl import coxeter_conjugator, parabolic
 
 
 @pytest.fixture(scope='module')
@@ -284,7 +285,8 @@ def reduced_words(W, e):
     """Every reduced word of e, by peeling off right descents."""
     if e == 0:
         return [()]
-    return [word + (i,) for i in W.descents_right(e)
+    return [word + (i,) for i in range(W.datum.rank)
+            if W.lengths[W.right[e][i]] < W.lengths[e]
             for word in reduced_words(W, W.right[e][i])]
 
 
@@ -328,6 +330,33 @@ def test_endpoint_class_sl2(pct2):
         cert = pct2.endpoint_class(pair, b)            # validates vs tree
         assert cert['support'] <= pair.J
         assert pct2.bg.element_class(cert['endpoint']) == b
+
+
+def test_infeasible_endpoint_congruences_exit_3(monkeypatch, capsys):
+    """b lies in the interval of x, so endpoint congruences without a
+    solution are a failed invariant, not bad input: an InvariantError
+    naming x and b, and exit 3 from the CLI."""
+    # 2 lambda = 1 has no integer solution
+    monkeypatch.setattr(PCT, '_endpoint_lattices',
+                        lambda self, c, jb: ([(2,)], _column_snf([(2,)], 1)))
+    ctx = Context('sl2')
+    x = AffineElement(1, (1,))
+    pair = ctx.pct.positive_coxeter_pairs(x)[0]
+    b = BGClass((0,), (Fraction(0),))
+    with pytest.raises(InvariantError) as info:
+        ctx.pct.endpoint_class(pair, b)
+    err = info.value
+    assert (err.datum, err.what, err.element, err.sigma_class) == (
+        'sl2', 'the endpoint congruence system is infeasible',
+        {'w': [1], 'mu': [1]}, b)
+    code = main(['pct', 'endpoint', '--datum', 'sl2', '--x',
+                 '{"w": [1], "mu": [1]}', '--kappa', '[0]', '--nu', '["0"]'])
+    out, stderr = capsys.readouterr()
+    assert code == 3 and out == ''
+    assert stderr == ("invariant violation: datum 'sl2': the endpoint "
+                      'congruence system is infeasible, for x = '
+                      '{"w": [1], "mu": [1]} and the class kappa = (0), '
+                      'nu = (0)\n'), stderr
 
 
 def test_pct_characterize_matches_pairs(pct3):
@@ -454,7 +483,7 @@ def box_levi_tau(pct, jb, b, lam):
             mu = vec_add(mu, vec_scale(k, d.simple_coroots[j]))
         if pct.bg.kottwitz.project(mu) != b.kappa:
             continue
-        for w in pct.W.parabolic(tuple(js)):
+        for w in parabolic(pct.W, js):
             t = AffineElement(w, mu)
             if levi_length(pct.aw, t, jb) != 0:
                 continue

@@ -17,10 +17,7 @@ from adlv.affine import AffineElement, AffineWeyl
 from adlv.cli import main
 from adlv.datum import InvariantError, builtin_datum
 from adlv.lattice import vec_dot
-from adlv.qbg import QuantumBruhatGraph
-from adlv.reduction import (POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, Reduction,
-                            TreeNode, poly_add, poly_mul, poly_str)
-from adlv.weyl import WeylGroup
+from adlv.reduction import Reduction, TreeNode, poly_add, poly_str
 
 from test_affine import seeded_sample, simple_sigma_conjugate_two_products
 
@@ -33,6 +30,27 @@ def red2():
 @pytest.fixture(scope='module')
 def red3():
     return Reduction(AffineWeyl(builtin_datum('sl3')))
+
+
+POLY_ONE = (1,)
+POLY_Q = (0, 1)
+POLY_Q_MINUS_ONE = (-1, 1)
+
+
+def poly_mul(p, q):
+    """
+    >>> poly_mul((-1, 1), (0, 1))   # (q-1) * q
+    (0, -1, 1)
+    """
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def elements(aw, bound, max_len):
@@ -471,27 +489,6 @@ def test_one_closure_per_class_key(name, bound, max_length, monkeypatch):
     calls = count_calls(monkeypatch, red, '_closure')
     keys = {red.class_key(x) for x in red.aw.box_elements(bound, max_length)}
     assert len(calls) == len(keys) == len(red._keys)
-
-
-def qbg_with_coroot_coefficients(monkeypatch, coeffs):
-    W = WeylGroup(builtin_datum('sl2'))
-    monkeypatch.setattr(W.datum, 'coroot_coefficients', lambda vec: coeffs)
-    return QuantumBruhatGraph(W)
-
-
-COROOT_CHECK = (r"^datum 'sl2': coroot \(1,\) has no integer coordinates "
-                r'over the simple coroots$')
-
-
-def test_qbg_coroot_check_names_datum(monkeypatch):
-    with pytest.raises(InvariantError, match=COROOT_CHECK) as info:
-        qbg_with_coroot_coefficients(monkeypatch, (Fraction(1, 2),))
-    assert info.value.datum == 'sl2'
-
-
-def test_qbg_coroot_outside_span_names_datum(monkeypatch):
-    with pytest.raises(InvariantError, match=COROOT_CHECK):
-        qbg_with_coroot_coefficients(monkeypatch, None)
 
 
 @pytest.mark.parametrize('name,x,two_rho,what', [
