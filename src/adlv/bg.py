@@ -12,7 +12,6 @@ defect is nonnegative, so every reader of these numbers works on ints.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -187,14 +186,10 @@ class BGInvariants:
     def _excess(self, nu, lam):
         """nu - avg_sigma(lam) over the simple coroots, on integers: (D, k)
         with coefficients k / D, or None off their span (see
-        RootDatum.coroot_numerators)."""
+        RootDatum.coroot_difference)."""
         d = self.datum
-        den, avg = d.pi_numerators(frozenset(), lam)
-        den_nu, num = _common_denominator(nu)
-        common = math.lcm(den, den_nu)
-        return d.coroot_numerators(
-            [x * (common // den_nu) - y * (common // den)
-             for x, y in zip(num, avg)], common)
+        return d.coroot_difference(_common_denominator(nu),
+                                   d.pi_numerators(frozenset(), lam))
 
     def two_rho_nu(self, b):
         """<nu(b), 2 rho>, an integer, read off the class record."""

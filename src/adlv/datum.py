@@ -14,7 +14,7 @@ The JSON config format is::
       "lattice_basis": "sc",     # "sc" | "adjoint" | "gl" | explicit matrix
       "sigma_perm":  [2, 1],     # optional, 1-based images of simple roots
       "sigma_matrix": [[...]],   # optional, action on lattice coordinates
-      "name": "sl3"              # optional
+      "name": "sl3"              # optional, a string
     }
 
 Any other key is an error, and so is a ``cartan``, ``sigma_matrix`` or
@@ -33,7 +33,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le, mul, sub
+from operator import add, mul
 
 from .lattice import (QuotientPresentation, _column_snf, mat_identity,
                       mat_inverse_rational, mat_inverse_unimodular, mat_mul,
@@ -531,10 +531,9 @@ class RootDatum:
         """Dominance order: b - a a nonnegative rational combination of
         simple coroots.
 
-        a and b (ints or Fractions) are cleared to integers over one
-        denominator, and the test reads the signs of the integer
-        coordinates of the difference (see :meth:`coroot_numerators`); no
-        Fraction is formed.
+        a and b (ints or Fractions) are cleared to integers, and the test
+        reads the signs of the integer coordinates of the difference (see
+        :meth:`coroot_difference`); no Fraction is formed.
 
         >>> d = builtin_datum('gl3')
         >>> d.dominance_leq((1, 0, 0), (Fraction(1, 3),) * 3)
@@ -542,16 +541,17 @@ class RootDatum:
         >>> d.dominance_leq((0, 1, 0), (1, 0, 0))
         True
         """
-        n = len(a)
-        _, num = _common_denominator(tuple(a) + tuple(b))
-        coeffs, off = self._coroot_split(list(map(sub, num[n:], num[:n])))
-        return not any(off) and all(c >= 0 for c in coeffs)
+        found = self.coroot_difference(_common_denominator(b),
+                                       _common_denominator(a))
+        return found is not None and all(c >= 0 for c in found[1])
 
     def coroot_numerators(self, num, den):
         """The coefficients of the vector num / den (num integers, den > 0)
         over the simple coroots as (D, k), meaning k / D, k integers; None
         when the vector is outside their span.  The signs of k are the
-        signs of the coefficients.
+        signs of the coefficients.  With (D0, K) = _coordinates, k = K num
+        and num is in the span exactly when D0 num = G k (G: the simple
+        coroots as columns).
 
         >>> d = builtin_datum('gl3')
         >>> d.coroot_numerators([2, 1, -3], 2)
@@ -559,22 +559,23 @@ class RootDatum:
         >>> d.coroot_numerators([1, 0, 0], 1) is None
         True
         """
-        coeffs, off = self._coroot_split(num)
-        if any(off):
-            return None
-        return self._coordinates[0] * den, coeffs
-
-    def _coroot_split(self, num):
-        """(k, r) for an integer vector num, with (D, K) = _coordinates:
-        k = K num, so that k / D are the coordinates of num over the
-        simple coroots when num is in their span, and r = D num - G k
-        (G: the simple coroots as columns), zero exactly when it is.
-        Both are linear in num, so num <= num' in dominance exactly when
-        r = r' and k <= k'."""
         scale, matrix = self._coordinates
         coeffs = [vec_dot(row, num) for row in matrix]
-        return coeffs, [scale * x - sum(map(mul, coeffs, column))
-                        for column, x in zip(self._coroot_columns, num)]
+        if any(scale * x != sum(map(mul, coeffs, column))
+               for column, x in zip(self._coroot_columns, num)):
+            return None
+        return scale * den, coeffs
+
+    def coroot_difference(self, a, b):
+        """a - b over the simple coroots, for a and b given as (den, nums)
+        with integer nums: (D, k) as :meth:`coroot_numerators` gives it,
+        or None off their span.  The dominance test, the certificate of
+        the convex hull point and the lambda checks read it."""
+        (p, x), (q, y) = a, b
+        common = math.lcm(p, q)
+        return self.coroot_numerators(
+            [u * (common // p) - v * (common // q) for u, v in zip(x, y)],
+            common)
 
     @cached_property
     def _coroot_columns(self):
@@ -656,12 +657,10 @@ class RootDatum:
         sigma and pi_J = P_J (1 + sigma + ... + sigma^(n-1)) / n for sigma
         of order n.
 
-        The matrix is an integer matrix over one scale, built per subset
-        on first use and kept, not for all 2^rank subsets when the datum
-        is built: most callers meet a few subsets, and building them all
-        would add to every datum's set-up time.  mu (ints or Fractions)
-        is cleared to integers over one denominator and projected by
-        :meth:`pi_numerators`; this wrapper forms the Fractions.
+        mu (ints or Fractions) is cleared to integers over one
+        denominator and projected by :meth:`pi_numerators`, on the integer
+        matrix that :meth:`_projection` builds per subset on first use;
+        this wrapper forms the Fractions.
 
         >>> d = builtin_datum('gl3')
         >>> d.pi_projection(frozenset({0}), (1, 0, 0))
@@ -673,28 +672,34 @@ class RootDatum:
         scale, nums = self.pi_numerators(subset, vec)
         return tuple([Fraction(x, scale * den) for x in nums])
 
-    @cached_property
-    def _stable_subsets(self):
-        """The sigma-stable subsets of the simple indices, by bit mask."""
-        subsets = (frozenset(i for i in range(self.rank) if bits >> i & 1)
-                   for bits in range(1 << self.rank))
-        return [s for s in subsets if self.is_sigma_stable(s)]
-
     def convex_hull_point(self, mu):
-        """The maximal averaged projection of mu over sigma-stable subsets.
-
-        mu is cleared to integers once; each candidate pi_J(mu) comes from
-        :meth:`pi_numerators` and is brought to the lcm of their scales,
-        and the candidates are compared by the integer dominance test of
-        :meth:`dominance_leq`, their coroot coordinates and residues
-        formed once each.  Checks that the maximum is unique, and raises
-        InvariantError naming the datum, mu and two incomparable
-        projections when it is not.  Fractions are formed only for the
-        result and for that message.  The result is kept per tuple(mu), so
+        """conv(mu) (Chai, "Newton polygons as lattice points", Amer. J.
+        Math. 122, 2000): the averaged projection pi_J(mu), J sigma
+        stable, that dominates all the others.  Kept per tuple(mu), so
         equal int and Fraction vectors share one entry.
 
-        >>> d = builtin_datum('sl2')
-        >>> d.convex_hull_point((1,))
+        A monotone pivot on the integers of :meth:`pi_numerators`: from J
+        = {}, while some simple root i outside J has <alpha_i, pi_J(mu)> <
+        0, add the sigma-orbits of all such i to J and project again, at
+        most (number of sigma-orbits) + 1 times.  The result is checked by
+        a certificate, the linear complementarity problem of the Cartan
+        matrix (Chandrasekaran, Opsearch 7, 1970): nu is dominant; nu -
+        avg = sum_{j in J} c_j alpha_j^vee with all c_j >= 0 (read off
+        :meth:`coroot_difference`; avg = pi_{}(mu)); <alpha_j, nu> = 0 on
+        J.  A failure is an InvariantError naming the datum and mu.
+
+        Proof.  C_ij = <alpha_i, alpha_j^vee> is a nonsingular M-matrix:
+        C_ij <= 0 for i != j and each principal block has C_JJ^{-1} >= 0.
+        Write pi_J(mu) = avg + sum_j d_J,j alpha_j^vee, d_J zero off J.
+        (1) Steps raise d: from J to J', e = d_J' - d_J has (C e)_j = 0 on
+        J and -<alpha_j, pi_J(mu)> > 0 on J' - J (pi_J(mu) is sigma-fixed,
+        so whole orbits pair negatively), so e_J' = C_J'J'^{-1} (C e)_J' >=
+        0; from d_{} = 0 the certificate holds at exit.  (2) A certified nu
+        is pi_J(mu) and dominates every candidate: for sigma-stable K let e
+        = c - d_K; e = c >= 0 off K, and C_KK e_K = <alpha_K, nu> -
+        C_{K,K^c} e_{K^c} >= 0, so e_K >= 0: pi_K(mu) <= nu.
+
+        >>> builtin_datum('sl2').convex_hull_point((1,))
         (Fraction(1, 1),)
         >>> builtin_datum('gl3').convex_hull_point((0, 0, 1))
         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
@@ -703,32 +708,27 @@ class RootDatum:
         if mu in self._hull_memo:
             return self._hull_memo[mu]
         den, vec = _common_denominator(mu)
-        subsets = self._stable_subsets
-        candidates = [self.pi_numerators(subset, vec) for subset in subsets]
-        common = math.lcm(*(scale for scale, _ in candidates))
-        keys = [self._coroot_split([x * (common // scale) for x in nums])
-                for scale, nums in candidates]
-
-        def leq(i, j):
-            (ki, ri), (kj, rj) = keys[i], keys[j]
-            return ri == rj and all(map(le, ki, kj))
-
-        best = 0
-        for i in range(1, len(keys)):
-            if leq(best, i):
-                best = i
-        scale, nums = candidates[best]
+        subset = frozenset()
+        avg = scale, nums = self.pi_numerators(subset, vec)
+        while True:
+            pairs = [vec_dot(a, nums) for a in self.simple_roots]
+            low = [self.simple_orbit[i] for i, p in enumerate(pairs)
+                   if p < 0 and i not in subset]
+            if not low:
+                break
+            subset = subset.union(*low)
+            scale, nums = self.pi_numerators(subset, vec)
+        excess = self.coroot_difference((scale * den, nums),
+                                        (avg[0] * den, avg[1]))
         top = tuple([Fraction(x, scale * den) for x in nums])
-        for i, (scale, nums) in enumerate(candidates):
-            if not leq(i, best):
-                val = [Fraction(x, scale * den) for x in nums]
-                raise InvariantError(
-                    self.name, 'the convex hull point of mu = %s is not '
-                    'unique: the projections %s (J = %s) and %s (J = %s) '
-                    'are incomparable'
-                    % (_vec_text(mu), _vec_text(top),
-                       sorted(j + 1 for j in subsets[best]), _vec_text(val),
-                       sorted(j + 1 for j in subsets[i])))
+        if excess is None or any(
+                c < 0 or p < 0 or (p if j in subset else c)
+                for j, (c, p) in enumerate(zip(excess[1], pairs))):
+            raise InvariantError(
+                self.name, 'the convex hull point of mu = %s fails its '
+                'certificate: nu = %s, J = %s' % (
+                    _vec_text(mu), _vec_text(top),
+                    sorted(j + 1 for j in subset)))
         self._hull_memo[mu] = top
         return top
 
@@ -808,6 +808,8 @@ def datum_from_config(config):
     n = len(cartan)
     basis = config.get('lattice_basis', 'sc')
     name = config.get('name', config.get('type', 'custom'))
+    if not isinstance(name, str):
+        raise ValueError('name must be a string, got %s' % _show(name))
     if basis not in ('sc', 'adjoint', 'gl'):
         _int_matrix(config, 'lattice_basis', n, '"sc", "adjoint", "gl" or ')
     if 'sigma_matrix' in config:

@@ -252,9 +252,31 @@ def typed(vec):
     return [(type(x), x) for x in vec]
 
 
-@pytest.mark.parametrize('name', sorted(BUILTIN_DATA))
-def test_projection_and_dominance_match_oracles(name):
-    d = builtin_datum(name)
+# data beyond the built-ins for the oracle sweep: other types, adjoint
+# lattices, and the twisted forms 3D4, 2A4, (A2 x A2, swap) and 2E6
+ORACLE_DATA = {
+    'B3': {'type': 'B3'},
+    'C3_adjoint': {'type': 'C3', 'lattice_basis': 'adjoint'},
+    'F4': {'type': 'F4'},
+    'D4': {'type': 'D4'},
+    '3D4': {'type': 'D4', 'sigma_perm': [3, 2, 4, 1]},
+    '3D4_adjoint': {'type': 'D4', 'lattice_basis': 'adjoint',
+                    'sigma_perm': [3, 2, 4, 1]},
+    '2A4': {'type': 'A4', 'sigma_perm': [4, 3, 2, 1]},
+    'B2xA1': {'type': 'B2xA1'},
+    'A2xA2_swap': {'type': 'A2xA2', 'sigma_perm': [3, 4, 1, 2]},
+    '2E6': {'type': 'E6', 'lattice_basis': 'adjoint',
+            'sigma_perm': [6, 2, 5, 4, 3, 1]},
+}
+
+
+@pytest.mark.parametrize('name', sorted(BUILTIN_DATA) + sorted(ORACLE_DATA))
+def test_projection_and_dominance_match_oracles(name, monkeypatch):
+    """The hull point against the subset scan, and dominance against a
+    solver, on int and Fraction vectors; each fresh hull point makes at
+    most (number of sigma-orbits) + 1 projections."""
+    d = (builtin_datum(name) if name in BUILTIN_DATA
+         else datum_from_config(ORACLE_DATA[name]))
     rng = random.Random(name)
     count = 2 if d.rank > 5 else 6   # the oracle is slow on E6
     vectors = [tuple(rng.randint(-3, 3) for _ in range(d.dim))
@@ -264,9 +286,19 @@ def test_projection_and_dominance_match_oracles(name):
     # pairs an integral step apart, so the True answers are exercised too
     vectors += [tuple(x + c for x, c in zip(v, d.simple_coroots[0]))
                 for v in vectors[:3]]
+    calls = []
+
+    def counted(self, subset, num):
+        calls.append(subset)
+        return PI_NUMERATORS(self, subset, num)
+
+    monkeypatch.setattr(RootDatum, 'pi_numerators', counted)
     for mu in vectors:
+        calls.clear()
+        d._hull_memo.clear()
         assert typed(d.convex_hull_point(mu)) == \
             typed(convex_hull_oracle(d, mu))
+        assert 1 <= len(calls) <= len(d.sigma_orbits()) + 1, calls
         for other in vectors:
             assert d.dominance_leq(mu, other) == \
                 dominance_leq_oracle(d, mu, other)
@@ -354,6 +386,9 @@ def test_describe_roundtrip():
     # an explicit Cartan matrix meets the same limit: A9 has 10! elements
     ({'cartan': cartan_matrix('A9')}, 'the Cartan matrix has a Weyl group '
      'of order 3628800; the limit is 51840'),
+    # a name must be a string, not any JSON value
+    ({'type': 'A1', 'name': {'a': 1}}, 'name must be a string, got {"a": 1}'),
+    ({'type': 'A1', 'name': None}, 'name must be a string, got null'),
 ])
 def test_bad_matrix_raises_clear_value_error(config, message, tmp_path,
                                             capsys):
@@ -382,26 +417,35 @@ PI_NUMERATORS = RootDatum.pi_numerators
 
 def shifted_projection(self, subset, num):
     """pi_numerators with the one-element subsets shifted by 1 off the
-    coroot span, so that they are incomparable with the other
-    projections."""
+    coroot span, so that those projections are incomparable with the
+    others and the hull point is no longer unique."""
     den, nums = PI_NUMERATORS(self, subset, num)
     if len(subset) == 1:
         nums = (nums[0] + den,) + nums[1:]
     return den, nums
 
 
+# lambda(b) = (0, 1, 0) for this x: its pivot passes through J = {1}
 HULL_ARGV = ['lambda', '--datum', 'gl3', '--x', '{"w":[1],"mu":[1,0,0]}']
 
 
 def test_non_unique_hull_point_is_an_invariant_error(monkeypatch, capsys):
+    """The pivot for mu = (0, 1, 0) passes through the singleton J = {1}
+    (1-based), so the shifted projection there fails the certificate.
+    A dominant mu such as (1, 0, 0) stops at J = {} and meets no
+    singleton, so it is not the fault case."""
     monkeypatch.setattr(RootDatum, 'pi_numerators', shifted_projection)
+    assert builtin_datum('gl3').convex_hull_point((1, 0, 0)) == (1, 0, 0)
     with pytest.raises(InvariantError,
-                       match=r"'gl3'.*mu = \(1, 0, 0\).*incomparable") as info:
-        builtin_datum('gl3').convex_hull_point((1, 0, 0))
+                       match=r"^datum 'gl3': the convex hull point of mu = "
+                       r'\(0, 1, 0\) fails its certificate: nu = '
+                       r'\(3/2, 1/2, 0\), J = \[1\]$') as info:
+        builtin_datum('gl3').convex_hull_point((0, 1, 0))
     assert info.value.datum == 'gl3'
     assert main(HULL_ARGV) == 3
     err = capsys.readouterr().err
-    assert err.startswith("invariant violation: datum 'gl3'"), err
+    assert err.startswith("invariant violation: datum 'gl3': the convex hull "
+                          'point of mu = (0, 1, 0) fails its certificate'), err
 
 
 def test_non_unique_hull_point_exits_3_under_optimize():
