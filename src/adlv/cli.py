@@ -210,7 +210,8 @@ def _run(args):
         if kottwitz.project(kottwitz.lift(kappa)) != kappa:
             raise _Usage('--kappa must be a reduced Kottwitz residue, '
                          'got %s' % args.kappa)
-        b = BGClass(kappa, _vector(args.nu, '--nu', dim, rational=True))
+        b = BGClass.from_nu(kappa,
+                            _vector(args.nu, '--nu', dim, rational=True))
         pair = pct.positive_coxeter_pairs(x)[0]
         interval = sorted(pct.bgx_interval(pair))
         if b not in interval:
@@ -325,7 +326,7 @@ def _scan_rows(ctx, args):
     aw, pct = ctx.aw, ctx.pct
     bound = args.mu_bound if args.mu_bound is not None else args.max_length
     for x in aw.box_elements(bound, args.max_length):
-        b = BGClass(*ctx.red.class_key(x)[:2])
+        b = ctx.red.key_class(x)
         flag, v = pct.pct_characterize(x)
         yield {
             'x': aw.element_to_dict(x),

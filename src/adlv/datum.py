@@ -59,7 +59,8 @@ class InvariantError(AssertionError):
     """A failed runtime check, raised explicitly, so ``python -O`` keeps
     it.  Fields: ``datum`` (the datum name), ``what`` (what failed),
     ``element`` (the affine element as its CLI JSON dict, or None) and
-    ``sigma_class`` ((kappa, nu), or None); the message is built from them."""
+    ``sigma_class`` (a ``BGClass``, or None); the message is built from
+    them, with nu as rationals."""
 
     def __init__(self, datum, what, element=None, sigma_class=None):
         self.datum, self.what = datum, what
@@ -67,7 +68,8 @@ class InvariantError(AssertionError):
         where = [] if element is None else ['x = ' + json.dumps(element)]
         if sigma_class is not None:
             where.append('the class kappa = %s, nu = %s'
-                         % tuple(map(_vec_text, sigma_class)))
+                         % (_vec_text(sigma_class.kappa),
+                            _vec_text(sigma_class.nu)))
         super().__init__('datum %r: %s' % (datum, what) + (
             ', for ' + ' and '.join(where) if where else ''))
 
@@ -524,8 +526,11 @@ class RootDatum:
     # The class layer runs on integer numerators over one denominator: a
     # vector mu is cleared to (den, num) once, the per-subset matrices and
     # the simple-coroot coordinates are integer matrices over their own
-    # scales, and Fractions are formed only in the public wrappers and in
-    # failure messages.
+    # scales, and each public wrapper on ints or Fractions
+    # (dominance_leq, pi_projection, convex_hull_point) has one integer
+    # form (numerators_leq, pi_numerators, hull_numerators).  A BGClass
+    # is built from the integer forms, so Fractions are formed only in
+    # the wrappers and in failure messages.
 
     def dominance_leq(self, a, b):
         """Dominance order: b - a a nonnegative rational combination of
@@ -541,8 +546,14 @@ class RootDatum:
         >>> d.dominance_leq((0, 1, 0), (1, 0, 0))
         True
         """
-        found = self.coroot_difference(_common_denominator(b),
-                                       _common_denominator(a))
+        return self.numerators_leq(_common_denominator(a),
+                                   _common_denominator(b))
+
+    def numerators_leq(self, a, b):
+        """:meth:`dominance_leq` for a and b given as (den, nums) with
+        integer nums: the signs of the coordinates of b - a over the simple
+        coroots (see :meth:`coroot_difference`)."""
+        found = self.coroot_difference(b, a)
         return found is not None and all(c >= 0 for c in found[1])
 
     def coroot_numerators(self, num, den):
@@ -675,8 +686,26 @@ class RootDatum:
     def convex_hull_point(self, mu):
         """conv(mu) (Chai, "Newton polygons as lattice points", Amer. J.
         Math. 122, 2000): the averaged projection pi_J(mu), J sigma
-        stable, that dominates all the others.  Kept per tuple(mu), so
-        equal int and Fraction vectors share one entry.
+        stable, that dominates all the others.
+
+        mu (ints or Fractions) is cleared to integers over one
+        denominator and taken by :meth:`hull_numerators` (conv is linear
+        under positive scaling); this wrapper forms the Fractions.
+
+        >>> builtin_datum('sl2').convex_hull_point((1,))
+        (Fraction(1, 1),)
+        >>> builtin_datum('gl3').convex_hull_point((0, 0, 1))
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+        """
+        den, vec = _common_denominator(mu)
+        scale, nums = self.hull_numerators(vec)
+        return tuple([Fraction(x, scale * den) for x in nums])
+
+    def hull_numerators(self, mu):
+        """The convex hull point of an integer vector mu as (D, nums) in
+        lowest terms (D >= 1, gcd(D, *nums) = 1), conv(mu) = nums / D:
+        the one integer form of :meth:`convex_hull_point`, which the class
+        layer reads.  Kept per tuple(mu).
 
         A monotone pivot on the integers of :meth:`pi_numerators`: from J
         = {}, while some simple root i outside J has <alpha_i, pi_J(mu)> <
@@ -699,17 +728,15 @@ class RootDatum:
         = c - d_K; e = c >= 0 off K, and C_KK e_K = <alpha_K, nu> -
         C_{K,K^c} e_{K^c} >= 0, so e_K >= 0: pi_K(mu) <= nu.
 
-        >>> builtin_datum('sl2').convex_hull_point((1,))
-        (Fraction(1, 1),)
-        >>> builtin_datum('gl3').convex_hull_point((0, 0, 1))
-        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+        >>> builtin_datum('gl3').hull_numerators((0, 0, 1))
+        (3, (1, 1, 1))
         """
         mu = tuple(mu)
-        if mu in self._hull_memo:
-            return self._hull_memo[mu]
-        den, vec = _common_denominator(mu)
+        found = self._hull_memo.get(mu)
+        if found is not None:
+            return found
         subset = frozenset()
-        avg = scale, nums = self.pi_numerators(subset, vec)
+        avg = scale, nums = self.pi_numerators(subset, mu)
         while True:
             pairs = [vec_dot(a, nums) for a in self.simple_roots]
             low = [self.simple_orbit[i] for i, p in enumerate(pairs)
@@ -717,20 +744,21 @@ class RootDatum:
             if not low:
                 break
             subset = subset.union(*low)
-            scale, nums = self.pi_numerators(subset, vec)
-        excess = self.coroot_difference((scale * den, nums),
-                                        (avg[0] * den, avg[1]))
-        top = tuple([Fraction(x, scale * den) for x in nums])
+            scale, nums = self.pi_numerators(subset, mu)
+        excess = self.coroot_difference((scale, nums), avg)
         if excess is None or any(
                 c < 0 or p < 0 or (p if j in subset else c)
                 for j, (c, p) in enumerate(zip(excess[1], pairs))):
             raise InvariantError(
                 self.name, 'the convex hull point of mu = %s fails its '
                 'certificate: nu = %s, J = %s' % (
-                    _vec_text(mu), _vec_text(top),
+                    _vec_text(mu),
+                    _vec_text([Fraction(x, scale) for x in nums]),
                     sorted(j + 1 for j in subset)))
-        self._hull_memo[mu] = top
-        return top
+        g = math.gcd(scale, *nums)
+        found = self._hull_memo[mu] = (scale // g,
+                                       tuple([x // g for x in nums]))
+        return found
 
     # -- quotients ------------------------------------------------------
 

@@ -14,7 +14,6 @@ parahoric data.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
 from .affine import AffineElement
@@ -182,9 +181,9 @@ class PCT:
         """The minimal class: nu = pi_J(v^{-1} mu), kappa = kappa(x).
 
         pi_J(v^{-1} mu) is taken as integer numerators over one
-        denominator (RootDatum.pi_numerators), the dominant representative
-        is found on the numerators, and only the result is divided into
-        Fractions: the descent is linear and reads only signs of
+        denominator (RootDatum.pi_numerators) and the dominant
+        representative is found on the numerators, which are the
+        numerators of nu: the descent is linear and reads only signs of
         pairings, which a positive denominator keeps.
 
         >>> from adlv.context import Context
@@ -199,10 +198,7 @@ class PCT:
         vinv_mu = self.W.act(self.W.inv[v], x.mu)
         den, nums = self.datum.pi_numerators(pair.J, vinv_mu)
         _, lam = self.W.dominant_representative(nums)
-        return self._bgclass(x, [Fraction(c, den) for c in lam])
-
-    def _bgclass(self, x, nu_dom):
-        return BGClass(self.bg.kottwitz_point(x), tuple(nu_dom))
+        return BGClass(self.bg.kottwitz_point(x), den, lam)
 
     def generic_lambda(self, pair):
         """lambda of the generic class: v^{-1} mu - wt(v => sigma(wv)),
@@ -220,8 +216,8 @@ class PCT:
         returned class.
         """
         lam = self.generic_lambda(pair)
-        nu = self.datum.convex_hull_point(lam)
-        b = self._bgclass(pair.x, nu)
+        b = BGClass(self.bg.kottwitz_point(pair.x),
+                    *self.datum.hull_numerators(lam))
         res, _ = self.bg.lambda_invariant(b)
         if res != self.gamma.project(lam):
             raise InvariantError(
@@ -263,8 +259,7 @@ class PCT:
             lam = lam_max
             for k, j in zip(ks, js):
                 lam = vec_sub(lam, vec_scale(k, d.simple_coroots[j]))
-            nu = d.convex_hull_point(lam)
-            b = self._bgclass(pair.x, nu)
+            b = BGClass(b_min.kappa, *d.hull_numerators(lam))
             if b in found:
                 continue
             res, _ = self.bg.lambda_invariant(b)
@@ -433,8 +428,9 @@ class PCT:
         J(b)-coroots and the coinvariant relations, and lambda =
         sigma(v^{-1} mu) modulo the relations of X(c, J(b)).  The key of
         c' eps^lambda must equal the key of the actual tree leaf of class
-        b, which is read off the leaf keys: their first two fields are
-        (kappa, nu).
+        b: the leaves are compared by interned key id, and the class of
+        each leaf is the one interned next to its key
+        (Reduction.key_class).
         """
         i_nu, _ = self.bg.strata_sets(b)
         jb = frozenset(pair.J & i_nu)
@@ -451,16 +447,18 @@ class PCT:
         for coeff, g in zip(sol[:len(lattice_one)], lattice_one):
             lam = vec_add(lam, vec_scale(coeff, g))
         endpoint = AffineElement(c_prime, lam)
-        key = self.red.class_key(endpoint)
+        red = self.red
+        key_id = red.class_id(endpoint)
         if validate:
-            tree = self.red.build_reduction_tree(pair.x)
-            leaf_keys = {self.red.class_key(leaf.x) for leaf in tree.leaves()}
-            if {k for k in leaf_keys if k[:2] == b} != {key}:
+            tree = red.build_reduction_tree(pair.x)
+            leaf_ids = {red.class_id(leaf.x) for leaf in tree.leaves()
+                        if red.key_class(leaf.x) == b}
+            if leaf_ids != {key_id}:
                 raise InvariantError(
                     self.datum.name, 'endpoint certificate differs from the '
                     'tree leaf class', self.aw.element_to_dict(pair.x))
-        return {'key': key, 'c_prime': c_prime, 'lambda': lam,
-                'endpoint': endpoint, 'support': jb}
+        return {'key': red.class_key(endpoint), 'c_prime': c_prime,
+                'lambda': lam, 'endpoint': endpoint, 'support': jb}
 
     def _endpoint_lattices(self, c, jb):
         """(lattice one, Smith form of lattice one + lattice two) for the
@@ -487,7 +485,7 @@ class PCT:
         if not self.W.sigma_conjugate_to_partial_coxeter(x.w):
             return False, None
         x_min, moves = self.red.descend_to_minimal(x)
-        b = BGClass(*self.red.class_key(x_min)[:2])
+        b = self.red.key_class(x_min)
         two_rho_nu = self.bg.two_rho_nu(b)
         dim_path = len(moves) + self.aw.aff_length(x_min) - two_rho_nu
         defect = self.bg.defect(b)
@@ -568,7 +566,7 @@ class PCT:
         nu_raw, nu_dom = self.bg.newton_of_element(tau)
         if self.bg.kottwitz_point(tau) != b.kappa:
             problem = 'Kottwitz point'
-        elif tuple(nu_dom) != tuple(Fraction(c) for c in b.nu):
+        elif nu_dom != b.nu:
             problem = 'Newton point'
         elif any(vec_dot(d.simple_roots[j], nu_raw) != 0 for j in jb):
             problem = 'non-central Newton point'

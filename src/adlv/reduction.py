@@ -13,9 +13,11 @@ and the class-key closure.  None recurses: one loop over a stack builds
 a reduction tree and the record of its root-to-leaf paths, which every
 reader of the tree reads.
 
-A class key is interned once per ``Reduction`` and is the one record of
-a class: its first two fields are (kappa, nu), so the class of a tree
-leaf is read off the leaf's key, never from a Newton point of the leaf.
+A class key is interned once per ``Reduction``, under a small integer
+id, next to its ``BGClass``: the class of a tree leaf is the one
+interned with the leaf's key, never a Newton point of the leaf, and it
+hashes on ints.  The key itself, (kappa, nu, minimal length,
+representative) with nu as Fractions, is formed once per id.
 
 Polynomials are integer coefficient tuples, lowest degree first:
 q^2 - q is (0, -1, 1).
@@ -28,7 +30,7 @@ import random
 from functools import cache, cached_property
 from itertools import count
 
-from .bg import BGClass, BGInvariants
+from .bg import BGInvariants
 from .datum import InvariantError
 
 __all__ = ['Reduction', 'ReductionTree', 'TreeNode', 'poly_add']
@@ -134,9 +136,10 @@ class Reduction:
         self.bg = bg if bg is not None else BGInvariants(aw)
         self._moves = {}     # y -> move record of y per simple affine root
         self._walks = {}     # x -> (orbit members, their down edges)
-        self._key_memo = {}  # element -> class id
-        self._keys = []      # class id -> class key
-        self._key_ids = {}   # class key -> class id
+        self._key_memo = {}     # element -> class id
+        self._keys = []         # class id -> class key
+        self._key_classes = []  # class id -> BGClass of the key
+        self._key_ids = {}      # (BGClass, lmin, canon) -> class id
 
     # -- the equal-length sigma-conjugation orbit ---------------------------
 
@@ -249,7 +252,7 @@ class Reduction:
             tree = self.build_reduction_tree(x, seed=seed)
         sums = {}
         for leaf, ni, nii in tree.paths():
-            i = self._class_id(leaf.x)
+            i = self.class_id(leaf.x)
             sums[i] = poly_add(sums.get(i, ()), _monomial(ni, nii))
         keys = self._keys
         return {keys[i]: p for i, p in sums.items()}
@@ -272,9 +275,14 @@ class Reduction:
         minimal-length element up to the minimal length plus
         ``DEFAULT_SLACK``).  Keys are interned per ``Reduction``: every
         element of one closure gets the same tuple object."""
-        return self._keys[self._class_id(x)]
+        return self._keys[self.class_id(x)]
 
-    def _class_id(self, x):
+    def key_class(self, x):
+        """The BGClass of x's class, interned next to class_key(x): its
+        (kappa, nu) on ints, formed once per key."""
+        return self._key_classes[self.class_id(x)]
+
+    def class_id(self, x):
         """The interned id of class_key(x), a small integer.
 
         A closure is formed only when x_min lies in none formed before.
@@ -292,11 +300,12 @@ class Reduction:
             canon = min((y for y, ly in lengths.items() if ly == lmin),
                         key=lambda y: (self.W.words[y.w], y.mu))
             b = self.bg.element_class(x_min)
-            key = (b.kappa, b.nu, lmin, canon)
-            i = self._key_ids.get(key)
+            ident = (b, lmin, canon)
+            i = self._key_ids.get(ident)
             if i is None:
-                i = self._key_ids[key] = len(self._keys)
-                self._keys.append(key)
+                i = self._key_ids[ident] = len(self._keys)
+                self._keys.append((b.kappa, b.nu, lmin, canon))
+                self._key_classes.append(b)
             for y in lengths:
                 self._key_memo[y] = i
         self._key_memo[x] = i
@@ -334,9 +343,9 @@ class Reduction:
                       'polynomial': tuple}}.
 
         dim is the path statistic l_I + l_II + ell(end) - <nu(b), 2 rho>.
-        One pass over the root-to-leaf paths: a leaf's class b is read
-        off its interned class key, whose first two fields are (kappa,
-        nu), and <nu(b), 2 rho> off the class record of b.
+        One pass over the root-to-leaf paths: a leaf's class b is the one
+        interned next to its class key (:meth:`key_class`), and <nu(b), 2
+        rho> is read off the class record of b.
         The polynomial of b is the sum of (q-1)^{l_I} q^{l_II} over the
         leaves of class b, which is the sum of the class polynomials of
         its keys, since a key's class polynomial is the sum of the
@@ -346,7 +355,7 @@ class Reduction:
             tree = self.build_reduction_tree(x)
         out = {}
         for leaf, ni, nii in tree.paths():
-            b = BGClass(*self.class_key(leaf.x)[:2])
+            b = self.key_class(leaf.x)
             entry = out.get(b)
             if entry is None:
                 entry = out[b] = {'paths': [], 'polynomial': ()}

@@ -47,6 +47,33 @@ def test_newton_flip_twisting():
     assert dom == (Fraction(1, 2), Fraction(1, 2))
 
 
+def test_class_forms_share_one_class_and_hash():
+    """Int, Fraction and unreduced integer input give one class, in
+    lowest terms, with one hash."""
+    forms = [BGClass.from_nu((0,), (1, 0)),
+             BGClass.from_nu((0,), (Fraction(1), Fraction(0))),
+             BGClass.from_nu((0,), (Fraction(2, 2), 0)),
+             BGClass((0,), 2, (2, 0))]
+    assert len(set(forms)) == 1 and len({hash(b) for b in forms}) == 1
+    assert {(b.den, b.nums) for b in forms} == {(1, (1, 0))}
+    third = BGClass((1,), 6, (2, 2, 2))
+    assert (third.den, third.nums) == (3, (1, 1, 1))
+    assert third.nu == (Fraction(1, 3),) * 3
+    with pytest.raises(ValueError, match='denominator of nu must be '
+                       'positive, got 0'):
+        BGClass((0,), 0, (1, 0))
+
+
+def test_invariant_error_renders_class_nu_as_rationals():
+    b = BGClass((0, 0, 1), 3, (1, 1, 1))
+    err = InvariantError('gl3', 'a check failed', {'w': [1], 'mu': [1, 0, 0]},
+                         b)
+    assert str(err) == ("datum 'gl3': a check failed, for x = "
+                        '{"w": [1], "mu": [1, 0, 0]} and the class '
+                        'kappa = (0, 0, 1), nu = (1/3, 1/3, 1/3)')
+    assert err.sigma_class is b
+
+
 def test_kottwitz_gl3(gl3):
     k1 = gl3.kottwitz_point(AffineElement(0, (1, 0, 0)))
     k0 = gl3.kottwitz_point(AffineElement(0, (0, 0, 0)))
@@ -57,7 +84,8 @@ def test_kottwitz_gl3(gl3):
 
 
 def test_lambda_invariant_gl3_basic(gl3):
-    b = BGClass(gl3.kottwitz.project((1, 0, 0)), (Fraction(1, 3),) * 3)
+    b = BGClass.from_nu(gl3.kottwitz.project((1, 0, 0)),
+                        (Fraction(1, 3),) * 3)
     res, lam = gl3.lambda_invariant(b)
     assert lam == (0, 0, 1)
     assert gl3.defect(b) == 2
@@ -66,7 +94,8 @@ def test_lambda_invariant_gl3_basic(gl3):
 
 
 def test_lambda_invariant_invalid_class(gl3):
-    bad = BGClass(gl3.kottwitz.project((1, 0, 0)), (Fraction(1),) * 3)
+    bad = BGClass.from_nu(gl3.kottwitz.project((1, 0, 0)),
+                          (Fraction(1),) * 3)
     with pytest.raises(ValueError):
         gl3.lambda_invariant(bad)
 
@@ -107,7 +136,8 @@ def test_lambda_invariant_matches_averaged_coroot_solve(name, bound,
 def test_lambda_invariant_rejects_newton_point_off_averaged_span():
     """nu = alpha_1^vee is in the coroot span but not sigma-invariant."""
     bg = BGInvariants(AffineWeyl(builtin_datum('sl3_flip')))
-    b = BGClass(bg.kottwitz.project((0, 0)), (Fraction(1), Fraction(0)))
+    b = BGClass.from_nu(bg.kottwitz.project((0, 0)),
+                        (Fraction(1), Fraction(0)))
     with pytest.raises(ValueError, match='averaged coroot span'):
         bg.lambda_invariant(b)
     with pytest.raises(ValueError):
@@ -116,7 +146,8 @@ def test_lambda_invariant_rejects_newton_point_off_averaged_span():
 
 def test_strata_sets_off_coroot_span_is_an_invariant_error(monkeypatch):
     bg = BGInvariants(AffineWeyl(builtin_datum('gl3')))
-    b = BGClass(bg.kottwitz.project((1, 0, 0)), (Fraction(1, 3),) * 3)
+    b = BGClass.from_nu(bg.kottwitz.project((1, 0, 0)),
+                        (Fraction(1, 3),) * 3)
     # the avg <= nu check reads avg(lambda) = 0, which leaves nu, whose
     # coordinates sum to 1, off the span
     excess, calls = bg._excess, []
@@ -135,12 +166,14 @@ def test_strata_sets_off_coroot_span_is_an_invariant_error(monkeypatch):
 
 def strata_sets_on_fractions(bg, b):
     """Oracle: I(nu) by pairing the simple roots with the Fraction nu, and
-    I_1(b) from nu - avg(lambda(b)) formed again."""
+    I_1(b) from nu - avg(lambda(b)) formed again in Fractions (the sigma
+    average by powers) and solved over the simple coroots."""
     d = bg.datum
     i_nu = frozenset(i for i in range(d.rank)
                      if vec_dot(d.simple_roots[i], b.nu) == 0)
     _, lam = bg.lambda_invariant(b)
-    _, coeffs = bg._excess(b.nu, lam)
+    delta = [x - y for x, y in zip(b.nu, sigma_avg_by_powers(d, lam))]
+    coeffs = solve_rational_combination(d.simple_coroots, delta)
     return i_nu, frozenset(i for i, c in enumerate(coeffs) if c != 0)
 
 
@@ -157,9 +190,13 @@ def test_conv_lambda_fault_exits_3_naming_datum_and_class(monkeypatch,
                                                          capsys):
     """A convex hull point moved off nu fails the conv(lambda) = nu check;
     the CLI exits 3 with a message naming the datum and the class."""
-    hull = RootDatum.convex_hull_point
-    monkeypatch.setattr(RootDatum, 'convex_hull_point',
-                        lambda self, mu: tuple(x + 1 for x in hull(self, mu)))
+    hull = RootDatum.hull_numerators
+
+    def shifted(self, num):
+        den, nums = hull(self, num)
+        return den, tuple(x + den for x in nums)
+
+    monkeypatch.setattr(RootDatum, 'hull_numerators', shifted)
     argv = ['lambda', '--datum', 'gl3', '--x', '{"w":[1],"mu":[1,0,0]}']
     assert main(argv) == 3
     err = capsys.readouterr().err
@@ -174,7 +211,7 @@ def test_sl2_defect_and_dimensions(sl2):
     assert b.nu == (Fraction(0),)
     assert sl2.defect(b) == 0
     assert sl2.virtual_dimension(x, b) == 2
-    one = BGClass(sl2.kottwitz_point(x), (Fraction(1),))
+    one = BGClass.from_nu(sl2.kottwitz_point(x), (Fraction(1),))
     assert sl2.virtual_dimension(x, one) == 1
 
 
@@ -225,7 +262,8 @@ def test_negative_defect_names_datum_and_class(monkeypatch):
     lambda = (0, 0, 1) negative: <nu, 2 rho> = 0 and <lambda, 2 rho> = 2."""
     bg = BGInvariants(AffineWeyl(builtin_datum('gl3')))
     monkeypatch.setattr(bg.datum, 'two_rho', (-2, 0, 2))
-    b = BGClass(bg.kottwitz.project((1, 0, 0)), (Fraction(1, 3),) * 3)
+    b = BGClass.from_nu(bg.kottwitz.project((1, 0, 0)),
+                        (Fraction(1, 3),) * 3)
     with pytest.raises(InvariantError, match=r"^datum 'gl3': the defect -2 "
                        r'is negative: lambda = \(0, 0, 1\), for the class '
                        r'kappa = \(0, 0, 1\), nu = \(1/3, 1/3, 1/3\)$') \
@@ -237,8 +275,8 @@ def test_negative_defect_names_datum_and_class(monkeypatch):
 
 def test_virtual_dimension_kappa_mismatch(gl3):
     x = AffineElement(0, (1, 0, 0))
-    b = BGClass(gl3.kottwitz_point(AffineElement(0, (0, 0, 0))),
-                (Fraction(0),) * 3)
+    b = BGClass.from_nu(gl3.kottwitz_point(AffineElement(0, (0, 0, 0))),
+                        (Fraction(0),) * 3)
     with pytest.raises(ValueError):
         gl3.virtual_dimension(x, b)
 
@@ -260,8 +298,8 @@ def test_class_invariant_under_sigma_conjugation(name):
 
 def test_bg_leq(sl2):
     z = sl2.kottwitz.project((0,))
-    b0 = BGClass(z, (Fraction(0),))
-    b1 = BGClass(z, (Fraction(1),))
+    b0 = BGClass.from_nu(z, (Fraction(0),))
+    b1 = BGClass.from_nu(z, (Fraction(1),))
     assert sl2.bg_leq(b0, b1) and not sl2.bg_leq(b1, b0)
     assert sl2.bg_leq(b0, b0)
 

@@ -353,42 +353,83 @@ def test_describe_roundtrip():
     assert info['rank'] == 2 and info['num_roots'] == 8
 
 
+# each case carries its id, so a case added anywhere renames no other;
+# the configN prefixes keep the ids already in use
 @pytest.mark.parametrize('config,message', [
-    ({'type': 'A1', 'sigma_matrix': [[2]]}, 'not unimodular'),
-    ({'type': 'A1', 'sigma_matrix': [[0]]}, 'singular'),
-    ({'type': 'A1', 'lattice_basis': [[0]]}, 'singular'),
-    ({'type': 'A1', 'extra': 1}, 'unknown config key.*extra'),
-    ({'type': 'A2', 'sigma_perm': [2, 2]}, 'sigma_perm must be a permutation'),
-    (3, 'a datum config must be a JSON object, got 3'),
-    ({'type': 3}, 'type must be a string'),
-    ({'type': 'A2x'}, "type part '' is not a family letter followed by a rank"),
-    ({'type': 'A'}, "type part 'A' is not a family letter"),
-    ({'cartan': [[2, -1], [-1]]}, 'cartan must be a square matrix of integers'),
-    ({'cartan': [[2, -1.5], [-1, 2]]}, 'cartan must be a square matrix'),
-    ({'cartan': 'A2'}, 'cartan must be a square matrix'),
-    ({'cartan': [[True, -1], [-1, 2]]}, 'cartan must be a square matrix'),
-    ({'type': 'A2', 'lattice_basis': 'foo'},
-     'lattice_basis must be "sc", "adjoint", "gl" or a square matrix of '
-     'integers of size 2, got "foo"'),
-    ({'type': 'A2', 'lattice_basis': [[1, 0], [0, 1], [1, 1]]},
-     'lattice_basis must be .* of size 2'),
-    ({'type': 'A2', 'sigma_matrix': [[1, 0], [0]]},
-     'sigma_matrix must be a square matrix of integers of size 2'),
-    ({'type': 'A2', 'lattice_basis': 'gl', 'sigma_matrix': [[0, 1], [1, 0]]},
-     'sigma_matrix must be a square matrix of integers of size 3'),
+    pytest.param({'type': 'A1', 'sigma_matrix': [[2]]}, 'not unimodular',
+                 id='config0-not unimodular'),
+    pytest.param({'type': 'A1', 'sigma_matrix': [[0]]}, 'singular',
+                 id='config1-singular'),
+    pytest.param({'type': 'A1', 'lattice_basis': [[0]]}, 'singular',
+                 id='config2-singular'),
+    pytest.param({'type': 'A1', 'extra': 1}, 'unknown config key.*extra',
+                 id='config3-unknown config key.*extra'),
+    pytest.param({'type': 'A2', 'sigma_perm': [2, 2]},
+                 'sigma_perm must be a permutation',
+                 id='config4-sigma_perm must be a permutation'),
+    pytest.param(3, 'a datum config must be a JSON object, got 3',
+                 id='3-a datum config must be a JSON object, got 3'),
+    pytest.param({'type': 3}, 'type must be a string',
+                 id='config6-type must be a string'),
+    pytest.param({'type': 'A2x'},
+                 "type part '' is not a family letter followed by a rank",
+                 id="config7-type part '' is not a family letter followed "
+                    'by a rank'),
+    pytest.param({'type': 'A'}, "type part 'A' is not a family letter",
+                 id="config8-type part 'A' is not a family letter"),
+    pytest.param({'cartan': [[2, -1], [-1]]},
+                 'cartan must be a square matrix of integers',
+                 id='config9-cartan must be a square matrix of integers'),
+    pytest.param({'cartan': [[2, -1.5], [-1, 2]]},
+                 'cartan must be a square matrix',
+                 id='config10-cartan must be a square matrix'),
+    pytest.param({'cartan': 'A2'}, 'cartan must be a square matrix',
+                 id='config11-cartan must be a square matrix'),
+    pytest.param({'cartan': [[True, -1], [-1, 2]]},
+                 'cartan must be a square matrix',
+                 id='config12-cartan must be a square matrix'),
+    pytest.param({'type': 'A2', 'lattice_basis': 'foo'},
+                 'lattice_basis must be "sc", "adjoint", "gl" or a square '
+                 'matrix of integers of size 2, got "foo"',
+                 id='config13-lattice_basis must be "sc", "adjoint", "gl" or '
+                    'a square matrix of integers of size 2, got "foo"'),
+    pytest.param({'type': 'A2', 'lattice_basis': [[1, 0], [0, 1], [1, 1]]},
+                 'lattice_basis must be .* of size 2',
+                 id='config14-lattice_basis must be .* of size 2'),
+    pytest.param({'type': 'A2', 'sigma_matrix': [[1, 0], [0]]},
+                 'sigma_matrix must be a square matrix of integers of size 2',
+                 id='config15-sigma_matrix must be a square matrix of '
+                    'integers of size 2'),
+    pytest.param({'type': 'A2', 'lattice_basis': 'gl',
+                  'sigma_matrix': [[0, 1], [1, 0]]},
+                 'sigma_matrix must be a square matrix of integers of size 3',
+                 id='config16-sigma_matrix must be a square matrix of '
+                    'integers of size 3'),
     # Weyl groups past W(E6) are refused before any matrix is built
-    ({'type': 'A100000'}, "type 'A100000' has a Weyl group of order at "
-     'least 51090942171709440000; the limit is 51840'),
-    ({'type': 'E8'}, "type 'E8' has a Weyl group of order 696729600; the "
-     'limit is 51840'),
-    ({'type': 'A5xA5'}, "type 'A5xA5' has a Weyl group of order 518400; "
-     'the limit is 51840'),
+    pytest.param({'type': 'A100000'}, "type 'A100000' has a Weyl group of "
+                 'order at least 51090942171709440000; the limit is 51840',
+                 id="config17-type 'A100000' has a Weyl group of order at "
+                    'least 51090942171709440000; the limit is 51840'),
+    pytest.param({'type': 'E8'}, "type 'E8' has a Weyl group of order "
+                 '696729600; the limit is 51840',
+                 id="config18-type 'E8' has a Weyl group of order 696729600; "
+                    'the limit is 51840'),
+    pytest.param({'type': 'A5xA5'}, "type 'A5xA5' has a Weyl group of order "
+                 '518400; the limit is 51840',
+                 id="config19-type 'A5xA5' has a Weyl group of order 518400; "
+                    'the limit is 51840'),
     # an explicit Cartan matrix meets the same limit: A9 has 10! elements
-    ({'cartan': cartan_matrix('A9')}, 'the Cartan matrix has a Weyl group '
-     'of order 3628800; the limit is 51840'),
+    pytest.param({'cartan': cartan_matrix('A9')}, 'the Cartan matrix has a '
+                 'Weyl group of order 3628800; the limit is 51840',
+                 id='config20-the Cartan matrix has a Weyl group of order '
+                    '3628800; the limit is 51840'),
     # a name must be a string, not any JSON value
-    ({'type': 'A1', 'name': {'a': 1}}, 'name must be a string, got {"a": 1}'),
-    ({'type': 'A1', 'name': None}, 'name must be a string, got null'),
+    pytest.param({'type': 'A1', 'name': {'a': 1}},
+                 'name must be a string, got {"a": 1}',
+                 id='config21-name must be a string, got {"a": 1}'),
+    pytest.param({'type': 'A1', 'name': None},
+                 'name must be a string, got null',
+                 id='config22-name must be a string, got null'),
 ])
 def test_bad_matrix_raises_clear_value_error(config, message, tmp_path,
                                             capsys):

@@ -1,6 +1,7 @@
 """Positive Coxeter pairs, intervals, J-points, endpoints, converses."""
 
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from adlv.datum import InvariantError, builtin_datum, diagram_components
 from adlv.lattice import (_column_snf, solve_in_cone,
                           solve_integer_combination, vec_add, vec_dot,
                           vec_scale, vec_sub)
-from adlv.pct import (PCT, PositiveCoxeterPair, count_positive_roots,
-                      very_special_subsets)
+from adlv.pct import (PCT, PositiveCoxeterPair, _budget_tuples,
+                      count_positive_roots, very_special_subsets)
 from adlv.reduction import Reduction, poly_add
 
 from test_affine import gl6_sample
@@ -200,7 +201,7 @@ def minimal_class_on_fractions(pct, pair):
     vinv_mu = W.act(W.inv[pair.v], pair.x.mu)
     _, nu = W.dominant_representative(
         pi_projection_oracle(pct.datum, pair.J, vinv_mu))
-    return BGClass(pct.bg.kottwitz_point(pair.x), tuple(nu))
+    return BGClass.from_nu(pct.bg.kottwitz_point(pair.x), nu)
 
 
 @pytest.mark.parametrize('name', ['gl3', 'sl3_flip', 'sp4', 'g2', 'gl6'])
@@ -219,6 +220,100 @@ def test_minimal_class_matches_fraction_path(name):
             assert typed(got.nu) == typed(want.nu), pair
             count += 1
     assert count > 0
+
+
+def interval_on_fractions(pct, pair):
+    """Oracle: (b_min, b_max, interval) with every class built from a
+    Fraction Newton point (the minimal class as above, the others from
+    convex_hull_point) and the interval's order test made by
+    dominance_leq on the Fractions."""
+    d = pct.datum
+    kappa = pct.bg.kottwitz_point(pair.x)
+    b_min = minimal_class_on_fractions(pct, pair)
+    lam_max = pct.generic_lambda(pair)
+    b_max = BGClass.from_nu(kappa, d.convex_hull_point(lam_max))
+    budget = pct.aw.aff_length(pair.x) - vec_dot(d.two_rho, b_min.nu)
+    js = sorted(pair.J)
+    weights = [vec_dot(d.two_rho, d.simple_coroots[j]) for j in js]
+    found = {}
+    for ks in _budget_tuples(weights, int(budget)):
+        lam = lam_max
+        for k, j in zip(ks, js):
+            lam = vec_sub(lam, vec_scale(k, d.simple_coroots[j]))
+        b = BGClass.from_nu(kappa, d.convex_hull_point(lam))
+        if b in found:
+            continue
+        if pct.bg.lambda_invariant(b)[0] != pct.gamma.project(lam):
+            continue
+        if d.dominance_leq(b_min.nu, b.nu):
+            found[b] = dict(zip(js, ks))
+    return b_min, b_max, found
+
+
+@pytest.mark.parametrize('name,bound,cap', [
+    ('gl3', 2, 6), ('sl3_flip', 2, 7), ('sp4', 2, 6), ('g2', 2, 7),
+    ('psp4', 2, 6)])
+def test_integer_class_layer_matches_fraction_path(name, bound, cap):
+    """On every element and pair of the box: the class of an element has
+    the Fraction Newton point; the minimal, generic and interval classes
+    are those built from Fraction Newton points; bg_leq is dominance on
+    the Fractions for every two classes met."""
+    ctx = Context(name)
+    bg, pct = ctx.bg, ctx.pct
+    classes, pairs = set(), 0
+    for x in ctx.aw.box_elements(bound, cap):
+        b = bg.element_class(x)
+        assert b.nu == bg.newton_of_element(x)[1], x
+        classes.add(b)
+        for pair in pct.positive_coxeter_pairs(x):
+            b_min, b_max, interval = interval_on_fractions(pct, pair)
+            assert pct.minimal_class(pair) == b_min, pair
+            assert pct.generic_class(pair)[0] == b_max, pair
+            assert pct.bgx_interval(pair) == interval, pair
+            classes.update(interval)
+            pairs += 1
+    assert pairs > 0 and len({b.den for b in classes}) > 1
+    for b1 in classes:
+        for b2 in classes:
+            assert bg.bg_leq(b1, b2) == (
+                b1.kappa == b2.kappa
+                and ctx.datum.dominance_leq(b1.nu, b2.nu)), (b1, b2)
+
+
+def by_fraction_class(rows):
+    """(kappa, nu as Fractions) of each output row's class."""
+    return [(r['class']['kappa'], [Fraction(c) for c in r['class']['nu']])
+            for r in rows]
+
+
+# s1 s2 eps^(-2, 0, 0) in gl3: one kappa, nu with denominators 1, 2 and 3
+MIXED_X = '{"w": [1, 2], "mu": [-2, 0, 0]}'
+
+
+def test_classes_come_out_in_kappa_nu_order(capsys):
+    """thmA_report, `pct report` and `bgx` list classes by (kappa, nu as
+    rationals).  The gl3 box(2, 6) has reports whose classes share kappa
+    and have denominators 1, 2 and 3, where that order is not the order
+    of the integer fields (kappa, den, nums)."""
+    ctx = Context('gl3')
+    mixed = 0
+    for x in ctx.aw.box_elements(2, 6):
+        if not ctx.pct.positive_coxeter_pairs(x):
+            continue
+        classes = [cd['class'] for cd in ctx.pct.thmA_report(x)['classes']]
+        keys = [(b.kappa, b.nu) for b in classes]
+        assert keys == sorted(keys), x
+        mixed += sorted(classes, key=tuple) != classes
+    assert mixed > 0
+    assert main(['pct', 'report', '--datum', 'gl3', '--x', MIXED_X]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(['bgx', '--datum', 'gl3', '--x', MIXED_X]) == 0
+    bgx = json.loads(capsys.readouterr().out)
+    for rows in (report['classes'], bgx):
+        keys = by_fraction_class(rows)
+        assert keys == sorted(keys)
+        assert {max(f.denominator for f in nu) for _, nu in keys} \
+            == {1, 2, 3}
 
 
 def test_point_space_full_support_is_coinvariants(pct3):
@@ -342,7 +437,7 @@ def test_infeasible_endpoint_congruences_exit_3(monkeypatch, capsys):
     ctx = Context('sl2')
     x = AffineElement(1, (1,))
     pair = ctx.pct.positive_coxeter_pairs(x)[0]
-    b = BGClass((0,), (Fraction(0),))
+    b = BGClass.from_nu((0,), (Fraction(0),))
     with pytest.raises(InvariantError) as info:
         ctx.pct.endpoint_class(pair, b)
     err = info.value

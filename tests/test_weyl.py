@@ -368,6 +368,26 @@ def test_e6_pos_mask_matches_root_action(e6_weyl):
                           for row in g.root_action]
 
 
+def inverse_by_root_key(g):
+    """Oracle: e^{-1} sends each simple root alpha_s to the root that e
+    sends to alpha_s, and W acts faithfully on the roots, so e^{-1} is the
+    element with those images of the simple roots."""
+    simple = g.datum.simple_indices
+    index = {tuple(row[s] for s in simple): e
+             for e, row in enumerate(g.root_action)}
+    return [index[tuple(row.index(s) for s in simple)]
+            for row in g.root_action]
+
+
+@pytest.mark.parametrize('name', sorted(BUILTIN_DATA))
+def test_inverse_matches_root_image_key(name, request):
+    """The inverse table, formed by word walks, on every built-in, W(E6)
+    included."""
+    g = (request.getfixturevalue('e6_weyl') if name == 'e6_adjoint'
+         else WeylGroup(builtin_datum(name)))
+    assert g.inv == inverse_by_root_key(g)
+
+
 @pytest.mark.parametrize('name', sorted(BUILTIN_DATA))
 def test_index_order_is_length_then_least_reduced_word(name, request):
     """lp_set returns W indices unsorted, relying on this order.  The
