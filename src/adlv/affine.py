@@ -15,7 +15,7 @@ import json
 from operator import mul
 from typing import NamedTuple
 
-from .datum import InvariantError, diagram_components
+from .datum import InvariantError, _unique_keys, diagram_components
 from .lattice import vec_add, vec_dot, vec_scale
 from .weyl import WeylGroup
 
@@ -398,8 +398,8 @@ class AffineWeyl:
         """
         if isinstance(text, str):
             try:
-                data = json.loads(text)
-            except ValueError as e:
+                data = json.loads(text, object_pairs_hook=_unique_keys)
+            except json.JSONDecodeError as e:
                 raise ValueError('element is not JSON: %s' % e) from None
         else:
             data = text

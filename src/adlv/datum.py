@@ -925,10 +925,28 @@ def _perm_from_config(config, n):
     return tuple(p - 1 for p in perm)
 
 
+def _unique_keys(pairs):
+    """The ``object_pairs_hook`` of the element and datum JSON readers:
+    the object as a dict, refusing a repeated key, of which ``json``
+    would silently keep the last value.
+
+    >>> json.loads('{"w": [1], "w": [2]}', object_pairs_hook=_unique_keys)
+    Traceback (most recent call last):
+    ...
+    ValueError: repeated key "w"
+    """
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError('repeated key %s' % json.dumps(key))
+        out[key] = value
+    return out
+
+
 def datum_from_json(path):
     """Load a RootDatum from a JSON file."""
     with open(path) as f:
-        return datum_from_config(json.load(f))
+        return datum_from_config(json.load(f, object_pairs_hook=_unique_keys))
 
 
 BUILTIN_DATA = {

@@ -202,10 +202,13 @@ class PCT:
 
     def generic_lambda(self, pair):
         """lambda of the generic class: v^{-1} mu - wt(v => sigma(wv)),
-        as a lattice vector."""
+        as a lattice vector.
+
+        sigma(wv) = v c, so the weight is that of the walk from v along
+        the word of c (QuantumBruhatGraph.coxeter_path), which forms no
+        QBG edge."""
         x, v = pair.x, pair.v
-        target = self.W.sigma(self.W.mult(x.w, v))
-        _, wt = self.qbg.distance_weight(v, target)
+        _, wt = self.qbg.coxeter_path(v, pair.c_word)
         vinv_mu = self.W.act(self.W.inv[v], x.mu)
         return vec_sub(vinv_mu, self.qbg.weight_vector(wt))
 
@@ -324,7 +327,7 @@ class PCT:
     def _tree_disagreement(self, x, classes):
         """The first way the interval, path statistics or class polynomials
         of the per-class data disagree with the reduction tree of x."""
-        tree_data = self.red.bgx_from_tree(x, self.red.build_reduction_tree(x))
+        tree_data = self.red.bgx_from_tree(x)
         if set(tree_data) != {c['class'] for c in classes}:
             return 'interval differs from tree endpoint classes'
         for cd in classes:

@@ -14,8 +14,12 @@ Building the graph forms only the pairing of each positive coroot with
 are the ones the root closure formed (``datum.root_closure``), kept on
 the root list, so no linear system is solved.  The edges, |W| |Phi+|
 products in W, are formed for every vertex at the first query that
-reads them (a distance, a weight, a Coxeter-word path or DOT output), so
-a caller that holds a graph but never queries it pays nothing for them.
+reads them: a distance or weight (``distance_weight``, read by ``adlv
+qbg dist|weight``), the path oracle ``all_shortest_path_weights`` or DOT
+output.  The Coxeter-word path (``coxeter_path``, read by the generic
+class of every positive Coxeter report) walks the Weyl tables and forms
+no edge, so a caller that holds a graph but never queries its distances
+pays nothing for them.
 """
 
 from __future__ import annotations
@@ -151,14 +155,32 @@ class QuantumBruhatGraph:
         distinct sigma-orbits; weight adds alpha_i^vee at each
         length-decreasing step.
 
-        Returns (vertices, weight_coords).  Asserts the path is a
-        shortest path with the common weight.
+        Returns (vertices, weight_coords): a shortest path from v to v c,
+        c the product of the word, and the common weight of all shortest
+        paths, formed by the walk alone, reading no edge.
+
+        (a) Each step is an edge.  A step up, ell(u s_i) = ell(u) + 1, is
+        a Bruhat edge.  A step down has ell(u s_i) = ell(u) - 1 =
+        ell(u) + 1 - <alpha_i^vee, 2 rho>, so it is a quantum edge of
+        weight alpha_i^vee.
+
+        (b) The walk is a shortest path.  Every edge is right
+        multiplication by a reflection, so the distance from v to v c is
+        at least the reflection length ell_R(c).  The letters are
+        distinct, so their roots are linearly independent, and ell_R(c)
+        is the number of letters (Carter, "Conjugacy classes in the Weyl
+        group", Compositio Math. 25, 1972, Lemma 2), which the walk
+        attains.
+
+        (c) Every shortest path from v to v c carries the same weight
+        (Postnikov, "Quantum Bruhat graph and Schubert polynomials",
+        Proc. AMS 133, 2005), so the walk's weight is that weight.
 
         >>> from adlv.datum import builtin_datum
         >>> from adlv.weyl import WeylGroup
         >>> q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
-        >>> q.coxeter_path(0, [0])
-        ([0, 1], (0,))
+        >>> q.coxeter_path(0, [0]), q.coxeter_path(1, [0])
+        (([0, 1], (0,)), ([1, 0], (1,)))
         """
         d = self.datum
         if len({d.simple_orbit[i] for i in word}) != len(word):
@@ -170,17 +192,9 @@ class QuantumBruhatGraph:
         for i in word:
             nxt = self.W.right[cur][i]
             if self.W.lengths[nxt] < self.W.lengths[cur]:
-                coords = self.coroot_coords[d.simple_indices[i]]
-                weight = [a + b for a, b in zip(weight, coords)]
+                weight[i] += 1      # alpha_i^vee, over the simple coroots
             verts.append(nxt)
             cur = nxt
-        dist, wt = self.distance_weight(v, cur)
-        if (dist, wt) != (len(word), tuple(weight)):
-            raise InvariantError(
-                d.name, 'the Coxeter-word path from %s along %s has length '
-                '%d and weight %s, but the shortest paths have length %d '
-                'and weight %s' % (self._word(v), [i + 1 for i in word],
-                                   len(word), tuple(weight), dist, wt))
         return verts, tuple(weight)
 
     # -- output -------------------------------------------------------------

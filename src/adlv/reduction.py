@@ -338,7 +338,7 @@ class Reduction:
 
     # -- endpoint data ---------------------------------------------------------------
 
-    def bgx_from_tree(self, x, tree=None):
+    def bgx_from_tree(self, x):
         """{BGClass: {'paths': [(l_I, l_II, end_length, dim)],
                       'polynomial': tuple}}.
 
@@ -351,10 +351,8 @@ class Reduction:
         its keys, since a key's class polynomial is the sum of the
         monomials of its leaves (see :meth:`class_polynomials`).
         """
-        if tree is None:
-            tree = self.build_reduction_tree(x)
         out = {}
-        for leaf, ni, nii in tree.paths():
+        for leaf, ni, nii in self.build_reduction_tree(x).paths():
             b = self.key_class(leaf.x)
             entry = out.get(b)
             if entry is None:

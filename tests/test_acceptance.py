@@ -112,8 +112,7 @@ def test_3_closed_form(scan_stack):
     st, elements = scan_stack
     count = 0
     for x, report in _reports(st, elements):
-        tree = st.red.build_reduction_tree(x)
-        data = st.red.bgx_from_tree(x, tree)
+        data = st.red.bgx_from_tree(x)
         assert set(data) == {c['class'] for c in report['classes']}
         for cd in report['classes']:
             entry = data[cd['class']]

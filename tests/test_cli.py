@@ -129,6 +129,20 @@ def test_pct_endpoint(capsys):
     assert data['class_key']['nu'] == ['1/2', '1/2']
 
 
+def test_repeated_json_key_exits_1(capsys, tmp_path):
+    """A repeated key in the element or in a datum file is refused by
+    name; json alone would keep the last value and run on it."""
+    code, out, err = run(capsys, 'lp', '--datum', 'sl2',
+                         '--x', '{"w": [1], "mu": [1], "mu": [2]}')
+    assert (code, out, err) == (1, '', 'usage error: --x: repeated key '
+                                '"mu"\n')
+    path = tmp_path / 'datum.json'
+    path.write_text('{"type": "A2", "type": "A1", "name": "x"}')
+    code, out, err = run(capsys, 'datum', 'validate', '--datum', str(path))
+    assert (code, out, err) == (1, '', 'usage error: --datum: repeated key '
+                                '"type"\n')
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, 'nonsense')
     assert code == 1 and 'usage error' in err

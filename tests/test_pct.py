@@ -695,8 +695,8 @@ def test_class_polynomial_fault_exits_3_naming_datum_and_x(monkeypatch,
     the datum and x."""
     bgx_from_tree = Reduction.bgx_from_tree
 
-    def shifted(self, x, tree=None):
-        out = bgx_from_tree(self, x, tree)
+    def shifted(self, x):
+        out = bgx_from_tree(self, x)
         for entry in out.values():
             entry['polynomial'] = poly_add(entry['polynomial'], (1,))
         return out

@@ -1,5 +1,6 @@
 """Quantum Bruhat graphs: edges, distances, common weights."""
 
+import itertools
 from functools import cached_property
 
 import pytest
@@ -72,6 +73,49 @@ def test_coxeter_path_flip():
     assert len(verts) == 2
 
 
+def coxeter_words(datum):
+    """Every word whose letters lie in pairwise distinct sigma-orbits."""
+    for k in range(datum.rank + 1):
+        for word in itertools.permutations(range(datum.rank), k):
+            if len({datum.simple_orbit[i] for i in word}) == k:
+                yield word
+
+
+@pytest.mark.parametrize('name', sorted(set(BUILTIN_DATA)
+                                        - {'gl6', 'e6_adjoint'}))
+def test_coxeter_path_matches_bfs(name):
+    """The walk along a Coxeter word is a path of QBG edges whose length
+    and weight are the BFS distance and common weight from v to v c, for
+    every v and every such word, on every built-in with |W| <= 24."""
+    q = QuantumBruhatGraph(WeylGroup(builtin_datum(name)))
+    W = q.W
+    assert W.size <= 24
+    words = list(coxeter_words(q.datum))
+    for v in range(W.size):
+        for word in words:
+            verts, wt = q.coxeter_path(v, list(word))
+            assert verts[0] == v and len(verts) == len(word) + 1
+            for u, nxt in zip(verts, verts[1:]):
+                assert nxt in {e[0] for e in q.edges[u]}
+            assert q.distance_weight(v, verts[-1]) == (len(word), wt), \
+                (name, v, word)
+
+
+def test_coxeter_path_matches_bfs_on_gl6_pairs():
+    """On every positive Coxeter pair of a seeded gl6 sample, the walk
+    from v along the word of c ends at sigma(wv) with the BFS weight."""
+    ctx = Context('gl6')
+    W, q = ctx.W, ctx.qbg
+    pairs = [p for x in gl6_sample(ctx.aw, count=300)
+             for p in ctx.pct.positive_coxeter_pairs(x)]
+    assert len(pairs) > 20
+    for p in pairs:
+        verts, wt = q.coxeter_path(p.v, p.c_word)
+        target = W.sigma(W.mult(p.x.w, p.v))
+        assert verts[-1] == target
+        assert q.distance_weight(p.v, target) == (len(p.c_word), wt), p
+
+
 def test_connectivity_check_names_datum():
     q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
     q.edges[1] = []                       # drop the quantum edge 1 -> 0
@@ -80,17 +124,6 @@ def test_connectivity_check_names_datum():
                        r"2 elements$") as info:
         q.distance_weight(1, 0)
     assert (info.value.datum, info.value.element) == ('sl2', None)
-
-
-def test_coxeter_path_check_names_vertex_and_word_by_letters():
-    q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
-    q.edges                               # the graph keeps the true weight
-    q.coroot_coords[0] = (5,)             # s1 -> e now adds 5 alpha^vee
-    with pytest.raises(InvariantError, match=r"^datum 'sl2': the "
-                       r'Coxeter-word path from \[1\] along \[1\] has length '
-                       r'1 and weight \(5,\), but the shortest paths have '
-                       r'length 1 and weight \(1,\)$'):
-        q.coxeter_path(q.W.simple[0], [0])
 
 
 def test_weight_mismatch_names_vertices_by_word():
@@ -139,8 +172,11 @@ def test_edges_match_eager_loop(name):
 
 def test_edges_form_on_first_query_only(monkeypatch):
     """Pairs, the converse characterization and the finite Coxeter part
-    read no QBG edge, on tau3 s1 and on sampled gl6 elements; the first
-    thmA_report forms every edge, once."""
+    read no QBG edge, on tau3 s1 and on sampled gl6 elements; neither do
+    the positive Coxeter reports (thmA_report with and without its tree
+    cross-check, bgx_interval, endpoint_class) on tau3 s1 and on a gl6
+    element with ten classes, nor do they run a BFS.  The first
+    distance_weight forms every edge, once."""
     formed = []
     form = QuantumBruhatGraph.edges.func
 
@@ -151,14 +187,23 @@ def test_edges_form_on_first_query_only(monkeypatch):
     counted.__set_name__(QuantumBruhatGraph, 'edges')
     monkeypatch.setattr(QuantumBruhatGraph, 'edges', counted)
     ctx = Context('gl6')
-    aw, pct = ctx.aw, ctx.pct
+    aw, pct, qbg = ctx.aw, ctx.pct, ctx.qbg
     tau3 = AffineElement(542, (0, 0, 0, 1, 1, 1))
     x = aw.mult(tau3, aw.from_weyl(ctx.W.simple[0]))
     for y in [x] + gl6_sample(aw, count=6):
         pct.positive_coxeter_pairs(y)
         pct.pct_characterize(y)
         pct.has_finite_coxeter_part(y)
-    assert 'edges' not in ctx.qbg.__dict__ and not formed
-    pct.thmA_report(x)
-    pct.thmA_report(x, cross_validate=False)
-    assert formed == [ctx.qbg] and 'edges' in ctx.qbg.__dict__
+    y = aw.parse_element('{"w": [1, 2, 3, 4, 3, 5, 4], '
+                         '"mu": [-1, -1, -1, -2, -2, -1]}')
+    for z in (x, y):
+        pct.thmA_report(z)
+        pct.thmA_report(z, cross_validate=False)
+        pair = pct.positive_coxeter_pairs(z)[0]
+        for b in pct.bgx_interval(pair):
+            pct.endpoint_class(pair, b)
+    assert len(pct.bgx_interval(pair)) == 10
+    assert 'edges' not in qbg.__dict__ and not qbg._memo and not formed
+    qbg.distance_weight(0, ctx.W.longest)
+    qbg.distance_weight(ctx.W.longest, 0)
+    assert formed == [qbg] and 'edges' in qbg.__dict__

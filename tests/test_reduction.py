@@ -368,7 +368,7 @@ def test_tree_deeper_than_the_recursion_limit(capsys):
     assert max(ni + nii for _, ni, nii in tree.paths()) >= depth
     polys = red.class_polynomials(x, tree=tree)
     assert len(polys) == len(tree.paths())
-    data = red.bgx_from_tree(x, tree)
+    data = red.bgx_from_tree(x)
     assert sum(len(e['paths']) for e in data.values()) == len(tree.paths())
     dot = red.tree_to_dot(tree)
     assert dot.count('->') == 2 * (len(tree.paths()) - 1)
