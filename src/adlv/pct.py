@@ -23,7 +23,7 @@ from .datum import (InvariantError, diagram_components, perm_orbit,
 from .lattice import (QuotientPresentation, _column_snf, _snf_solve, vec_add,
                       vec_dot, vec_scale, vec_sub)
 from .qbg import QuantumBruhatGraph
-from .reduction import Reduction, _monomial
+from .reduction import Reduction
 
 __all__ = ['PositiveCoxeterPair', 'PCT', 'count_positive_roots',
            'very_special_subsets']
@@ -31,12 +31,15 @@ __all__ = ['PositiveCoxeterPair', 'PCT', 'count_positive_roots',
 
 class PositiveCoxeterPair(NamedTuple):
     """A pair (x, v) with v length positive for x and c = v^{-1} sigma(wv)
-    a sigma-Coxeter element of W_J, J = its sigma-support."""
+    a sigma-Coxeter element of W_J, J = its sigma-support, with its
+    minimal class b_min: nu = pi_J(v^{-1} mu) made dominant, kappa =
+    kappa(x).  Formed by PCT._pair alone."""
     x: AffineElement
     v: int
     J: frozenset
     c: int
     c_word: tuple
+    b_min: BGClass
 
 
 class PCT:
@@ -76,39 +79,47 @@ class PCT:
 
     def _pair(self, x, v):
         """The pair (x, v) for a v already known to be length positive,
-        or None when c is not sigma-Coxeter."""
+        or None when c is not sigma-Coxeter.  Every pair is formed here,
+        where I_1 <= J <= I(nu) of its minimal class is checked.
+
+        The minimal class has nu = pi_J(v^{-1} mu), taken as integer
+        numerators over one denominator (RootDatum.pi_numerators); the
+        dominant representative is found on the numerators, which are the
+        numerators of nu: the descent is linear and reads only signs of
+        pairings, which a positive denominator keeps.
+
+        >>> from adlv.context import Context
+        >>> ctx = Context('gl3')
+        >>> x = ctx.aw.mult(AffineElement(0, (1, 0, 0)),
+        ...                 ctx.aw.from_weyl(ctx.W.simple[0]))
+        >>> ctx.pct.positive_coxeter_pairs(x)[0].b_min.nu
+        (Fraction(1, 2), Fraction(1, 2), Fraction(0, 1))
+        """
+        W = self.W
         c = self._coxeter_candidate(x.w, v)
-        if not self.W.is_partial_sigma_coxeter(c):
+        if not W.is_partial_sigma_coxeter(c):
             return None
-        J = self.W.sigma_support(c)
-        return PositiveCoxeterPair(x, v, J, c, self.W.words[c])
+        J = W.sigma_support(c)
+        den, nums = self.datum.pi_numerators(J, W.act(W.inv[v], x.mu))
+        _, lam = W.dominant_representative(nums)
+        b_min = BGClass(self.bg.kottwitz_point(x), den, lam)
+        i_nu, i_one = self.bg.strata_sets(b_min)
+        if not (i_one <= J <= i_nu):
+            raise InvariantError(
+                self.datum.name, 'the pair with v = %s: support J = %s '
+                'violates I_1 <= J <= I(nu)'
+                % ([i + 1 for i in W.words[v]], sorted(i + 1 for i in J)),
+                self.aw.element_to_dict(x))
+        return PositiveCoxeterPair(x, v, J, c, W.words[c], b_min)
 
     def _coxeter_candidate(self, w, v):
         """c = v^{-1} sigma(w v)."""
         return self.W.mult(self.W.inv[v], self.W.sigma(self.W.mult(w, v)))
 
     def positive_coxeter_pairs(self, x):
-        """All positive Coxeter pairs on x, in (length of v, word) order.
-
-        The containments I_1 of the minimal class <= J <= I(nu of the
-        minimal class) are asserted for every pair.
-        """
-        out = []
-        for v in self.aw.lp_set(x):
-            pair = self._pair(x, v)
-            if pair is None:
-                continue
-            b_min = self.minimal_class(pair)
-            i_nu, i_one = self.bg.strata_sets(b_min)
-            if not (i_one <= pair.J <= i_nu):
-                raise InvariantError(
-                    self.datum.name, 'the pair with v = %s: support J = %s '
-                    'violates I_1 <= J <= I(nu)'
-                    % ([i + 1 for i in self.W.words[v]],
-                       sorted(i + 1 for i in pair.J)),
-                    self.aw.element_to_dict(x))
-            out.append(pair)
-        return out
+        """All positive Coxeter pairs on x, in (length of v, word) order."""
+        pairs = (self._pair(x, v) for v in self.aw.lp_set(x))
+        return [p for p in pairs if p is not None]
 
     def is_positive_coxeter(self, x):
         return any(self._pair(x, v) is not None
@@ -177,29 +188,6 @@ class PCT:
 
     # -- Newton extremes ------------------------------------------------------
 
-    def minimal_class(self, pair):
-        """The minimal class: nu = pi_J(v^{-1} mu), kappa = kappa(x).
-
-        pi_J(v^{-1} mu) is taken as integer numerators over one
-        denominator (RootDatum.pi_numerators) and the dominant
-        representative is found on the numerators, which are the
-        numerators of nu: the descent is linear and reads only signs of
-        pairings, which a positive denominator keeps.
-
-        >>> from adlv.context import Context
-        >>> ctx = Context('gl3')
-        >>> x = ctx.aw.mult(AffineElement(0, (1, 0, 0)),
-        ...                 ctx.aw.from_weyl(ctx.W.simple[0]))
-        >>> pair = ctx.pct.positive_coxeter_pairs(x)[0]
-        >>> ctx.pct.minimal_class(pair).nu
-        (Fraction(1, 2), Fraction(1, 2), Fraction(0, 1))
-        """
-        x, v = pair.x, pair.v
-        vinv_mu = self.W.act(self.W.inv[v], x.mu)
-        den, nums = self.datum.pi_numerators(pair.J, vinv_mu)
-        _, lam = self.W.dominant_representative(nums)
-        return BGClass(self.bg.kottwitz_point(x), den, lam)
-
     def generic_lambda(self, pair):
         """lambda of the generic class: v^{-1} mu - wt(v => sigma(wv)),
         as a lattice vector.
@@ -219,8 +207,7 @@ class PCT:
         returned class.
         """
         lam = self.generic_lambda(pair)
-        b = BGClass(self.bg.kottwitz_point(pair.x),
-                    *self.datum.hull_numerators(lam))
+        b = BGClass(pair.b_min.kappa, *self.datum.hull_numerators(lam))
         res, _ = self.bg.lambda_invariant(b)
         if res != self.gamma.project(lam):
             raise InvariantError(
@@ -247,13 +234,12 @@ class PCT:
         modulo (sigma - 1) X.  <2 rho, .> vanishes on (sigma - 1) X, so
         every such k has sum k_j <2 rho, alpha_j^vee> = <2 rho,
         lambda_max - lambda(b)>."""
-        return self._interval(pair, self.minimal_class(pair),
-                              *self.generic_class(pair))
+        return self._interval(pair, *self.generic_class(pair))
 
-    def _interval(self, pair, b_min, b_max, lam_max):
-        """:meth:`bgx_interval` between extremes already formed: the
-        minimal class, and the generic class with its lambda lift."""
-        d = self.datum
+    def _interval(self, pair, b_max, lam_max):
+        """:meth:`bgx_interval` up to a generic class already formed, with
+        its lambda lift."""
+        d, b_min = self.datum, pair.b_min
         budget = self.aw.aff_length(pair.x) - self.bg.two_rho_nu(b_min)
         js = sorted(pair.J)
         weights = [vec_dot(d.two_rho, d.simple_coroots[j]) for j in js]
@@ -311,12 +297,11 @@ class PCT:
         if not pairs:
             raise ValueError('x is not of positive Coxeter type')
         pair = pairs[0]
-        b_min = self.minimal_class(pair)
         b_max, lam_max = self.generic_class(pair)
-        interval = self._interval(pair, b_min, b_max, lam_max)
+        interval = self._interval(pair, b_max, lam_max)
         classes = [self.class_data(pair, b, witness, lam_max)
                    for b, witness in sorted(interval.items())]
-        report = {'x': x, 'pair': pair, 'pairs': pairs, 'b_min': b_min,
+        report = {'x': x, 'pair': pair, 'pairs': pairs, 'b_min': pair.b_min,
                   'b_max': b_max, 'lambda_max': lam_max, 'classes': classes}
         problem = cross_validate and self._tree_disagreement(x, classes)
         if problem:
@@ -325,8 +310,11 @@ class PCT:
         return report
 
     def _tree_disagreement(self, x, classes):
-        """The first way the interval, path statistics or class polynomials
-        of the per-class data disagree with the reduction tree of x."""
+        """The first way the interval or path statistics of the per-class
+        data disagree with the reduction tree of x.  A class with one
+        path whose (l_I, l_II, end length) match has the tree's dimension,
+        the same sum, and the tree's polynomial, that path's monomial
+        (q-1)^l_I q^l_II."""
         tree_data = self.red.bgx_from_tree(x)
         if set(tree_data) != {c['class'] for c in classes}:
             return 'interval differs from tree endpoint classes'
@@ -334,14 +322,9 @@ class PCT:
             entry = tree_data[cd['class']]
             if len(entry['paths']) != 1:
                 return 'path to a class is not unique'
-            ni, nii, end_len, dim = entry['paths'][0]
-            if (ni, nii, end_len) != (cd['l_i'], cd['l_ii'],
-                                      cd['endpoint_length']):
+            if entry['paths'][0][:3] != (cd['l_i'], cd['l_ii'],
+                                         cd['endpoint_length']):
                 return 'path statistics differ from formulas'
-            if dim != cd['dimension']:
-                return 'dimension statistic mismatch'
-            if entry['polynomial'] != _monomial(cd['l_i'], cd['l_ii']):
-                return 'class polynomial is not q^l_II (q-1)^l_I'
         return None
 
     # -- J-points and point spaces --------------------------------------------
@@ -518,8 +501,7 @@ class PCT:
         """When J contains no sigma-component of I(nu of the minimal
         class), x must be of minimal length; the minimality is asserted
         and True returned.  Otherwise False (no claim)."""
-        b_min = self.minimal_class(pair)
-        i_nu, _ = self.bg.strata_sets(b_min)
+        i_nu, _ = self.bg.strata_sets(pair.b_min)
         d = self.datum
         hypothesis = all(not comp <= pair.J for comp in diagram_components(
             d.cartan, i_nu, d.sigma_perm))

@@ -139,7 +139,6 @@ class Reduction:
         self._key_memo = {}     # element -> class id
         self._keys = []         # class id -> class key
         self._key_classes = []  # class id -> BGClass of the key
-        self._key_ids = {}      # (BGClass, lmin, canon) -> class id
 
     # -- the equal-length sigma-conjugation orbit ---------------------------
 
@@ -263,9 +262,22 @@ class Reduction:
     def _omega_pairs(self):
         """(tau^{-1}, sigma(tau)) for each length-zero tau of omega_elements
         but the identity; x -> tau^{-1} x sigma(tau) is sigma-conjugation by
-        tau, a no-op for tau = 1."""
-        aw = self.aw
-        return [(aw.inverse(t), aw.sigma(t)) for t in aw.omega_elements()
+        tau, a no-op for tau = 1.  A ValueError refuses a datum whose sigma
+        moves the free part of pi_1 = X / Q^vee: some tau^{-1} sigma(tau)
+        then has infinite order, so a class has infinitely many elements
+        of minimal length and no least one."""
+        aw, d = self.aw, self.datum
+        pi1, taus = d.fundamental_group_presentation(), aw.omega_elements()
+        free = len(pi1.divisors)     # where the free coordinates start
+        for t in taus:
+            r, image = pi1.project(t.mu), pi1.project(d.sigma_vec(t.mu))
+            if image[free:] != r[free:]:
+                raise ValueError(
+                    'datum %r: sigma moves the free part of pi_1 = X / Q^vee '
+                    '(the residue %s goes to %s), so a class has infinitely '
+                    'many elements of minimal length and no class key'
+                    % (d.name, r, image))
+        return [(aw.inverse(t), aw.sigma(t)) for t in taus
                 if t != aw.identity]
 
     def class_key(self, x):
@@ -285,10 +297,12 @@ class Reduction:
     def class_id(self, x):
         """The interned id of class_key(x), a small integer.
 
-        A closure is formed only when x_min lies in none formed before.
-        Every closure starts at a descent's end, of the minimal length of
-        its class, so the closure that holds x_min has x_min's cap, and
-        two closures under one cap are equal or disjoint."""
+        A closure is formed only when x_min lies in none formed before,
+        and it gets a new id.  Every closure starts at a descent's end, of
+        the minimal length of its class, so the closure that holds x_min
+        has x_min's cap, and two closures under one cap are equal or
+        disjoint (see _closure).  So no earlier closure holds the least
+        element of x_min's, and no two ids carry one key."""
         i = self._key_memo.get(x)
         if i is not None:
             return i
@@ -300,12 +314,9 @@ class Reduction:
             canon = min((y for y, ly in lengths.items() if ly == lmin),
                         key=lambda y: (self.W.words[y.w], y.mu))
             b = self.bg.element_class(x_min)
-            ident = (b, lmin, canon)
-            i = self._key_ids.get(ident)
-            if i is None:
-                i = self._key_ids[ident] = len(self._keys)
-                self._keys.append((b.kappa, b.nu, lmin, canon))
-                self._key_classes.append(b)
+            i = len(self._keys)
+            self._keys.append((b.kappa, b.nu, lmin, canon))
+            self._key_classes.append(b)
             for y in lengths:
                 self._key_memo[y] = i
         self._key_memo[x] = i
@@ -318,9 +329,10 @@ class Reduction:
         carried, not recounted: a move changes the length by the step of
         its kind, and a length-zero conjugation keeps it.  Each move is an
         involution and each length-zero conjugation returns to its start
-        when repeated, so the closure is the connected component of start
-        below the cap: two closures under one cap are equal or disjoint."""
-        aw = self.aw
+        when repeated (see _omega_pairs), so the closure is the connected
+        component of start below the cap: two closures under one cap are
+        equal or disjoint."""
+        aw, omega_pairs = self.aw, self._omega_pairs
         lengths = {start: aw.aff_length(start)}
         cap = lengths[start] + DEFAULT_SLACK
         members = [start]
@@ -328,7 +340,7 @@ class Reduction:
             ly = lengths[y]
             neighbors = [(z, ly + _STEP[kind])
                          for z, kind, _ in self._moves_of(y)]
-            for tinv, st in self._omega_pairs:
+            for tinv, st in omega_pairs:
                 neighbors.append((aw.mult(aw.mult(tinv, y), st), ly))
             for z, lz in neighbors:
                 if z not in lengths and lz <= cap:

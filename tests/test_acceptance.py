@@ -29,6 +29,7 @@ from adlv.datum import BUILTIN_DATA, perm_orbit
 from adlv.lattice import solve_in_cone, vec_sub
 from adlv.pct import count_positive_roots, very_special_subsets
 
+from test_pct import minimal_class_on_fractions
 from test_reduction import POLY_ONE, POLY_Q, POLY_Q_MINUS_ONE, poly_mul
 from test_weyl import reflection_length_sigma
 
@@ -149,7 +150,7 @@ def test_4_interval_saturation(scan_stack):
             assert solve_in_cone(coroots, vec_sub(lam_max, lam_b),
                                  d.two_rho, st.bg.gamma) is not None
         # closed formulas for the extremes
-        assert b_min == st.pct.minimal_class(pair)
+        assert b_min == minimal_class_on_fractions(st.pct, pair)
         b_max2, lam = st.pct.generic_class(pair)
         assert b_max2 == b_max
         assert st.bg.gamma.project(lam) == st.bg.lambda_invariant(b_max)[0]
@@ -207,7 +208,7 @@ def test_6iii_a5_supports():
     vs = {p.v for p in pairs}
     assert st.W.from_word([2, 3, 1]) in vs
     assert st.W.from_word([4, 1, 2, 3, 2, 0, 1]) in vs
-    b = st.pct.minimal_class(pairs[0])
+    b = pairs[0].b_min
     i_nu, i_one = st.bg.strata_sets(b)
     assert frozenset(i + 1 for i in i_one) == frozenset({1, 3, 5})
     assert frozenset(i + 1 for i in i_nu) == frozenset({1, 2, 3, 4, 5})

@@ -18,6 +18,8 @@ from adlv.context import Context
 from adlv.pct import PCT
 from adlv.reduction import Reduction
 
+from test_reduction import SIGMA_MOVES_FREE_PI1, refusal
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -141,6 +143,20 @@ def test_repeated_json_key_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, 'datum', 'validate', '--datum', str(path))
     assert (code, out, err) == (1, '', 'usage error: --datum: repeated key '
                                 '"type"\n')
+
+
+@pytest.mark.parametrize('name', sorted(SIGMA_MOVES_FREE_PI1))
+@pytest.mark.parametrize('argv', [['classpoly'], ['pct', 'classify'],
+                                  ['pct', 'report']])
+def test_class_key_refusal_exits_2(capsys, tmp_path, name, argv):
+    """On a datum whose sigma moves the free part of pi_1, every command
+    that forms a class key exits 2 with the refusal, on x = 1."""
+    path = tmp_path / 'datum.json'
+    path.write_text(json.dumps(SIGMA_MOVES_FREE_PI1[name]))
+    code, out, err = run(capsys, *argv, '--datum', str(path), '--x', '{}')
+    assert (code, out) == (2, '')
+    assert err.startswith('error: ' + refusal(
+        SIGMA_MOVES_FREE_PI1[name]['type'])), err
 
 
 def test_exit_codes(capsys):

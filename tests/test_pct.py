@@ -17,7 +17,7 @@ from adlv.lattice import (_column_snf, solve_in_cone,
                           vec_scale, vec_sub)
 from adlv.pct import (PCT, PositiveCoxeterPair, _budget_tuples,
                       count_positive_roots, very_special_subsets)
-from adlv.reduction import Reduction, poly_add
+from adlv.reduction import Reduction
 
 from test_affine import gl6_sample
 from test_datum import pi_projection_oracle, typed
@@ -128,16 +128,21 @@ def test_pct_transport_matches_two_searches(name, bound, max_len):
                         == pct_transport_two_searches(pct, pair, a)), (x, a)
 
 
-def test_pair_support_error_names_datum_element_and_v(monkeypatch):
+@pytest.mark.parametrize('entry', ['positive_coxeter_pairs', 'make_pair',
+                                   'is_positive_coxeter'])
+def test_pair_support_error_names_datum_element_and_v(entry, monkeypatch):
+    """Every way to form a pair checks I_1 <= J <= I(nu) of its minimal
+    class."""
     pct = PCT(AffineWeyl(builtin_datum('sl2')))
     x = AffineElement(1, (1,))
+    args = (x, 0) if entry == 'make_pair' else (x,)
     monkeypatch.setattr(pct.bg, 'strata_sets',
                         lambda b: (frozenset(), frozenset()))
     with pytest.raises(InvariantError, match='^%s$' % re.escape(
             "datum 'sl2': the pair with v = []: support J = [1] violates "
             'I_1 <= J <= I(nu), for x = %s' % pct.aw.format_element(x))) \
             as info:
-        pct.positive_coxeter_pairs(x)
+        getattr(pct, entry)(*args)
     assert (info.value.datum, info.value.element) == (
         'sl2', pct.aw.element_to_dict(x))
 
@@ -169,8 +174,8 @@ def test_pct_transport_errors_name_datum_element_and_root(
     if case == 'type II':
         # r_a x gets a pair of empty support, r_a x r_{sigma a} none
         monkeypatch.setattr(pct, 'make_pair', lambda y, v: (
-            PositiveCoxeterPair(y, v, frozenset(), 0, ()) if y == left
-            else None))
+            PositiveCoxeterPair(y, v, frozenset(), 0, (), b_min=None)
+            if y == left else None))
     with pytest.raises(error, match=re.escape(message)) as info:
         pct.pct_transport(pair, a)
     at = 'the affine root %s' % (a,)
@@ -188,7 +193,7 @@ def test_pct_transport_errors_name_datum_element_and_root(
 def test_min_and_generic_newton(pct3):
     x = AffineElement(0, (2, 1))              # dominant regular translation
     pair = pct3.positive_coxeter_pairs(x)[0]
-    b_min, (b_max, lam) = pct3.minimal_class(pair), pct3.generic_class(pair)
+    b_min, (b_max, lam) = pair.b_min, pct3.generic_class(pair)
     assert b_min == b_max                      # straight: interval is a point
     assert lam == (2, 1)
     assert pct3.bgx_interval(pair).keys() == {b_min}
@@ -214,7 +219,7 @@ def test_minimal_class_matches_fraction_path(name):
     count = 0
     for x in elements:
         for pair in ctx.pct.positive_coxeter_pairs(x):
-            got = ctx.pct.minimal_class(pair)
+            got = pair.b_min
             want = minimal_class_on_fractions(ctx.pct, pair)
             assert got.kappa == want.kappa, pair
             assert typed(got.nu) == typed(want.nu), pair
@@ -267,7 +272,7 @@ def test_integer_class_layer_matches_fraction_path(name, bound, cap):
         classes.add(b)
         for pair in pct.positive_coxeter_pairs(x):
             b_min, b_max, interval = interval_on_fractions(pct, pair)
-            assert pct.minimal_class(pair) == b_min, pair
+            assert pair.b_min == b_min, pair
             assert pct.generic_class(pair)[0] == b_max, pair
             assert pct.bgx_interval(pair) == interval, pair
             classes.update(interval)
@@ -674,7 +679,7 @@ def test_bgx_interval_propagates_lambda_failures(monkeypatch):
         if pairs and len(pct.bgx_interval(pairs[0])) >= 3:
             pair = pairs[0]
             break
-    extremes = {pct.minimal_class(pair), pct.generic_class(pair)[0]}
+    extremes = {pair.b_min, pct.generic_class(pair)[0]}
     broken = next(b for b in pct.bgx_interval(pair) if b not in extremes)
     lambda_invariant = pct.bg.lambda_invariant
 
@@ -688,25 +693,25 @@ def test_bgx_interval_propagates_lambda_failures(monkeypatch):
         pct.bgx_interval(pair)
 
 
-def test_class_polynomial_fault_exits_3_naming_datum_and_x(monkeypatch,
-                                                           capsys):
-    """A tree class polynomial off q^l_II (q-1)^l_I fails the tree
-    cross-check of `pct report`; the CLI exits 3 with a message naming
-    the datum and x."""
+def test_tree_path_fault_exits_3_naming_datum_and_x(monkeypatch, capsys):
+    """A tree path with l_II off the formula fails the tree cross-check
+    of `pct report`; the CLI exits 3 with a message naming the datum and
+    x."""
     bgx_from_tree = Reduction.bgx_from_tree
 
     def shifted(self, x):
         out = bgx_from_tree(self, x)
         for entry in out.values():
-            entry['polynomial'] = poly_add(entry['polynomial'], (1,))
+            entry['paths'] = [(ni, nii + 1, end_len, dim + 1)
+                              for ni, nii, end_len, dim in entry['paths']]
         return out
 
     monkeypatch.setattr(Reduction, 'bgx_from_tree', shifted)
     x = '{"w": [1], "mu": [1, 0, 0]}'
     assert main(['pct', 'report', '--datum', 'gl3', '--x', x]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("invariant violation: datum 'gl3': class "
-                          'polynomial is not q^l_II (q-1)^l_I'), err
+    assert err.startswith("invariant violation: datum 'gl3': path "
+                          'statistics differ from formulas'), err
     assert err.rstrip().endswith('for x = ' + x), err
 
 

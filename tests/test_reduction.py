@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,7 @@ import pytest
 from adlv import reduction
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.cli import main
-from adlv.datum import InvariantError, builtin_datum
+from adlv.datum import InvariantError, builtin_datum, datum_from_config
 from adlv.lattice import vec_dot
 from adlv.reduction import Reduction, TreeNode, poly_add, poly_str
 
@@ -191,6 +192,38 @@ def test_class_key_interned_per_reduction():
         x_min, _ = red.descend_to_minimal(x)
         for y in red._closure(x_min):
             assert red.class_key(y) is key
+
+
+# sigma acts as -1 on the free part of pi_1 = X / Q^vee: unitary GU_3 and
+# GL_2 twisted by sigma(x) = -(x swapped)
+SIGMA_MOVES_FREE_PI1 = {
+    'gu3': {'type': 'A2', 'lattice_basis': 'gl', 'sigma_perm': [2, 1],
+            'sigma_matrix': [[0, 0, -1], [0, -1, 0], [-1, 0, 0]]},
+    'gl2_twisted': {'type': 'A1', 'lattice_basis': 'gl',
+                    'sigma_matrix': [[0, -1], [-1, 0]]},
+}
+
+
+def refusal(datum_name):
+    """The start of the class-key refusal for a datum."""
+    return ("datum %r: sigma moves the free part of pi_1 = X / Q^vee"
+            % datum_name)
+
+
+@pytest.mark.parametrize('name', sorted(SIGMA_MOVES_FREE_PI1))
+def test_class_key_refused_when_sigma_moves_free_pi1(name):
+    """sigma(tau) = tau^{-1} for the length-zero tau over the free residue
+    1, so conjugating by tau never returns and a class has infinitely
+    many minimal-length elements.  The key is refused before a closure
+    forms a move; what needs no key still runs."""
+    d = datum_from_config(SIGMA_MOVES_FREE_PI1[name])
+    aw = AffineWeyl(d)
+    red = Reduction(aw)
+    x = aw.identity
+    with pytest.raises(ValueError, match='^' + re.escape(refusal(d.name))):
+        red.class_key(x)
+    assert red._keys == [] and list(red._moves) == [x]
+    assert aw.lp_set(x) and red.bg.element_class(x).nu == (0,) * d.dim
 
 
 def test_tree_dot(red2):
@@ -518,7 +551,7 @@ def test_invariant_check_survives_python_O():
     script = textwrap.dedent("""
         import sys
         from adlv.affine import AffineElement, AffineWeyl
-        from adlv.datum import InvariantError, builtin_datum
+        from adlv.datum import InvariantError, builtin_datum, datum_from_config
         from adlv.reduction import Reduction
         if __debug__:
             sys.exit('assert statements are still enabled')
