@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from operator import mul
+from functools import cached_property
+from operator import add, mul
 from typing import NamedTuple
 
 from .datum import InvariantError, _unique_keys, diagram_components
@@ -24,6 +25,9 @@ __all__ = ['AffineElement', 'AffineWeyl']
 
 # kind of a move r_a x r_{sigma a}, by how many of its two sides lengthen
 _KINDS = ('down', 'keep', 'up')
+
+# _BIT[k] translates each byte to its bit k, as the byte 0 or 1
+_BIT = [bytes((b >> k) & 1 for b in range(256)) for k in range(8)]
 
 
 class AffineElement(NamedTuple):
@@ -141,7 +145,12 @@ class AffineWeyl:
                                             self.W.root_action[x.w])])
 
     def length_functional(self, x, root_idx):
-        """ell(x, alpha) = -Phi+(w alpha) + <mu, alpha> + Phi+(alpha)."""
+        """ell(x, alpha) = -Phi+(w alpha) + <mu, alpha> + Phi+(alpha).
+
+        It is odd: ell(x, -alpha) = -ell(x, alpha), as <mu, -alpha> =
+        -<mu, alpha> and Phi+(-gamma) = 1 - Phi+(gamma) for every root
+        gamma, here gamma = alpha and gamma = w alpha.
+        """
         d = self.datum
         wa = self.W.root_action[x.w][root_idx]
         return (vec_dot(d.roots[root_idx].covec, x.mu)
@@ -150,14 +159,42 @@ class AffineWeyl:
 
     # -- LP sets ------------------------------------------------------------
 
+    @cached_property
+    def _chamber_masks(self):
+        """(every, masks): masks[b] is the little-endian integer of |W|
+        bytes whose byte v is 1 if the positive root b lies in v(Phi+),
+        else 0, that is bit b of ``W.pos_mask[v]``; ``every`` has all
+        |W| bytes 1.  Cut from one join of the bitmasks by one strided
+        slice and one byte translation per root."""
+        width = (len(self.datum.roots) + 7) // 8
+        joined = b''.join([m.to_bytes(width, 'little')
+                           for m in self.W.pos_mask])
+        return (int.from_bytes(b'\x01' * self.W.size, 'little'),
+                [int.from_bytes(joined[b >> 3::width].translate(_BIT[b & 7]),
+                                'little')
+                 for b in range(self.datum.num_positive)])
+
     def lp_set(self, x):
         """All v in W with ell(x, v alpha) >= 0 for every positive alpha,
         sorted by (length, word).
 
-        With N(x) = {beta : ell(x, beta) < 0}, taken over all roots, v is
-        in LP(x) iff v(Phi+) misses N(x): one AND of N(x) with the bitmask
-        ``W.pos_mask[v]`` per v.  W indices already run in (length, least
-        reduced word) order, so the list needs no sort.
+        v is in LP(x) iff v(Phi+) misses N(x) = {gamma : ell(x, gamma) <
+        0}.  As ell(x, -beta) = -ell(x, beta), N(x) is read off the
+        positive roots beta alone, by the term ell(x, beta) = <mu, beta>
+        + [w beta < 0] of ``aff_length``.  Exactly one of +-beta lies in
+        v(Phi+), so ell(x, beta) < 0 asks beta not in v(Phi+) and
+        ell(x, beta) > 0 asks beta in v(Phi+).  The chamber table
+        ``_chamber_masks`` holds, per positive root beta, the set of v
+        with beta in v(Phi+) as one |W|-byte integer, so LP(x) is the AND
+        of the masks with ell > 0, less the OR of those with ell < 0: a
+        few big-integer operations per positive root and no Python loop
+        over W.  The table is built at the first call: 0.13 ms and 12 KB
+        on gl6 (|W| = 720, 15 positive roots), 10 ms and 2.0 MB on
+        e6_adjoint (|W| = 51 840, 36 positive roots).
+
+        The members are the positions of the 1 bytes, in index order;
+        W indices already run in (length, least reduced word) order, so
+        the list needs no sort.
 
         >>> from adlv.datum import builtin_datum
         >>> aw = AffineWeyl(builtin_datum('sl2'))
@@ -167,13 +204,25 @@ class AffineWeyl:
         >>> aw.lp_set(aw.from_weyl(aw.W.simple[0]))
         [0, 2, 4]
         """
-        neg = sum(1 << b for b in range(len(self.datum.roots))
-                  if self.length_functional(x, b) < 0)
-        out = [v for v, m in enumerate(self.W.pos_mask) if not m & neg]
-        if not out:
+        lp, masks = self._chamber_masks
+        npos, mu = self.datum.num_positive, x.mu
+        neg = 0
+        for covec, image, mask in zip(self._positive_covecs,
+                                      self.W.root_action[x.w], masks):
+            ell = sum(map(mul, covec, mu)) + (image >= npos)
+            if ell > 0:
+                lp &= mask
+            elif ell < 0:
+                neg |= mask
+        lp &= ~neg
+        if not lp:
             raise InvariantError(self.datum.name, 'the LP set is empty',
                                  self.element_to_dict(x))
-        return out
+        # the runs of 0s around the 1s: the k-th member has k members and
+        # the first k + 1 runs before it
+        runs = lp.to_bytes(self.W.size, 'little').split(b'\x01')
+        return list(map(add, itertools.accumulate(map(len, runs)),
+                        range(len(runs) - 1)))
 
     def lp_transport(self, x, aroot):
         """Compare LP(x) and LP(x r_a) for a simple affine root a.

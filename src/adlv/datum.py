@@ -14,7 +14,8 @@ The JSON config format is::
       "lattice_basis": "sc",     # "sc" | "adjoint" | "gl" | explicit matrix
       "sigma_perm":  [2, 1],     # optional, 1-based images of simple roots
       "sigma_matrix": [[...]],   # optional, action on lattice coordinates
-      "name": "sl3"              # optional, a string
+      "name": "sl3"              # optional, a string; a file's path by
+                                 # default
     }
 
 Any other key is an error, and so is a ``cartan``, ``sigma_matrix`` or
@@ -944,9 +945,13 @@ def _unique_keys(pairs):
 
 
 def datum_from_json(path):
-    """Load a RootDatum from a JSON file."""
+    """Load a RootDatum from a JSON file, named by the path unless the
+    config has a "name", so every message about it names the file."""
     with open(path) as f:
-        return datum_from_config(json.load(f, object_pairs_hook=_unique_keys))
+        config = json.load(f, object_pairs_hook=_unique_keys)
+    if isinstance(config, dict):
+        config.setdefault('name', str(path))
+    return datum_from_config(config)
 
 
 BUILTIN_DATA = {

@@ -15,8 +15,8 @@ from adlv.lattice import (integer_kernel, solve_integer_combination, vec_add,
                           vec_dot, vec_scale)
 from adlv.reduction import Reduction
 
-# every built-in but e6_adjoint, whose Weyl group of order 51 840 is too
-# slow to build in a test
+# every built-in but e6_adjoint, whose Weyl group of order 51 840 is built
+# once per session, by the e6_weyl fixture
 SMALL_DATA = sorted(set(BUILTIN_DATA) - {'e6_adjoint'})
 
 
@@ -105,6 +105,24 @@ def random_elements(name, mu_lo, mu_hi):
                 for w in range(aw.W.size)
                 for mu in itertools.product(range(mu_lo, mu_hi + 1),
                                             repeat=dim)]
+
+
+def box_or_gl6_sample(aw):
+    """The box(1, 6) elements, or 200 seeded elements for gl6."""
+    return (gl6_sample(aw) if aw.datum.name == 'gl6'
+            else aw.box_elements(1, 6))
+
+
+@pytest.mark.parametrize('name', SMALL_DATA)
+def test_length_functional_is_odd(name):
+    """ell(x, -beta) = -ell(x, beta) for every root beta, which lets
+    lp_set read the positive roots alone."""
+    aw = AffineWeyl(builtin_datum(name))
+    d = aw.datum
+    for x in box_or_gl6_sample(aw):
+        for b in range(len(d.roots)):
+            assert (aw.length_functional(x, d.negative(b))
+                    == -aw.length_functional(x, b)), (x, b)
 
 
 @pytest.mark.parametrize('name', ['sl3', 'sp4', 'sl3_flip'])
@@ -196,10 +214,42 @@ def test_lp_set_matches_per_v_oracle(name):
     assert max(sizes) > 1
 
 
+def lp_set_scan(aw, x):
+    """Oracle: the scan lp_set replaced.  With N(x) = {beta : ell(x, beta)
+    < 0} over all roots, v is in LP(x) iff v(Phi+) misses N(x): one AND
+    of N(x) with the bitmask ``W.pos_mask[v]`` per element of W."""
+    neg = sum(1 << b for b in range(len(aw.datum.roots))
+              if aw.length_functional(x, b) < 0)
+    return [v for v, m in enumerate(aw.W.pos_mask) if not m & neg]
+
+
+@pytest.mark.parametrize('name', SMALL_DATA + ['e6_adjoint'])
+def test_lp_set_matches_scan(name, request):
+    """On every box(1, 6) element, on 200 seeded gl6 elements, and on 50
+    seeded e6_adjoint elements."""
+    if name == 'e6_adjoint':
+        e6_weyl = request.getfixturevalue('e6_weyl')
+        aw = AffineWeyl(e6_weyl.datum, weyl=e6_weyl)
+        rng = random.Random(50)
+        elements = [AffineElement(rng.randrange(aw.W.size),
+                                  tuple(rng.randint(-1, 1) for _ in range(6)))
+                    for _ in range(50)]
+    else:
+        aw = AffineWeyl(builtin_datum(name))
+        elements = box_or_gl6_sample(aw)
+    sizes = set()
+    for x in elements:
+        lp = aw.lp_set(x)
+        assert lp == lp_set_scan(aw, x), x
+        sizes.add(len(lp))
+    assert len(sizes) > 1
+
+
 def test_empty_lp_set_names_datum_and_element(monkeypatch):
     aw = AffineWeyl(builtin_datum('sl3'))
     x = AffineElement(aw.W.simple[0], (1, -1))
-    monkeypatch.setattr(AffineWeyl, 'length_functional', lambda *a: -1)
+    # a chamber table over no element of W
+    monkeypatch.setattr(aw, '_chamber_masks', (0, [0] * 3))
     with pytest.raises(InvariantError, match="^datum 'sl3': the LP set is "
                        'empty, for x = ' + re.escape(aw.format_element(x))
                        + '$') as info:

@@ -45,7 +45,8 @@ def test_lp(capsys):
 
 
 def test_empty_lp_set_exits_3_naming_datum_and_element(capsys, monkeypatch):
-    monkeypatch.setattr(AffineWeyl, 'length_functional', lambda *a: -1)
+    # a chamber table over no element of W
+    monkeypatch.setattr(AffineWeyl, '_chamber_masks', (0, [0] * 3))
     code, out, err = run(capsys, 'lp', '--datum', 'sl3', '--x',
                          '{"w": [1], "mu": [1, -1]}')
     assert code == 3 and out == ''
@@ -155,8 +156,22 @@ def test_class_key_refusal_exits_2(capsys, tmp_path, name, argv):
     path.write_text(json.dumps(SIGMA_MOVES_FREE_PI1[name]))
     code, out, err = run(capsys, *argv, '--datum', str(path), '--x', '{}')
     assert (code, out) == (2, '')
-    assert err.startswith('error: ' + refusal(
-        SIGMA_MOVES_FREE_PI1[name]['type'])), err
+    assert err.startswith('error: ' + refusal(str(path))), err
+
+
+def test_json_datum_messages_name_their_file(capsys, tmp_path):
+    """Two A2 files with no "name": each message names its own file, not
+    the root type they share."""
+    errs = []
+    for stem in ('a', 'b'):
+        path = tmp_path / (stem + '.json')
+        path.write_text(json.dumps(SIGMA_MOVES_FREE_PI1['gu3']))
+        code, _, err = run(capsys, 'classpoly', '--datum', str(path),
+                           '--x', '{}')
+        assert code == 2 and err.startswith('error: '
+                                            + refusal(str(path))), err
+        errs.append(err)
+    assert errs[0] != errs[1]
 
 
 def test_exit_codes(capsys):

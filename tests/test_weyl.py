@@ -317,11 +317,6 @@ def test_tables_match_matrix_bfs(name):
         assert getattr(g, table) == want, table
 
 
-@pytest.fixture(scope='module')
-def e6_weyl():
-    return WeylGroup(builtin_datum('e6_adjoint'))
-
-
 def test_e6_adjoint_order_and_longest(e6_weyl):
     g = e6_weyl
     assert g.size == 51840
