@@ -108,7 +108,9 @@ def cartan_matrix(type_name):
 
 
 # The largest Weyl group a datum may have: W(E6), of e6_adjoint, the
-# largest built-in.  Every table over W holds |W| entries or more.
+# largest built-in.  Every table over W holds |W| entries or more.  Below
+# it a datum has at most 72 roots (E6, B6 and C6), so a root index fits
+# the byte that a row of ``WeylGroup.root_action`` gives it.
 MAX_WEYL_ORDER = 51_840
 
 # the ranks each family admits, where a family has a least rank, and the
@@ -763,18 +765,22 @@ class RootDatum:
 
     # -- quotients ------------------------------------------------------
 
-    def twist_relations(self, m=None):
-        """Generators sigma(m e_j) - e_j of (sigma m - 1) X, one per basis
-        vector e_j, zero vectors included; m is an integer matrix acting
-        on X (default the identity).
+    def twist_relations(self, images=None):
+        """Generators sigma(w e_j) - e_j of (sigma w - 1) X, one per basis
+        vector e_j, zero vectors included; ``images`` lists the integer
+        vectors w e_j for a map w of X (default the identity), such as
+        ``[W.act(e, e_j) for e_j in ...]`` for a Weyl element e.
 
-        >>> builtin_datum('sl3_flip').twist_relations()
+        >>> d = builtin_datum('sl3_flip')
+        >>> d.twist_relations()
         [(-1, 1), (1, -1)]
+        >>> d.twist_relations([(-1, 0), (1, 1)])     # s_1 on X
+        [(-1, -1), (1, 0)]
         """
         out = []
         for j in range(self.dim):
             e = tuple(int(i == j) for i in range(self.dim))
-            image = e if m is None else mat_vec(m, e)
+            image = e if images is None else images[j]
             out.append(vec_sub(self.sigma_vec(image), e))
         return out
 

@@ -20,8 +20,8 @@ from .affine import AffineElement
 from .bg import BGClass
 from .datum import (InvariantError, diagram_components, perm_orbit,
                     root_closure)
-from .lattice import (QuotientPresentation, _column_snf, _snf_solve, vec_add,
-                      vec_dot, vec_scale, vec_sub)
+from .lattice import (QuotientPresentation, _column_snf, _snf_solve,
+                      mat_identity, vec_add, vec_dot, vec_scale, vec_sub)
 from .qbg import QuantumBruhatGraph
 from .reduction import Reduction
 
@@ -329,12 +329,6 @@ class PCT:
 
     # -- J-points and point spaces --------------------------------------------
 
-    def coinvariants(self, elem):
-        """Coinvariants of sigma composed with a finite Weyl element."""
-        d = self.datum
-        return QuotientPresentation(d.dim,
-                                    d.twist_relations(self.W.mats[elem]))
-
     def point_space(self, c, j_prime):
         """X(c, J'): coinvariants of sigma c^{(J')} modulo the rotated
         coroots attached to the deleted letters of the fixed reduced word
@@ -352,7 +346,8 @@ class PCT:
         word = W.words[c]
         kept_positions = [p for p, i in enumerate(word) if i in j_prime]
         trunc = W.from_word([word[p] for p in kept_positions])
-        rels = d.twist_relations(W.mats[trunc])
+        rels = d.twist_relations([W.act(trunc, e)
+                                  for e in mat_identity(d.dim)])
         last_kept = kept_positions[-1] if kept_positions else -1
         for p, i in enumerate(word):
             if i in j_prime:

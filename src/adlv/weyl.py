@@ -2,16 +2,20 @@
 
 Elements are integers indexing into BFS-ordered tables: index 0 is the
 identity and indices are sorted by length, with ties broken by the
-lexicographically least reduced word.  The group acts on the
-cocharacter lattice through integer matrices.
+lexicographically least reduced word.  No table holds a matrix.  An
+element e acts on the cocharacter lattice through its coweight shifts
+d_{e,j} = e(omega_j^vee) - omega_j^vee, integer vectors, one per simple
+index j: e(mu) = mu + sum_j <alpha_j, mu> d_{e,j}.  It acts on the roots
+through a row of root indices, kept as ``bytes``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import mul, sub
 
-from .lattice import mat_identity, mat_vec, vec_dot, vec_scale, vec_sub
+from .lattice import vec_dot, vec_scale, vec_sub
 
 __all__ = ['WeylGroup']
 
@@ -22,17 +26,42 @@ class WeylGroup:
     W is built by a breadth-first search over right multiplication by the
     simple reflections.  W acts faithfully on the roots, so an element is
     identified by the root indices of the images of the simple roots,
-    and each new element's root permutation comes from its parent's.
-    No matrix product is formed: the matrix of e s_i is the rank-one
-    update e - e(alpha_i^vee) alpha_i of the matrix of e, once per
-    element (Casselman, "Machine calculations in Weyl groups", Invent.
-    Math. 1994).
+    and each new element's root permutation comes from its parent's
+    (Casselman, "Machine calculations in Weyl groups", Invent. Math.
+    1994).  ``root_action[e]`` is that permutation as ``bytes``: byte r
+    is the index of e(alpha_r).  Below ``MAX_WEYL_ORDER`` a datum has at
+    most 72 roots, so every index fits a byte, and the row of e s_i is
+    one ``bytes.translate`` of the row of s_i through the row of e.
+
+    No matrix is formed.  W fixes every mu with <alpha_j, mu> = 0 for all
+    simple j, so e(mu) - mu depends only on those pairings, and
+    ``shifts[e][j]`` is the coweight shift d_{e,j} with
+
+        e(mu) = mu + sum_j <alpha_j, mu> d_{e,j},
+
+    that is d_{e,j} = e(omega_j^vee) - omega_j^vee for any omega_j^vee in
+    X (x) Q with <alpha_k, omega_j^vee> = delta_jk.  Proof, by induction
+    on the stored word.  The identity has every d_{1,j} = 0.  For
+    f = e s_i, as s_i(mu) = mu - <alpha_i, mu> alpha_i^vee,
+
+        (e s_i)(mu) = e(mu) - <alpha_i, mu> e(alpha_i^vee)
+                    = mu + sum_j <alpha_j, mu> d_{e,j}
+                         - <alpha_i, mu> e(alpha_i^vee),
+
+    so d_{f,j} = d_{e,j} for j != i and d_{f,i} = d_{e,i} - e(alpha_i^vee),
+    where e(alpha_i^vee) is the coroot of the root e(alpha_i), read off
+    ``root_action[e]``.  Each shift is a sum of coroots, so the action maps
+    integer vectors to integer vectors and no rational number is formed.
+    A new f shares every shift but one with its parent.  ``shifts[e][j]``
+    is None where d_{e,j} = 0: the stabiliser of omega_j^vee is W_{S - j}
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.12), so that is
+    exactly where j is outside the support of e.  The new shift d_{f,i}
+    of f = e s_i, of length l(e) + 1, is never 0.
 
     ``pos_mask[e]`` is the bitmask over root indices of e(Phi+).  s_i
     permutes Phi+ minus alpha_i and sends alpha_i to -alpha_i (Humphreys,
-    *Reflection Groups and Coxeter Groups*, 1.4), so (e s_i)(Phi+) is
-    e(Phi+) with e(alpha_i) swapped for e(-alpha_i): one XOR of two bits
-    per new element.
+    1.4), so (e s_i)(Phi+) is e(Phi+) with e(alpha_i) swapped for
+    e(-alpha_i): one XOR of two bits per new element.
 
     The reflections need no matrix either.  s_i moves the simple-root
     coordinates c of a root by s_i(beta) = beta - <beta, alpha_i^vee>
@@ -62,7 +91,6 @@ class WeylGroup:
         self.datum = datum
         n = datum.rank
         simple = datum.simple_indices
-        roots = range(len(datum.roots))
         # perms[i][r]: index of the root s_i(alpha_r), by its simple-root
         # coordinates; cartan[i][j] = <alpha_j, alpha_i^vee>
         by_coords = {r.coords: j for j, r in enumerate(datum.roots)}
@@ -73,44 +101,51 @@ class WeylGroup:
                 k = sum(c * a for c, a in zip(r.coords, row))
                 perm.append(by_coords[tuple(c - k * (j == i) for j, c
                                             in enumerate(r.coords))])
-            perms.append(perm)
-        mats = [mat_identity(datum.dim)]
+            perms.append(bytes(perm))
+        # the root indices s_i(alpha_s) of the simple roots alpha_s
+        simple_perms = [bytes(perm[s] for s in simple) for perm in perms]
+        coroots = [r.coroot for r in datum.roots]
         words = [()]
         # right[e][i]: index of e s_i
         right = [[0] * n]
         # root_action[e][r]: index of the root e(alpha_r), and
-        # (e s_i)(alpha_r) = e(s_i(alpha_r))
-        root_action = [list(roots)]
+        # (e s_i)(alpha_r) = e(s_i(alpha_r)): one translate of s_i's row
+        # through e's
+        root_action = [bytes(range(len(datum.roots)))]
+        # shifts[e][j]: e(omega_j^vee) - omega_j^vee, None when 0
+        shifts = [(None,) * n]
+        zero = (0,) * datum.dim
         pos_mask = [(1 << datum.num_positive) - 1]
         neg_simple = [datum.negative(s) for s in simple]
         # index: root indices of the images of the simple roots -> element
-        index = {tuple(simple): 0}
+        index = {bytes(simple): 0}
         frontier = [0]
         while frontier:
             nxt = []
             for e in frontier:
                 row = root_action[e]
+                table = row.ljust(256, b'\0')
                 for i in range(n):
-                    k = tuple(row[perms[i][s]] for s in simple)
+                    k = simple_perms[i].translate(table)
                     f = index.get(k)
                     if f is None:
-                        f = index[k] = len(mats)
-                        # e s_i = e - e(alpha_i^vee) alpha_i, where
+                        f = index[k] = len(words)
+                        # d_{e s_i, i} = d_{e, i} - e(alpha_i^vee), where
                         # e(alpha_i^vee) is the coroot of the root e(alpha_i)
-                        cor = datum.roots[row[simple[i]]].coroot
-                        alpha = datum.simple_roots[i]
-                        mats.append([[x - c * a for x, a in zip(r, alpha)]
-                                     for r, c in zip(mats[e], cor)])
+                        cor = coroots[row[simple[i]]]
+                        old = shifts[e]
+                        d = tuple(map(sub, old[i] or zero, cor))
+                        shifts.append(old[:i] + (d,) + old[i + 1:])
                         words.append(words[e] + (i,))
                         right.append([0] * n)
-                        root_action.append([row[r] for r in perms[i]])
+                        root_action.append(perms[i].translate(table))
                         pos_mask.append(pos_mask[e] ^ (1 << row[simple[i]])
                                         ^ (1 << row[neg_simple[i]]))
                         nxt.append(f)
                     right[e][i] = f
             frontier = nxt
-        self.size = len(mats)
-        self.mats = mats
+        self.size = len(words)
+        self.shifts = shifts
         self.words = words
         self.lengths = [len(w) for w in words]
         self.longest = max(range(self.size), key=lambda e: self.lengths[e])
@@ -200,8 +235,28 @@ class WeylGroup:
         return self.from_word([i - 1 for i in letters])
 
     def act(self, e, mu):
-        """Action on a cocharacter vector."""
-        return mat_vec(self.mats[e], mu)
+        """e(mu) = mu + sum_j <alpha_j, mu> d_{e,j}, over the shifts of e
+        (see the class docstring), as a tuple.
+
+        Integer in, integer out; the library passes integer vectors only.
+        Unlike ``mat_vec`` with the matrix of e, it does not promote a
+        mixed int/Fraction mu to all Fractions: a coordinate becomes a
+        Fraction only where a Fraction term reaches it.
+
+        >>> from adlv.datum import builtin_datum
+        >>> w = WeylGroup(builtin_datum('gl3'))
+        >>> w.act(w.from_word([0, 1]), (5, 7, 9))
+        (9, 5, 7)
+        >>> w.act(w.simple[0], (1, 2, 3))
+        (2, 1, 3)
+        """
+        out = mu
+        for alpha, d in zip(self.datum.simple_roots, self.shifts[e]):
+            if d is not None:
+                c = sum(map(mul, alpha, mu))
+                if c:
+                    out = [x + c * y for x, y in zip(out, d)]
+        return tuple(out)
 
     def sigma(self, e):
         """The image of e under the diagram automorphism."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from adlv.affine import AffineElement, AffineWeyl
 from adlv.datum import BUILTIN_DATA, builtin_datum, datum_from_config
 from adlv.lattice import (mat_identity, mat_inverse_unimodular, mat_mul,
-                          rational_rank)
+                          mat_vec, rational_rank)
 from adlv.weyl import WeylGroup
 
 from test_affine import lp_set_per_v, simple_sigma_conjugate_two_products
@@ -43,11 +43,19 @@ def test_dominant_representative():
             == tuple(lam)
 
 
-def scan_dominant_representative(g, mu):
-    """Oracle: scan all of W for the shortest v with v^{-1} mu dominant."""
+def act_matrix(g, e):
+    """The matrix of e on X, its columns the images of the unit vectors."""
+    return [list(row) for row in zip(*(g.act(e, u)
+                                       for u in mat_identity(g.datum.dim)))]
+
+
+def scan_dominant_representative(g, mats, mu):
+    """Oracle: scan all of W, acting by the matrices ``mats`` (promoting a
+    vector with a Fraction entry to all Fractions), for the shortest v
+    with v^{-1} mu dominant."""
     best = None
     for v in range(g.size):
-        lam = g.act(g.inv[v], mu)
+        lam = mat_vec(mats[g.inv[v]], mu)
         if g.datum.is_dominant(lam):
             if best is None or g.lengths[v] < g.lengths[best[0]]:
                 best = (v, lam)
@@ -61,6 +69,7 @@ def typed(vec):
 @pytest.mark.parametrize('name', sorted(set(BUILTIN_DATA) - {'e6_adjoint'}))
 def test_dominant_representative_matches_scan(name):
     g = WeylGroup(builtin_datum(name))
+    mats = oracle_mats(name)
     rng = random.Random(name)
     count = 4 if g.size > 100 else 20
     dim = g.datum.dim
@@ -75,7 +84,7 @@ def test_dominant_representative_matches_scan(name):
                                  for _ in range(dim)))
     for mu in vectors:
         v, lam = g.dominant_representative(mu)
-        want_v, want_lam = scan_dominant_representative(g, mu)
+        want_v, want_lam = scan_dominant_representative(g, mats, mu)
         assert v == want_v
         assert typed(lam) == typed(want_lam)
 
@@ -119,7 +128,7 @@ def reflection_length_sigma(g, e):
     2
     """
     sigma = g.datum.sigma_matrix
-    return (_rank_minus_identity(mat_mul(sigma, g.mats[e]))
+    return (_rank_minus_identity(mat_mul(sigma, act_matrix(g, e)))
             - _rank_minus_identity(sigma))
 
 
@@ -221,8 +230,8 @@ def test_root_action_matches_covector_product(name):
     g = WeylGroup(builtin_datum(name))
     d = g.datum
     for e in range(g.size):
-        inv_m = g.mats[g.inv[e]]
-        assert g.root_action[e] == [
+        inv_m = act_matrix(g, g.inv[e])
+        assert list(g.root_action[e]) == [
             d.root_index[d._covec_times(r.covec, inv_m)] for r in d.roots]
 
 
@@ -234,15 +243,16 @@ def mat_key(m):
 def test_tables_match_matrix_products(name):
     g = WeylGroup(builtin_datum(name))
     d = g.datum
-    elem_of_mat = {mat_key(m): e for e, m in enumerate(g.mats)}
+    mats = [act_matrix(g, e) for e in range(g.size)]
+    elem_of_mat = {mat_key(m): e for e, m in enumerate(mats)}
     assert len(elem_of_mat) == g.size
-    gens = [g.mats[s] for s in g.simple]
+    gens = [mats[s] for s in g.simple]
     for e in range(g.size):
         for i, m in enumerate(gens):
-            assert g.right[e][i] == elem_of_mat[mat_key(mat_mul(g.mats[e], m))]
-            assert g.left[e][i] == elem_of_mat[mat_key(mat_mul(m, g.mats[e]))]
+            assert g.right[e][i] == elem_of_mat[mat_key(mat_mul(mats[e], m))]
+            assert g.left[e][i] == elem_of_mat[mat_key(mat_mul(m, mats[e]))]
         assert g.sigma_elem[e] == elem_of_mat[mat_key(mat_mul(
-            mat_mul(d.sigma_matrix, g.mats[e]), d.sigma_inv_matrix))]
+            mat_mul(d.sigma_matrix, mats[e]), d.sigma_inv_matrix))]
 
 
 def positive_image_mask(d, root_action_row):
@@ -313,8 +323,46 @@ def test_tables_match_matrix_bfs(name):
     d = (datum_from_config(TWISTED[name]) if name in TWISTED
          else builtin_datum(name))
     g = WeylGroup(d)
+    # the matrices formed from act, and the bytes rows read as lists
+    formed = {'mats': [act_matrix(g, e) for e in range(g.size)],
+              'root_action': [list(row) for row in g.root_action]}
     for table, want in matrix_bfs_tables(g.datum).items():
-        assert getattr(g, table) == want, table
+        got = formed[table] if table in formed else getattr(g, table)
+        assert got == want, table
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_mats(name):
+    """The matrices of matrix_bfs_tables for a built-in, formed once."""
+    return matrix_bfs_tables(builtin_datum(name))['mats']
+
+
+@pytest.mark.parametrize('name', sorted(set(BUILTIN_DATA) - {'e6_adjoint'}))
+def test_act_matches_matrix_oracle(name):
+    """act by coweight shifts against the oracle's matrices, on every
+    element, on the unit vectors and on two seeded integer vectors."""
+    g = weyl_group(name)
+    dim = g.datum.dim
+    rng = random.Random(name)
+    vectors = [tuple(u) for u in mat_identity(dim)] + [
+        tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(2)]
+    for e, m in enumerate(oracle_mats(name)):
+        for mu in vectors:
+            assert g.act(e, mu) == mat_vec(m, mu), (g.words[e], mu)
+
+
+def test_e6_act_is_a_group_action(e6_weyl):
+    """act on W(E6), which matrix_bfs_tables skips, on 2 000 seeded pairs:
+    a product acts as the composite, and an inverse undoes its element.
+    test_e6_reflections_match_reflection_matrices checks the action of
+    every reflection."""
+    g = e6_weyl
+    rng = random.Random(6)
+    for _ in range(2000):
+        a, b = rng.randrange(g.size), rng.randrange(g.size)
+        mu = tuple(rng.randint(-5, 5) for _ in range(g.datum.dim))
+        assert g.act(g.mult(a, b), mu) == g.act(a, g.act(b, mu)), (a, b)
+        assert g.act(g.inv[a], g.act(a, mu)) == mu, a
 
 
 def test_e6_adjoint_order_and_longest(e6_weyl):
@@ -345,15 +393,17 @@ def test_e6_partial_sigma_coxeter_matches_reflection_length(e6_weyl):
 
 def test_e6_reflections_match_reflection_matrices(e6_weyl):
     """matrix_bfs_tables skips e6_adjoint: read the reflection tables off
-    the reflection matrices of all 72 roots instead."""
+    the reflection matrices of all 72 roots instead.  The matrix of each
+    reflection is formed from act on the unit vectors."""
     g = e6_weyl
     d = g.datum
     assert len(d.roots) == 72
     for r in range(len(d.roots)):
-        assert g.mats[g.root_reflection[r]] == reflection_matrix(d, r), r
+        assert act_matrix(g, g.root_reflection[r]) \
+            == reflection_matrix(d, r), r
     for i, s in enumerate(d.simple_indices):
         m = reflection_matrix(d, s)
-        assert g.root_action[g.simple[i]] == [
+        assert list(g.root_action[g.simple[i]]) == [
             d.root_index[d._covec_times(r.covec, m)] for r in d.roots], i
 
 
