@@ -6,7 +6,13 @@ quantum Bruhat graph distances and weights, Newton and Kottwitz points
 and lambda-invariants of sigma-conjugacy classes, Deligne-Lusztig
 reduction trees with class polynomials, and the positive Coxeter type
 classification with its dimension, path-count and endpoint formulas.
-All arithmetic is exact (integers and fractions).
+All arithmetic is exact.  The computation runs on integers, through one
+fraction-free elimination kernel over Z; Fractions are formed only where
+a rational value is handed out: the nu view ``BGClass.nu`` (and
+``BGInvariants.newton_of_element``), class keys, the rational wrappers
+of ``RootDatum`` (``pi_projection``, ``convex_hull_point``), the CLI's
+output and the two rational wrappers of ``adlv.lattice``
+(``mat_inverse_rational``, ``solve_rational_combination``).
 """
 
 from .affine import AffineElement, AffineWeyl

@@ -25,8 +25,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .datum import InvariantError, _common_denominator, _vec_text
-from .lattice import vec_add, vec_dot, vec_scale
+from .datum import InvariantError, _vec_text
+from .lattice import _common_denominator, vec_add, vec_dot, vec_scale
 
 __all__ = ['BGClass', 'BGInvariants']
 

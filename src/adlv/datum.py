@@ -36,9 +36,10 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
 
-from .lattice import (QuotientPresentation, _column_snf, mat_identity,
-                      mat_inverse_rational, mat_inverse_unimodular, mat_mul,
-                      mat_vec, rational_rank, vec_dot, vec_scale, vec_sub)
+from .lattice import (QuotientPresentation, _column_snf, _common_denominator,
+                      _inverse_over_z, mat_identity, mat_inverse_unimodular,
+                      mat_mul, mat_vec, rational_rank, vec_dot, vec_scale,
+                      vec_sub)
 
 __all__ = [
     'InvariantError',
@@ -280,16 +281,6 @@ def diagram_components(cartan, subset=None, perm=None):
     return comps
 
 
-def _common_denominator(vec):
-    """(den, v): a positive integer and an integer list with vec = v / den.
-
-    >>> _common_denominator((Fraction(1, 2), 3, Fraction(-2, 3)))
-    (6, [3, 18, -4])
-    """
-    den = math.lcm(*(x.denominator for x in vec))
-    return den, [x.numerator * (den // x.denominator) for x in vec]
-
-
 def _vec_text(vec):
     """A vector of ints or Fractions as text, e.g. '(3/2, 1/2, 0)'."""
     return '(%s)' % ', '.join(map(str, vec))
@@ -335,7 +326,6 @@ class RootDatum:
             else:
                 raise ValueError('nontrivial sigma_perm needs sigma_matrix')
         self.sigma_matrix = [list(r) for r in sigma_matrix]
-        self.sigma_inv_matrix = mat_inverse_unimodular(self.sigma_matrix)
         self._validate_basic()
         self._generate_roots()
         self._finish()
@@ -358,17 +348,17 @@ class RootDatum:
                     raise ValueError('invalid cartan matrix')
         if rational_rank(self.simple_coroots) != n and n > 0:
             raise ValueError('simple coroots must be linearly independent')
-        s = self.sigma_matrix
-        for i in range(n):
-            if mat_vec(s, self.simple_coroots[i]) != self.simple_coroots[self.sigma_perm[i]]:
-                raise ValueError('sigma_matrix does not permute coroots as sigma_perm')
+        # sigma_perm first, so that a permutation that is no diagram
+        # automorphism is not blamed on sigma_matrix
         p = self.sigma_perm
         if sorted(p) != list(range(n)):
             raise ValueError('sigma_perm is not a permutation')
+        _check_diagram_automorphism(self.cartan, p)
+        self.sigma_inv_matrix = mat_inverse_unimodular(self.sigma_matrix)
+        s = self.sigma_matrix
         for i in range(n):
-            for j in range(n):
-                if self.cartan[p[i]][p[j]] != self.cartan[i][j]:
-                    raise ValueError('sigma_perm does not preserve the Cartan matrix')
+            if mat_vec(s, self.simple_coroots[i]) != self.simple_coroots[p[i]]:
+                raise ValueError('sigma_matrix does not permute coroots as sigma_perm')
         # character side: sigma(alpha_i) must be alpha_{p(i)}
         for i in range(n):
             # row vector times sigma^{-1}
@@ -603,24 +593,22 @@ class RootDatum:
         span, along the annihilator of the J-roots.
 
         C_J is block diagonal over the Dynkin components of J, so each
-        component's block is inverted on its own, as an integer matrix
-        over its scale, and kept by its entries: equal blocks (the A1
-        components of gl6, say) share one inverse."""
+        component's block is inverted on its own and kept by its entries:
+        equal blocks (the A1 components of gl6, say) share one inverse.
+        The inverse comes from the integer elimination kernel as (D, A),
+        an integer matrix over its denominator (``lattice._inverse_over_z``),
+        so no Fraction is formed."""
         parts = []
         for comp in diagram_components(self.cartan, subset):
             cs = sorted(comp)
             block = tuple(tuple(self.cartan[i][j] for i in cs) for j in cs)
             if block not in self._block_inverses:
                 try:
-                    inverse = mat_inverse_rational(block)
+                    self._block_inverses[block] = _inverse_over_z(block)
                 except ValueError:
                     raise InvariantError(
                         self.name, 'the Cartan block of J = %s is singular'
                         % sorted(j + 1 for j in subset)) from None
-                scale = math.lcm(*(x.denominator for r in inverse for x in r))
-                self._block_inverses[block] = scale, [
-                    [x.numerator * (scale // x.denominator) for x in r]
-                    for r in inverse]
             scale, inverse = self._block_inverses[block]
             parts.append((scale, cs, mat_mul(
                 inverse, [self.simple_roots[j] for j in cs])))
@@ -849,6 +837,9 @@ def datum_from_config(config):
         _int_matrix(config, 'lattice_basis', n, '"sc", "adjoint", "gl" or ')
     if 'sigma_matrix' in config:
         _int_matrix(config, 'sigma_matrix', n + 1 if basis == 'gl' else n)
+    perm = _perm_from_config(config, n)
+    _check_diagram_automorphism(cartan, perm)
+    sig_mat = config.get('sigma_matrix')
 
     if basis == 'gl':
         # type A_{n} realized on the standard lattice of GL_{n+1}
@@ -856,8 +847,6 @@ def datum_from_config(config):
         coroots = [tuple((1 if j == i else -1 if j == i + 1 else 0)
                          for j in range(d)) for i in range(n)]
         roots = coroots
-        sig_mat = config.get('sigma_matrix')
-        perm = _perm_from_config(config, n)
     else:
         if basis == 'adjoint':
             b = mat_identity(n)
@@ -866,32 +855,31 @@ def datum_from_config(config):
             b = [[cartan[j][i] for j in range(n)] for i in range(n)]
         else:
             b = [list(r) for r in basis]
-        binv = mat_inverse_rational(b)
+        # B^{-1} = binv / den, binv an integer matrix
+        den, binv = _inverse_over_z(b)
         # coroot i in lattice coordinates: B^{-1} (cartan row i)
         coroots = []
         for i in range(n):
             v = mat_vec(binv, cartan[i])
-            if any(x.denominator != 1 for x in v):
+            if any(x % den for x in v):
                 raise ValueError('lattice does not contain the coroot lattice')
-            coroots.append(tuple(int(x) for x in v))
+            coroots.append(tuple(x // den for x in v))
         # root j as covector on lattice coordinates: row j of B
         roots = [tuple(b[j][k] for k in range(n)) for j in range(n)]
-        perm = _perm_from_config(config, n)
-        sig_mat = config.get('sigma_matrix')
         if sig_mat is None and any(p != i for i, p in enumerate(perm)):
             # permutation of the coweight basis, transported to lattice coords
             p_mat = [[1 if perm[j] == i else 0 for j in range(n)]
                      for i in range(n)]
             m = mat_mul(mat_mul(binv, p_mat), b)
-            # the simple coroots span X (x) Q, so m is the one map that
-            # permutes them as perm does: no sigma_matrix can do better
-            if any(x.denominator != 1 for row in m for x in row):
+            # the simple coroots span X (x) Q, so m / den is the one map
+            # that permutes them as perm does: no sigma_matrix can do better
+            if any(x % den for row in m for x in row):
                 raise ValueError(
                     'sigma_perm %s does not preserve the lattice: the one '
                     'linear map permuting the simple coroots as it does is '
                     'not integral on the lattice basis'
                     % _show(config['sigma_perm']))
-            sig_mat = [[int(x) for x in row] for row in m]
+            sig_mat = [[x // den for x in row] for row in m]
     datum = RootDatum(cartan, coroots, roots, perm, sig_mat, name=name)
     order = datum.weyl_order()
     if order > MAX_WEYL_ORDER:
@@ -918,6 +906,21 @@ def _int_matrix(config, key, size=None, names=''):
                             '' if size is None else ' of size %d' % size,
                             _show(m)))
     return m
+
+
+def _check_diagram_automorphism(cartan, perm):
+    """Refuse a permutation of the simple indices (0-based) that does not
+    preserve the Cartan matrix, naming it 1-based.
+
+    >>> _check_diagram_automorphism(cartan_matrix('G2'), (1, 0))
+    Traceback (most recent call last):
+    ...
+    ValueError: sigma_perm [2, 1] does not preserve the Cartan matrix
+    """
+    if any(cartan[p][q] != cartan[i][j] for i, p in enumerate(perm)
+           for j, q in enumerate(perm)):
+        raise ValueError('sigma_perm %s does not preserve the Cartan matrix'
+                         % [p + 1 for p in perm])
 
 
 def _perm_from_config(config, n):

@@ -7,9 +7,14 @@ kernels (``mat_vec``, ``vec_dot``, ``vec_add``, ``vec_sub``,
 sums in the same order as a coordinate loop, so an int input gives an
 int result and a ``Fraction`` anywhere gives a ``Fraction``.  Each ring
 has one elimination kernel, and every rank, inverse, solve, kernel and
-quotient reads it: ``_gauss_jordan`` (reduced row echelon form over Q)
-and ``_column_snf`` (Smith normal form over Z of a matrix given by its
-columns).  On top sit quotients of free abelian groups with canonical
+quotient reads it: ``_gauss_jordan`` (fraction-free Gauss-Jordan over
+Z, whose rows over its last pivot are the reduced row echelon form over
+Q) and ``_column_snf`` (Smith normal form over Z of a matrix given by
+its columns).  Ranks, integer inverses (``_inverse_over_z``,
+``mat_inverse_unimodular``) and quotients form no Fraction; only the
+two rational wrappers, ``mat_inverse_rational`` and
+``solve_rational_combination``, turn the kernel's integers into
+Fractions.  On top sit quotients of free abelian groups with canonical
 residue forms and an integer cone solver, ``solve_in_cone``, whose
 search is bounded exactly by a functional positive on the cone (its
 value on the target), optionally modulo such a quotient.  The library
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, lcm, prod
 from operator import add, mul, sub
 
 __all__ = [
@@ -83,34 +88,80 @@ def vec_dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _gauss_jordan(rows, ncols):
-    """Reduced row echelon form over Q, pivoting on the first ncols columns.
+def _common_denominator(vec):
+    """(den, v): a positive integer and an integer list with vec = v / den,
+    for vec a vector of ints or Fractions; no Fraction is formed.
 
-    Any further (augmented) columns are carried along.  Returns the
-    reduced rows, as lists of Fractions, and the pivot columns: row r
-    has a leading 1 in column pivots[r], and the rows from len(pivots)
-    on are zero in the first ncols columns.
+    >>> _common_denominator((Fraction(1, 2), 3, Fraction(-2, 3)))
+    (6, [3, 18, -4])
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    den = lcm(*(x.denominator for x in vec))
+    return den, [x.numerator * (den // x.denominator) for x in vec]
+
+
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over Z, pivoting on the
+    first ncols columns (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+
+    Any further (augmented) columns are carried along.  A row holding
+    Fractions is first cleared by the lcm of its denominators: scaling a
+    row by a positive integer keeps its rank and its solutions.  Returns
+    (d, rows, pivots) with integer rows whose reduced row echelon form
+    over Q is rows / d: row r has the entry d in column pivots[r] and 0
+    in every other pivot column, the rows from len(pivots) on are zero
+    in the first ncols columns, and d is the last pivot (1 with none).
+
+    With p the new pivot, in row top and column c, and prev the last
+    one, a step replaces every other row by (p * a[r] - a[r][c] *
+    a[top]) / prev.  The division is exact: below the pivots an entry is
+    then a minor of the cleared matrix (Sylvester's identity), and in a
+    pivot row it is p times a Cramer quotient with denominator p.
+
+    >>> _gauss_jordan([[2, 4, 1], [1, 3, 0]], 2)
+    (2, [[2, 0, 3], [0, 2, -1]], [0, 1])
+    """
+    a = [_common_denominator(row)[1] for row in rows]
     pivots = []
+    prev = 1
     for col in range(ncols):
         top = len(pivots)
-        piv = next((r for r in range(top, len(a)) if a[r][col] != 0), None)
+        piv = next((r for r in range(top, len(a)) if a[r][col]), None)
         if piv is None:
             continue
         a[top], a[piv] = a[piv], a[top]
-        scale = a[top][col]
-        a[top] = [x / scale for x in a[top]]
-        for r in range(len(a)):
-            if r != top and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+        prow = a[top]
+        p = prow[col]
+        for r, row in enumerate(a):
+            if r != top:
+                y = row[col]
+                a[r] = [(p * x - y * z) // prev for x, z in zip(row, prow)]
+        prev = p
         pivots.append(col)
-    return a, pivots
+    return prev, a, pivots
+
+
+def _inverse_over_z(m):
+    """(D, A) with m^-1 = A / D: A an integer matrix, D > 0 and
+    gcd(D, A) = 1.  Raises ValueError when the matrix is singular.
+
+    >>> _inverse_over_z([[2, 1], [0, 2]])
+    (4, [[2, -1], [0, 2]])
+    """
+    n = len(m)
+    d, a, pivots = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(m)], n)
+    if len(pivots) < n:
+        raise ValueError('matrix is singular: %r' % (m,))
+    g = gcd(d, *(x for row in a for x in row[n:]))
+    if d < 0:
+        g = -g
+    return d // g, [[x // g for x in row[n:]] for row in a]
 
 
 def mat_inverse_rational(m):
-    """Inverse of a square matrix over the rationals, by Gauss-Jordan.
+    """Inverse of a square matrix over the rationals: the integer inverse
+    of :func:`_inverse_over_z`, over its denominator.
 
     Entries of the result are Fractions.  Raises ValueError when the
     matrix is singular.
@@ -118,28 +169,23 @@ def mat_inverse_rational(m):
     >>> mat_inverse_rational([[2, 0], [0, 1]])
     [[Fraction(1, 2), Fraction(0, 1)], [Fraction(0, 1), Fraction(1, 1)]]
     """
-    n = len(m)
-    a, pivots = _gauss_jordan(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)],
-        n)
-    if len(pivots) < n:
-        raise ValueError('matrix is singular: %r' % (m,))
-    return [row[n:] for row in a]
+    den, inverse = _inverse_over_z(m)
+    return [[Fraction(x, den) for x in row] for row in inverse]
 
 
 def mat_inverse_unimodular(m):
     """Inverse of an integer matrix with determinant +-1.
 
     Raises ValueError when the matrix is singular or its inverse is not
-    integral.
+    integral (the denominator of :func:`_inverse_over_z` is not 1).
 
     >>> mat_inverse_unimodular([[1, 1], [0, 1]])
     [[1, -1], [0, 1]]
     """
-    inv = mat_inverse_rational(m)
-    if any(x.denominator != 1 for row in inv for x in row):
+    den, inverse = _inverse_over_z(m)
+    if den != 1:
         raise ValueError('matrix is not unimodular: %r' % (m,))
-    return [[int(x) for x in row] for row in inv]
+    return inverse
 
 
 def smith_normal_form(m):
@@ -237,7 +283,7 @@ def rational_rank(vectors):
     >>> rational_rank([(1, 2), (2, 4), (0, 1)])
     2
     """
-    return len(_gauss_jordan(vectors, len(vectors[0]) if vectors else 0)[1])
+    return len(_gauss_jordan(vectors, len(vectors[0]) if vectors else 0)[2])
 
 
 def solve_rational_combination(generators, target):
@@ -252,13 +298,13 @@ def solve_rational_combination(generators, target):
     True
     """
     k = len(generators)
-    a, pivots = _gauss_jordan(
+    den, a, pivots = _gauss_jordan(
         [[g[i] for g in generators] + [t] for i, t in enumerate(target)], k)
-    if any(row[k] != 0 for row in a[len(pivots):]):
+    if any(row[k] for row in a[len(pivots):]):
         return None
     coeffs = [Fraction(0)] * k
     for row, col in zip(a, pivots):
-        coeffs[col] = row[k]
+        coeffs[col] = Fraction(row[k], den)
     for i, t in enumerate(target):
         if sum(c * g[i] for c, g in zip(coeffs, generators)) != t:
             return None

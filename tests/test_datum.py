@@ -120,6 +120,29 @@ def test_sigma_validation_rejects_non_automorphism():
                            'sigma_perm': [2, 1]})
 
 
+@pytest.mark.parametrize('type_name', ['B2', 'G2'])
+def test_sigma_perm_off_the_diagram_is_blamed_on_the_permutation(
+        type_name, tmp_path, capsys):
+    """Swapping the two nodes of B2 or G2 is no diagram automorphism.  The
+    config reader says so before it forms a sigma matrix, and the
+    constructor checks sigma_perm before the sigma_matrix it is given,
+    whether or not that matrix is unimodular."""
+    message = 'sigma_perm [2, 1] does not preserve the Cartan matrix'
+    config = {'type': type_name, 'sigma_perm': [2, 1]}
+    with pytest.raises(ValueError, match='^%s$' % re.escape(message)):
+        datum_from_config(config)
+    path = tmp_path / 'datum.json'
+    path.write_text(json.dumps(config))
+    assert main(['datum', 'validate', '--datum', str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == 'usage error: --datum: %s\n' % message, err
+    d = datum_from_config({'type': type_name})
+    for sigma in ([[1, 0], [0, 1]], [[2, 0], [0, 1]]):
+        with pytest.raises(ValueError, match='^%s$' % re.escape(message)):
+            RootDatum(d.cartan, d.simple_coroots, d.simple_roots, (1, 0),
+                      sigma)
+
+
 # D4 on the lattice Q^vee + Z omega_1^vee (SO8): the columns are
 # omega_1^vee, alpha_1^vee, alpha_2^vee, alpha_3^vee in coweight coordinates
 SO8_BASIS = [[1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2], [0, 0, -1, 0]]
@@ -324,6 +347,36 @@ def test_pi_projection_rejects_unstable_subset():
     with pytest.raises(ValueError, match='sigma stable'):
         d.pi_projection(frozenset({0}), (1, 0))
     assert d._projection_memo == {}
+
+
+@pytest.mark.parametrize('name', sorted(BUILTIN_DATA))
+def test_build_path_forms_no_fraction(name, monkeypatch):
+    """Building a datum, the first projection of every sigma-stable subset
+    and the first Kottwitz lift of every unit residue run on the integer
+    elimination kernel: not one Fraction is formed."""
+    formed = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        formed.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, '__new__', staticmethod(counting_new))
+    d = builtin_datum(name)
+    stable = [s for s in (frozenset(j for j in range(d.rank) if bits >> j & 1)
+                          for bits in range(1 << d.rank))
+              if d.is_sigma_stable(s)]
+    for subset in stable:
+        d._projection(subset)
+    q = d.kottwitz_presentation()
+    width = len(q.divisors) + q.free_rank
+    for i in range(width):
+        q.lift(tuple(int(i == j) for j in range(width)))
+    assert formed == []
+    assert len(d._projection_memo) == len(stable) >= 2
+    # the count is live: one Fraction is one call
+    Fraction(1, 2)
+    assert formed == [(1, 2)]
 
 
 def test_quotient_presentations():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adlv.lattice import (QuotientPresentation, integer_kernel, mat_identity,
+from adlv.lattice import (QuotientPresentation, _gauss_jordan,
+                          integer_kernel, mat_identity,
                           mat_inverse_rational, mat_inverse_unimodular,
                           mat_mul, mat_vec,
                           rational_rank, smith_normal_form,
@@ -251,3 +252,138 @@ def test_vector_kernels_match_generator_oracles(kind, dim, rows, data):
                       (vec_scale(c, a), vec_scale_oracle(c, a)),
                       (vec_dot(a, b), vec_dot_oracle(a, b))]:
         assert typed(got) == typed(want)
+
+
+def fraction_rref(rows, ncols):
+    """The Gauss-Jordan routine over Q that the integer kernel replaced,
+    kept as its oracle: the reduced rows as Fractions and the pivot
+    columns, pivoting on the first ncols columns."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        scale = a[top][col]
+        a[top] = [x / scale for x in a[top]]
+        for r in range(len(a)):
+            if r != top and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+        pivots.append(col)
+    return a, pivots
+
+
+def inverse_oracle(m):
+    """m^-1 as Fractions from the oracle RREF of [m | 1], or None."""
+    n = len(m)
+    a, pivots = fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(m)], n)
+    return [row[n:] for row in a] if len(pivots) == n else None
+
+
+def solve_oracle(generators, target):
+    """solve_rational_combination as it read the oracle RREF."""
+    k = len(generators)
+    a, pivots = fraction_rref(
+        [[g[i] for g in generators] + [t] for i, t in enumerate(target)], k)
+    if any(row[k] != 0 for row in a[len(pivots):]):
+        return None
+    coeffs = [Fraction(0)] * k
+    for row, col in zip(a, pivots):
+        coeffs[col] = row[k]
+    return tuple(coeffs)
+
+
+@st.composite
+def eliminable(draw, entry, rows=(1, 4), cols=(1, 6)):
+    """A matrix of up to 4 x 6 entries, often with a zero column, a
+    repeated row or a row that is a combination of two others."""
+    nrows = draw(st.integers(*rows))
+    ncols = draw(st.integers(*cols)) if cols else nrows
+    m = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for row in m:
+            row[col] = 0
+    if nrows > 1 and draw(st.booleans()):
+        m[draw(st.integers(1, nrows - 1))] = list(m[0])
+    if nrows > 2 and draw(st.booleans()):
+        c = draw(small_int)
+        m[2] = [x + c * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def proportional(a, b):
+    """a = c b for some c > 0 (both zero counts)."""
+    k = next((i for i, y in enumerate(b) if y), None)
+    if k is None:
+        return not any(a)
+    c = a[k] / b[k]
+    return c > 0 and all(x == c * y for x, y in zip(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ENTRIES)), st.data())
+def test_elimination_kernel_matches_fraction_rref(kind, data):
+    """The kernel's integer rows over d are the oracle's reduced rows, on
+    int, Fraction and mixed matrices: the pivot rows exactly, the rest up
+    to the positive factor that cleared a row of its denominators (1 for
+    an integer row).  The pivot entries are all d."""
+    m = data.draw(eliminable(ENTRIES[kind]))
+    width = len(m[0])
+    ncols = data.draw(st.integers(0, width))
+    d, rows, pivots = _gauss_jordan(m, ncols)
+    want, want_pivots = fraction_rref(m, ncols)
+    assert pivots == want_pivots
+    assert type(d) is int and d != 0
+    assert all(type(x) is int for row in rows for x in row)
+    assert [rows[r][c] for r, c in enumerate(pivots)] == [d] * len(pivots)
+    got = [[Fraction(x, d) for x in row] for row in rows]
+    top = len(pivots)
+    assert got[:top] == want[:top]
+    integral = all(type(x) is int for row in m for x in row)
+    for row, other in zip(got[top:], want[top:]):
+        assert not any(row[:ncols])
+        assert row == other if integral else proportional(row, other)
+    assert rational_rank(m) == len(fraction_rref(m, width)[1])
+
+
+def typed_matrix(m):
+    return [typed(tuple(row)) for row in m]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ENTRIES)), st.data())
+def test_inverses_and_solves_match_fraction_rref(kind, data):
+    """mat_inverse_rational, mat_inverse_unimodular and
+    solve_rational_combination against the readers of the oracle RREF,
+    refusals included, on square matrices of size 1-4 and on the rows of
+    a matrix as generators."""
+    entry = ENTRIES[kind]
+    m = data.draw(eliminable(entry, cols=None))
+    want = inverse_oracle(m)
+    if want is None:
+        for inverse in (mat_inverse_rational, mat_inverse_unimodular):
+            with pytest.raises(ValueError, match='^matrix is singular: '):
+                inverse(m)
+    else:
+        assert typed_matrix(mat_inverse_rational(m)) == typed_matrix(want)
+        if all(x.denominator == 1 for row in want for x in row):
+            assert typed_matrix(mat_inverse_unimodular(m)) == typed_matrix(
+                [[int(x) for x in row] for row in want])
+        else:
+            with pytest.raises(ValueError, match='^matrix is not unimodular'):
+                mat_inverse_unimodular(m)
+    gens = [tuple(row) for row in data.draw(eliminable(entry))]
+    n = len(gens[0])
+    coeffs = data.draw(st.lists(entry, min_size=len(gens),
+                                max_size=len(gens)))
+    for target in (data.draw(st.lists(entry, min_size=n, max_size=n)),
+                   combination(coeffs, gens, n)):
+        got = solve_rational_combination(gens, tuple(target))
+        assert typed(got) == typed(solve_oracle(gens, tuple(target)))
+
