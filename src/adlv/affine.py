@@ -26,9 +26,6 @@ __all__ = ['AffineElement', 'AffineWeyl']
 # kind of a move r_a x r_{sigma a}, by how many of its two sides lengthen
 _KINDS = ('down', 'keep', 'up')
 
-# _BIT[k] translates each byte to its bit k, as the byte 0 or 1
-_BIT = [bytes((b >> k) & 1 for b in range(256)) for k in range(8)]
-
 
 class AffineElement(NamedTuple):
     w: int
@@ -163,16 +160,19 @@ class AffineWeyl:
     def _chamber_masks(self):
         """(every, masks): masks[b] is the little-endian integer of |W|
         bytes whose byte v is 1 if the positive root b lies in v(Phi+),
-        else 0, that is bit b of ``W.pos_mask[v]``; ``every`` has all
-        |W| bytes 1.  Cut from one join of the bitmasks by one strided
-        slice and one byte translation per root."""
-        width = (len(self.datum.roots) + 7) // 8
-        joined = b''.join([m.to_bytes(width, 'little')
-                           for m in self.W.pos_mask])
-        return (int.from_bytes(b'\x01' * self.W.size, 'little'),
-                [int.from_bytes(joined[b >> 3::width].translate(_BIT[b & 7]),
+        else 0; ``every`` has all |W| bytes 1.  b lies in v(Phi+) iff
+        v^{-1}(b) > 0, that is iff byte b of ``W.root_action[W.inv[v]]``
+        is below ``num_positive`` (the positive roots come first).  The
+        rows are joined in index order of v, so mask b is one strided
+        slice of the join and one byte translation."""
+        W, npos = self.W, self.datum.num_positive
+        joined = b''.join([W.root_action[u] for u in W.inv])
+        positive = bytes(k < npos for k in range(256))
+        stride = len(self.datum.roots)
+        return (int.from_bytes(b'\x01' * W.size, 'little'),
+                [int.from_bytes(joined[b::stride].translate(positive),
                                 'little')
-                 for b in range(self.datum.num_positive)])
+                 for b in range(npos)])
 
     def lp_set(self, x):
         """All v in W with ell(x, v alpha) >= 0 for every positive alpha,
@@ -188,8 +188,8 @@ class AffineWeyl:
         with beta in v(Phi+) as one |W|-byte integer, so LP(x) is the AND
         of the masks with ell > 0, less the OR of those with ell < 0: a
         few big-integer operations per positive root and no Python loop
-        over W.  The table is built at the first call: 0.13 ms and 12 KB
-        on gl6 (|W| = 720, 15 positive roots), 10 ms and 2.0 MB on
+        over W.  The table is built at the first call: 0.06 ms and 12 KB
+        on gl6 (|W| = 720, 15 positive roots), 13 ms and 2.0 MB on
         e6_adjoint (|W| = 51 840, 36 positive roots).
 
         The members are the positions of the 1 bytes, in index order;
@@ -279,9 +279,10 @@ class AffineWeyl:
             r_a x r_b = (w' s_beta) eps^{mu' + k' beta^vee},
                                     k' = k - <beta, mu'>.
 
-        The Weyl parts are one table step (``W.left``, ``W.right``) for a
-        finite simple root, and a product with the reflection in the
-        highest root for an affine one.  Each side changes the length by
+        The Weyl parts are table steps for a finite simple root, s_alpha w
+        = (w^{-1} s_alpha)^{-1} off ``W.inv`` and ``W.right`` and w' s_beta
+        off ``W.right``, and a product with the reflection in the highest
+        root for an affine one.  Each side changes the length by
         +-1, read off from a sign instead of a recount: ell(r_a x) -
         ell(x) = +1 iff x^{-1}(a) > 0, and ell(y r_b) - ell(y) = +1 iff
         y(b) > 0, for y = r_a x.  Both roots are already at hand:
@@ -317,10 +318,11 @@ class AffineWeyl:
         idx, k = aroot
         sidx, i, j = self._conjugation[aroot]
         w, mu = x
+        winv = W.inv[w]
         # x^{-1}(a) = (back, k_back)
-        back = W.root_action[W.inv[w]][idx]
+        back = W.root_action[winv][idx]
         k_back = k + sum(map(mul, roots[back].covec, mu))
-        w1 = W.left[w][i] if i is not None else W.mult(
+        w1 = W.inv[W.right[winv][i]] if i is not None else W.mult(
             W.root_reflection[idx], w)
         if k:
             mu = tuple([m + k * c for m, c in zip(mu, roots[back].coroot)])

@@ -24,8 +24,8 @@ of the right size.
 
 An explicit ``lattice_basis`` matrix has columns expressing a basis of X
 in fundamental-coweight coordinates; "sc" is the coroot lattice,
-"adjoint" the full coweight lattice, and "gl" (type A_{n-1} only) the
-standard lattice of GL_n.
+"adjoint" the full coweight lattice, and "gl" (type A_{n-1} only, its
+nodes in chain order) the standard lattice of GL_n.
 """
 
 from __future__ import annotations
@@ -842,7 +842,13 @@ def datum_from_config(config):
     sig_mat = config.get('sigma_matrix')
 
     if basis == 'gl':
-        # type A_{n} realized on the standard lattice of GL_{n+1}
+        # type A_{n} realized on the standard lattice of GL_{n+1}; the
+        # block is built directly, so a product of n small parts is
+        # refused for its shape, not for the order of W(A_n)
+        if cartan != _cartan_block('A', n):
+            raise ValueError('lattice_basis "gl" needs type A_n in chain '
+                             'order, and %s is not A%d in chain order'
+                             % (what, n))
         d = n + 1
         coroots = [tuple((1 if j == i else -1 if j == i + 1 else 0)
                          for j in range(d)) for i in range(n)]

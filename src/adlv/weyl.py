@@ -58,10 +58,9 @@ class WeylGroup:
     exactly where j is outside the support of e.  The new shift d_{f,i}
     of f = e s_i, of length l(e) + 1, is never 0.
 
-    ``pos_mask[e]`` is the bitmask over root indices of e(Phi+).  s_i
-    permutes Phi+ minus alpha_i and sends alpha_i to -alpha_i (Humphreys,
-    1.4), so (e s_i)(Phi+) is e(Phi+) with e(alpha_i) swapped for
-    e(-alpha_i): one XOR of two bits per new element.
+    No table repeats another.  A left product s_i e is (e^{-1} s_i)^{-1},
+    read off ``inv`` and ``right``, and e(Phi+) is the set of positive
+    roots among the bytes of ``root_action[e]``.
 
     The reflections need no matrix either.  s_i moves the simple-root
     coordinates c of a root by s_i(beta) = beta - <beta, alpha_i^vee>
@@ -115,8 +114,6 @@ class WeylGroup:
         # shifts[e][j]: e(omega_j^vee) - omega_j^vee, None when 0
         shifts = [(None,) * n]
         zero = (0,) * datum.dim
-        pos_mask = [(1 << datum.num_positive) - 1]
-        neg_simple = [datum.negative(s) for s in simple]
         # index: root indices of the images of the simple roots -> element
         index = {bytes(simple): 0}
         frontier = [0]
@@ -139,8 +136,6 @@ class WeylGroup:
                         words.append(words[e] + (i,))
                         right.append([0] * n)
                         root_action.append(perms[i].translate(table))
-                        pos_mask.append(pos_mask[e] ^ (1 << row[simple[i]])
-                                        ^ (1 << row[neg_simple[i]]))
                         nxt.append(f)
                     right[e][i] = f
             frontier = nxt
@@ -156,14 +151,10 @@ class WeylGroup:
             for i in reversed(words[e]):
                 x = right[x][i]
             self.inv[e] = x
-        # s_i e = (e^{-1} s_i)^{-1}
-        self.left = [[self.inv[right[self.inv[e]][i]] for i in range(n)]
-                     for e in range(self.size)]
         # the simple reflections themselves
         self.simple = [self.right[0][i] for i in range(n)]
         # action of each element on the root list (by root index)
         self.root_action = root_action
-        self.pos_mask = pos_mask
         # s_r = e s_i e^{-1} at the first (e, i) with e(alpha_i) = alpha_r
         root_reflection = [None] * len(datum.roots)
         missing = len(datum.roots)
@@ -336,20 +327,23 @@ class WeylGroup:
         sigma-Coxeter, by a walk over the sigma-class of e, not a scan of W:
         as sigma(s_i) = s_{sigma(i)}, v = v' s_i gives v^{-1} e sigma(v) =
         s_i (v'^{-1} e sigma(v')) s_{sigma(i)}, so by induction on l(v) the
-        class is the closure of {e} under f -> s_i f s_{sigma(i)}, two table
-        steps each.  The walk stops at its first partial sigma-Coxeter member.
+        class is the closure of {e} under f -> s_i f s_{sigma(i)}.  With
+        g = f s_{sigma(i)} one ``right`` step, s_i g = (g^{-1} s_i)^{-1} is
+        two ``inv`` steps and one ``right`` step more.  The walk stops at its
+        first partial sigma-Coxeter member.
 
         >>> from adlv.datum import builtin_datum
         >>> g = WeylGroup(builtin_datum('sp4'))
         >>> g.sigma_conjugate_to_partial_coxeter(g.longest)
         False
         """
+        inv, right = self.inv, self.right
         members, seen = [e], {e}
         for f in members:                   # grows as the walk goes
             if self.is_partial_sigma_coxeter(f):
                 return True
             for i, j in enumerate(self.datum.sigma_perm):
-                g = self.left[self.right[f][j]][i]
+                g = inv[right[inv[right[f][j]]][i]]
                 if g not in seen:
                     seen.add(g)
                     members.append(g)

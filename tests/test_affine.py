@@ -214,13 +214,24 @@ def test_lp_set_matches_per_v_oracle(name):
     assert max(sizes) > 1
 
 
-def lp_set_scan(aw, x):
+def positive_image_mask(d, root_action_row):
+    """Bitmask over root indices of e(Phi+), from the root action of e."""
+    return sum(1 << r for r in root_action_row[:d.num_positive])
+
+
+def positive_image_masks(W):
+    """The bitmask of v(Phi+) for each v in W, in index order."""
+    return [positive_image_mask(W.datum, row) for row in W.root_action]
+
+
+def lp_set_scan(aw, x, images):
     """Oracle: the scan lp_set replaced.  With N(x) = {beta : ell(x, beta)
     < 0} over all roots, v is in LP(x) iff v(Phi+) misses N(x): one AND
-    of N(x) with the bitmask ``W.pos_mask[v]`` per element of W."""
+    of N(x) with the bitmask of v(Phi+) per element of W, from
+    ``images = positive_image_masks(aw.W)``."""
     neg = sum(1 << b for b in range(len(aw.datum.roots))
               if aw.length_functional(x, b) < 0)
-    return [v for v, m in enumerate(aw.W.pos_mask) if not m & neg]
+    return [v for v, m in enumerate(images) if not m & neg]
 
 
 @pytest.mark.parametrize('name', SMALL_DATA + ['e6_adjoint'])
@@ -237,12 +248,42 @@ def test_lp_set_matches_scan(name, request):
     else:
         aw = AffineWeyl(builtin_datum(name))
         elements = box_or_gl6_sample(aw)
+    images = positive_image_masks(aw.W)
     sizes = set()
     for x in elements:
         lp = aw.lp_set(x)
-        assert lp == lp_set_scan(aw, x), x
+        assert lp == lp_set_scan(aw, x, images), x
         sizes.add(len(lp))
     assert len(sizes) > 1
+
+
+# _BIT[k] translates each byte to its bit k, as the byte 0 or 1
+_BIT = [bytes((b >> k) & 1 for b in range(256)) for k in range(8)]
+
+
+def chamber_masks_by_bitmask(W):
+    """Oracle for ``AffineWeyl._chamber_masks``, from the bitmasks of
+    v(Phi+): join them in index order of v, each ceil(|Phi| / 8) bytes
+    little-endian, then cut bit b of every v out of the join by one
+    strided slice and one byte translation."""
+    width = (len(W.datum.roots) + 7) // 8
+    joined = b''.join([m.to_bytes(width, 'little')
+                       for m in positive_image_masks(W)])
+    return (int.from_bytes(b'\x01' * W.size, 'little'),
+            [int.from_bytes(joined[b >> 3::width].translate(_BIT[b & 7]),
+                            'little')
+             for b in range(W.datum.num_positive)])
+
+
+@pytest.mark.parametrize('name', sorted(BUILTIN_DATA))
+def test_chamber_masks_match_bitmask_oracle(name, request):
+    """On every built-in, W(E6) included."""
+    if name == 'e6_adjoint':
+        e6_weyl = request.getfixturevalue('e6_weyl')
+        aw = AffineWeyl(e6_weyl.datum, weyl=e6_weyl)
+    else:
+        aw = AffineWeyl(builtin_datum(name))
+    assert aw._chamber_masks == chamber_masks_by_bitmask(aw.W)
 
 
 def test_empty_lp_set_names_datum_and_element(monkeypatch):

@@ -146,6 +146,27 @@ def test_repeated_json_key_exits_1(capsys, tmp_path):
                                 '"type"\n')
 
 
+# A3 with its middle node last: the chain is 1 - 3 - 2
+A3_OUT_OF_CHAIN_ORDER = [[2, 0, -1], [0, 2, -1], [-1, -1, 2]]
+
+
+@pytest.mark.parametrize('config, what', [
+    ({'type': 'B2'}, "type 'B2' is not A2"),
+    ({'type': 'A1xA1'}, "type 'A1xA1' is not A2"),
+    ({'cartan': A3_OUT_OF_CHAIN_ORDER}, 'the Cartan matrix is not A3'),
+], ids=['B2', 'A1xA1', 'A3_out_of_chain_order'])
+def test_gl_basis_off_type_a_exits_1(capsys, tmp_path, config, what):
+    """The standard lattice of GL_{n+1} carries type A_n with its nodes in
+    chain order only; any other Cartan matrix is refused by name, before
+    a root is formed."""
+    path = tmp_path / 'datum.json'
+    path.write_text(json.dumps(dict(config, lattice_basis='gl')))
+    code, out, err = run(capsys, 'datum', 'validate', '--datum', str(path))
+    assert (code, out, err) == (1, '', 'usage error: --datum: lattice_basis '
+                                '"gl" needs type A_n in chain order, and '
+                                '%s in chain order\n' % what)
+
+
 @pytest.mark.parametrize('name', sorted(SIGMA_MOVES_FREE_PI1))
 @pytest.mark.parametrize('argv', [['classpoly'], ['pct', 'classify'],
                                   ['pct', 'report']])

@@ -16,7 +16,8 @@ from adlv.lattice import (mat_identity, mat_inverse_unimodular, mat_mul,
                           mat_vec, rational_rank)
 from adlv.weyl import WeylGroup
 
-from test_affine import lp_set_per_v, simple_sigma_conjugate_two_products
+from test_affine import (lp_set_per_v, positive_image_mask,
+                         simple_sigma_conjugate_two_products)
 from test_datum import reflection_matrix
 
 ORDERS = {'sl2': 2, 'sl3': 6, 'sl4': 24, 'sp4': 8, 'g2': 12}
@@ -250,14 +251,11 @@ def test_tables_match_matrix_products(name):
     for e in range(g.size):
         for i, m in enumerate(gens):
             assert g.right[e][i] == elem_of_mat[mat_key(mat_mul(mats[e], m))]
-            assert g.left[e][i] == elem_of_mat[mat_key(mat_mul(m, mats[e]))]
+            # s_i e = (e^{-1} s_i)^{-1}
+            assert g.inv[g.right[g.inv[e]][i]] \
+                == elem_of_mat[mat_key(mat_mul(m, mats[e]))]
         assert g.sigma_elem[e] == elem_of_mat[mat_key(mat_mul(
             mat_mul(d.sigma_matrix, mats[e]), d.sigma_inv_matrix))]
-
-
-def positive_image_mask(d, root_action_row):
-    """Bitmask over root indices of e(Phi+), from the root action of e."""
-    return sum(1 << r for r in root_action_row[:d.num_positive])
 
 
 def matrix_bfs_tables(d):
@@ -323,9 +321,14 @@ def test_tables_match_matrix_bfs(name):
     d = (datum_from_config(TWISTED[name]) if name in TWISTED
          else builtin_datum(name))
     g = WeylGroup(d)
-    # the matrices formed from act, and the bytes rows read as lists
+    # the matrices formed from act, the bytes rows read as lists, s_i e
+    # as (e^{-1} s_i)^{-1} and e(Phi+) off the root rows
     formed = {'mats': [act_matrix(g, e) for e in range(g.size)],
-              'root_action': [list(row) for row in g.root_action]}
+              'root_action': [list(row) for row in g.root_action],
+              'left': [[g.inv[g.right[g.inv[e]][i]] for i in range(d.rank)]
+                       for e in range(g.size)],
+              'pos_mask': [positive_image_mask(d, row)
+                           for row in g.root_action]}
     for table, want in matrix_bfs_tables(g.datum).items():
         got = formed[table] if table in formed else getattr(g, table)
         assert got == want, table
@@ -408,9 +411,21 @@ def test_e6_reflections_match_reflection_matrices(e6_weyl):
 
 
 def test_e6_pos_mask_matches_root_action(e6_weyl):
+    """e(Phi+) off the root row of e, on W(E6), which matrix_bfs_tables
+    skips.  s_i permutes Phi+ less alpha_i and sends alpha_i to -alpha_i
+    (Humphreys, 1.4), so e s_i swaps e(alpha_i) in e(Phi+) for
+    e(-alpha_i); and l(e) of the roots in e(Phi+) are negative."""
     g = e6_weyl
-    assert g.pos_mask == [positive_image_mask(g.datum, row)
-                          for row in g.root_action]
+    d = g.datum
+    masks = [positive_image_mask(d, row) for row in g.root_action]
+    negative = (1 << len(d.roots)) - (1 << d.num_positive)
+    for f in range(1, g.size):
+        i = g.words[f][-1]
+        e = g.right[f][i]
+        row, s = g.root_action[e], d.simple_indices[i]
+        assert masks[f] == (masks[e] ^ (1 << row[s])
+                            ^ (1 << row[d.negative(s)])), g.words[f]
+        assert bin(masks[f] & negative).count('1') == g.lengths[f]
 
 
 def inverse_by_root_key(g):
@@ -443,10 +458,14 @@ def test_index_order_is_length_then_least_reduced_word(name, request):
          else WeylGroup(builtin_datum(name)))
     keys = [(g.lengths[e], g.words[e]) for e in range(g.size)]
     assert keys == sorted(keys)
+
+    def left(e, i):
+        # s_i e = (e^{-1} s_i)^{-1}
+        return g.inv[g.right[g.inv[e]][i]]
     for e in range(1, g.size):
         i = min(i for i in range(g.datum.rank)
-                if g.lengths[g.left[e][i]] < g.lengths[e])
-        assert g.words[e] == (i,) + g.words[g.left[e][i]]
+                if g.lengths[left(e, i)] < g.lengths[e])
+        assert g.words[e] == (i,) + g.words[left(e, i)]
         assert g.lengths[e] == len(g.words[e])
 
 
