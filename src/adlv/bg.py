@@ -113,6 +113,7 @@ class BGInvariants:
         self.kottwitz = self.datum.kottwitz_presentation()
         self.gamma = self.datum.galois_coinvariants()
         self._records = {}
+        self._classes = {}    # element -> its BGClass
 
     # -- Newton and Kottwitz ------------------------------------------------
 
@@ -160,12 +161,18 @@ class BGInvariants:
         return self.kottwitz.project(x.mu)
 
     def element_class(self, x):
-        """The BGClass of the sigma-conjugacy class of x: nu = lam / k for
-        the dominant representative lam of the translation part of the
-        k-th twisted power (see :meth:`newton_of_element`), on ints."""
-        k, mu = self._twisted_power(x)
-        _, lam = self.W.dominant_representative(mu)
-        return BGClass(self.kottwitz_point(x), k, lam)
+        """The BGClass of the sigma-conjugacy class of x, memoised per
+        element: nu = lam / k for the dominant representative lam of the
+        translation part of the k-th twisted power (see
+        :meth:`newton_of_element`), on ints.  (kappa, nu) fixes the class
+        (Kottwitz, Compositio Math. 56, 1985), so this is the one source
+        of an element's class; class keys read it too."""
+        b = self._classes.get(x)
+        if b is None:
+            k, mu = self._twisted_power(x)
+            _, lam = self.W.dominant_representative(mu)
+            b = self._classes[x] = BGClass(self.kottwitz_point(x), k, lam)
+        return b
 
     # -- lambda-invariant ----------------------------------------------------
 

@@ -326,12 +326,11 @@ def _scan_rows(ctx, args):
     aw, pct = ctx.aw, ctx.pct
     bound = args.mu_bound if args.mu_bound is not None else args.max_length
     for x in aw.box_elements(bound, args.max_length):
-        b = ctx.red.key_class(x)
         flag, v = pct.pct_characterize(x)
         yield {
             'x': aw.element_to_dict(x),
             'length': aw.aff_length(x),
-            'class': b.to_dict(),
+            'class': ctx.bg.element_class(x).to_dict(),
             'positive_coxeter_type': flag,
             'finite_coxeter_part': pct.has_finite_coxeter_part(x),
             'classpoly': _poly_rows(

@@ -409,9 +409,9 @@ class PCT:
         J(b)-coroots and the coinvariant relations, and lambda =
         sigma(v^{-1} mu) modulo the relations of X(c, J(b)).  The key of
         c' eps^lambda must equal the key of the actual tree leaf of class
-        b: the leaves are compared by interned key id, and the class of
-        each leaf is the one interned next to its key
-        (Reduction.key_class).
+        b: the leaves are filtered by their class
+        (BGInvariants.element_class), and only those of class b are keyed
+        and compared by interned key id.
         """
         i_nu, _ = self.bg.strata_sets(b)
         jb = frozenset(pair.J & i_nu)
@@ -433,7 +433,7 @@ class PCT:
         if validate:
             tree = red.build_reduction_tree(pair.x)
             leaf_ids = {red.class_id(leaf.x) for leaf in tree.leaves()
-                        if red.key_class(leaf.x) == b}
+                        if self.bg.element_class(leaf.x) == b}
             if leaf_ids != {key_id}:
                 raise InvariantError(
                     self.datum.name, 'endpoint certificate differs from the '
@@ -466,7 +466,7 @@ class PCT:
         if not self.W.sigma_conjugate_to_partial_coxeter(x.w):
             return False, None
         x_min, moves = self.red.descend_to_minimal(x)
-        b = self.red.key_class(x_min)
+        b = self.bg.element_class(x_min)
         two_rho_nu = self.bg.two_rho_nu(b)
         dim_path = len(moves) + self.aw.aff_length(x_min) - two_rho_nu
         defect = self.bg.defect(b)

@@ -13,11 +13,11 @@ and the class-key closure.  None recurses: one loop over a stack builds
 a reduction tree and the record of its root-to-leaf paths, which every
 reader of the tree reads.
 
-A class key is interned once per ``Reduction``, under a small integer
-id, next to its ``BGClass``: the class of a tree leaf is the one
-interned with the leaf's key, never a Newton point of the leaf, and it
-hashes on ints.  The key itself, (kappa, nu, minimal length,
-representative) with nu as Fractions, is formed once per id.
+A class key (kappa, nu, minimal length, representative) is interned
+once per ``Reduction`` under a small integer id, and formed only where a
+key is the answer: the class polynomials, ``class_key`` and the endpoint
+key.  A tree leaf's class is its ``BGClass`` (kappa, nu), read off
+``BGInvariants.element_class``, which forms no closure.
 
 Polynomials are integer coefficient tuples, lowest degree first:
 q^2 - q is (0, -1, 1).
@@ -138,7 +138,6 @@ class Reduction:
         self._walks = {}     # x -> (orbit members, their down edges)
         self._key_memo = {}     # element -> class id
         self._keys = []         # class id -> class key
-        self._key_classes = []  # class id -> BGClass of the key
 
     # -- the equal-length sigma-conjugation orbit ---------------------------
 
@@ -286,13 +285,9 @@ class Reduction:
         least minimal-length element of the conjugation closure of a
         minimal-length element up to the minimal length plus
         ``DEFAULT_SLACK``).  Keys are interned per ``Reduction``: every
-        element of one closure gets the same tuple object."""
+        element of one closure gets the same tuple object.  A caller that
+        needs only (kappa, nu) reads BGInvariants.element_class."""
         return self._keys[self.class_id(x)]
-
-    def key_class(self, x):
-        """The BGClass of x's class, interned next to class_key(x): its
-        (kappa, nu) on ints, formed once per key."""
-        return self._key_classes[self.class_id(x)]
 
     def class_id(self, x):
         """The interned id of class_key(x), a small integer.
@@ -316,7 +311,6 @@ class Reduction:
             b = self.bg.element_class(x_min)
             i = len(self._keys)
             self._keys.append((b.kappa, b.nu, lmin, canon))
-            self._key_classes.append(b)
             for y in lengths:
                 self._key_memo[y] = i
         self._key_memo[x] = i
@@ -355,9 +349,9 @@ class Reduction:
                       'polynomial': tuple}}.
 
         dim is the path statistic l_I + l_II + ell(end) - <nu(b), 2 rho>.
-        One pass over the root-to-leaf paths: a leaf's class b is the one
-        interned next to its class key (:meth:`key_class`), and <nu(b), 2
-        rho> is read off the class record of b.
+        One pass over the root-to-leaf paths: a leaf's class b is
+        BGInvariants.element_class of the leaf, with no class key, and
+        <nu(b), 2 rho> is read off the class record of b.
         The polynomial of b is the sum of (q-1)^{l_I} q^{l_II} over the
         leaves of class b, which is the sum of the class polynomials of
         its keys, since a key's class polynomial is the sum of the
@@ -365,7 +359,7 @@ class Reduction:
         """
         out = {}
         for leaf, ni, nii in self.build_reduction_tree(x).paths():
-            b = self.key_class(leaf.x)
+            b = self.bg.element_class(leaf.x)
             entry = out.get(b)
             if entry is None:
                 entry = out[b] = {'paths': [], 'polynomial': ()}

@@ -168,8 +168,7 @@ def test_gl_basis_off_type_a_exits_1(capsys, tmp_path, config, what):
 
 
 @pytest.mark.parametrize('name', sorted(SIGMA_MOVES_FREE_PI1))
-@pytest.mark.parametrize('argv', [['classpoly'], ['pct', 'classify'],
-                                  ['pct', 'report']])
+@pytest.mark.parametrize('argv', [['classpoly'], ['tree']])
 def test_class_key_refusal_exits_2(capsys, tmp_path, name, argv):
     """On a datum whose sigma moves the free part of pi_1, every command
     that forms a class key exits 2 with the refusal, on x = 1."""
@@ -178,6 +177,31 @@ def test_class_key_refusal_exits_2(capsys, tmp_path, name, argv):
     code, out, err = run(capsys, *argv, '--datum', str(path), '--x', '{}')
     assert (code, out) == (2, '')
     assert err.startswith('error: ' + refusal(str(path))), err
+
+
+@pytest.mark.parametrize('name', sorted(SIGMA_MOVES_FREE_PI1))
+def test_unitary_data_run_where_no_key_is_needed(capsys, tmp_path, name):
+    """Where sigma moves the free part of pi_1, a class has no key but
+    still has its (kappa, nu): on x = 1, pct report, pct classify and bgx
+    form no key and exit 0, the report's classes are the bgx classes, and
+    classpoly, tree and pct endpoint, which form keys, exit 2 with the
+    refusal."""
+    path = tmp_path / 'datum.json'
+    path.write_text(json.dumps(SIGMA_MOVES_FREE_PI1[name]))
+    where = ('--datum', str(path), '--x', '{}')
+    report = run_json(capsys, 'pct', 'report', *where)
+    classify = run_json(capsys, 'pct', 'classify', *where)
+    bgx = run_json(capsys, 'bgx', *where)
+    assert classify['positive_coxeter_type'] is True
+    assert [c['class'] for c in report['classes']] \
+        == [row['class'] for row in bgx] == [report['b_min']]
+    b = report['b_min']
+    for argv in (['classpoly'], ['tree'],
+                 ['pct', 'endpoint', '--kappa', json.dumps(b['kappa']),
+                  '--nu', json.dumps(b['nu'])]):
+        code, out, err = run(capsys, *argv, *where)
+        assert (code, out) == (2, ''), argv
+        assert err.startswith('error: ' + refusal(str(path))), err
 
 
 def test_json_datum_messages_name_their_file(capsys, tmp_path):
@@ -291,16 +315,16 @@ def test_unexpected_library_exception_is_an_internal_error(
             == (error is KeyError)), err
 
 
-def test_scan_forms_one_newton_point_per_class_key(capsys, monkeypatch):
-    """Each scan row's class, and the class pct_characterize needs, is read
-    off the interned class key: element_class runs once per class-key
-    closure.  The rows' classes agree with element_class of x."""
-    newton = count_calls(monkeypatch, BGInvariants, 'element_class')
-    closures = count_calls(monkeypatch, Reduction, '_closure')
+def test_scan_forms_one_newton_point_per_element(capsys, monkeypatch):
+    """Each scan row's class, the class pct_characterize needs at x_min
+    and the class of each new class key are read off element_class, which
+    forms one twisted power per distinct element.  The rows' classes
+    agree with element_class of x on a fresh context."""
+    powers = count_calls(monkeypatch, BGInvariants, '_twisted_power')
     rows = run_json(capsys, 'scan', '--datum', 'gl3', '--max-length', '4',
                     '--mu-bound', '1')
     assert len(rows) == 127
-    assert len(newton) == len(closures) < len(rows)
+    assert len(powers) == len(set(powers)) >= len(rows)
     monkeypatch.undo()
     ctx = Context('gl3')
     for row in rows:

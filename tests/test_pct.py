@@ -725,26 +725,35 @@ def test_tree_path_fault_exits_3_naming_datum_and_x(monkeypatch, capsys):
     assert err.rstrip().endswith('for x = ' + x), err
 
 
-def test_report_and_endpoints_form_no_newton_point_per_leaf(monkeypatch):
-    """thmA_report and endpoint_class(validate=True) over every class of
-    every gl3 box(2, 6) element of positive Coxeter type read each tree
-    leaf's class off its key: element_class runs once per class-key
-    closure and nowhere else."""
+def test_report_forms_no_closure_and_endpoints_key_class_b_leaves(
+        monkeypatch):
+    """Over every gl3 box(2, 6) element of positive Coxeter type, on a
+    fresh context: thmA_report reads each tree leaf's class off
+    element_class and forms no class-key closure, and
+    endpoint_class(validate=True) keys the endpoint and only the leaves
+    of class b."""
     ctx = Context('gl3')
     pct = ctx.pct
-    newton = count_calls(monkeypatch, ctx.bg, 'element_class')
     closures = count_calls(monkeypatch, ctx.red, '_closure')
-    reports = 0
+    reports = []
     for x in ctx.aw.box_elements(2, 6):
         pairs = pct.positive_coxeter_pairs(x)
-        if not pairs:
-            continue
-        report = pct.thmA_report(x)
+        if pairs:
+            reports.append((pairs[0], pct.thmA_report(x)))
+    assert len(reports) > 100 and closures == []
+    keyed = count_calls(monkeypatch, ctx.red, 'class_id')
+    skipped = 0
+    for pair, report in reports:
+        leaves = ctx.red.build_reduction_tree(pair.x).leaves()
         for cd in report['classes']:
-            pct.endpoint_class(pairs[0], cd['class'], validate=True)
-        reports += 1
-    assert reports > 100
-    assert len(newton) == len(closures) > 0
+            b = cd['class']
+            del keyed[:]
+            cert = pct.endpoint_class(pair, b, validate=True)
+            of_b = {leaf.x for leaf in leaves
+                    if ctx.bg.element_class(leaf.x) == b}
+            assert {y for y, in keyed} == {cert['endpoint']} | of_b
+            skipped += len(leaves) - len(of_b)
+    assert closures and skipped > 0
 
 
 def endpoint_per_call(pct, pair, b):

@@ -15,6 +15,7 @@ import pytest
 
 from adlv import reduction
 from adlv.affine import AffineElement, AffineWeyl
+from adlv.bg import BGClass
 from adlv.cli import main
 from adlv.datum import InvariantError, builtin_datum, datum_from_config
 from adlv.lattice import vec_dot
@@ -244,14 +245,15 @@ def test_bgx_from_tree_minimal(red3):
     assert entry['paths'][0][3] == 0
 
 
-def bgx_from_tree_per_leaf(red, x):
-    """Oracle: bgx_from_tree with a Newton point per leaf and the class
-    polynomials re-summed over each class's leaf keys."""
+def bgx_by_leaf_fold(red, x, leaf_class):
+    """Oracle: bgx_from_tree as a fold over the leaves, each leaf's class
+    read by leaf_class, and each class's polynomial summed over its
+    leaves' class polynomials, by key."""
     tree = red.build_reduction_tree(x)
     polys = red.class_polynomials(x, tree=tree)
     out, leaf_keys = {}, {}
     for leaf, ni, nii in tree.paths():
-        b = red.bg.element_class(leaf.x)
+        b = leaf_class(leaf.x)
         end_len = red.aw.aff_length(leaf.x)
         dim = ni + nii + end_len - vec_dot(red.datum.two_rho, b.nu)
         out.setdefault(b, {'paths': []})['paths'].append(
@@ -268,13 +270,41 @@ def bgx_from_tree_per_leaf(red, x):
 @pytest.mark.parametrize('name,bound,max_length', [
     ('gl3', 2, 6), ('sl3_flip', 2, 7), ('sp4', 3, 6)])
 def test_bgx_from_tree_matches_per_leaf_newton(name, bound, max_length):
-    """Classes from leaf keys against a Newton point per leaf, class
+    """bgx_from_tree against the fold with a Newton point per leaf, class
     order, paths and polynomials included."""
     red = Reduction(AffineWeyl(builtin_datum(name)))
     for x in red.aw.box_elements(bound, max_length):
         got = red.bgx_from_tree(x)
-        want = bgx_from_tree_per_leaf(red, x)
+        want = bgx_by_leaf_fold(red, x, red.bg.element_class)
         assert list(got.items()) == list(want.items()), x
+
+
+def key_read_class(red, y):
+    """Oracle: the class of y read back out of its class key, the (kappa,
+    nu) of a slack-bounded closure."""
+    return BGClass.from_nu(*red.class_key(y)[:2])
+
+
+@pytest.mark.parametrize('name,bound,max_length', [
+    ('gl3', 2, 6), ('sl3_flip', 2, 7), ('sp4', 2, 6), ('g2', 2, 7),
+    ('psp4', 2, 6)])
+def test_leaf_classes_match_key_read(name, bound, max_length):
+    """element_class of every tree leaf is the (kappa, nu) of its class
+    key, and bgx_from_tree equals the key-read fold, class order, paths
+    and polynomials included.  The oracle keys on a Reduction of its
+    own, so it shares no memo with the one under test."""
+    d = builtin_datum(name)
+    red, oracle = Reduction(AffineWeyl(d)), Reduction(AffineWeyl(d))
+    leaves = 0
+    for x in red.aw.box_elements(bound, max_length):
+        want = bgx_by_leaf_fold(oracle, x,
+                                lambda y: key_read_class(oracle, y))
+        assert list(red.bgx_from_tree(x).items()) == list(want.items()), x
+        for leaf in oracle.build_reduction_tree(x).leaves():
+            assert red.bg.element_class(leaf.x) \
+                == key_read_class(oracle, leaf.x), (x, leaf.x)
+            leaves += 1
+    assert leaves > len(oracle._keys) > 1
 
 
 def leaves_by_stack(tree):
