@@ -342,10 +342,18 @@ class AffineWeyl:
     # -- eta ---------------------------------------------------------------
 
     def eta_sigma(self, x):
-        """sigma^{-1}(v)^{-1} w v, v minimal with v^{-1} mu dominant."""
+        """sigma^{-1}(v)^{-1} w v, v minimal with v^{-1} mu dominant.
+
+        sigma^n fixes X for n = ``datum.sigma_order``, so it fixes W, and
+        sigma^{-1}(v) is sigma^{n-1}(v): n - 1 steps of ``W.sigma_elem``,
+        none on untwisted data.
+        """
         W = self.W
         v, _ = W.dominant_representative(x.mu)
-        return W.mult(W.mult(W.inv[W.sigma_inv_elem[v]], x.w), v)
+        u = v
+        for _ in range(self.datum.sigma_order - 1):
+            u = W.sigma_elem[u]
+        return W.mult(W.mult(W.inv[u], x.w), v)
 
     # -- length-zero elements --------------------------------------------------
 

@@ -236,10 +236,12 @@ class BGInvariants:
         if self.kottwitz.project(lam) != b.kappa:
             raise InvariantError(d.name, 'lambda candidate fails kappa match: '
                                  'lambda = %s' % _vec_text(lam), sigma_class=b)
-        if d.hull_numerators(lam) != (b.den, b.nums):
+        hull_den, hull_nums = d.hull_numerators(lam)
+        if (hull_den, hull_nums) != (b.den, b.nums):
             raise InvariantError(
                 d.name, 'conv(lambda(b)) != nu(b): lambda = %s, conv = %s'
-                % (_vec_text(lam), _vec_text(d.convex_hull_point(lam))),
+                % (_vec_text(lam), _vec_text([Fraction(x, hull_den)
+                                              for x in hull_nums])),
                 sigma_class=b)
         den, num = b.den, b.nums
         pairing = vec_dot(d.two_rho, num)

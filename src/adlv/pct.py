@@ -531,8 +531,8 @@ class PCT:
         subsets, _ = very_special_subsets(cartan, perm)
         k_nodes = subsets[0]
         k_aroots = [aroots[i] for i in sorted(k_nodes)]
-        c_k = self._coxeter_witness(ep['endpoint'], tau, k_aroots, perm,
-                                    [i for i in sorted(k_nodes)], aroots)
+        c_k = self._coxeter_witness(ep['endpoint'], tau, perm,
+                                    sorted(k_nodes), aroots)
         return {'tau': tau, 'K': tuple(k_aroots), 'K_nodes': k_nodes,
                 'c_K': c_k, 'endpoint': ep}
 
@@ -571,8 +571,7 @@ class PCT:
             perm.append(aroots.index(image))
         return perm
 
-    def _coxeter_witness(self, endpoint, tau, k_aroots, perm, k_nodes,
-                         aroots):
+    def _coxeter_witness(self, endpoint, tau, perm, k_nodes, aroots):
         """Word of twisted-Coxeter reflections with endpoint = product of
         the reflections times tau, or None."""
         aw = self.aw
@@ -583,7 +582,7 @@ class PCT:
                 orbits.append(perm_orbit(perm, i))
         for reps in itertools.product(*orbits):
             for order in itertools.permutations(reps):
-                prod = AffineElement(0, (0,) * self.datum.dim)
+                prod = aw.identity
                 for i in order:
                     prod = aw.mult(prod, aw.reflection(aroots[i]))
                 if prod == u:

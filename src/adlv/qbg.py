@@ -43,7 +43,7 @@ class QuantumBruhatGraph:
     >>> from adlv.weyl import WeylGroup
     >>> q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl2')))
     >>> sorted(q.edges[0]), sorted(q.edges[1])
-    ([(1, (0,), 0, 'bruhat')], [(0, (1,), 0, 'quantum')])
+    ([(1, (0,), 0)], [(0, (1,), 0)])
     >>> q.distance_weight(1, 0)
     (1, (1,))
     """
@@ -60,9 +60,10 @@ class QuantumBruhatGraph:
 
     @cached_property
     def edges(self):
-        """edges[w]: the out-edges (w s_alpha, weight, root index, kind) of
-        w, for the positive roots alpha in index order; formed for every
-        vertex at the first read."""
+        """edges[w]: the out-edges (w s_alpha, weight, root index) of w,
+        for the positive roots alpha in index order; formed for every
+        vertex at the first read.  The weight tells the kind: zero on a
+        Bruhat edge, the nonzero alpha^vee on a quantum edge."""
         W, d = self.W, self.datum
         zero = (0,) * d.rank
         edges = [[] for _ in range(W.size)]
@@ -72,10 +73,9 @@ class QuantumBruhatGraph:
                 ws = W.mult(w, W.root_reflection[i])
                 lws = W.lengths[ws]
                 if lws == lw + 1:
-                    edges[w].append((ws, zero, i, 'bruhat'))
+                    edges[w].append((ws, zero, i))
                 elif lws == lw + 1 - self.pair_2rho[i]:
-                    edges[w].append((ws, self.coroot_coords[i], i,
-                                     'quantum'))
+                    edges[w].append((ws, self.coroot_coords[i], i))
         return edges
 
     # -- distances and weights --------------------------------------------
@@ -87,7 +87,7 @@ class QuantumBruhatGraph:
         weight = {src: (0,) * self.datum.rank}
         members = [src]
         for u in members:                    # grows as the BFS goes
-            for v, wt, _root, _kind in self.edges[u]:
+            for v, wt, _root in self.edges[u]:
                 cand = vec_add(weight[u], wt)
                 if v not in dist:
                     dist[v] = dist[u] + 1
@@ -137,7 +137,7 @@ class QuantumBruhatGraph:
                 continue
             if d0 >= target_d:
                 continue
-            for v, wt, _root, _kind in self.edges[u]:
+            for v, wt, _root in self.edges[u]:
                 # only edges that can stay on a shortest path
                 dv, _ = self._from_source(v)
                 if d0 + 1 + dv[w2] == target_d:
@@ -200,13 +200,14 @@ class QuantumBruhatGraph:
     # -- output -------------------------------------------------------------
 
     def to_dot(self):
-        """DOT rendering: solid Bruhat edges, dashed quantum edges."""
+        """DOT rendering: solid Bruhat edges, dashed quantum edges, told
+        apart by the weight, zero exactly on a Bruhat edge."""
         lines = ['digraph qbg {']
         for w in range(self.W.size):
             lines.append('  n%d [label="%s"];' % (w, _word_label(self.W, w)))
         for w in range(self.W.size):
-            for v, _wt, root, kind in self.edges[w]:
-                style = 'solid' if kind == 'bruhat' else 'dashed'
+            for v, wt, root in self.edges[w]:
+                style = 'dashed' if any(wt) else 'solid'
                 label = _root_label(self.datum, root)
                 lines.append('  n%d -> n%d [style=%s, label="%s"];'
                              % (w, v, style, label))

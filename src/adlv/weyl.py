@@ -74,7 +74,9 @@ class WeylGroup:
     s_sigma(i).  With i the last letter of the stored word of f, f = e s_i
     for e = f s_i, which is shorter and so comes first in index order,
     and sigma(f) = sigma(e) s_sigma(i): the table fills in index order,
-    one table step per element.
+    one table step per element.  No table holds sigma^{-1}: sigma^n fixes
+    X for n = ``datum.sigma_order``, so sigma^{-1}(f) is n - 1 steps of
+    ``sigma_elem``.
 
     >>> from adlv.datum import builtin_datum
     >>> w = WeylGroup(builtin_datum('sl3'))
@@ -174,9 +176,6 @@ class WeylGroup:
         for f in range(1, self.size):
             i = words[f][-1]
             sigma_elem[f] = right[sigma_elem[right[f][i]]][sigma_perm[i]]
-        self.sigma_inv_elem = [0] * self.size
-        for e in range(self.size):
-            self.sigma_inv_elem[sigma_elem[e]] = e
 
     # -- basics ----------------------------------------------------------
 

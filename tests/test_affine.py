@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlv.affine import AffineElement, AffineWeyl
-from adlv.datum import BUILTIN_DATA, InvariantError, builtin_datum
+from adlv.datum import (BUILTIN_DATA, InvariantError, builtin_datum,
+                         datum_from_config)
 from adlv.lattice import (integer_kernel, solve_integer_combination, vec_add,
                           vec_dot, vec_scale)
 from adlv.reduction import Reduction
@@ -490,6 +491,33 @@ def test_eta_sigma(sl2):
     assert sl2.eta_sigma(AffineElement(1, (1,))) == 1
     # dominant translation: eta = e
     assert sl2.eta_sigma(sl2.translation((1,))) == 0
+
+
+# twisted data: sigma of order 2 on sl3_flip, sl4_flip and unitary GU_3,
+# of order 3 on triality 3D4, the one where sigma^{-1} != sigma
+TWISTED_ETA = {
+    'sl3_flip': 'sl3_flip',
+    'sl4_flip': 'sl4_flip',
+    'gu3': {'type': 'A2', 'lattice_basis': 'gl', 'sigma_perm': [2, 1],
+            'sigma_matrix': [[0, 0, -1], [0, -1, 0], [-1, 0, 0]]},
+    '3d4': {'type': 'D4', 'lattice_basis': 'sc', 'sigma_perm': [3, 2, 4, 1]},
+}
+
+
+@pytest.mark.parametrize('name', sorted(TWISTED_ETA))
+def test_eta_sigma_twisted_matches_preimage_oracle(name):
+    """eta_sigma, which reads sigma^{-1}(v) as sigma^{n-1}(v), against
+    sigma^{-1}(v) found as the preimage of v in sigma_elem, on box(1, 4)."""
+    config = TWISTED_ETA[name]
+    d = (builtin_datum(config) if isinstance(config, str)
+         else datum_from_config(config))
+    aw = AffineWeyl(d)
+    W = aw.W
+    assert d.sigma_order == (3 if name == '3d4' else 2)
+    for x in aw.box_elements(1, 4):
+        v, _ = W.dominant_representative(x.mu)
+        u = W.sigma_elem.index(v)
+        assert aw.eta_sigma(x) == W.mult(W.mult(W.inv[u], x.w), v), x
 
 
 @settings(max_examples=30, deadline=None)

@@ -189,19 +189,26 @@ def test_strata_sets_match_fraction_pairing(name):
 def test_conv_lambda_fault_exits_3_naming_datum_and_class(monkeypatch,
                                                          capsys):
     """A convex hull point moved off nu fails the conv(lambda) = nu check;
-    the CLI exits 3 with a message naming the datum and the class."""
+    the CLI exits 3 with a message naming the datum and the class.  The
+    message prints the hull point the check compared, nu + (1, 1, 1),
+    without forming it again through the Fraction wrapper."""
     hull = RootDatum.hull_numerators
 
     def shifted(self, num):
         den, nums = hull(self, num)
         return den, tuple(x + den for x in nums)
 
+    def refused(self, mu):
+        raise AssertionError('convex_hull_point called')
+
     monkeypatch.setattr(RootDatum, 'hull_numerators', shifted)
+    monkeypatch.setattr(RootDatum, 'convex_hull_point', refused)
     argv = ['lambda', '--datum', 'gl3', '--x', '{"w":[1],"mu":[1,0,0]}']
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: datum 'gl3': "
-                          'conv(lambda(b)) != nu(b)'), err
+                          'conv(lambda(b)) != nu(b): lambda = (0, 1, 0), '
+                          'conv = (3/2, 3/2, 1), for the class'), err
     assert 'for the class kappa = (' in err and 'nu = (1/2, 1/2, 0)' in err
 
 

@@ -20,9 +20,10 @@ def qa2():
 
 
 def test_a2_edge_counts(qa2):
-    kinds = [k for edges in qa2.edges for (_, _, _, k) in edges]
-    assert kinds.count('bruhat') == 8
-    assert kinds.count('quantum') == 7
+    """8 Bruhat edges, of weight zero, and 7 quantum edges."""
+    quantum = [any(wt) for edges in qa2.edges for (_, wt, _) in edges]
+    assert quantum.count(False) == 8
+    assert quantum.count(True) == 7
 
 
 def test_a2_frozen_distances(qa2):
@@ -133,8 +134,7 @@ def test_weight_mismatch_names_vertices_by_word():
     q = QuantumBruhatGraph(WeylGroup(builtin_datum('sl3')))
     W = q.W
     s1, s12 = W.simple[0], W.from_word([0, 1])
-    q.edges[s12] = [(v, (5, 5), root, kind)
-                    for v, _, root, kind in q.edges[s12]]
+    q.edges[s12] = [(v, (5, 5), root) for v, _, root in q.edges[s12]]
     with pytest.raises(InvariantError, match=r"^datum 'sl3': quantum Bruhat "
                        r"graph weight mismatch at \[1\] -> \[1, 2, 1\]$"):
         q.distance_weight(s1, W.longest)
@@ -157,9 +157,9 @@ def eager_edges(q):
             ws = W.mult(w, W.root_reflection[i])
             lws = W.lengths[ws]
             if lws == lw + 1:
-                edges[w].append((ws, zero, i, 'bruhat'))
+                edges[w].append((ws, zero, i))
             elif lws == lw + 1 - q.pair_2rho[i]:
-                edges[w].append((ws, q.coroot_coords[i], i, 'quantum'))
+                edges[w].append((ws, q.coroot_coords[i], i))
     return edges
 
 
@@ -168,6 +168,36 @@ def test_edges_match_eager_loop(name):
     q = QuantumBruhatGraph(WeylGroup(builtin_datum(name)))
     assert 'edges' not in q.__dict__
     assert q.edges == eager_edges(q)
+
+
+def dot_oracle(q):
+    """Oracle: the DOT text of every edge of ``eager_edges``, an edge
+    solid when ell(w s_alpha) = ell(w) + 1 and dashed otherwise, the
+    length rule the edge loop once stored as the edge's kind."""
+    W, d = q.W, q.datum
+    lines = ['digraph qbg {']
+    for w in range(W.size):
+        word = ''.join('s%d' % (i + 1) for i in W.words[w]) or 'e'
+        lines.append('  n%d [label="%s"];' % (w, word))
+    for w, edges in enumerate(eager_edges(q)):
+        for v, _wt, root in edges:
+            style = ('solid' if W.lengths[v] == W.lengths[w] + 1
+                     else 'dashed')
+            label = '+'.join(
+                '%sa%d' % ({1: '', -1: '-'}.get(c, str(c)), i + 1)
+                for i, c in enumerate(d.roots[root].coords) if c) or '0'
+            lines.append('  n%d -> n%d [style=%s, label="%s"];'
+                         % (w, v, style, label))
+    lines.append('}')
+    return '\n'.join(lines)
+
+
+@pytest.mark.parametrize('name', sorted(set(BUILTIN_DATA) - {'e6_adjoint'}))
+def test_dot_matches_oracle(name):
+    """to_dot, which reads the style off the weight, renders byte for
+    byte what the length rule gives, on every built-in but e6_adjoint."""
+    q = QuantumBruhatGraph(WeylGroup(builtin_datum(name)))
+    assert q.to_dot() == dot_oracle(q)
 
 
 def test_edges_form_on_first_query_only(monkeypatch):
