@@ -431,9 +431,9 @@ class PCT:
         red = self.red
         key_id = red.class_id(endpoint)
         if validate:
-            tree = red.build_reduction_tree(pair.x)
-            leaf_ids = {red.class_id(leaf.x) for leaf in tree.leaves()
-                        if self.bg.element_class(leaf.x) == b}
+            leaf_ids = {red.class_id(leaf)
+                        for leaf, _, _ in red.leaf_paths(pair.x)
+                        if self.bg.element_class(leaf) == b}
             if leaf_ids != {key_id}:
                 raise InvariantError(
                     self.datum.name, 'endpoint certificate differs from the '

@@ -9,15 +9,21 @@ Each element's moves r_a y r_{sigma a}, one per simple affine root a,
 are formed once per ``Reduction``, into one table, the first time any
 walk reaches the element.  The four walks read that table: the
 equal-length orbit walk, the minimal-length descent, the reduction tree
-and the class-key closure.  None recurses: one loop over a stack builds
-a reduction tree and the record of its root-to-leaf paths, which every
-reader of the tree reads.
+and the class-key closure.  None recurses: one loop over a stack walks
+the reduction tree of x in preorder, type I child first, and records
+its root-to-leaf paths (leaf, n_I, n_II).  The class polynomials,
+``bgx_from_tree`` and the check of ``PCT.endpoint_class`` read the
+record of leaf elements (``leaf_paths``) and form no tree node; only
+``build_reduction_tree``, for ``adlv tree``, ``tree_to_dot`` and
+``class_polynomials(tree=...)``, has the same loop build the nodes.
 
 A class key (kappa, nu, minimal length, representative) is interned
 once per ``Reduction`` under a small integer id, and formed only where a
 key is the answer: the class polynomials, ``class_key`` and the endpoint
-key.  A tree leaf's class is its ``BGClass`` (kappa, nu), read off
-``BGInvariants.element_class``, which forms no closure.
+key.  It is a ``ClassKey``, a tuple that stores its hash, so a dict
+keyed by it hashes no Fraction of nu again.  A tree leaf's class is its
+``BGClass`` (kappa, nu), read off ``BGInvariants.element_class``, which
+forms no closure.
 
 Polynomials are integer coefficient tuples, lowest degree first:
 q^2 - q is (0, -1, 1).
@@ -33,7 +39,7 @@ from itertools import count
 from .bg import BGInvariants
 from .datum import InvariantError
 
-__all__ = ['Reduction', 'ReductionTree', 'TreeNode', 'poly_add']
+__all__ = ['ClassKey', 'Reduction', 'ReductionTree', 'TreeNode', 'poly_add']
 
 DEFAULT_SLACK = 4
 
@@ -78,6 +84,27 @@ def poly_str(p):
         sign = '-' if c < 0 else ('+' if parts else '')
         parts.append(sign + coef + mono if coef + mono else sign + '1')
     return ''.join(parts)
+
+
+class ClassKey(tuple):
+    """A class key (kappa, nu, minimal length, representative) that
+    stores its hash when it is formed.  It equals the plain 4-tuple, has
+    its hash and unpacks the same, but a dict lookup does not hash the
+    Fractions of nu again.
+
+    >>> from fractions import Fraction
+    >>> k = ClassKey(((0,), (Fraction(1, 2),), 1, 'x'))
+    >>> k == ((0,), (Fraction(1, 2),), 1, 'x'), hash(k) == hash(tuple(k))
+    (True, True)
+    """
+
+    def __new__(cls, items):
+        self = tuple.__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
 
 
 class TreeNode:
@@ -215,23 +242,43 @@ class Reduction:
         down move in BFS-orbit and root order); otherwise seeded.  Nodes
         are expanded in preorder, type I child first, which fixes the
         order of the rng draws and of the recorded paths."""
-        rng = random.Random(seed) if seed is not None else None
         root = TreeNode(x)
+        return ReductionTree(root, self._walk_tree(x, seed, root))
+
+    def leaf_paths(self, x, seed=None):
+        """The root-to-leaf paths (leaf element, n_I, n_II) of the
+        reduction tree of x under the branch policy ``seed``, in the order
+        of ``build_reduction_tree(x, seed).paths()``, formed by the same
+        walk with no tree node."""
+        return self._walk_tree(x, seed, None)
+
+    def _walk_tree(self, x, seed, root):
+        """The one descent loop of the reduction tree: pop an element,
+        take its (first or seeded) down move, push the type II child and
+        then the type I child.  Each stack entry is (element, n_I, n_II,
+        node); with a root node the loop fills in each node and records
+        (leaf node, n_I, n_II), and with None it forms no node and
+        records (leaf element, n_I, n_II)."""
+        rng = random.Random(seed) if seed is not None else None
+        find, move = self.find_down_move, self._move
         paths = []
-        stack = [(root, 0, 0)]
+        stack = [(x, 0, 0, root)]
         while stack:
-            node, ni, nii = stack.pop()
-            found = self.find_down_move(node.x, rng)
+            el, ni, nii, node = stack.pop()
+            found = find(el, rng)
             if found is None:
-                paths.append((node, ni, nii))
+                paths.append((el if node is None else node, ni, nii))
                 continue
             y, a = found
-            z, _, left = self._move(y, a)
-            node.x_prime, node.aroot = y, a
-            node.child_i = TreeNode(left)   # r_a x', one shorter
-            node.child_ii = TreeNode(z)     # r_a x' r_{sigma a}, two shorter
-            stack += [(node.child_ii, ni, nii + 1), (node.child_i, ni + 1, nii)]
-        return ReductionTree(root, paths)
+            # z = r_a x' r_{sigma a}, two shorter; left = r_a x', one shorter
+            z, _, left = move(y, a)
+            child_i = child_ii = None
+            if node is not None:
+                node.x_prime, node.aroot = y, a
+                child_i = node.child_i = TreeNode(left)
+                child_ii = node.child_ii = TreeNode(z)
+            stack += [(z, ni, nii + 1, child_ii), (left, ni + 1, nii, child_i)]
+        return paths
 
     def class_polynomials(self, x, seed=None, tree=None):
         """Map class_key -> coefficient tuple of the class polynomial: the
@@ -243,15 +290,20 @@ class Reduction:
         monomial times f_leaf, with f_leaf = 1 on the leaf's class, and
         integer addition is associative, so every coefficient agrees.  Each
         class of a leaf keeps its entry, () if its terms cancel, as in the
-        recursion.  The sums are kept by interned class id, so each key is
-        hashed once per distinct class.
+        recursion.  Without ``tree`` the leaves come from
+        :meth:`leaf_paths`, with no tree node.  The sums are kept by
+        interned class id, and each key stores its hash, so no Fraction
+        of nu is hashed again.
         """
         if tree is None:
-            tree = self.build_reduction_tree(x, seed=seed)
-        sums = {}
-        for leaf, ni, nii in tree.paths():
-            i = self.class_id(leaf.x)
-            sums[i] = poly_add(sums.get(i, ()), _monomial(ni, nii))
+            paths = self.leaf_paths(x, seed=seed)
+        else:
+            paths = [(leaf.x, ni, nii) for leaf, ni, nii in tree.paths()]
+        class_id, sums = self.class_id, {}
+        for leaf, ni, nii in paths:
+            i, mono = class_id(leaf), _monomial(ni, nii)
+            p = sums.get(i)
+            sums[i] = mono if p is None else poly_add(p, mono)
         keys = self._keys
         return {keys[i]: p for i, p in sums.items()}
 
@@ -310,7 +362,7 @@ class Reduction:
                         key=lambda y: (self.W.words[y.w], y.mu))
             b = self.bg.element_class(x_min)
             i = len(self._keys)
-            self._keys.append((b.kappa, b.nu, lmin, canon))
+            self._keys.append(ClassKey((b.kappa, b.nu, lmin, canon)))
             for y in lengths:
                 self._key_memo[y] = i
         self._key_memo[x] = i
@@ -349,7 +401,8 @@ class Reduction:
                       'polynomial': tuple}}.
 
         dim is the path statistic l_I + l_II + ell(end) - <nu(b), 2 rho>.
-        One pass over the root-to-leaf paths: a leaf's class b is
+        One pass over the root-to-leaf paths of :meth:`leaf_paths`, with
+        no tree node: a leaf's class b is
         BGInvariants.element_class of the leaf, with no class key, and
         <nu(b), 2 rho> is read off the class record of b.
         The polynomial of b is the sum of (q-1)^{l_I} q^{l_II} over the
@@ -358,12 +411,12 @@ class Reduction:
         monomials of its leaves (see :meth:`class_polynomials`).
         """
         out = {}
-        for leaf, ni, nii in self.build_reduction_tree(x).paths():
-            b = self.bg.element_class(leaf.x)
+        for leaf, ni, nii in self.leaf_paths(x):
+            b = self.bg.element_class(leaf)
             entry = out.get(b)
             if entry is None:
                 entry = out[b] = {'paths': [], 'polynomial': ()}
-            end_len = self.aw.aff_length(leaf.x)
+            end_len = self.aw.aff_length(leaf)
             entry['paths'].append(
                 (ni, nii, end_len,
                  ni + nii + end_len - self.bg.two_rho_nu(b)))

@@ -17,6 +17,7 @@ from adlv.lattice import (QuotientPresentation, _column_snf, solve_in_cone,
                           vec_scale, vec_sub)
 from adlv.pct import (PCT, PositiveCoxeterPair, _budget_tuples,
                       count_positive_roots, very_special_subsets)
+from adlv import reduction
 from adlv.reduction import Reduction
 
 from test_affine import gl6_sample
@@ -723,6 +724,25 @@ def test_tree_path_fault_exits_3_naming_datum_and_x(monkeypatch, capsys):
     assert err.startswith("invariant violation: datum 'gl3': path "
                           'statistics differ from formulas'), err
     assert err.rstrip().endswith('for x = ' + x), err
+
+
+def test_report_and_endpoint_check_form_no_tree_node(monkeypatch):
+    """thmA_report's tree cross-check and endpoint_class(validate=True)
+    read the node-free path record: over the gl3 box(1, 5) elements of
+    positive Coxeter type, no TreeNode is formed."""
+    def refused(*args):
+        raise AssertionError('a tree node was formed')
+
+    monkeypatch.setattr(reduction, 'TreeNode', refused)
+    pct = Context('gl3').pct
+    checked = 0
+    for x in pct.aw.box_elements(1, 5):
+        pairs = pct.positive_coxeter_pairs(x)
+        if pairs:
+            for cd in pct.thmA_report(x)['classes']:
+                pct.endpoint_class(pairs[0], cd['class'], validate=True)
+                checked += 1
+    assert checked > 20
 
 
 def test_report_forms_no_closure_and_endpoints_key_class_b_leaves(

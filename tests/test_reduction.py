@@ -1,8 +1,11 @@
 """Reduction trees, minimal descent, class keys, class polynomials."""
 
+import copy
+import fractions
 import itertools
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -19,7 +22,8 @@ from adlv.bg import BGClass
 from adlv.cli import main
 from adlv.datum import InvariantError, builtin_datum, datum_from_config
 from adlv.lattice import vec_dot
-from adlv.reduction import Reduction, TreeNode, poly_add, poly_str
+from adlv.reduction import (ClassKey, Reduction, TreeNode, poly_add,
+                            poly_str)
 
 from test_affine import seeded_sample, simple_sigma_conjugate_two_products
 
@@ -419,6 +423,76 @@ def test_tree_walk_matches_recursive_oracles(name, bound, max_length, seeds):
         assert ([line for line in got if '->' not in line]
                 == [line for line in want if '->' not in line]), (x, seed)
         assert sorted(got) == sorted(want), (x, seed)
+
+
+@pytest.mark.parametrize('name,bound,max_length,seeds', [
+    ('sl4', 1, 8, (None, 1, 2, 3)), ('gl3', 2, 6, (None,))])
+def test_leaf_paths_match_recursive_oracle(name, bound, max_length, seeds):
+    """The node-free path record against the paths of the recursive
+    build, element by element and in order, under each branch policy;
+    the class polynomials read off it equal those read off the tree."""
+    red = Reduction(AffineWeyl(builtin_datum(name)))
+    for x, seed in itertools.product(red.aw.box_elements(bound, max_length),
+                                     seeds):
+        got = red.leaf_paths(x, seed=seed)
+        want = [(leaf.x, ni, nii) for leaf, ni, nii in
+                paths_by_recursion(tree_by_recursion(red, x, seed=seed))]
+        assert got == want, (x, seed)
+        assert (red.class_polynomials(x, seed=seed)
+                == red.class_polynomials(
+                    x, tree=red.build_reduction_tree(x, seed=seed))), (x, seed)
+
+
+def test_class_polynomials_and_bgx_form_no_tree_node(monkeypatch):
+    """Over sl4 box(1, 8): class_polynomials without a tree and
+    bgx_from_tree read the path record and form no TreeNode."""
+    red = Reduction(AffineWeyl(builtin_datum('sl4')))
+    xs = red.aw.box_elements(1, 8)
+    want = [(red.class_polynomials(x, tree=red.build_reduction_tree(x)),
+             red.bgx_from_tree(x)) for x in xs]
+
+    def refused(*args):
+        raise AssertionError('a tree node was formed')
+
+    monkeypatch.setattr(reduction, 'TreeNode', refused)
+    red = Reduction(AffineWeyl(builtin_datum('sl4')))
+    assert [(red.class_polynomials(x), red.bgx_from_tree(x))
+            for x in xs] == want
+
+
+def test_class_keys_store_their_hash(monkeypatch):
+    """Each key of the sl4 box(1, 8) class polynomials is the plain
+    4-tuple to every reader: equal, of the same hash, unpacked the same,
+    and kept by copy and pickle.  A second class_polynomials call on an
+    element hashes no Fraction."""
+    red = Reduction(AffineWeyl(builtin_datum('sl4')))
+    xs = red.aw.box_elements(1, 8)
+    outs = [red.class_polynomials(x) for x in xs]
+    keys = {k for out in outs for k in out}
+    assert any(c.denominator > 1 for _, nu, _, _ in keys for c in nu)
+    for k in keys:
+        plain = tuple(k)
+        assert type(k) is ClassKey and type(plain) is tuple
+        assert k == plain and hash(k) == hash(plain)
+        kappa, nu, lmin, canon = k
+        assert (kappa, nu, lmin, canon) == plain
+        for other in (copy.copy(k), pickle.loads(pickle.dumps(k))):
+            assert type(other) is ClassKey
+            assert other == k and hash(other) == hash(plain)
+    for out in outs:
+        assert {tuple(k): p for k, p in out.items()} == out
+    hashed = []
+    fraction_hash = fractions.Fraction.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(fractions.Fraction, '__hash__', counted)
+    assert hash(fractions.Fraction(1, 3)) and len(hashed) == 1
+    del hashed[:]
+    assert [red.class_polynomials(x) for x in xs] == outs
+    assert hashed == []
 
 
 def test_tree_deeper_than_the_recursion_limit(capsys):
