@@ -67,6 +67,7 @@ class PCT:
         # (c, J(b)) -> the first endpoint lattice and the Smith form of
         # both endpoint lattices' generators
         self._endpoint_snf = {}
+        self._pairs = {}    # x -> its positive Coxeter pairs
 
     # -- pairs ---------------------------------------------------------------
 
@@ -117,13 +118,19 @@ class PCT:
         return self.W.mult(self.W.inv[v], self.W.sigma(self.W.mult(w, v)))
 
     def positive_coxeter_pairs(self, x):
-        """All positive Coxeter pairs on x, in (length of v, word) order."""
-        pairs = (self._pair(x, v) for v in self.aw.lp_set(x))
-        return [p for p in pairs if p is not None]
+        """All positive Coxeter pairs on x, in (length of v, word) order.
+        They are formed once per element per ``PCT`` and kept, and
+        :meth:`is_positive_coxeter` reads the same record; a pair whose
+        check raises leaves nothing kept.  Each call returns a new list.
+        """
+        pairs = self._pairs.get(x)
+        if pairs is None:
+            found = (self._pair(x, v) for v in self.aw.lp_set(x))
+            pairs = self._pairs[x] = tuple(p for p in found if p is not None)
+        return list(pairs)
 
     def is_positive_coxeter(self, x):
-        return any(self._pair(x, v) is not None
-                   for v in self.aw.lp_set(x))
+        return bool(self.positive_coxeter_pairs(x))
 
     def has_finite_coxeter_part(self, x):
         """Test the canonical finite part eta for being partial
@@ -411,7 +418,10 @@ class PCT:
         c' eps^lambda must equal the key of the actual tree leaf of class
         b: the leaves are filtered by their class
         (BGInvariants.element_class), and only those of class b are keyed
-        and compared by interned key id.
+        and compared by interned key id.  The leaves come from the kept
+        seed-None path record of ``Reduction.leaf_paths``, so a report's
+        tree cross-check and the checks of all its endpoints walk the
+        tree of x once.
         """
         i_nu, _ = self.bg.strata_sets(b)
         jb = frozenset(pair.J & i_nu)

@@ -16,6 +16,10 @@ its root-to-leaf paths (leaf, n_I, n_II).  The class polynomials,
 record of leaf elements (``leaf_paths``) and form no tree node; only
 ``build_reduction_tree``, for ``adlv tree``, ``tree_to_dot`` and
 ``class_polynomials(tree=...)``, has the same loop build the nodes.
+The record of the deterministic tree (seed None) is kept per
+``Reduction``, one per element, so the class polynomials,
+``bgx_from_tree`` and the endpoint check share one walk of the tree of
+x; a seeded record is walked again on every call.
 
 A class key (kappa, nu, minimal length, representative) is interned
 once per ``Reduction`` under a small integer id, and formed only where a
@@ -163,6 +167,7 @@ class Reduction:
         self.bg = bg if bg is not None else BGInvariants(aw)
         self._moves = {}     # y -> move record of y per simple affine root
         self._walks = {}     # x -> (orbit members, their down edges)
+        self._paths = {}     # x -> leaf-path record of its seed-None tree
         self._key_memo = {}     # element -> class id
         self._keys = []         # class id -> class key
 
@@ -249,8 +254,16 @@ class Reduction:
         """The root-to-leaf paths (leaf element, n_I, n_II) of the
         reduction tree of x under the branch policy ``seed``, in the order
         of ``build_reduction_tree(x, seed).paths()``, formed by the same
-        walk with no tree node."""
-        return self._walk_tree(x, seed, None)
+        walk with no tree node.  The record of the deterministic tree
+        (seed None) is walked once per element per ``Reduction`` and
+        kept; a seeded tree is walked on every call.  Each call returns a
+        new list."""
+        if seed is not None:
+            return self._walk_tree(x, seed, None)
+        paths = self._paths.get(x)
+        if paths is None:
+            paths = self._paths[x] = tuple(self._walk_tree(x, None, None))
+        return list(paths)
 
     def _walk_tree(self, x, seed, root):
         """The one descent loop of the reduction tree: pop an element,

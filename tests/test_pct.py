@@ -22,7 +22,7 @@ from adlv.reduction import Reduction
 
 from test_affine import gl6_sample
 from test_datum import pi_projection_oracle, typed
-from test_reduction import count_calls
+from test_reduction import count_calls, paths_by_recursion, tree_by_recursion
 from test_weyl import coxeter_conjugator, matrix_bfs_tables, parabolic
 
 
@@ -774,6 +774,67 @@ def test_report_forms_no_closure_and_endpoints_key_class_b_leaves(
             assert {y for y, in keyed} == {cert['endpoint']} | of_b
             skipped += len(leaves) - len(of_b)
     assert closures and skipped > 0
+
+
+def report_with_endpoints(pct, x):
+    """thmA_report(x) with its tree cross-check, then the validated
+    endpoint certificate of every class of the report."""
+    report = pct.thmA_report(x, cross_validate=True)
+    return report, [pct.endpoint_class(report['pair'], cd['class'],
+                                       validate=True)
+                    for cd in report['classes']]
+
+
+@pytest.mark.parametrize('name,bound,max_length', [
+    ('gl3', 2, 6), ('sl4', 1, 8), ('sl3_flip', 1, 6)])
+def test_kept_pairs_match_a_fresh_pct(name, bound, max_length):
+    """After reports and endpoint certificates on every element of the
+    box, a warm PCT's pairs equal those a fresh PCT forms; mutating a
+    returned list leaves the next answer as it was, and
+    is_positive_coxeter agrees with the pairs."""
+    warm = Context(name).pct
+    xs = warm.aw.box_elements(bound, max_length)
+    for x in xs:
+        if warm.is_positive_coxeter(x):
+            report_with_endpoints(warm, x)
+    fresh = Context(name).pct
+    reported = 0
+    for x in xs:
+        pairs = warm.positive_coxeter_pairs(x)
+        assert pairs == fresh.positive_coxeter_pairs(x), x
+        assert warm.is_positive_coxeter(x) == bool(pairs), x
+        reported += bool(pairs)
+        want = list(pairs)
+        pairs.append(None)
+        pairs.reverse()
+        assert warm.positive_coxeter_pairs(x) == want, x
+    assert reported > 20
+
+
+def test_report_and_endpoints_walk_each_tree_once(monkeypatch):
+    """Over gl3 box(2, 6), a report with its tree cross-check and every
+    validated endpoint certificate make one seed-None walk of the tree
+    of x; a seeded path record is walked on every call, and a warm call
+    still equals the record of the recursive build."""
+    ctx = Context('gl3')
+    red, pct = ctx.red, ctx.pct
+    walks = count_calls(monkeypatch, red, '_walk_tree')
+    reported = certified = 0
+    for x in ctx.aw.box_elements(2, 6):
+        if not pct.positive_coxeter_pairs(x):
+            continue
+        del walks[:]
+        certified += len(report_with_endpoints(pct, x)[1])
+        assert walks == [(x, None, None)], x
+        reported += 1
+        for seed in (None, 1):
+            want = [(leaf.x, ni, nii) for leaf, ni, nii in
+                    paths_by_recursion(tree_by_recursion(red, x, seed=seed))]
+            del walks[:]
+            assert red.leaf_paths(x, seed=seed) == want, (x, seed)
+            assert red.leaf_paths(x, seed=seed) == want, (x, seed)
+            assert len(walks) == (0 if seed is None else 2), (x, seed)
+    assert reported > 100 and certified > reported
 
 
 def endpoint_per_call(pct, pair, b):
