@@ -23,10 +23,6 @@ from .weyl import WeylGroup
 __all__ = ['AffineElement', 'AffineWeyl']
 
 
-# kind of a move r_a x r_{sigma a}, by how many of its two sides lengthen
-_KINDS = ('down', 'keep', 'up')
-
-
 class AffineElement(NamedTuple):
     w: int
     mu: tuple
@@ -267,8 +263,9 @@ class AffineWeyl:
     # -- sigma-conjugation moves ---------------------------------------------
 
     def simple_sigma_conjugate(self, x, aroot):
-        """(r_a x r_{sigma a}, kind, r_a x) with kind 'keep', 'down' or 'up',
-        for a simple affine root a.
+        """(r_a x r_{sigma a}, step, r_a x) for a simple affine root a, with
+        step = ell(r_a x r_{sigma a}) - ell(x), the length change: -2, 0
+        or 2.
 
         Both products come from the reflection formula, with no matrix
         action.  For x = w eps^mu, a = (alpha, k) and b = sigma a =
@@ -288,17 +285,18 @@ class AffineWeyl:
         y(b) > 0, for y = r_a x.  Both roots are already at hand:
         x^{-1}(a) = (w^{-1} alpha, k + <w^{-1} alpha, mu>) and y(b) =
         (w' beta, k'), where (gamma, l) > 0 iff l > 0, or l = 0 and
-        gamma > 0.
+        gamma > 0.  The step is 2 * up - 2, for up the number of the two
+        sides that lengthen.
 
         >>> from adlv.datum import builtin_datum
         >>> aw = AffineWeyl(builtin_datum('sl2'))
         >>> a1, a0 = aw.simple_affine
         >>> aw.simple_sigma_conjugate(aw.from_weyl(1), a1)[1]
-        'keep'
+        0
         >>> aw.simple_sigma_conjugate(AffineElement(1, (1,)), a1)[1]
-        'down'
+        -2
         >>> aw.simple_sigma_conjugate(aw.from_weyl(1), a0)[1]
-        'up'
+        2
 
         On sl3, with a0 = (-theta, 1) and x = eps^{alpha_1^vee}: w = 1,
         so mu' = alpha_1^vee - theta^vee = -alpha_2^vee and w' = s_theta;
@@ -308,11 +306,11 @@ class AffineWeyl:
         >>> aw = AffineWeyl(builtin_datum('sl3'))
         >>> a0 = aw.simple_affine[-1]
         >>> x = aw.translation((1, 0))
-        >>> both, kind, left = aw.simple_sigma_conjugate(x, a0)
+        >>> both, step, left = aw.simple_sigma_conjugate(x, a0)
         >>> left == aw.mult(aw.reflection(a0), x), left.mu
         (True, (0, -1))
-        >>> both, kind
-        (AffineElement(w=0, mu=(0, -1)), 'keep')
+        >>> both, step
+        (AffineElement(w=0, mu=(0, -1)), 0)
         """
         W, roots, npos = self.W, self.datum.roots, self.datum.num_positive
         idx, k = aroot
@@ -337,7 +335,7 @@ class AffineWeyl:
                         for m, c in zip(mu, roots[sidx].coroot)])
         up = ((k_back > 0 or (k_back == 0 and back < npos))
               + (k_fwd > 0 or (k_fwd == 0 and fwd < npos)))
-        return AffineElement(w2, mu), _KINDS[up], left
+        return AffineElement(w2, mu), 2 * up - 2, left
 
     # -- eta ---------------------------------------------------------------
 

@@ -152,14 +152,14 @@ class PCT:
         """
         aw, W = self.aw, self.W
         x = pair.x
-        both, kind, left = aw.simple_sigma_conjugate(x, aroot)
+        both, step, left = aw.simple_sigma_conjugate(x, aroot)
         idx, _ = aroot
         s_sigma_alpha = W.root_reflection[self.datum.sigma_root(idx)]
-        if kind == 'up':
+        if step > 0:
             raise ValueError('transport is defined for keep and down moves, '
                              'not up: the affine root %s moves x = %s up'
                              % (aroot, aw.format_element(x)))
-        if kind == 'keep':
+        if not step:
             p2 = self._pair_with_support(
                 both, pair.J, (pair.v, W.mult(s_sigma_alpha, pair.v)))
             if p2 is not None:

@@ -7,19 +7,20 @@ extended affine Weyl group, and the extraction of endpoint data.
 
 Each element's moves r_a y r_{sigma a}, one per simple affine root a,
 are formed once per ``Reduction``, into one table, the first time any
-walk reaches the element.  The four walks read that table: the
-equal-length orbit walk, the minimal-length descent, the reduction tree
-and the class-key closure.  None recurses: one loop over a stack walks
-the reduction tree of x in preorder, type I child first, and records
-its root-to-leaf paths (leaf, n_I, n_II).  The class polynomials,
-``bgx_from_tree`` and the check of ``PCT.endpoint_class`` read the
-record of leaf elements (``leaf_paths``) and form no tree node; only
-``build_reduction_tree``, for ``adlv tree``, ``tree_to_dot`` and
-``class_polynomials(tree=...)``, has the same loop build the nodes.
-The record of the deterministic tree (seed None) is kept per
-``Reduction``, one per element, so the class polynomials,
-``bgx_from_tree`` and the endpoint check share one walk of the tree of
-x; a seeded record is walked again on every call.
+walk reaches the element.  A move record is (r_a y r_{sigma a}, its
+length change -2, 0 or 2, r_a y); a walk reads the sign of the change.
+The four walks read that table: the equal-length orbit walk, the
+minimal-length descent, the reduction tree and the class-key closure.
+None recurses: one loop over a stack walks the reduction tree of x in
+preorder, type I child first, and records its root-to-leaf paths (leaf,
+n_I, n_II).  The class polynomials, ``bgx_from_tree`` and the check of
+``PCT.endpoint_class`` read the record of leaf elements
+(``leaf_paths``) and form no tree node; only ``build_reduction_tree``,
+for ``adlv tree``, ``tree_to_dot`` and ``class_polynomials(tree=...)``,
+has the same loop build the nodes.  The record of the deterministic
+tree (seed None) is kept per ``Reduction``, one per element, so the
+class polynomials, ``bgx_from_tree`` and the endpoint check share one
+walk of the tree of x; a seeded record is walked again on every call.
 
 A class key (kappa, nu, minimal length, representative) is interned
 once per ``Reduction`` under a small integer id, and formed only where a
@@ -46,9 +47,6 @@ from .datum import InvariantError
 __all__ = ['ClassKey', 'Reduction', 'ReductionTree', 'TreeNode', 'poly_add']
 
 DEFAULT_SLACK = 4
-
-# length change of a move r_a y r_{sigma a}, by its kind
-_STEP = {'keep': 0, 'down': -2, 'up': 2}
 
 
 def poly_add(p, q):
@@ -183,19 +181,19 @@ class Reduction:
             members, seen, downs = [x], {x}, []
             roots = self.aw.simple_affine
             for y in members:                # grows as the BFS goes
-                for a, (z, kind, _) in zip(roots, self._moves_of(y)):
-                    if kind == 'down':
+                for a, (z, step, _) in zip(roots, self._moves_of(y)):
+                    if step < 0:
                         downs.append((y, a))
-                    elif kind == 'keep' and z not in seen:
+                    elif not step and z not in seen:
                         seen.add(z)
                         members.append(z)
             walk = self._walks[x] = (tuple(members), tuple(downs))
         return walk[0]
 
     def _moves_of(self, y):
-        """The move records (r_a y r_{sigma a}, kind, r_a y) of y, one per
-        simple affine root a in root order, formed the first time any walk
-        reaches y."""
+        """The move records (r_a y r_{sigma a}, length change, r_a y) of y,
+        one per simple affine root a in root order, formed the first time
+        any walk reaches y."""
         moves = self._moves.get(y)
         if moves is None:
             conjugate = self.aw.simple_sigma_conjugate
@@ -229,11 +227,12 @@ class Reduction:
             if found is None:
                 return x, moves
             y, a = found
-            z, kind, _ = self._move(y, a)
-            if kind != 'down':
+            z, step, _ = self._move(y, a)
+            if step >= 0:
                 raise InvariantError(
-                    self.datum.name, 'the move by the affine root %s is %r, '
-                    'not down' % (a, kind), self.aw.element_to_dict(y))
+                    self.datum.name, 'the move by the affine root %s changes '
+                    'the length by %+d, not -2' % (a, step),
+                    self.aw.element_to_dict(y))
             moves.append((y, a, z))
             x = z
 
@@ -385,20 +384,19 @@ class Reduction:
         """{element: length} for every element reached from start by
         conjugations r_a y r_{sigma a} and by the length-zero elements,
         never passing length l(start) + DEFAULT_SLACK.  Lengths are
-        carried, not recounted: a move changes the length by the step of
-        its kind, and a length-zero conjugation keeps it.  Each move is an
-        involution and each length-zero conjugation returns to its start
-        when repeated (see _omega_pairs), so the closure is the connected
-        component of start below the cap: two closures under one cap are
-        equal or disjoint."""
+        carried, not recounted: a move adds the length change in its
+        record, and a length-zero conjugation keeps the length.  Each move
+        is an involution and each length-zero conjugation returns to its
+        start when repeated (see _omega_pairs), so the closure is the
+        connected component of start below the cap: two closures under one
+        cap are equal or disjoint."""
         aw, omega_pairs = self.aw, self._omega_pairs
         lengths = {start: aw.aff_length(start)}
         cap = lengths[start] + DEFAULT_SLACK
         members = [start]
         for y in members:                    # grows as the BFS goes
             ly = lengths[y]
-            neighbors = [(z, ly + _STEP[kind])
-                         for z, kind, _ in self._moves_of(y)]
+            neighbors = [(z, ly + step) for z, step, _ in self._moves_of(y)]
             for tinv, st in omega_pairs:
                 neighbors.append((aw.mult(aw.mult(tinv, y), st), ly))
             for z, lz in neighbors:

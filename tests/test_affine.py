@@ -346,15 +346,15 @@ def test_simple_sigma_conjugate_kinds(name):
         elements = elements[::7]
     for x in elements:
         for a in aw.simple_affine:
-            both, kind, left = aw.simple_sigma_conjugate(x, a)
-            delta = aw.aff_length(both) - aw.aff_length(x)
-            assert {'keep': 0, 'down': -2, 'up': 2}[kind] == delta
+            both, step, left = aw.simple_sigma_conjugate(x, a)
+            assert step == aw.aff_length(both) - aw.aff_length(x)
             assert aw.mult(aw.reflection(a), x) == left
 
 
 def simple_sigma_conjugate_two_products(aw, x, aroot):
     """Oracle: r_a x and r_a x r_{sigma a} as two full products ``mult``,
-    with the kind from the signs of x^{-1}(a) and (r_a x)(sigma a)."""
+    with the length change from the signs of x^{-1}(a) and
+    (r_a x)(sigma a)."""
     d, W = aw.datum, aw.W
     idx, k = aroot
     sidx = d.sigma_root(idx)
@@ -368,7 +368,7 @@ def simple_sigma_conjugate_two_products(aw, x, aroot):
     for beta, level in ((back, k_back), (fwd, k_fwd)):
         up = level > 0 or (level == 0 and d.is_positive_root(beta))
         delta += 1 if up else -1
-    return both, {0: 'keep', -2: 'down', 2: 'up'}[delta], left
+    return both, delta, left
 
 
 @pytest.mark.parametrize('name', SMALL_DATA)
@@ -386,6 +386,7 @@ def test_simple_sigma_conjugate_matches_two_products(name):
             got = aw.simple_sigma_conjugate(x, a)
             assert got == simple_sigma_conjugate_two_products(aw, x, a), \
                 (x, a)
+            assert type(got[1]) is int
             assert all(type(c) is int for y in (got[0], got[2])
                        for c in y.mu)
 

@@ -666,11 +666,15 @@ INFINITE_TYPE = {'cartan': [[2, -3], [-3, 2]], 'lattice_basis': 'adjoint'}
 
 
 def run_python(*args):
-    """Run the interpreter on the package sources, for at most a minute."""
+    """Run the interpreter on the package sources, for at most a minute;
+    the inherited PYTHONPATH follows ``src``, so the child finds what the
+    tests import."""
     src = Path(__file__).resolve().parent.parent / 'src'
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get('PYTHONPATH')]))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_infinite_type_datum_exits_1(tmp_path):

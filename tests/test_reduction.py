@@ -554,10 +554,10 @@ def equal_length_orbit_per_walk(aw, x):
         nxt = []
         for y in frontier:
             for a in aw.simple_affine:
-                z, kind, _ = simple_sigma_conjugate_two_products(aw, y, a)
-                if kind == 'down':
+                z, step, _ = simple_sigma_conjugate_two_products(aw, y, a)
+                if step < 0:
                     downs.append((y, a))
-                elif kind == 'keep' and z not in parents:
+                elif not step and z not in parents:
                     parents[z] = (y, a)
                     nxt.append(z)
         frontier = nxt
@@ -666,7 +666,7 @@ def test_invariant_check_survives_python_O():
         # the identity, which has no down move
         e = red.aw.identity
         records = list(red._moves[y])
-        records[red.aw.simple_affine.index(a)] = (e, 'keep', e)
+        records[red.aw.simple_affine.index(a)] = (e, 0, e)
         red._moves[y] = tuple(records)
         red.descend_to_minimal(x)
         """)
@@ -677,6 +677,7 @@ def test_invariant_check_survives_python_O():
     assert done.returncode == 1, done.stderr
     assert "InvariantError: datum 'sl2': the move by the affine root" \
         in done.stderr
+    assert 'changes the length by +0, not -2' in done.stderr
 
 
 def class_key_recount(red, x):
