@@ -6,12 +6,22 @@ polynomials in q, canonical keys for sigma-conjugacy classes of the
 extended affine Weyl group, and the extraction of endpoint data.
 
 Each element's moves r_a y r_{sigma a}, one per simple affine root a,
-are formed once per ``Reduction``, into one table, the first time any
-walk reaches the element.  A move record is (r_a y r_{sigma a}, its
+are formed once per ``Reduction``, into one table, the first time a
+walk expands the element.  A move record is (r_a y r_{sigma a}, its
 length change -2, 0 or 2, r_a y); a walk reads the sign of the change.
-The four walks read that table: the equal-length orbit walk, the
-minimal-length descent, the reduction tree and the class-key closure.
-None recurses: one loop over a stack walks the reduction tree of x in
+The equal-length orbit walk and the class-key closure read that table.
+
+The orbit walk from x does only the work its caller reads.  The first
+down edge (the minimal-length descent, the deterministic tree) stops the
+BFS after the first member that has one; a seeded choice or the orbit
+itself runs it to its end, resuming where an earlier call stopped it, in
+the same order as one uninterrupted walk.  A down edge carries its move
+record, so the descent and the tree read both children off it.  A walk
+that ends with no down edge marks every member minimal: the moves are
+involutions, so the orbit of each member is the orbit of x, and no
+member's orbit is walked again to show it.
+
+Nothing recurses: one loop over a stack walks the reduction tree of x in
 preorder, type I child first, and records its root-to-leaf paths (leaf,
 n_I, n_II).  The class polynomials, ``bgx_from_tree`` and the check of
 ``PCT.endpoint_class`` read the record of leaf elements
@@ -164,7 +174,11 @@ class Reduction:
         self.datum = aw.datum
         self.bg = bg if bg is not None else BGInvariants(aw)
         self._moves = {}     # y -> move record of y per simple affine root
-        self._walks = {}     # x -> (orbit members, their down edges)
+        # x -> the orbit walk from x, walked as far as a caller read it:
+        # [members, down edges, seen, next member] while open, (members,
+        # down edges) once ended; a down edge is (y, a, move record)
+        self._walks = {}
+        self._minimal = set()   # members of the walks that found no down edge
         self._paths = {}     # x -> leaf-path record of its seed-None tree
         self._key_memo = {}     # element -> class id
         self._keys = []         # class id -> class key
@@ -173,27 +187,65 @@ class Reduction:
 
     def equal_length_orbit(self, x):
         """The elements reachable from x by length-preserving conjugations
-        r_a y r_{sigma a}, as a tuple in BFS order from x.  The walk also
-        records the down edges (y, a) of its members, in that order and
-        root order, for find_down_move."""
+        r_a y r_{sigma a}, as a tuple in BFS order from x.  It runs the
+        orbit walk from x to its end, resuming where an earlier call
+        stopped it."""
+        return self._orbit_walk(x, True)[0]
+
+    def _down_edges(self, x, whole=False):
+        """The down edges (y, a, move record of y by a) of the members y
+        of the equal-length orbit of x, in BFS and root order: every one
+        when ``whole``, otherwise at least the first; empty when the orbit
+        has none.  An element of ``_minimal`` answers with no walk (see
+        find_down_move)."""
         walk = self._walks.get(x)
         if walk is None:
-            members, seen, downs = [x], {x}, []
-            roots = self.aw.simple_affine
-            for y in members:                # grows as the BFS goes
-                for a, (z, step, _) in zip(roots, self._moves_of(y)):
-                    if step < 0:
-                        downs.append((y, a))
-                    elif not step and z not in seen:
-                        seen.add(z)
-                        members.append(z)
-            walk = self._walks[x] = (tuple(members), tuple(downs))
-        return walk[0]
+            if x in self._minimal:
+                return ()
+        elif not whole or len(walk) == 2:
+            return walk[1]       # an open walk has found a down edge
+        return self._orbit_walk(x, whole)[1]
+
+    def _orbit_walk(self, x, whole):
+        """The walk record of x, walked on as far as the caller reads: to
+        its end when ``whole``, otherwise through the first member that
+        has a down edge, whose down edges are all recorded, in root order.
+
+        An open record is [members, down edges, seen, next member]: a
+        later call resumes the BFS at the next member, so the record holds
+        the same members and down edges, in the same order, as one
+        uninterrupted walk.  An ended record is (members, down edges),
+        with no seen set, and a walk that ends with no down edge puts
+        every member in ``_minimal`` (see find_down_move)."""
+        walk = self._walks.get(x)
+        if walk is None:
+            walk = self._walks[x] = [[x], [], {x}, 0]
+        elif len(walk) == 2:
+            return walk
+        members, downs, seen, i = walk
+        roots, moves_of = self.aw.simple_affine, self._moves_of
+        while i < len(members):               # grows as the BFS goes
+            y = members[i]
+            i += 1
+            for a, move in zip(roots, moves_of(y)):
+                z, step, _ = move
+                if step < 0:
+                    downs.append((y, a, move))
+                elif not step and z not in seen:
+                    seen.add(z)
+                    members.append(z)
+            if downs and not whole and i < len(members):
+                walk[3] = i
+                return walk
+        walk = self._walks[x] = (tuple(members), tuple(downs))
+        if not downs:
+            self._minimal.update(members)
+        return walk
 
     def _moves_of(self, y):
         """The move records (r_a y r_{sigma a}, length change, r_a y) of y,
         one per simple affine root a in root order, formed the first time
-        any walk reaches y."""
+        any walk expands y."""
         moves = self._moves.get(y)
         if moves is None:
             conjugate = self.aw.simple_sigma_conjugate
@@ -201,33 +253,42 @@ class Reduction:
                 conjugate(y, a) for a in self.aw.simple_affine)
         return moves
 
-    def _move(self, y, a):
-        """The move record of y by the simple affine root a."""
-        return self._moves_of(y)[self.aw.simple_affine.index(a)]
-
     def find_down_move(self, x, rng=None):
         """(x_prime, aroot) for the first (or seeded) down move from a
         member x_prime of the equal-length orbit of x, in BFS and root
-        order, or None when the orbit has none."""
-        self.equal_length_orbit(x)
-        downs = self._walks[x][1]
+        order, or None when the orbit has none.  With no rng the walk
+        stops at the first member that has a down move; a seeded choice
+        reads every down move of the orbit, so it walks the whole orbit.
+
+        A walk that ends with no down move answers None for every member
+        of the orbit, with no walk of its own.  Each move y -> r_a y
+        r_{sigma a} is an involution, since r_a and r_{sigma a} are, so a
+        length-preserving move from y to z is one from z back to y.  So
+        every member y of the orbit of x reaches x, and with it all that x
+        reaches: y's orbit is x's orbit.  The down moves of an orbit are
+        those of its members, whatever the start, so y's orbit has none
+        when x's has none."""
+        downs = self._down_edges(x, rng is not None)
         if not downs:
             return None
-        return downs[0] if rng is None else rng.choice(downs)
+        y, a, _ = downs[0] if rng is None else rng.choice(downs)
+        return y, a
 
     # -- minimal length descent ------------------------------------------------
 
     def descend_to_minimal(self, x):
         """(x_min, moves): follow down-2 moves through equal-length orbits
         until the whole orbit admits none.  Each move is recorded as
-        (x_prime, aroot, new_element), new_element = r_a x' r_{sigma a}."""
+        (x_prime, aroot, new_element), new_element = r_a x' r_{sigma a}.
+        Each step walks the orbit only to its first down edge and reads
+        the new element off the move record the edge carries; the last
+        orbit is walked whole, unless an earlier walk showed it minimal."""
         moves = []
         while True:
-            found = self.find_down_move(x)
-            if found is None:
+            downs = self._down_edges(x)
+            if not downs:
                 return x, moves
-            y, a = found
-            z, step, _ = self._move(y, a)
+            y, a, (z, step, _) = downs[0]
             if step >= 0:
                 raise InvariantError(
                     self.datum.name, 'the move by the affine root %s changes '
@@ -237,7 +298,7 @@ class Reduction:
             x = z
 
     def is_minimal(self, x):
-        return self.find_down_move(x) is None
+        return not self._down_edges(x)
 
     # -- reduction trees ----------------------------------------------------------
 
@@ -266,24 +327,32 @@ class Reduction:
 
     def _walk_tree(self, x, seed, root):
         """The one descent loop of the reduction tree: pop an element,
-        take its (first or seeded) down move, push the type II child and
-        then the type I child.  Each stack entry is (element, n_I, n_II,
-        node); with a root node the loop fills in each node and records
-        (leaf node, n_I, n_II), and with None it forms no node and
-        records (leaf element, n_I, n_II)."""
-        rng = random.Random(seed) if seed is not None else None
-        find, move = self.find_down_move, self._move
+        take its (first or seeded) down edge, push the type II child and
+        then the type I child, both read off the move record the edge
+        carries.  Each stack entry is (element, n_I, n_II, node); with a
+        root node the loop fills in each node and records (leaf node, n_I,
+        n_II), and with None it forms no node and records (leaf element,
+        n_I, n_II).  With no seed each orbit is walked only to its first
+        down edge.  A seeded tree seeds its rng at its first draw, so a
+        tree whose root is minimal forms none; the draws are the same."""
+        rng = None
+        downs_of, whole = self._down_edges, seed is not None
         paths = []
         stack = [(x, 0, 0, root)]
         while stack:
             el, ni, nii, node = stack.pop()
-            found = find(el, rng)
-            if found is None:
+            downs = downs_of(el, whole)
+            if not downs:
                 paths.append((el if node is None else node, ni, nii))
                 continue
-            y, a = found
+            if not whole:
+                edge = downs[0]
+            else:
+                if rng is None:
+                    rng = random.Random(seed)
+                edge = rng.choice(downs)
             # z = r_a x' r_{sigma a}, two shorter; left = r_a x', one shorter
-            z, _, left = move(y, a)
+            y, a, (z, _, left) = edge
             child_i = child_ii = None
             if node is not None:
                 node.x_prime, node.aroot = y, a

@@ -333,17 +333,20 @@ def test_leaves_match_stack_walk():
             assert tree.leaves() == leaves_by_stack(tree), (x, seed)
 
 
-def tree_by_recursion(red, x, seed=None):
+def tree_by_recursion(red, x, seed=None, find=None):
     """Oracle: the reduction tree built by recursion, each node expanded
-    before its type I subtree and that before its type II subtree."""
+    before its type I subtree and that before its type II subtree.  The
+    down move of a node is ``find(el, rng)``, by default
+    ``red.find_down_move``; the rng is seeded before the first node."""
     rng = random.Random(seed) if seed is not None else None
+    find = red.find_down_move if find is None else find
 
     def build(el):
-        found = red.find_down_move(el, rng)
+        found = find(el, rng)
         if found is None:
             return TreeNode(el)
         y, a = found
-        z, _, left = red._move(y, a)
+        z, _, left = red._moves_of(y)[red.aw.simple_affine.index(a)]
         node = TreeNode(el, x_prime=y, aroot=a)
         node.child_i = build(left)
         node.child_ii = build(z)
@@ -516,16 +519,21 @@ def test_tree_deeper_than_the_recursion_limit(capsys):
     assert len(json.loads(out)) == len(polys)
 
 
-def scan_find_down_move(red, x, rng=None):
-    """Oracle: find_down_move by rescanning the whole orbit, with move
-    types from recounted lengths."""
+def scan_find_down_move(red, x, rng=None, memo=None):
+    """Oracle: find_down_move by scanning the whole orbit of x, walked by
+    equal_length_orbit_per_walk, with move types from recounted lengths.
+    A ``memo`` dict keeps the down moves of each x scanned."""
     aw = red.aw
-    candidates = []
-    for y in red.equal_length_orbit(x):      # BFS order
-        for a in aw.simple_affine:
-            z, _, _ = aw.simple_sigma_conjugate(y, a)
-            if aw.aff_length(z) - aw.aff_length(y) == -2:
-                candidates.append((y, a))
+    candidates = None if memo is None else memo.get(x)
+    if candidates is None:
+        candidates = []
+        for y in equal_length_orbit_per_walk(aw, x)[0]:      # BFS order
+            for a in aw.simple_affine:
+                z, _, _ = aw.simple_sigma_conjugate(y, a)
+                if aw.aff_length(z) - aw.aff_length(y) == -2:
+                    candidates.append((y, a))
+        if memo is not None:
+            memo[x] = candidates
     if not candidates:
         return None
     return candidates[0] if rng is None else rng.choice(candidates)
@@ -545,8 +553,9 @@ def test_find_down_move_matches_orbit_scan(name):
 
 
 def equal_length_orbit_per_walk(aw, x):
-    """Oracle: the equal-length orbit walk with no move table, forming
-    every move of every element afresh by two products: (parents, downs)."""
+    """Oracle: the whole equal-length orbit walk with no move table,
+    forming every move of every element afresh by two products: (parents,
+    downs), parents in BFS order."""
     parents = {x: None}
     downs = []
     frontier = [x]
@@ -564,14 +573,20 @@ def equal_length_orbit_per_walk(aw, x):
     return parents, downs
 
 
+def walked_members(walk):
+    """The members an orbit walk record has processed: all of an ended
+    walk, those before the next member of an open one."""
+    return walk[0] if len(walk) == 2 else walk[0][:walk[3]]
+
+
 @pytest.mark.parametrize('name', ['sl4', 'sl4_flip'])
 @pytest.mark.parametrize('order_seed', [None, 4])
 def test_equal_length_orbit_matches_per_walk(name, order_seed):
-    """The orbits and down lists read off one move table against walks
+    """The orbits and down edges read off one move table against walks
     that share nothing, on box(1, 8) in box order and in a seeded order,
-    insertion order included; then every record of the table, the
-    elements only a class-key closure reached included, against the two
-    products."""
+    insertion order included, each walk first stopped at its first down
+    edge; then every record of the table, the elements only a class-key
+    closure reached included, against the two products."""
     aw = AffineWeyl(builtin_datum(name))
     red = Reduction(aw)
     xs = aw.box_elements(1, 8)
@@ -579,14 +594,86 @@ def test_equal_length_orbit_matches_per_walk(name, order_seed):
         random.Random(order_seed).shuffle(xs)
     for x in xs:
         parents, downs = equal_length_orbit_per_walk(aw, x)
+        assert red.find_down_move(x) == (downs[0] if downs else None), x
         assert red.equal_length_orbit(x) == tuple(parents), x
-        assert red._walks[x] == (tuple(parents), tuple(downs)), x
+        assert red._walks[x] == (tuple(parents), tuple(
+            (y, a, simple_sigma_conjugate_two_products(aw, y, a))
+            for y, a in downs)), x
         red.class_key(x)
-    members = {y for orbit, _ in red._walks.values() for y in orbit}
+    members = {y for walk in red._walks.values()
+               for y in walked_members(walk)}
     assert members < set(red._moves)
     for y, records in red._moves.items():
         assert records == tuple(simple_sigma_conjugate_two_products(aw, y, a)
                                 for a in aw.simple_affine), y
+
+
+def nodes_in_preorder(root):
+    """Every node of a tree, each before its type I subtree and that
+    before its type II subtree: the order of the rng draws."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not node.is_leaf:
+            stack += [node.child_ii, node.child_i]
+    return out
+
+
+PARTIAL_WALK_BOXES = [('gl3', 2, 6), ('sl4', 1, 8), ('sl3_flip', 1, 6),
+                      ('sp4', 3, 6)]
+
+
+@pytest.mark.parametrize('name,bound,max_length', PARTIAL_WALK_BOXES)
+def test_partial_walks_pick_the_whole_orbit_edge(name, bound, max_length):
+    """At every node of the deterministic tree and of the trees seeded 1,
+    2 and 3, built on one Reduction whose walks stop at a first down edge
+    or run whole, the edge taken is the one a scan of the whole orbit
+    picks, and the children are its moves; a leaf's orbit has no down
+    edge.  Every element a walk marked minimal has none by the oracle."""
+    aw = AffineWeyl(builtin_datum(name))
+    red, memo = Reduction(aw), {}
+    for x in aw.box_elements(bound, max_length):
+        for seed in (None, 1, 2, 3):
+            rng = None if seed is None else random.Random(seed)
+            for node in nodes_in_preorder(
+                    red.build_reduction_tree(x, seed=seed).root):
+                want = scan_find_down_move(red, node.x, rng, memo)
+                if node.is_leaf:
+                    assert want is None, (x, seed, node.x)
+                    continue
+                assert (node.x_prime, node.aroot) == want, (x, seed, node.x)
+                z, _, left = aw.simple_sigma_conjugate(*want)
+                assert (node.child_i.x, node.child_ii.x) == (left, z)
+    assert red._minimal
+    for y in red._minimal:
+        assert equal_length_orbit_per_walk(aw, y)[1] == [], y
+
+
+@pytest.mark.parametrize('name,bound,max_length', PARTIAL_WALK_BOXES)
+@pytest.mark.parametrize('order_seed', [None, 4])
+def test_resumed_orbit_walks_match_per_walk(name, bound, max_length,
+                                            order_seed):
+    """After the deterministic class polynomials of the box have walked
+    orbits part of the way, equal_length_orbit resumes each
+    walk and gives the orbit and down edges of one uninterrupted walk, in
+    box order and in a seeded order."""
+    aw = AffineWeyl(builtin_datum(name))
+    red = Reduction(aw)
+    xs = aw.box_elements(bound, max_length)
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(xs)
+    for x in xs:
+        red.class_polynomials(x)
+    resumed = 0
+    for x in xs:
+        resumed += len(red._walks.get(x, ())) == 4
+        parents, downs = equal_length_orbit_per_walk(aw, x)
+        assert red.equal_length_orbit(x) == tuple(parents), x
+        assert [(y, a) for y, a, _ in red._walks[x][1]] == downs, x
+    assert resumed
+    for y in red._minimal:
+        assert equal_length_orbit_per_walk(aw, y)[1] == [], y
 
 
 def count_calls(monkeypatch, obj, name):
@@ -600,6 +687,25 @@ def count_calls(monkeypatch, obj, name):
 
     monkeypatch.setattr(obj, name, counted)
     return calls
+
+
+def test_bgx_walks_each_orbit_to_its_first_down_edge():
+    """gl4 s1s2s3 eps^(4,2,-1,-3): bgx_from_tree on a fresh Reduction
+    forms the moves of at most 782 elements, where whole-orbit walks
+    formed 1 501, and its tree is the one whose every edge is the first
+    down edge of a scan of the whole orbit."""
+    aw = AffineWeyl(builtin_datum('gl4'))
+    x = AffineElement(aw.W.from_word([0, 1, 2]), (4, 2, -1, -3))
+    red = Reduction(aw)
+    got = red.bgx_from_tree(x)
+    assert len(red._moves) <= 782
+    oracle = Reduction(aw)
+    root = tree_by_recursion(
+        oracle, x, find=lambda el, rng: scan_find_down_move(oracle, el))
+    want = [(leaf.x, ni, nii) for leaf, ni, nii in paths_by_recursion(root)]
+    assert red.leaf_paths(x) == want
+    assert list(got.items()) == list(
+        bgx_by_leaf_fold(oracle, x, oracle.bg.element_class).items())
 
 
 def test_each_move_formed_once(monkeypatch):
@@ -662,12 +768,15 @@ def test_invariant_check_survives_python_O():
         red = Reduction(AffineWeyl(builtin_datum('sl2')))
         x = AffineElement(1, (1,))
         y, a = red.find_down_move(x)
-        # the recorded down move now reads as a length preserving move to
-        # the identity, which has no down move
+        # the first down edge of the walk from x now carries a move
+        # record that reads as a length preserving move to the identity,
+        # which has no down move
         e = red.aw.identity
-        records = list(red._moves[y])
-        records[red.aw.simple_affine.index(a)] = (e, 0, e)
-        red._moves[y] = tuple(records)
+        walk = red._walks[x]
+        downs = list(walk[1])
+        assert downs[0][:2] == (y, a)
+        downs[0] = (y, a, (e, 0, e))
+        red._walks[x] = (tuple(walk[0]), tuple(downs))
         red.descend_to_minimal(x)
         """)
     root = Path(__file__).resolve().parents[1]
